@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-import sympy as sp
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import ring
 
 from .adhm import (
     AdhmConfig,
@@ -369,140 +371,139 @@ class ScanResult:
     complete: bool
 
 
-_X0, _X1 = sp.symbols("x0 x1")
-_W0, _W1 = sp.symbols("w0 w1")
+#: Chart entries live in QQ[x1, x0]; x1 comes first so that ``resultant``
+#: eliminates it.  Restrictions to an exceptional line live in QQ[w0, w1].
+_CHART, _X1, _X0 = ring("x1,x0", QQ)
+_LINE, _W0, _W1 = ring("w0,w1", QQ)
+
+
+def _qq(c: Fraction):
+    return QQ(c.numerator, c.denominator)
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
 
 
 def _section_to_chart_poly(s: SectionPoly):
-    """The section's polynomial on the chart ``z2 = 1`` as a sympy expression."""
-    expr = sp.Integer(0)
-    for (e0, e1, _e2), c in s.coeffs:
-        expr += sp.Rational(c.numerator, c.denominator) * _X0 ** e0 * _X1 ** e1
-    return sp.expand(expr)
+    """The section's polynomial on the chart ``z2 = 1``, in ``QQ[x1, x0]``."""
+    return _CHART.from_dict({(e1, e0): _qq(c) for (e0, e1, _e2), c in s.coeffs})
 
 
 def _section_to_divisor_poly(s: SectionPoly, i: int):
-    """The section's restriction to ``E_i`` as a homogeneous sympy expression."""
+    """The section's restriction to ``E_i``, homogeneous in ``QQ[w0, w1]``."""
     qi = int(s.bidegree.q[i - 1])
     if qi > 0:
-        return sp.Integer(0)
+        return _LINE.zero
     order = -qi
-    taylor = s._taylor_at(i)
-    expr = sp.Integer(0)
-    for (mx, my), c in taylor.items():
-        if mx + my == order:
-            expr += sp.Rational(c.numerator, c.denominator) * _W0 ** mx * _W1 ** my
-    return sp.expand(expr)
+    return _LINE.from_dict({(mx, my): _qq(c) for (mx, my), c in s._taylor_at(i).items()
+                            if mx + my == order})
 
 
-def _rand_int_matrix(rng: Random, m: int, n: int) -> sp.Matrix:
-    return sp.Matrix(m, n, lambda i, j: rng.randint(-9, 9))
+def _domain_matrix(rows: list[list], domain) -> DomainMatrix:
+    return DomainMatrix(rows, (len(rows), len(rows[0])), domain)
 
 
 def _compressed_dets(entries: list[list], full_rank: int, rng: Random):
-    rows = len(entries)
-    mat = sp.Matrix(entries)
-    u1 = _rand_int_matrix(rng, full_rank, rows)
-    u2 = _rand_int_matrix(rng, full_rank, rows)
-    f1 = sp.expand((u1 * mat).det(method="berkowitz"))
-    f2 = sp.expand((u2 * mat).det(method="berkowitz"))
-    return f1, f2
+    """``det(U_j . alpha)`` for random integer ``U_j``, by fraction-free Bareiss."""
+    domain = entries[0][0].ring.to_domain()
+    mat = _domain_matrix(entries, domain)
+    dets = []
+    for _ in range(2):
+        u = _domain_matrix([[domain(rng.randint(-9, 9)) for _ in entries]
+                            for _ in range(full_rank)], domain)
+        dets.append((u * mat).det())
+    return tuple(dets)
 
 
 def _all_minors(entries: list[list], full_rank: int):
-    mat = sp.Matrix(entries)
+    """Distinct nonzero maximal minors, in the order of their row sets."""
+    mat = _domain_matrix(entries, entries[0][0].ring.to_domain())
+    cols = list(range(mat.shape[1]))
     minors = []
-    for rows in itertools.combinations(range(mat.rows), full_rank):
-        d = sp.expand(mat[list(rows), :].det(method="berkowitz"))
-        if d != 0 and d not in minors:
+    for rows in itertools.combinations(range(mat.shape[0]), full_rank):
+        d = mat.extract(list(rows), cols).det()
+        if d and d not in minors:
             minors.append(d)
     return minors
 
 
-def _rational_roots(poly, var) -> tuple[list[Fraction], bool]:
-    """Rational roots of a nonzero univariate polynomial, plus 'all roots rational'."""
-    p = sp.Poly(poly, var, domain="QQ")
-    if p.degree() <= 0:
+def _gcd_all(polys: list):
+    g = polys[0]
+    for p in polys[1:]:
+        g = g.gcd(p)
+    return g
+
+
+def _rational_roots(poly) -> tuple[list[Fraction], bool]:
+    """Rational roots of a nonzero univariate ring element, plus 'all roots rational'."""
+    if poly.degree() <= 0:
         return [], True
+    var = poly.ring.gens[0]
     roots: list[Fraction] = []
     all_rational = True
-    _, factors = p.factor_list()
+    _, factors = poly.factor_list()
     for fac, _mult in factors:
         if fac.degree() == 1:
-            coeffs = fac.all_coeffs()  # [a, b] for a*var + b
-            root = sp.Rational(-coeffs[1], coeffs[0])
-            roots.append(Fraction(root.p, root.q))
+            roots.append(_fraction(-fac.coeff(1) / fac.coeff(var)))
         elif fac.degree() > 1:
             all_rational = False
     return roots, all_rational
 
 
 def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool, bool]:
-    """Candidate common zeros of bivariate polys in (x0, x1).
+    """Candidate common zeros of elements of ``QQ[x1, x0]``, as pairs (x0, x1).
 
     Returns (candidates, curve_detected, complete).  Candidates may contain
     spurious points (callers verify); no genuine common zero with rational
     coordinates is missed unless ``complete`` is False.
     """
-    polys = [sp.expand(p) for p in polys if sp.expand(p) != 0]
+    polys = [p for p in polys if p]
     if not polys:
         return [], True, True  # everything vanishes: a curve (handled by caller)
-    g = polys[0]
-    for p in polys[1:]:
-        g = sp.gcd(g, p)
-    if g.free_symbols:
+    if not _gcd_all(polys).is_ground:
         return [], True, True
     if len(polys) == 1:
-        # single nonzero poly with no partner: its zero set is a curve unless constant
-        if polys[0].free_symbols:
-            return [], True, True
-        return [], False, True
+        return [], False, True  # a single nonzero constant: no common zeros
     complete = True
     resultants = []
     pair_budget = 12
     for f1, f2 in itertools.combinations(polys[: max(3, min(len(polys), 6))], 2):
-        res = sp.expand(sp.resultant(f1, f2, _X1))
-        if res != 0:
+        res = f1.resultant(f2)
+        if res:
             resultants.append(res)
         if len(resultants) >= pair_budget:
             break
     if not resultants:
         # every pair shares a factor; add combinations from the ideal and retry
         rng = Random(1729)
-        extra = [
-            sp.expand(sum(sp.Integer(rng.randint(1, 7)) * p for p in polys))
-            for _ in range(2)
-        ]
+        extra = [sum(rng.randint(1, 7) * p for p in polys) for _ in range(2)]
         for f1 in extra:
             for f2 in polys[:4]:
-                res = sp.expand(sp.resultant(f1, f2, _X1))
-                if res != 0:
+                res = f1.resultant(f2)
+                if res:
                     resultants.append(res)
         if not resultants:
             return [], False, False
-    eliminant = resultants[0]
-    for res in resultants[1:]:
-        eliminant = sp.gcd(eliminant, res)
-    if eliminant.free_symbols - {_X0}:
-        return [], False, False
-    if _X0 not in getattr(eliminant, "free_symbols", set()):
+    eliminant = _gcd_all(resultants)
+    if eliminant.is_ground:
         return [], False, True  # nonzero constant eliminant: no common zeros
-    roots0, rational0 = _rational_roots(eliminant, _X0)
+    roots0, rational0 = _rational_roots(eliminant)
     complete = complete and rational0
     candidates: list[tuple[Fraction, Fraction]] = []
     for r0 in roots0:
         fibre = None
         for p in polys:
-            sub = sp.expand(p.subs(_X0, sp.Rational(r0.numerator, r0.denominator)))
-            if sub == 0:
+            sub = p.evaluate(_X0, _qq(r0))
+            if not sub:
                 continue
-            fibre = sub if fibre is None else sp.gcd(fibre, sub)
+            fibre = sub if fibre is None else fibre.gcd(sub)
         if fibre is None:
             complete = False  # whole line x0 = r0 shared; should not happen
             continue
-        if _X1 not in getattr(fibre, "free_symbols", set()):
+        if fibre.is_ground:
             continue  # no common zero above this root
-        roots1, rational1 = _rational_roots(fibre, _X1)
+        roots1, rational1 = _rational_roots(fibre)
         complete = complete and rational1
         for r1 in roots1:
             candidates.append((r0, r1))
@@ -526,10 +527,10 @@ def _scan_chart(m: MonadRep, plan: ScanPlan, rng: Random, use_all_minors: bool):
     else:
         candidates = None
         for _attempt in range(4):
-            f1, f2 = _compressed_dets(entries, full_rank, rng)
-            if f1 == 0 and f2 == 0:
+            dets = _compressed_dets(entries, full_rank, rng)
+            if not any(dets):
                 continue
-            cand, curve, comp_flag = _common_zeros_2d([f1, f2])
+            cand, curve, comp_flag = _common_zeros_2d(list(dets))
             if curve:
                 continue
             candidates = cand
@@ -563,8 +564,7 @@ def _scan_divisor(m: MonadRep, i: int, plan: ScanPlan, rng: Random,
     else:
         polys = []
         for _attempt in range(4):
-            f1, f2 = _compressed_dets(entries, full_rank, rng)
-            polys = [p for p in (f1, f2) if p != 0]
+            polys = [p for p in _compressed_dets(entries, full_rank, rng) if p]
             if polys:
                 break
     if not polys:
@@ -572,26 +572,23 @@ def _scan_divisor(m: MonadRep, i: int, plan: ScanPlan, rng: Random,
         if m.alpha_at(probe).rank() < full_rank:
             raise NotInPError(f"alpha drops rank along the exceptional line E_{i}")
         return [], False
-    g = polys[0]
-    for p in polys[1:]:
-        g = sp.gcd(g, p)
+    g = _gcd_all(polys)
     drops: list[SurfacePoint] = []
     complete = True
-    if g.free_symbols:
-        _, factors = sp.Poly(g, _W0, _W1, domain="QQ").factor_list()
+    if not g.is_ground:
+        _, factors = g.factor_list()
         for fac, _mult in factors:
-            if fac.total_degree() == 1:
-                a0 = fac.coeff_monomial(_W0)
-                a1 = fac.coeff_monomial(_W1)
-                w0, w1 = sp.Rational(-a1), sp.Rational(a0)
-                if w0 != 0:
-                    cand = SurfacePoint.exceptional(i, 1, Fraction((w1 / w0).p,
-                                                                   (w1 / w0).q))
+            degree = max(sum(mono) for mono in fac.monoms())
+            if degree == 1:
+                # fac = a0 w0 + a1 w1 vanishes at (w0 : w1) = (-a1 : a0)
+                w0, w1 = -fac.coeff(_W1), fac.coeff(_W0)
+                if w0:
+                    cand = SurfacePoint.exceptional(i, 1, _fraction(w1 / w0))
                 else:
                     cand = SurfacePoint.exceptional(i, 0, 1)
                 if m.alpha_at(cand).rank() < full_rank:
                     drops.append(cand)
-            elif fac.total_degree() > 1:
+            elif degree > 1:
                 complete = False
     return drops, complete
 

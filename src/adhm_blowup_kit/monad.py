@@ -405,11 +405,15 @@ def _domain_matrix(rows: list[list], domain) -> DomainMatrix:
 
 
 def _compressed_dets(entries: list[list], full_rank: int, rng: Random):
-    """``det(U_j . alpha)`` for random integer ``U_j``, by fraction-free Bareiss."""
+    """``det(U_j . alpha)``, j = 1..3, for random integer ``U_j``, by fraction-free Bareiss.
+
+    Two compressions generically share spurious common zeros off the drop
+    locus, often irrational ones; a third compression generically misses them.
+    """
     domain = entries[0][0].ring.to_domain()
     mat = _domain_matrix(entries, domain)
     dets = []
-    for _ in range(2):
+    for _ in range(3):
         u = _domain_matrix([[domain(rng.randint(-9, 9)) for _ in entries]
                             for _ in range(full_rank)], domain)
         dets.append((u * mat).det())
@@ -597,11 +601,17 @@ def singular_scan(m: MonadRep, plan: ScanPlan | None = None) -> ScanResult:
     """All points where ``alpha`` drops below full column rank.
 
     Covers the affine chart, every exceptional line and the framing line.
-    Exact elimination runs with the full minor ideal when ``sum(dim K)`` is at
-    most ``plan.exact_below_dim`` and with seeded compression otherwise; every
-    reported point is re-verified by an exact rank computation, and a drop
-    along a curve raises :class:`NotInPError`.  ``complete`` is False when the
-    elimination certifies extra, non-rational drop points may exist.
+    Elimination runs on the full maximal-minor ideal when ``sum(dim K)`` is at
+    most ``plan.exact_below_dim``, and otherwise on three seeded compressions
+    ``det(U_j . alpha)``, which lie in that ideal (Cauchy-Binet), so their
+    common zeros contain every drop point.  Every reported point is
+    re-verified by an exact rank computation, and a drop along a curve raises
+    :class:`NotInPError`.
+
+    ``complete`` is True only when the scan is certified: every factor of
+    every eliminant is linear over QQ, so the drop locus has no point beyond
+    the rational candidates checked.  False means irrational candidates
+    remain unresolved; the reported points are still genuine.
     """
     if plan is None:
         plan = ScanPlan()

@@ -514,7 +514,7 @@ def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool
     return candidates, False, complete
 
 
-def _scan_chart(m: MonadRep, plan: ScanPlan, rng: Random, use_all_minors: bool):
+def _scan_chart(m: MonadRep, rng: Random, use_all_minors: bool):
     """Rank-drop points in the chart z2 = 1 (minus blow-up centres)."""
     full_rank = m.dims.total_k
     entries = [[_section_to_chart_poly(e) for e in row] for row in m.alpha]
@@ -558,8 +558,7 @@ def _scan_chart(m: MonadRep, plan: ScanPlan, rng: Random, use_all_minors: bool):
     return drops, complete
 
 
-def _scan_divisor(m: MonadRep, i: int, plan: ScanPlan, rng: Random,
-                  use_all_minors: bool):
+def _scan_divisor(m: MonadRep, i: int, rng: Random, use_all_minors: bool):
     """Rank-drop points on the exceptional line E_i."""
     full_rank = m.dims.total_k
     entries = [[_section_to_divisor_poly(e, i) for e in row] for row in m.alpha]
@@ -636,9 +635,9 @@ def singular_scan(m: MonadRep, plan: ScanPlan | None = None) -> ScanResult:
             raise NotInPError(f"alpha drops rank at the random point {pt}")
 
     use_exact = full_rank <= plan.exact_below_dim
-    drops, complete = _scan_chart(m, plan, rng, use_all_minors=use_exact)
+    drops, complete = _scan_chart(m, rng, use_all_minors=use_exact)
     for i in range(1, m.dims.n + 1):
-        d_i, c_i = _scan_divisor(m, i, plan, rng, use_all_minors=use_exact)
+        d_i, c_i = _scan_divisor(m, i, rng, use_all_minors=use_exact)
         drops.extend(d_i)
         complete = complete and c_i
     unique = sorted(set(drops), key=SurfacePoint.sort_key)

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adhm_blowup_kit.adhm import (
     AdhmConfig,
@@ -27,6 +29,7 @@ from adhm_blowup_kit.monad import (
     singular_scan,
     validate_config,
     _scan_chart,
+    _scan_divisor,
 )
 from adhm_blowup_kit.sections import (
     BlowupPoints,
@@ -267,16 +270,33 @@ def test_scan_eigenvalue_oracle_random_diagonals():
             assert jumps == k
 
 
-def test_scan_isolated_drop_on_exceptional_line():
+def isolated_drop_config() -> AdhmConfig:
     # with a11 = 0 and c = 0 the two alpha columns become dependent at the
     # single point of E_1 where (w0 : w1) = (u1 : -u0), for
     # u_A = a00 p_A + lowered(aA00)_A; here u = (-2, 5/2), so (5/2 : 2)
     p = (Fraction(2), Fraction(-1))
-    cfg = AdhmConfig(1, [0], 1, BlowupPoints([p]),
-                     a00=Matrix([[1]]), a0i=(Matrix([[1]]),),
-                     ai0=(Matrix([[1]]),), aii=(Matrix([[0]]),),
-                     aA00=(Matrix([[Fraction(1, 2)]]), Matrix([[3]])),
-                     c=Matrix([[0]]), d=Matrix([[1]]))
+    return AdhmConfig(1, [0], 1, BlowupPoints([p]),
+                      a00=Matrix([[1]]), a0i=(Matrix([[1]]),),
+                      ai0=(Matrix([[1]]),), aii=(Matrix([[0]]),),
+                      aA00=(Matrix([[Fraction(1, 2)]]), Matrix([[3]])),
+                      c=Matrix([[0]]), d=Matrix([[1]]))
+
+
+def diagonal_config(pairs) -> AdhmConfig:
+    # n = 0, r = 1: a00 = Id, aA00 = diag(pairs), c = 0; alpha drops rank
+    # exactly at the points (-lambda_i : -mu_i : 1)
+    k = len(pairs)
+    return AdhmConfig(
+        1, [], k, BlowupPoints(()),
+        a00=Matrix.identity(k), a0i=(), ai0=(), aii=(),
+        aA00=tuple(Matrix.from_function(k, k, lambda i, j, a=a: pairs[i][a]
+                                        if i == j else 0) for a in (0, 1)),
+        c=Matrix.zeros(1, k), d=Matrix([[1]] * k),
+    )
+
+
+def test_scan_isolated_drop_on_exceptional_line():
+    cfg = isolated_drop_config()
     assert assemble_a(cfg).det() != 0
     m = build_monad(cfg)
     scan = singular_scan(m)
@@ -304,14 +324,39 @@ def test_scan_not_in_p_for_curve_drop():
 
 
 def test_scan_compressed_agrees_with_exact():
-    rng = Random(8)
     for cfg in (hilbert_k2_config(), sample_config(2, [1], 1, seed=5)):
         m = build_monad(cfg)
-        plan = ScanPlan()
-        exact_pts, _ = _scan_chart(m, plan, Random(1), use_all_minors=True)
-        comp_pts, _ = _scan_chart(m, plan, Random(2), use_all_minors=False)
+        exact_pts, _ = _scan_chart(m, Random(1), use_all_minors=True)
+        comp_pts, _ = _scan_chart(m, Random(2), use_all_minors=False)
         assert sorted(p.coords for p in exact_pts) == \
             sorted(p.coords for p in comp_pts)
+    # on the exceptional lines; the sampled n = 2 configuration drops rank
+    # at one point of E_1
+    for cfg in (isolated_drop_config(), sample_config(1, [1, 0], 1, seed=0)):
+        m = build_monad(cfg)
+        for i in range(1, cfg.n + 1):
+            exact = _scan_divisor(m, i, Random(1), use_all_minors=True)
+            comp = _scan_divisor(m, i, Random(2), use_all_minors=False)
+            assert exact == comp
+            assert exact[1] is True
+        assert singular_scan(m).points
+
+
+pairs_strategy = st.lists(
+    st.tuples(*[st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))] * 2),
+    min_size=1, max_size=5, unique=True,
+)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(pairs=pairs_strategy)
+def test_scan_routes_match_diagonal_oracle(pairs):
+    m = build_monad(diagonal_config(pairs))
+    expected = sorted((-lam, -mu, Fraction(1)) for lam, mu in pairs)
+    for exact_below_dim in (0, len(pairs)):  # compressed, then full minors
+        scan = singular_scan(m, ScanPlan(exact_below_dim=exact_below_dim))
+        assert sorted(p.coords for p in scan.points) == expected
+        assert scan.complete
 
 
 def test_framing_checks():

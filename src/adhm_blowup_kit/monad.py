@@ -12,8 +12,8 @@ mechanism kills them), so validity is carried entirely by the L_0 row.
 
 Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps;
 ``singular_scan`` locates the finite set where alpha drops rank (exact
-elimination in each chart, with conservative completeness flags and a
-rank-drop-along-a-curve detector); ``framing_check`` compares the
+elimination over polynomial rings in each chart, with a certified
+completeness flag and a rank-drop-along-a-curve detector); ``framing_check`` compares the
 determinant criterion for the framing with the fibre criterion along the
 framing line.  ``validate_config`` bundles everything into one report.
 """
@@ -405,7 +405,7 @@ def _domain_matrix(rows: list[list], domain) -> DomainMatrix:
 
 
 def _compressed_dets(entries: list[list], full_rank: int, rng: Random):
-    """``det(U_j . alpha)``, j = 1..3, for random integer ``U_j``, by fraction-free Bareiss.
+    """``det(U_j . alpha)`` for three random integer ``U_j``, by fraction-free Bareiss.
 
     Two compressions generically share spurious common zeros off the drop
     locus, often irrational ones; a third compression generically misses them.
@@ -609,8 +609,9 @@ def singular_scan(m: MonadRep, plan: ScanPlan | None = None) -> ScanResult:
 
     ``complete`` is True only when the scan is certified: every factor of
     every eliminant is linear over QQ, so the drop locus has no point beyond
-    the rational candidates checked.  False means irrational candidates
-    remain unresolved; the reported points are still genuine.
+    the rational candidates checked.  False means further drop points could
+    not be ruled out, usually irrational ones; the reported points are still
+    genuine.
     """
     if plan is None:
         plan = ScanPlan()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import sys
 from importlib import resources
 from pathlib import Path
 
@@ -50,4 +49,3 @@ if __name__ == "__main__":
         for command in COMMANDS:
             (GOLDEN / f"{name}.{command}.json").write_text(
                 _run(command, path), encoding="utf-8")
-    sys.exit(0)

@@ -20,12 +20,9 @@ from .lattice import (
     DivisorClass,
     MonadDims,
     canonical_class,
-    ch_twist,
-    chi_from_character,
     chi_line,
     chi_twisted,
     exceptional_class,
-    intersect,
     line_class,
     moduli_dim_formulas,
     monad_dims,
@@ -35,7 +32,6 @@ from .linalg import Matrix, block_matrix
 from .monad import (
     FiberData,
     MonadRep,
-    ScanPlan,
     SurfacePoint,
     build_monad,
     check_monad_condition,

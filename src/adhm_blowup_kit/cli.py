@@ -54,6 +54,12 @@ def _load_config(path: str):
     return config_io.config_from_json(_load_json(path))
 
 
+def _load_config_and_seed(args):
+    """The configuration at ``args.path`` and the seed: ``--seed``, the file's, or 0."""
+    cfg, file_seed = _load_config(args.path)
+    return cfg, args.seed if args.seed is not None else (file_seed or 0)
+
+
 def _emit(doc, as_json: bool, text_lines) -> None:
     if as_json:
         sys.stdout.write(config_io.dump_canonical(doc))
@@ -62,24 +68,9 @@ def _emit(doc, as_json: bool, text_lines) -> None:
             print(line)
 
 
-def _plan_from_args(args, file_plan):
-    plan = file_plan if file_plan is not None else monad.ScanPlan()
-    return monad.ScanPlan(
-        generic_samples=args.samples if args.samples is not None
-        else plan.generic_samples,
-        per_divisor_samples=plan.per_divisor_samples,
-        exact_below_dim=args.exact_below if args.exact_below is not None
-        else plan.exact_below_dim,
-        seed=args.seed,
-    )
-
-
 def _cmd_validate(args) -> int:
-    cfg, file_seed, file_plan = _load_config(args.path)
-    seed = args.seed if args.seed is not None else (file_seed or 0)
-    args.seed = seed
-    plan = _plan_from_args(args, file_plan)
-    rep = monad.validate_config(cfg, seed=seed, plan=plan)
+    cfg, seed = _load_config_and_seed(args)
+    rep = monad.validate_config(cfg, seed=seed)
     doc = config_io.report_to_json(rep)
     lines = [f"valid: {rep.valid}"]
     lines += [f"  {k}: {doc[k]}" for k in (
@@ -157,17 +148,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cfg, file_seed, file_plan = _load_config(args.path)
-    seed = args.seed if args.seed is not None else (file_seed or 0)
-    args.seed = seed
-    plan = _plan_from_args(args, file_plan)
+    cfg, seed = _load_config_and_seed(args)
     try:
         rep = monad.build_monad(cfg)
     except FramingViolationError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        scan = monad.singular_scan(rep, plan)
+        scan = monad.singular_scan(rep, seed)
     except NotInPError as exc:
         _emit({"schema": config_io.SCHEMA_VERSION, "finite_rank_drop": False,
                "reason": str(exc)}, args.json, [f"not in P: {exc}"])
@@ -212,7 +200,7 @@ def _tangent_doc(cfg) -> dict:
 
 def _tangent_config(args):
     if args.path is not None:
-        cfg, _seed, _plan = _load_config(args.path)
+        cfg, _seed = _load_config(args.path)
         cfg = adhm.gauge_fix(cfg)
         if not adhm.constraint_residual(cfg).raw_is_zero():
             raise NotInPError("configuration does not satisfy the monad condition")
@@ -251,8 +239,8 @@ def _cmd_tangent(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    cfg1, _, _ = _load_config(args.config1)
-    cfg2, _, _ = _load_config(args.config2)
+    cfg1, _ = _load_config(args.config1)
+    cfg2, _ = _load_config(args.config2)
     if (cfg1.r, cfg1.a_vec, cfg1.k) != (cfg2.r, cfg2.a_vec, cfg2.k):
         print("orbit: configurations have different parameters", file=sys.stderr)
         return EXIT_ERROR
@@ -264,11 +252,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg, file_seed, file_plan = _load_config(args.path)
-    seed = args.seed if args.seed is not None else (file_seed or 0)
-    args.seed = seed
-    plan = _plan_from_args(args, file_plan)
-    rep = monad.validate_config(cfg, seed=seed, plan=plan)
+    cfg, seed = _load_config_and_seed(args)
+    rep = monad.validate_config(cfg, seed=seed)
     doc = config_io.report_to_json(rep)
     if rep.valid and rep.normalizable:
         doc["tangent"] = _tangent_doc(
@@ -290,10 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_default=None):
-        p.add_argument("--seed", type=int, default=seed_default)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--exact-below", dest="exact_below", type=int, default=None)
+    def add_common(p):
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("validate", help="run all checks on a configuration file")

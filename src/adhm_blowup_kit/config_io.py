@@ -9,6 +9,7 @@ by the parameters.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -16,25 +17,31 @@ from .adhm import AdhmConfig, GroupElement
 from .errors import ConfigFormatError
 from .lattice import MonadDims, monad_dims
 from .linalg import Matrix
-from .monad import ScanPlan, SpotCheck, SurfacePoint, ValidationReport
+from .monad import SpotCheck, SurfacePoint, ValidationReport
 from .sections import BlowupPoints
 
 SCHEMA_VERSION = 1
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def frac_from_str(s: Any) -> Fraction:
-    if isinstance(s, int):
+    """A rational from an integer or a string ``"num/den"`` or ``"num"``."""
+    if _is_int(s):
         return Fraction(s)
-    if isinstance(s, str):
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
         try:
             return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigFormatError(f"bad rational {s!r}: {exc}") from None
-    raise ConfigFormatError(f"expected a rational string, got {s!r}")
+        except ZeroDivisionError:
+            raise ConfigFormatError(f"bad rational {s!r}: zero denominator") from None
+    raise ConfigFormatError(f"expected a rational \"num/den\", got {s!r}")
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -63,8 +70,7 @@ def _check_keys(obj: Mapping, allowed: set[str], required: set[str], where: str)
         raise ConfigFormatError(f"{where}: missing fields {sorted(missing)}")
 
 
-def config_to_json(cfg: AdhmConfig, seed: int | None = None,
-                   scan: ScanPlan | None = None) -> dict:
+def config_to_json(cfg: AdhmConfig, seed: int | None = None) -> dict:
     doc: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
         "params": {"r": cfg.r, "a": list(cfg.a_vec), "k": cfg.k},
@@ -81,26 +87,21 @@ def config_to_json(cfg: AdhmConfig, seed: int | None = None,
     }
     if seed is not None:
         doc["seed"] = seed
-    if scan is not None:
-        doc["scan"] = {
-            "generic_samples": scan.generic_samples,
-            "per_divisor_samples": scan.per_divisor_samples,
-            "exact_below_dim": scan.exact_below_dim,
-        }
     return doc
 
 
-def config_from_json(doc: Any) -> tuple[AdhmConfig, int | None, ScanPlan | None]:
-    _check_keys(doc, {"schema", "params", "points", "blocks", "seed", "scan"},
+def config_from_json(doc: Any) -> tuple[AdhmConfig, int | None]:
+    _check_keys(doc, {"schema", "params", "points", "blocks", "seed"},
                 {"params", "points", "blocks"}, "configuration")
-    if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigFormatError(f"unsupported schema {doc.get('schema')!r}")
+    schema = doc.get("schema", SCHEMA_VERSION)
+    if not _is_int(schema) or schema != SCHEMA_VERSION:
+        raise ConfigFormatError(f"unsupported schema {schema!r}")
     params = doc["params"]
     _check_keys(params, {"r", "a", "k"}, {"r", "a", "k"}, "params")
     r, a_vec, k = params["r"], params["a"], params["k"]
-    if not isinstance(r, int) or not isinstance(k, int):
+    if not _is_int(r) or not _is_int(k):
         raise ConfigFormatError("params.r and params.k must be integers")
-    if not isinstance(a_vec, list) or not all(isinstance(x, int) for x in a_vec):
+    if not isinstance(a_vec, list) or not all(_is_int(x) for x in a_vec):
         raise ConfigFormatError("params.a must be a list of integers")
     try:
         dims = monad_dims(r, a_vec, k)
@@ -145,20 +146,9 @@ def config_from_json(doc: Any) -> tuple[AdhmConfig, int | None, ScanPlan | None]
                      (aA[0], aA[1]), c, d)
 
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise ConfigFormatError("seed must be an integer")
-    plan = None
-    if "scan" in doc:
-        scan = doc["scan"]
-        _check_keys(scan, {"generic_samples", "per_divisor_samples",
-                           "exact_below_dim"}, set(), "scan")
-        plan = ScanPlan(
-            generic_samples=scan.get("generic_samples", ScanPlan.generic_samples),
-            per_divisor_samples=scan.get("per_divisor_samples",
-                                         ScanPlan.per_divisor_samples),
-            exact_below_dim=scan.get("exact_below_dim", ScanPlan.exact_below_dim),
-        )
-    return cfg, seed, plan
+    return cfg, seed
 
 
 def group_element_to_json(el: GroupElement) -> dict:

@@ -93,10 +93,6 @@ def canonical_class(n: int) -> DivisorClass:
     return DivisorClass(-3, [1] * n)
 
 
-def intersect(d1: DivisorClass, d2: DivisorClass) -> Fraction:
-    return d1.dot(d2)
-
-
 def restriction_degree(d: DivisorClass, curve: str | int) -> Fraction:
     """Degree of ``O(d)`` restricted to the line class (``"linf"``) or to ``E_i``.
 
@@ -179,14 +175,6 @@ class ChernCharacter:
         """Euler characteristic via Riemann-Roch: ``rank + c1.(-K)/2 + pt``."""
         k_class = canonical_class(self.n)
         return Fraction(self.rank) + self.c1.dot(k_class.scale(-1)) / 2 + self.pt
-
-
-def ch_twist(ch: ChernCharacter, d: DivisorClass) -> ChernCharacter:
-    return ch.twist(d)
-
-
-def chi_from_character(ch: ChernCharacter) -> Fraction:
-    return ch.chi()
 
 
 def chi_twisted(ch: ChernCharacter, d: DivisorClass) -> Fraction:

@@ -143,18 +143,9 @@ def _evaluate(entries, x: SurfacePoint) -> Matrix:
     return Matrix([[e.eval_generic(x.coords) for e in row] for row in entries])
 
 
-def _k_offsets(dims: MonadDims) -> list[int]:
-    off = [0]
-    for d in dims.dim_k:
-        off.append(off[-1] + d)
-    return off
-
-
-def _l_offsets(dims: MonadDims) -> list[int]:
-    off = [0]
-    for d in dims.dim_l:
-        off.append(off[-1] + d)
-    return off
+def _offsets(sizes) -> list[int]:
+    """Start of each block and the total, for consecutive blocks of these sizes."""
+    return list(itertools.accumulate(sizes, initial=0))
 
 
 def build_monad(cfg: AdhmConfig) -> MonadRep:
@@ -290,8 +281,8 @@ def check_monad_condition(m: MonadRep) -> tuple[tuple[SectionPoly, ...], ...]:
     n = dims.n
     ctx = m.ctx
     total_k, total_l = dims.total_k, dims.total_l
-    l_off = _l_offsets(dims)
-    k_off = _k_offsets(dims)
+    l_off = _offsets(dims.dim_l)
+    k_off = _offsets(dims.dim_k)
 
     def out_bidegree(row: int, col: int) -> DivisorClass:
         bi = next(i for i in range(n + 1) if l_off[i] <= row < l_off[i + 1])
@@ -323,8 +314,8 @@ def composite_is_zero(comp) -> bool:
 def coefficient_block(comp, dims: MonadDims, bi: int, bj: int,
                       monomial: tuple[int, int, int]) -> Matrix:
     """Coefficient of one monomial across a block of the composite."""
-    l_off = _l_offsets(dims)
-    k_off = _k_offsets(dims)
+    l_off = _offsets(dims.dim_l)
+    k_off = _offsets(dims.dim_k)
     rows = []
     for i in range(l_off[bi], l_off[bi + 1]):
         row = []
@@ -357,12 +348,15 @@ def fiber_data(m: MonadRep, x: SurfacePoint) -> FiberData:
 # -- singular locus -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanPlan:
-    generic_samples: int = 25
-    per_divisor_samples: int = 5
-    exact_below_dim: int = 4
-    seed: int = 0
+#: ``singular_scan`` eliminates over the full maximal-minor ideal when
+#: ``sum(dim K)`` is at most this, and over three compressions above it: the
+#: minor count grows combinatorially, and the compressions are faster from
+#: ``sum(dim K) = 3`` on.
+_EXACT_MAX_DIM = 2
+#: Random chart points, and random points of the framing line, that the scan
+#: probes for a rank drop along a curve before eliminating.
+_CHART_PROBES = 25
+_FRAMING_PROBES = 5
 
 
 @dataclass(frozen=True)
@@ -455,6 +449,17 @@ def _rational_roots(poly) -> tuple[list[Fraction], bool]:
     return roots, all_rational
 
 
+def _eliminate_x1(f1, f2):
+    """An element of the ideal (f1, f2) in ``QQ[x0]``, zero iff they share a factor.
+
+    ``resultant`` with respect to x1 is 1 when neither input involves x1, and 1
+    is not in the ideal; for such a pair the gcd in ``QQ[x0]`` is.
+    """
+    if f1.degree(_X1) == 0 and f2.degree(_X1) == 0:
+        return f1.gcd(f2).drop(_X1)
+    return f1.resultant(f2)
+
+
 def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool, bool]:
     """Candidate common zeros of elements of ``QQ[x1, x0]``, as pairs (x0, x1).
 
@@ -473,7 +478,7 @@ def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool
     resultants = []
     pair_budget = 12
     for f1, f2 in itertools.combinations(polys[: max(3, min(len(polys), 6))], 2):
-        res = f1.resultant(f2)
+        res = _eliminate_x1(f1, f2)
         if res:
             resultants.append(res)
         if len(resultants) >= pair_budget:
@@ -484,7 +489,7 @@ def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool
         extra = [sum(rng.randint(1, 7) * p for p in polys) for _ in range(2)]
         for f1 in extra:
             for f2 in polys[:4]:
-                res = f1.resultant(f2)
+                res = _eliminate_x1(f1, f2)
                 if res:
                     resultants.append(res)
         if not resultants:
@@ -596,16 +601,17 @@ def _scan_divisor(m: MonadRep, i: int, rng: Random, use_all_minors: bool):
     return drops, complete
 
 
-def singular_scan(m: MonadRep, plan: ScanPlan | None = None) -> ScanResult:
+def singular_scan(m: MonadRep, seed: int = 0) -> ScanResult:
     """All points where ``alpha`` drops below full column rank.
 
     Covers the affine chart, every exceptional line and the framing line.
     Elimination runs on the full maximal-minor ideal when ``sum(dim K)`` is at
-    most ``plan.exact_below_dim``, and otherwise on three seeded compressions
-    ``det(U_j . alpha)``, which lie in that ideal (Cauchy-Binet), so their
-    common zeros contain every drop point.  Every reported point is
-    re-verified by an exact rank computation, and a drop along a curve raises
-    :class:`NotInPError`.
+    most 2, and otherwise on three seeded compressions ``det(U_j . alpha)``,
+    which lie in that ideal (Cauchy-Binet), so their common zeros contain
+    every drop point.  Every reported point is re-verified by an exact rank
+    computation, and a drop along a curve raises :class:`NotInPError`.  The
+    seed fixes the random probes and compressions, so the result is a
+    function of ``m`` and ``seed``.
 
     ``complete`` is True only when the scan is certified: every factor of
     every eliminant is linear over QQ, so the drop locus has no point beyond
@@ -613,29 +619,24 @@ def singular_scan(m: MonadRep, plan: ScanPlan | None = None) -> ScanResult:
     not be ruled out, usually irrational ones; the reported points are still
     genuine.
     """
-    if plan is None:
-        plan = ScanPlan()
-    rng = Random(plan.seed)
+    rng = Random(seed)
     full_rank = m.dims.total_k
     if full_rank == 0:
         return ScanResult(points=(), complete=True)
 
     # Framing line: the restriction of alpha factors through the assembled
     # matrix a, so a drop at any point of z2 = 0 is a drop along all of it.
-    linf_points = [SurfacePoint.generic(1, 0, 0), SurfacePoint.generic(0, 1, 0)]
-    for _ in range(plan.per_divisor_samples):
-        linf_points.append(SurfacePoint.generic(1, _rand_frac(rng), 0))
-    for pt in linf_points:
+    for pt in _framing_line_points(rng, _FRAMING_PROBES):
         if m.alpha_at(pt).rank() < full_rank:
             raise NotInPError("alpha drops rank along the framing line")
 
     # Random-point probe: a drop at a random point means a generic drop.
-    for _ in range(plan.generic_samples):
+    for _ in range(_CHART_PROBES):
         pt = _rand_chart_point(rng, m.ctx)
         if m.alpha_at(pt).rank() < full_rank:
             raise NotInPError(f"alpha drops rank at the random point {pt}")
 
-    use_exact = full_rank <= plan.exact_below_dim
+    use_exact = full_rank <= _EXACT_MAX_DIM
     drops, complete = _scan_chart(m, rng, use_all_minors=use_exact)
     for i in range(1, m.dims.n + 1):
         d_i, c_i = _scan_divisor(m, i, rng, use_all_minors=use_exact)
@@ -654,6 +655,13 @@ def _rand_chart_point(rng: Random, ctx: BlowupPoints) -> SurfacePoint:
         x0, x1 = _rand_frac(rng), _rand_frac(rng)
         if (x0, x1) not in ctx.points:
             return SurfacePoint.generic(x0, x1, 1)
+
+
+def _framing_line_points(rng: Random, count: int) -> list[SurfacePoint]:
+    """The two coordinate points of the framing line, then ``count`` random ones."""
+    pts = [SurfacePoint.generic(1, 0, 0), SurfacePoint.generic(0, 1, 0)]
+    pts += [SurfacePoint.generic(1, _rand_frac(rng), 0) for _ in range(count)]
+    return pts
 
 
 # -- framing ------------------------------------------------------------------------
@@ -680,30 +688,27 @@ def _framing_fiber_ok(m: MonadRep, cfg: AdhmConfig, x: SurfacePoint) -> bool:
     return joined.rank() == total_k + cfg.r
 
 
-def framing_verdicts(cfg: AdhmConfig, seed: int = 0, samples: int = 10):
-    """(determinant criterion, fibre criterion along the framing line)."""
-    det_ok = assemble_a(cfg).det() != 0
-    try:
-        m = build_monad(cfg)
-    except FramingViolationError:
-        return det_ok, False
-    rng = Random(seed)
-    pts = [SurfacePoint.generic(1, 0, 0), SurfacePoint.generic(0, 1, 0)]
-    while len(pts) < samples:
-        pts.append(SurfacePoint.generic(1, _rand_frac(rng), 0))
-    fiber_ok = all(_framing_fiber_ok(m, cfg, x) for x in pts)
-    return det_ok, fiber_ok
+def framing_verdicts(cfg: AdhmConfig, seed: int = 0, m: MonadRep | None = None,
+                     det_ok: bool | None = None) -> tuple[bool, bool]:
+    """(determinant criterion, fibre criterion along the framing line).
+
+    ``m`` and ``det_ok``, when given, must be ``build_monad(cfg)`` and
+    ``assemble_a(cfg).det() != 0``; they are computed otherwise.
+    """
+    if det_ok is None:
+        det_ok = assemble_a(cfg).det() != 0
+    if m is None:
+        try:
+            m = build_monad(cfg)
+        except FramingViolationError:
+            return det_ok, False
+    pts = _framing_line_points(Random(seed), 8)  # ten points in all
+    return det_ok, all(_framing_fiber_ok(m, cfg, x) for x in pts)
 
 
-def framing_check(m: MonadRep, cfg: AdhmConfig, seed: int = 0,
-                  samples: int = 10) -> bool:
+def framing_check(m: MonadRep, cfg: AdhmConfig, seed: int = 0) -> bool:
     """True iff the framing exists; the two criteria must agree."""
-    det_ok = assemble_a(cfg).det() != 0
-    rng = Random(seed)
-    pts = [SurfacePoint.generic(1, 0, 0), SurfacePoint.generic(0, 1, 0)]
-    while len(pts) < samples:
-        pts.append(SurfacePoint.generic(1, _rand_frac(rng), 0))
-    fiber_ok = all(_framing_fiber_ok(m, cfg, x) for x in pts)
+    det_ok, fiber_ok = framing_verdicts(cfg, seed, m)
     if det_ok != fiber_ok:
         raise InternalConsistencyError(
             f"framing criteria disagree: det {det_ok}, fibre {fiber_ok}"
@@ -780,22 +785,19 @@ class ValidationReport:
     failures: tuple[str, ...] = field(default=())
 
 
-def _spotcheck_points(m: MonadRep, rng: Random, count: int) -> list[SurfacePoint]:
+def _spotcheck_points(m: MonadRep, rng: Random) -> list[SurfacePoint]:
+    """Twelve points: (1:0:0), two on each exceptional line, then chart points."""
     pts = [SurfacePoint.generic(1, 0, 0)]
     for i in range(1, m.dims.n + 1):
         pts.append(SurfacePoint.exceptional(i, 1, _rand_frac(rng)))
         pts.append(SurfacePoint.exceptional(i, 0, 1))
-    while len(pts) < count:
+    while len(pts) < 12:
         pts.append(_rand_chart_point(rng, m.ctx))
-    return pts[:count]
+    return pts[:12]
 
 
-def validate_config(cfg: AdhmConfig, seed: int = 0,
-                    plan: ScanPlan | None = None,
-                    spot_count: int = 12) -> ValidationReport:
+def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
     """Run every finite check on a configuration and aggregate the verdicts."""
-    if plan is None:
-        plan = ScanPlan(seed=seed)
     failures: list[str] = []
     try:
         ch_check = cohomology_ch_check(cfg.dims) is not None
@@ -844,14 +846,14 @@ def validate_config(cfg: AdhmConfig, seed: int = 0,
             "symbolic composite and residual formulas disagree"
         )
 
-    det_v, fiber_v = framing_verdicts(cfg, seed=seed)
+    det_v, fiber_v = framing_verdicts(cfg, seed, monad, det_ok)
     framing = det_v and fiber_v
     if det_v != fiber_v:
         failures.append("framing criteria disagree")
 
     finite_drop: bool | None
     try:
-        scan = singular_scan(monad, plan)
+        scan = singular_scan(monad, seed)
         finite_drop = True
         singular_points = scan.points
         scan_complete = scan.complete
@@ -864,7 +866,7 @@ def validate_config(cfg: AdhmConfig, seed: int = 0,
     rng = Random(seed + 1)
     spots: list[SpotCheck] = []
     singular_set = set(singular_points)
-    for pt in _spotcheck_points(monad, rng, spot_count):
+    for pt in _spotcheck_points(monad, rng):
         try:
             fd = fiber_data(monad, pt)
         except MonadDegeneracyError:

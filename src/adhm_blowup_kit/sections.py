@@ -296,13 +296,3 @@ def const_section(ctx: BlowupPoints, value: Rational) -> SectionPoly:
 def zero_section(ctx: BlowupPoints, bidegree: DivisorClass) -> SectionPoly:
     """The zero section, shape-typed by an explicit bidegree."""
     return SectionPoly(bidegree, {}, ctx)
-
-
-def z_lowered(ctx: BlowupPoints) -> tuple[SectionPoly, SectionPoly]:
-    """The lowered coordinate pair ``(z_0, z_1) = (-z^1, z^0)``."""
-    return lower_pair((z_section(ctx, 0), z_section(ctx, 1)))
-
-
-def w_lowered(ctx: BlowupPoints, i: int) -> tuple[SectionPoly, SectionPoly]:
-    """The lowered pair ``(w_i0, w_i1) = (-w_i^1, w_i^0)``."""
-    return lower_pair((w_section(ctx, i, 0), w_section(ctx, i, 1)))

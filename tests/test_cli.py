@@ -1,9 +1,12 @@
+import argparse
 import json
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from adhm_blowup_kit import adhm, config_io
-from adhm_blowup_kit.cli import main
+from adhm_blowup_kit.cli import build_parser, main
 
 
 def _data_path(name: str) -> str:
@@ -92,7 +95,7 @@ def test_sample_deterministic_bytes(capsys):
                              "--seed", "7")
     assert code1 == code2 == 0
     assert out1 == out2
-    cfg, seed, _ = config_io.config_from_json(json.loads(out1))
+    cfg, seed = config_io.config_from_json(json.loads(out1))
     assert seed == 7
 
 
@@ -195,13 +198,44 @@ def test_tangent_rejects_invalid_file(capsys, tmp_path):
     assert "monad condition" in err
 
 
-def test_scan_plan_flags(capsys):
-    code, out, _ = run_cli(capsys, "scan", _data_path("hilbert_k2.json"),
-                           "--json", "--samples", "5", "--exact-below", "0")
-    assert code == 0
-    doc = json.loads(out)
-    # compression still finds and verifies both rational points
-    assert len(doc["singular_points"]) == 2
+@pytest.mark.parametrize("command", ("scan", "validate", "report"))
+def test_config_commands_take_only_seed_and_json(command):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {opt for action in subparsers.choices[command]._actions
+               for opt in action.option_strings or [action.dest]}
+    assert options == {"path", "--seed", "--json", "-h", "--help"}
+
+
+def test_scan_block_in_config_is_rejected(capsys, tmp_path):
+    doc = json.loads(Path(_data_path("hilbert_k2.json")).read_text())
+    doc["scan"] = {}
+    bad = tmp_path / "scan_block.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "scan", str(bad), "--json")
+    assert code == 1 and out == ""
+    assert "unknown fields ['scan']" in err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("params", "r"), True, "params.r and params.k must be integers"),
+    (("seed",), True, "seed must be an integer"),
+    (("blocks", "a00", 0, 0), "1.0", "expected a rational"),
+    (("blocks", "a00", 0, 0), "1e0", "expected a rational"),
+    (("blocks", "a00", 0, 0), True, "expected a rational"),
+    (("blocks", "a00", 0, 0), "1/0", "zero denominator"),
+])
+def test_config_rejects_loose_numbers(capsys, tmp_path, path, value, message):
+    doc = json.loads(Path(_data_path("hilbert_k2.json")).read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "loose.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(bad), "--json")
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_reports_are_byte_stable(capsys):

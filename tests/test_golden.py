@@ -2,11 +2,12 @@
 
 The configurations are the two bundled ones, four sampled ladder rungs
 (``configs/r*.json``, written by ``sample --seed 0``) and an n = 0 diagonal
-ideal at k = 5 whose five drop points are ``(-lambda_i : -mu_i : 1)``; at
-k = 5 the scan takes the compressed route.  A refactor of the scan must leave
-every file here unchanged.  After a deliberate output change, rewrite the
-goldens with ``PYTHONPATH=src python tests/test_golden.py`` and review the
-diff.
+ideal at k = 5 whose five drop points are ``(-lambda_i : -mu_i : 1)``.  The
+bundled configurations and ``r1_a-1_k0`` (``sum(dim K) <= 2``) take the
+scan's exact minor-ideal route, the others its compressed route.  A refactor
+of the scan must leave every file here unchanged.  After a deliberate output
+change, rewrite the goldens with ``PYTHONPATH=src python tests/test_golden.py``
+and review the diff.
 """
 
 from __future__ import annotations

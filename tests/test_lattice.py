@@ -11,7 +11,6 @@ from adhm_blowup_kit.lattice import (
     chi_line,
     chi_twisted,
     exceptional_class,
-    intersect,
     line_class,
     moduli_dim_formulas,
     monad_dims,
@@ -22,17 +21,17 @@ from util import rand_divisor
 
 def test_intersection_anchors():
     linf = line_class(2)
-    assert intersect(linf, linf) == 1
+    assert linf.dot(linf) == 1
     e1, e2 = exceptional_class(2, 1), exceptional_class(2, 2)
-    assert intersect(e1, e2) == 0
-    assert intersect(e1, e1) == -1
-    assert intersect(linf, e1) == 0
-    assert intersect(DivisorClass(2, [1, 1]), DivisorClass(1, [1, 0])) == 1
+    assert e1.dot(e2) == 0
+    assert e1.dot(e1) == -1
+    assert linf.dot(e1) == 0
+    assert DivisorClass(2, [1, 1]).dot(DivisorClass(1, [1, 0])) == 1
 
 
 def test_intersection_mismatched_n():
     with pytest.raises(DimensionMismatchError):
-        intersect(DivisorClass(1, [0]), DivisorClass(1, [0, 0]))
+        DivisorClass(1, [0]).dot(DivisorClass(1, [0, 0]))
 
 
 def test_chi_line_anchors():

@@ -16,7 +16,6 @@ from adhm_blowup_kit.errors import MonadDegeneracyError, NotInPError
 from adhm_blowup_kit.lattice import ChernCharacter, DivisorClass, monad_dims
 from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.monad import (
-    ScanPlan,
     SurfacePoint,
     build_monad,
     check_monad_condition,
@@ -28,6 +27,9 @@ from adhm_blowup_kit.monad import (
     framing_verdicts,
     singular_scan,
     validate_config,
+    _X0,
+    _X1,
+    _common_zeros_2d,
     _scan_chart,
     _scan_divisor,
 )
@@ -353,10 +355,26 @@ pairs_strategy = st.lists(
 def test_scan_routes_match_diagonal_oracle(pairs):
     m = build_monad(diagonal_config(pairs))
     expected = sorted((-lam, -mu, Fraction(1)) for lam, mu in pairs)
-    for exact_below_dim in (0, len(pairs)):  # compressed, then full minors
-        scan = singular_scan(m, ScanPlan(exact_below_dim=exact_below_dim))
-        assert sorted(p.coords for p in scan.points) == expected
-        assert scan.complete
+    for use_all_minors in (False, True):
+        points, complete = _scan_chart(m, Random(0), use_all_minors)
+        assert sorted(p.coords for p in points) == expected
+        assert complete
+
+
+def test_common_zeros_when_no_pair_member_involves_x1():
+    # the resultant in x1 of two polynomials free of x1 is 1, which is not in
+    # the ideal; the eliminant must still vanish at x0 = 1/2
+    zeros = _common_zeros_2d([2 * _X0 - 1, (2 * _X0 - 1) ** 2, 3 * _X1 - 2])
+    assert zeros == ([(Fraction(1, 2), Fraction(2, 3))], False, True)
+
+
+def test_exact_chart_scan_finds_drop_with_x1_free_minors():
+    m = build_monad(sample_config(1, [1], 1, seed=933631))
+    expected = [(Fraction(1, 2), Fraction(2, 3), Fraction(1))]
+    for use_all_minors in (False, True):
+        points, complete = _scan_chart(m, Random(1), use_all_minors)
+        assert [p.coords for p in points] == expected
+        assert complete
 
 
 def test_framing_checks():

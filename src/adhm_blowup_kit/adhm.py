@@ -212,7 +212,10 @@ def derive_bA(cfg: AdhmConfig) -> MatrixPair:
     Returns two ``dim L_0 x sum(dim L)`` matrices; block ``j`` of ``b^A`` maps
     ``L_j`` to ``L_0``.  Raises if ``a`` is singular (no framing).
     """
-    ainv = _a_inverse(cfg)
+    return _derive_bA(cfg, _a_inverse(cfg))
+
+
+def _derive_bA(cfg: AdhmConfig, ainv: Matrix) -> MatrixPair:
     n = cfg.n
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
     out = []
@@ -257,7 +260,8 @@ def constraint_residual(cfg: AdhmConfig) -> ConstraintResidual:
     the composite) is also returned in its compact ``(q^A a^{-1} q_A)^{00} + dc``
     form, and the two must agree.
     """
-    bA = derive_bA(cfg)
+    ainv = _a_inverse(cfg)
+    bA = _derive_bA(cfg, ainv)
     n = cfg.n
     raw: list[tuple[str, Matrix]] = []
     b00 = (b_block(cfg, bA[0], 0), b_block(cfg, bA[1], 0))
@@ -286,7 +290,6 @@ def constraint_residual(cfg: AdhmConfig) -> ConstraintResidual:
                 r3 = r3 + cfg.d * cfg.cAi[i + 1][a]
             raw.append((f"linear[{a}]@{i + 1}", r3))
 
-    ainv = _a_inverse(cfg)
     q = assemble_qA(cfg)
     s = q[1] * ainv * q[0] - q[0] * ainv * q[1]
     l0 = cfg.dims.dim_l[0]
@@ -488,47 +491,83 @@ def action_derivative(cfg: AdhmConfig, g0: Matrix, gam: Sequence[Matrix],
     return out
 
 
+def _from_columns(columns: list[list]) -> Matrix:
+    return Matrix([list(row) for row in zip(*columns)], ncols=len(columns))
+
+
 def _stabilizer_system(cfg: AdhmConfig) -> Matrix:
-    """Linearised fixed-point equations at the identity, as one big matrix."""
+    """Linearised fixed-point equations at the identity, as one big matrix.
+
+    Rows are the entries of the blocks ``action_derivative`` returns, in its
+    order and row by row; columns are the unit directions ``E_PQ`` of ``g00``,
+    ``g0i``..., ``h00``, ``hii``..., each block row by row.  A term
+    ``E_PQ X`` is row ``Q`` of ``X`` put in row ``P``, and ``X E_PQ`` is
+    column ``P`` of ``X`` put in column ``Q``.
+    """
     n = cfg.n
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    params: list[tuple[str, int, int, int]] = []
-    params.append(("G0", -1, ld[0], ld[0]))
-    for i in range(n):
-        params.append(("Gam", i, ld[0], ld[i + 1]))
-    params.append(("H0", -1, kd[0], kd[0]))
-    for i in range(n):
-        params.append(("Hi", i, kd[i + 1], kd[i + 1]))
+    l0, k0 = ld[0], kd[0]
+    # output blocks: a00, aA00[0], aA00[1], a0i..., aii..., c, d
+    shapes = [cfg.a00.shape] * 3 + [m.shape for m in cfg.a0i + cfg.aii]
+    shapes += [cfg.c.shape, cfg.d.shape]
+    offsets = [0]
+    for h, w in shapes:
+        offsets.append(offsets[-1] + h * w)
+    A0I, AII, C, D = 3, 3 + n, 3 + 2 * n, 4 + 2 * n
+    columns: list[list] = []
 
-    def deltas(kind, idx, unit):
-        g0 = unit if kind == "G0" else Matrix.zeros(ld[0], ld[0])
-        h0 = unit if kind == "H0" else Matrix.zeros(kd[0], kd[0])
-        gam = [Matrix.zeros(ld[0], ld[i + 1]) for i in range(n)]
-        hi = [Matrix.zeros(kd[i + 1], kd[i + 1]) for i in range(n)]
-        if kind == "Gam":
-            gam[idx] = unit
-        if kind == "Hi":
-            hi[idx] = unit
-        return action_derivative(cfg, g0, gam, h0, hi)
+    def left(col, b, P, Q, x: Matrix, sign=1):
+        off, w = offsets[b] + P * shapes[b][1], shapes[b][1]
+        col[off:off + w] = [sign * v for v in x.rows[Q]]
 
-    columns = []
-    for kind, idx, m, w in params:
-        for i in range(m):
-            for j in range(w):
-                unit = Matrix.from_function(
-                    m, w, lambda r_, c_: 1 if (r_, c_) == (i, j) else 0
-                )
-                col = []
-                for blk in deltas(kind, idx, unit):
-                    col.extend(x for row in blk.rows for x in row)
+    def right(col, b, P, Q, x: Matrix):
+        off, w = offsets[b] + Q, shapes[b][1]
+        for i, row in enumerate(x.rows):
+            col[off + i * w] = row[P]
+
+    def units(m, w, fill):
+        for P in range(m):
+            for Q in range(w):
+                col = [0] * offsets[-1]
+                fill(col, P, Q)
                 columns.append(col)
-    if not columns:
-        return Matrix([], ncols=0)
-    nrows = len(columns[0])
-    return Matrix(
-        [[columns[j][i] for j in range(len(columns))] for i in range(nrows)],
-        ncols=len(columns),
-    )
+
+    def g0(col, P, Q):
+        for b, x in enumerate((cfg.a00, *cfg.aA00)):
+            left(col, b, P, Q, x)
+        for i in range(n):
+            left(col, A0I + i, P, Q, cfg.a0i[i])
+        left(col, D, P, Q, cfg.d)
+
+    def gam(i):
+        def fill(col, P, Q):
+            col[P * k0 + Q] = 1
+            for a in (0, 1):
+                col[offsets[1 + a] + P * k0 + Q] = -cfg.point_coord(i + 1, a)
+            left(col, A0I + i, P, Q, cfg.aii[i])
+        return fill
+
+    def h0(col, P, Q):
+        for b, x in enumerate((cfg.a00, *cfg.aA00)):
+            right(col, b, P, Q, x)
+        for i in range(n):
+            # g_ii = h00^{-1} is slaved, so delta(g_ii) = -h0
+            left(col, AII + i, P, Q, cfg.aii[i], -1)
+        right(col, C, P, Q, cfg.c)
+
+    def hi(i):
+        def fill(col, P, Q):
+            right(col, A0I + i, P, Q, cfg.a0i[i])
+            right(col, AII + i, P, Q, cfg.aii[i])
+        return fill
+
+    units(l0, l0, g0)
+    for i in range(n):
+        units(l0, ld[i + 1], gam(i))
+    units(k0, k0, h0)
+    for i in range(n):
+        units(kd[i + 1], kd[i + 1], hi(i))
+    return _from_columns(columns)
 
 
 def stabilizer_dim(cfg: AdhmConfig) -> int:
@@ -549,28 +588,6 @@ class TangentReport:
     stabilizer_dim: int
     dim_orbit: int
     empirical_moduli_dim: int
-
-
-def _free_directions(cfg: AdhmConfig):
-    """Unit directions of the free entries of a normalised configuration."""
-    n = cfg.n
-    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    specs = [("a00", -1, ld[0], kd[0])]
-    for i in range(n):
-        specs.append(("a0i", i, ld[0], kd[i + 1]))
-    for i in range(n):
-        specs.append(("aii", i, ld[i + 1], kd[i + 1]))
-    specs.append(("aA0", -1, ld[0], kd[0]))
-    specs.append(("aA1", -1, ld[0], kd[0]))
-    specs.append(("c", -1, cfg.r, kd[0]))
-    specs.append(("d", -1, ld[0], cfg.r))
-    for kind, idx, m, w in specs:
-        for i in range(m):
-            for j in range(w):
-                unit = Matrix.from_function(
-                    m, w, lambda r_, c_: 1 if (r_, c_) == (i, j) else 0
-                )
-                yield kind, idx, unit
 
 
 def _delta_arrow(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix) -> Matrix:
@@ -599,14 +616,14 @@ def _delta_q(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix, a: int) -> Matr
     return block_matrix(blocks, list(ld), list(kd))
 
 
-def compact_derivative(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix,
-                       _cache=None) -> Matrix:
-    """Directional derivative of the compact constraint along one free entry."""
-    if _cache is None:
-        ainv = _a_inverse(cfg)
-        q = assemble_qA(cfg)
-        _cache = ((ainv * q[0], ainv * q[1]), (q[0] * ainv, q[1] * ainv))
-    aq, qa = _cache
+def compact_derivative(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix) -> Matrix:
+    """Directional derivative of the compact constraint along one free entry.
+
+    The reference for the Jacobian that ``_jacobian`` assembles directly.
+    """
+    ainv = _a_inverse(cfg)
+    q = assemble_qA(cfg)
+    aq, qa = (ainv * q[0], ainv * q[1]), (q[0] * ainv, q[1] * ainv)
     l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
     da = _delta_arrow(cfg, kind, idx, unit)
     dq = (_delta_q(cfg, kind, idx, unit, 0), _delta_q(cfg, kind, idx, unit, 1))
@@ -626,6 +643,62 @@ def compact_derivative(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix,
     return delta
 
 
+def _jacobian(cfg: AdhmConfig) -> Matrix:
+    """Jacobian of the compact constraint, one column per free entry.
+
+    Rows are the entries of the ``(L_0, K_0)`` block, row by row; columns are
+    the unit directions ``E_PQ`` of a00, a0i..., aii..., aA00[0], aA00[1], c
+    and d, each block row by row.  A direction moves the arrow by ``t E_PQ``
+    (or not) and ``q^A`` by ``t s_A E_PQ``; since ``X E_PQ Y = X[:, P] Y[Q, :]``,
+    the six products of ``compact_derivative`` reduce to an outer product of
+    a column of ``q^A a^{-1}`` with a row of ``a^{-1} q^A``, plus ``s_A``-scaled
+    rows of ``a^{-1} q^A`` and columns of ``q^A a^{-1}``.
+    """
+    n = cfg.n
+    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
+    l0, k0 = ld[0], kd[0]
+    ainv = _a_inverse(cfg)
+    q = assemble_qA(cfg)
+    # the first l0 rows of q^A a^{-1} and the first k0 columns of a^{-1} q^A
+    qa = [(m.submatrix(0, l0, 0, m.ncols) * ainv).rows for m in q]
+    aq = [(ainv * m.submatrix(0, m.nrows, 0, k0)).rows for m in q]
+    row_off = [sum(ld[:i]) for i in range(n + 1)]
+    col_off = [sum(kd[:i]) for i in range(n + 1)]
+    p = [(cfg.point_coord(i + 1, 0), cfg.point_coord(i + 1, 1)) for i in range(n)]
+    # (first row, first column, height, width, moves the arrow, s_0, s_1)
+    blocks = [(0, 0, l0, k0, True, 0, 0)]
+    blocks += [(0, col_off[i + 1], l0, kd[i + 1], True, *p[i]) for i in range(n)]
+    blocks += [(row_off[i + 1], col_off[i + 1], ld[i + 1], kd[i + 1], True, *p[i])
+               for i in range(n)]
+    blocks += [(0, 0, l0, k0, False, -1, 0), (0, 0, l0, k0, False, 0, -1)]
+    columns: list[list] = []
+    for row0, col0, height, width, moves, s0, s1 in blocks:
+        for P in range(row0, row0 + height):
+            u0 = [qa[0][i][P] for i in range(l0)]
+            u1 = [qa[1][i][P] for i in range(l0)]
+            for Q in range(col0, col0 + width):
+                v0, v1 = aq[0][Q], aq[1][Q]
+                if moves:
+                    ds = [[x0 * y1 - x1 * y0 for y0, y1 in zip(v0, v1)]
+                          for x0, x1 in zip(u0, u1)]
+                else:
+                    ds = [[0] * k0 for _ in range(l0)]
+                if P < l0 and (s0 or s1):
+                    ds[P] = [x + s1 * y0 - s0 * y1 for x, y0, y1 in zip(ds[P], v0, v1)]
+                if Q < k0 and (s0 or s1):
+                    for i in range(l0):
+                        ds[i][Q] += s0 * u1[i] - s1 * u0[i]
+                columns.append([COMPACT_SIGN * x for row in ds for x in row])
+    # d E_PQ and E_PQ c
+    for P in range(cfg.r):
+        for Q in range(k0):
+            columns.append([row[P] if j == Q else 0 for row in cfg.d.rows for j in range(k0)])
+    for P in range(l0):
+        for Q in range(cfg.r):
+            columns.append([x if i == P else 0 for i in range(l0) for x in cfg.c.rows[Q]])
+    return _from_columns(columns)
+
+
 def tangent_dims(cfg: AdhmConfig) -> TangentReport:
     """Exact tangent bookkeeping at a valid, normalised configuration.
 
@@ -636,23 +709,8 @@ def tangent_dims(cfg: AdhmConfig) -> TangentReport:
     """
     if not cfg.is_normalized():
         raise ValueError("tangent data is computed on gauge-normalised configurations")
-    ainv = _a_inverse(cfg)
-    q = assemble_qA(cfg)
-    l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
-    cache = ((ainv * q[0], ainv * q[1]), (q[0] * ainv, q[1] * ainv))
-
-    columns = []
-    for kind, idx, unit in _free_directions(cfg):
-        delta = compact_derivative(cfg, kind, idx, unit, _cache=cache)
-        columns.append([x for row in delta.rows for x in row])
-    if columns:
-        jac = Matrix(
-            [[columns[j][i] for j in range(len(columns))] for i in range(l0 * k0)],
-            ncols=len(columns),
-        )
-        dim_ker = jac.nullity()
-    else:
-        dim_ker = 0
+    jac = _jacobian(cfg)
+    dim_ker = jac.nullity() if jac.ncols else 0
     dg = dim_group(cfg.dims)
     stab = stabilizer_dim(cfg)
     orbit = dg - stab
@@ -771,11 +829,11 @@ def _sample_solve_d(r, a_vec, k, rng: Random, tries: int) -> AdhmConfig:
             c=_rand_matrix(rng, r, kd[0]),
             d=Matrix.zeros(ld[0], r),
         )
-        a = assemble_a(cfg)
-        if a.det() == 0:
+        try:
+            ainv = assemble_a(cfg).inverse()
+        except ZeroDivisionError:
             log.append(f"attempt {attempt}: singular a")
             continue
-        ainv = a.inverse()
         q = assemble_qA(cfg)
         s = q[1] * ainv * q[0] - q[0] * ainv * q[1]
         target = -s.submatrix(0, ld[0], 0, kd[0]).scale(COMPACT_SIGN)

@@ -11,6 +11,7 @@ all of Q^n, and so on).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -20,6 +21,28 @@ Rational = Fraction | int
 
 def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _bareiss_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by Bareiss elimination.
+
+    Each step drops the leading column and the pivot row.  The entries left
+    are then minors of the input, so the division by the previous pivot is
+    exact and they stay integers (Bareiss, Math. Comp. 22, 1968).
+    """
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        pivot_row = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pivot_row is None:
+            rows = [row[1:] for row in rows]
+            continue
+        prow = rows.pop(pivot_row)
+        p, tail = prow[0], prow[1:]
+        rows = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+                for row in rows]
+        prev = p
+        rank += 1
+    return rank
 
 
 class Matrix:
@@ -161,7 +184,13 @@ class Matrix:
         return m, pivots
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        """Rank by fraction-free elimination on the rows scaled to integers."""
+        rows = []
+        for row in self.rows:
+            if any(row):
+                den = lcm(*(x.denominator for x in row))
+                rows.append([x.numerator * (den // x.denominator) for x in row])
+        return _bareiss_rank(rows)
 
     def nullspace(self) -> list[Matrix]:
         """Basis of the right kernel, as column matrices."""

@@ -671,9 +671,10 @@ def _framing_fiber_ok(m: MonadRep, cfg: AdhmConfig, x: SurfacePoint) -> bool:
     a_mat = m.alpha_at(x)
     b_mat = m.beta_at(x)
     total_k, total_l = m.dims.total_k, m.dims.total_l
-    if b_mat.rank() < total_l or a_mat.rank() < total_k:
+    if b_mat.rank() < total_l:
         return False
-    if m.dims.rank_w - total_l - a_mat.rank() != cfg.r:
+    rank_alpha = a_mat.rank()
+    if rank_alpha < total_k or m.dims.rank_w - total_l - rank_alpha != cfg.r:
         return False
     # the framing summand must land in ker(beta) ...
     if not b_mat.submatrix(0, total_l, m.dims.rank_w - cfg.r,

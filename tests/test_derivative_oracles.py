@@ -3,21 +3,26 @@
 Both the constraint Jacobian and the stabilizer system are differentiated by
 hand inside ``adhm``.  Here the same derivatives are recomputed by symbolic
 differentiation with sympy (building the perturbed data in Q[t], inverting,
-and taking d/dt at t = 0) and compared entry by entry.
+and taking d/dt at t = 0) and compared entry by entry.  The systems that
+``tangent_dims`` assembles directly must equal, entry by entry, the columns
+of ``compact_derivative`` and ``action_derivative`` over every unit direction.
 """
 
 from fractions import Fraction
 from random import Random
 
+import pytest
 import sympy as sp
 
 from adhm_blowup_kit.adhm import (
+    _jacobian,
+    _stabilizer_system,
     action_derivative,
     compact_derivative,
     sample_config,
 )
 from adhm_blowup_kit.linalg import Matrix
-from util import rand_matrix
+from util import rand_config, rand_matrix
 
 T = sp.Symbol("t")
 
@@ -115,3 +120,90 @@ def test_action_derivative_matches_symbolic():
     ]
     for sym_blk, exact in zip(sym_blocks, got):
         assert _deriv_at_zero(sym_blk) == exact
+
+
+def _units(m, w):
+    for p in range(m):
+        for q in range(w):
+            yield Matrix.from_function(m, w, lambda i, j: 1 if (i, j) == (p, q) else 0)
+
+
+def _from_columns(columns, nrows):
+    return Matrix([[col[i] for col in columns] for i in range(nrows)],
+                  ncols=len(columns))
+
+
+def _flat(blocks):
+    return [x for blk in blocks for row in blk.rows for x in row]
+
+
+def _reference_jacobian(cfg):
+    kd, ld, n = cfg.dims.dim_k, cfg.dims.dim_l, cfg.n
+    free = [("a00", -1, ld[0], kd[0])]
+    free += [("a0i", i, ld[0], kd[i + 1]) for i in range(n)]
+    free += [("aii", i, ld[i + 1], kd[i + 1]) for i in range(n)]
+    free += [("aA0", -1, ld[0], kd[0]), ("aA1", -1, ld[0], kd[0]),
+             ("c", -1, cfg.r, kd[0]), ("d", -1, ld[0], cfg.r)]
+    columns = [_flat([compact_derivative(cfg, kind, idx, unit)])
+               for kind, idx, m, w in free for unit in _units(m, w)]
+    return _from_columns(columns, ld[0] * kd[0])
+
+
+def _reference_stabilizer(cfg):
+    kd, ld, n = cfg.dims.dim_k, cfg.dims.dim_l, cfg.n
+    zero = {"g0": Matrix.zeros(ld[0], ld[0]), "h0": Matrix.zeros(kd[0], kd[0]),
+            "gam": [Matrix.zeros(ld[0], ld[i + 1]) for i in range(n)],
+            "hi": [Matrix.zeros(kd[i + 1], kd[i + 1]) for i in range(n)]}
+    columns = []
+
+    def add(**change):
+        args = {**zero, **change}
+        columns.append(_flat(action_derivative(cfg, args["g0"], args["gam"],
+                                               args["h0"], args["hi"])))
+
+    for unit in _units(ld[0], ld[0]):
+        add(g0=unit)
+    for i in range(n):
+        for unit in _units(ld[0], ld[i + 1]):
+            add(gam=zero["gam"][:i] + [unit] + zero["gam"][i + 1:])
+    for unit in _units(kd[0], kd[0]):
+        add(h0=unit)
+    for i in range(n):
+        for unit in _units(kd[i + 1], kd[i + 1]):
+            add(hi=zero["hi"][:i] + [unit] + zero["hi"][i + 1:])
+    return _from_columns(columns, len(columns[0]) if columns else 0)
+
+
+# sampled data (c = 0 or d = 0 for some) and random normalised data, where
+# both the c and the d directions have nonzero columns
+ASSEMBLY_CASES = [
+    ("sample", (2, (), 2, 0)), ("sample", (1, (), 3, 1)),
+    ("sample", (2, (1,), 1, 5)), ("sample", (1, (-1,), 0, 0)),
+    ("sample", (2, (1, 0), 1, 0)), ("sample", (3, (0, 0), 2, 0)),
+    ("random", (2, (), 2, 1)), ("random", (2, (1,), 1, 2)),
+    ("random", (1, (0,), 2, 3)), ("random", (3, (-1, 0), 2, 4)),
+    ("random", (2, (1, -1), 1, 5)),
+]
+
+
+def _assembly_config(source, params):
+    r, a, k, seed = params
+    if source == "sample":
+        return sample_config(r, a, k, seed=seed)
+    return rand_config(Random(seed), r, a, k)
+
+
+@pytest.mark.parametrize("source,params", ASSEMBLY_CASES,
+                         ids=[f"{s}-{p}" for s, p in ASSEMBLY_CASES])
+def test_assembled_systems_match_references(source, params):
+    cfg = _assembly_config(source, params)
+    jac = _jacobian(cfg)
+    assert jac == _reference_jacobian(cfg)
+    if source == "random":
+        # the last r k0 + l0 r columns are the c and d directions
+        framing = cfg.r * (cfg.c.ncols + cfg.d.nrows)
+        assert not jac.submatrix(0, jac.nrows, jac.ncols - framing, jac.ncols).is_zero()
+    stab = _stabilizer_system(cfg)
+    assert stab == _reference_stabilizer(cfg)
+    assert stab.rank() == len(stab._echelon()[1])
+    assert jac.rank() == len(jac._echelon()[1])

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adhm_blowup_kit.errors import DimensionMismatchError
 from adhm_blowup_kit.linalg import Matrix, block_matrix
@@ -65,3 +67,33 @@ def test_block_matrix_shapes():
     assert m == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(DimensionMismatchError):
         block_matrix([[a, a]], [1], [1, 2])
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices of every shape up to 6 x 6, 0 x n and n x 0 included,
+    with zero rows, repeated rows and sums of rows mixed in."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(fractions, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "sum")), max_size=3)):
+        if kind == "zero" or not rows:
+            new = [Fraction(0)] * n
+        elif kind == "repeat":
+            new = list(draw(st.sampled_from(rows)))
+        else:
+            f = draw(fractions)
+            new = [x + f * y for x, y in zip(draw(st.sampled_from(rows)),
+                                             draw(st.sampled_from(rows)))]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return Matrix(rows, ncols=n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=rational_matrices())
+def test_rank_matches_echelon(m):
+    assert m.rank() == len(m._echelon()[1])
+    assert m.nullity() == m.ncols - len(m._echelon()[1])

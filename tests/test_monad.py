@@ -392,6 +392,22 @@ def test_framing_checks():
     assert framing_check(build_monad(lb), lb)
 
 
+def test_framing_fiber_check_ranks_alpha_once(monkeypatch):
+    # three ranks per framing-line point: beta, alpha, alpha joined with C^r
+    cfg = sample_config(2, [1], 1, seed=5)
+    m = build_monad(cfg)
+    calls = []
+    rank = Matrix.rank
+
+    def counted(self):
+        calls.append(self.shape)
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", counted)
+    assert framing_verdicts(cfg, 0, m, True) == (True, True)
+    assert len(calls) == 30
+
+
 def test_cohomology_ch_check_values():
     ch = cohomology_ch_check(monad_dims(1, [-1], 0))
     assert ch == ChernCharacter(1, DivisorClass(0, [-1]), Fraction(-1, 2))

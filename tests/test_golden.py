@@ -7,16 +7,20 @@ bundled configurations and ``r1_a-1_k0`` (``sum(dim K) <= 2``) take the
 scan's exact minor-ideal route, the others its compressed route.  Three
 n = 2, r = 3, k = 2 configurations (``configs/tangent/``, written by
 ``sample --seed 0``) pin ``tangent`` alone on larger Jacobian and stabilizer
-systems; their scans take seconds each.  A refactor of the scan or of the
-tangent computation must leave every file here unchanged.  After a
-deliberate output change, rewrite the goldens with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+systems; their scans take seconds each.  The seven sampled configurations
+are themselves the goldens of ``sample``, and ``commuting_r2_k2.sample.json``
+pins the n = 0 sampler; it stays outside ``configs/`` so that it joins no
+other case.  A refactor of the sampler, the scan or the tangent computation
+must leave every file here unchanged.  After a deliberate output change,
+rewrite the goldens with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 from importlib import resources
 from pathlib import Path
 
@@ -34,14 +38,29 @@ TANGENT_CONFIGS = {p.stem: p for p in sorted((GOLDEN / "configs" / "tangent").gl
 COMMANDS = ("scan", "report", "tangent")
 CASES = [(name, command) for name in sorted(CONFIGS) for command in COMMANDS] + [
     (name, "tangent") for name in sorted(TANGENT_CONFIGS)]
+#: ``sample --seed 0`` output, byte for byte; ``plane_r1_k5`` is hand-built.
+SAMPLED = {p.stem: p for p in sorted(GOLDEN.glob("configs/**/*.json"))
+           if p.stem != "plane_r1_k5"}
+SAMPLED["commuting_r2_k2"] = GOLDEN / "commuting_r2_k2.sample.json"
+
+
+def _capture(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue()
 
 
 def _run(command: str, path) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main([command, str(path), "--json"])
-    assert code == 0
-    return out.getvalue()
+    return _capture([command, str(path), "--json"])
+
+
+def _sample(params: dict) -> str:
+    # "-a=-1,0": a value starting with "-" must be attached to its flag
+    a = ",".join(map(str, params["a"]))
+    return _capture(["sample", "-r", str(params["r"]), f"-a={a}",
+                     "-k", str(params["k"]), "--seed", "0"])
 
 
 @pytest.mark.parametrize("name,command", CASES)
@@ -50,7 +69,16 @@ def test_cli_output_matches_golden(name, command):
     assert _run(command, {**CONFIGS, **TANGENT_CONFIGS}[name]) == expected
 
 
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_sample_matches_golden(name):
+    expected = SAMPLED[name].read_text(encoding="utf-8")
+    assert _sample(json.loads(expected)["params"]) == expected
+
+
 if __name__ == "__main__":
+    for path in SAMPLED.values():
+        path.write_text(_sample(json.loads(path.read_text(encoding="utf-8"))["params"]),
+                        encoding="utf-8")
     paths = {**CONFIGS, **TANGENT_CONFIGS}
     for name, command in CASES:
         (GOLDEN / f"{name}.{command}.json").write_text(

@@ -743,10 +743,8 @@ def _rand_points(rng: Random, n: int) -> BlowupPoints:
     return BlowupPoints(pts)
 
 
-def _sample_commuting(r, a_vec, k, rng: Random) -> AdhmConfig:
+def _sample_commuting(r, k, rng: Random) -> AdhmConfig:
     """n = 0: identity corner, commuting diagonal pair, d = 0, generic c."""
-    if len(a_vec) != 0:
-        raise SamplingFailureError("commuting strategy requires n = 0")
     while True:
         diag0 = [_rand_fraction(rng) for _ in range(k)]
         diag1 = [_rand_fraction(rng) for _ in range(k)]
@@ -777,11 +775,6 @@ def _sample_commuting(r, a_vec, k, rng: Random) -> AdhmConfig:
 
 def _sample_line_bundle(r, a_vec, k, rng: Random) -> AdhmConfig:
     """The twist-by-one-exceptional-class shape: k = 0, r = 1, a = -e_i."""
-    a_vec = tuple(a_vec)
-    if r != 1 or k != 0 or sorted(a_vec) != [-1] + [0] * (len(a_vec) - 1):
-        raise SamplingFailureError(
-            "line-bundle strategy needs r=1, k=0 and a single a_i = -1"
-        )
     dims = monad_dims(r, a_vec, k)
     n = dims.n
     points = _rand_points(rng, n)
@@ -811,13 +804,17 @@ def _sample_line_bundle(r, a_vec, k, rng: Random) -> AdhmConfig:
     )
 
 
-def _sample_solve_d(r, a_vec, k, rng: Random, tries: int) -> AdhmConfig:
+#: Attempts ``_sample_solve_d`` makes before it reports a sampling failure.
+_SOLVE_D_ATTEMPTS = 60
+
+
+def _sample_solve_d(r, a_vec, k, rng: Random) -> AdhmConfig:
     """Random blocks; solve ``d c = -(q^A a^{-1} q_A)^{00}`` for ``d`` exactly."""
     dims = monad_dims(r, a_vec, k)
     n = dims.n
     kd, ld = dims.dim_k, dims.dim_l
     log: list[str] = []
-    for attempt in range(tries):
+    for attempt in range(_SOLVE_D_ATTEMPTS):
         points = _rand_points(rng, n)
         cfg = AdhmConfig(
             r, a_vec, k, points,
@@ -843,47 +840,34 @@ def _sample_solve_d(r, a_vec, k, rng: Random, tries: int) -> AdhmConfig:
             log.append(f"attempt {attempt}: target row space not spanned by c")
             continue
         cfg = cfg.replace(d=sol.transpose())
-        residual = constraint_residual(cfg)
-        if not residual.raw_is_zero():
-            raise InternalConsistencyError("solved d does not kill the residual")
         if stabilizer_dim(cfg) != 0:
             log.append(f"attempt {attempt}: positive-dimensional stabilizer")
             continue
         return cfg
     raise SamplingFailureError(
-        f"solve-d exhausted {tries} attempts for (r={r}, a={tuple(a_vec)}, k={k}): "
-        + "; ".join(log[-5:])
+        f"solve-d exhausted {_SOLVE_D_ATTEMPTS} attempts for "
+        f"(r={r}, a={tuple(a_vec)}, k={k}): " + "; ".join(log[-5:])
     )
 
 
-def sample_config(r: int, a_vec: Sequence[int], k: int, seed: int,
-                  strategy: str = "auto", tries: int = 60) -> AdhmConfig:
+def sample_config(r: int, a_vec: Sequence[int], k: int, seed: int) -> AdhmConfig:
     """Deterministically sample a gauge-normalised, constraint-valid configuration.
 
-    Strategies: ``commuting`` (n = 0), ``line-bundle`` (r = 1, k = 0, one
-    ``a_i = -1``), ``solve-d`` (general), or ``auto`` to pick by shape.
-    Raises :class:`SamplingFailureError` when the retry budget runs out;
+    The shape picks the method: ``commuting`` for n = 0, ``line-bundle`` for
+    r = 1, k = 0 and one ``a_i = -1``, and ``solve-d`` otherwise.  Raises
+    :class:`SamplingFailureError` when ``solve-d`` runs out of attempts;
     raising is a reported outcome, not a bug, since solvability of the
     quadratic constraint is not guaranteed for every parameter set.
     """
     a_vec = tuple(int(x) for x in a_vec)
     dims = monad_dims(r, a_vec, k)  # validates feasibility
     rng = Random(seed)
-    if strategy == "auto":
-        if dims.n == 0:
-            strategy = "commuting"
-        elif r == 1 and k == 0 and sorted(a_vec) == [-1] + [0] * (dims.n - 1):
-            strategy = "line-bundle"
-        else:
-            strategy = "solve-d"
-    if strategy == "commuting":
-        cfg = _sample_commuting(r, a_vec, k, rng)
-    elif strategy == "line-bundle":
+    if dims.n == 0:
+        cfg = _sample_commuting(r, k, rng)
+    elif r == 1 and k == 0 and sorted(a_vec) == [-1] + [0] * (dims.n - 1):
         cfg = _sample_line_bundle(r, a_vec, k, rng)
-    elif strategy == "solve-d":
-        cfg = _sample_solve_d(r, a_vec, k, rng, tries)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        cfg = _sample_solve_d(r, a_vec, k, rng)
     residual = constraint_residual(cfg)
     if not residual.raw_is_zero():
         raise InternalConsistencyError("sampler produced an invalid configuration")

@@ -88,12 +88,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    a_vec = _parse_int_csv(args.a)
-    try:
-        dims = lattice.monad_dims(args.r, a_vec, args.k)
-    except InfeasibleParametersError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    dims = lattice.monad_dims(args.r, _parse_int_csv(args.a), args.k)
     doc = {
         "schema": config_io.SCHEMA_VERSION,
         "dim_k": list(dims.dim_k),
@@ -129,16 +124,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    a_vec = _parse_int_csv(args.a)
-    try:
-        cfg = adhm.sample_config(args.r, a_vec, args.k, seed=args.seed,
-                                 strategy=args.strategy)
-    except InfeasibleParametersError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except SamplingFailureError as exc:
-        print(f"sampling failed: {exc}", file=sys.stderr)
-        return EXIT_SAMPLING
+    cfg = adhm.sample_config(args.r, _parse_int_csv(args.a), args.k, seed=args.seed)
     text = config_io.dump_canonical(config_io.config_to_json(cfg, seed=args.seed))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -205,23 +191,14 @@ def _tangent_config(args):
         if not adhm.constraint_residual(cfg).raw_is_zero():
             raise NotInPError("configuration does not satisfy the monad condition")
         return cfg
-    if args.r is None:
-        raise ConfigFormatError("tangent needs a config file or -r/-a/-k")
-    a_vec = _parse_int_csv(args.a)
-    return adhm.sample_config(args.r, a_vec, args.k, seed=args.seed or 0,
-                              strategy=args.strategy)
+    if args.r is None or args.k is None:
+        raise ConfigFormatError("tangent needs a config file or -r and -k")
+    return adhm.sample_config(args.r, _parse_int_csv(args.a), args.k,
+                              seed=args.seed or 0)
 
 
 def _cmd_tangent(args) -> int:
-    try:
-        cfg = _tangent_config(args)
-    except SamplingFailureError as exc:
-        print(f"sampling failed: {exc}", file=sys.stderr)
-        return EXIT_SAMPLING
-    except (NonGenericStratumError, FramingViolationError, NotInPError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    doc = _tangent_doc(cfg)
+    doc = _tangent_doc(_tangent_config(args))
     lines = [
         f"empirical moduli dimension: {doc['empirical_moduli_dim']}",
         f"  dim ker J = {doc['dim_ker_jacobian']}, "
@@ -305,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", type=str, default="")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", type=str, default="auto",
-                   choices=("auto", "commuting", "solve-d", "line-bundle"))
     p.add_argument("-o", "--output", type=str, default=None)
     p.set_defaults(func=_cmd_sample)
 
@@ -320,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, default=None)
     p.add_argument("-a", type=str, default="")
     p.add_argument("-k", type=int, default=None)
-    p.add_argument("--strategy", type=str, default="auto",
-                   choices=("auto", "commuting", "solve-d", "line-bundle"))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_tangent)
@@ -349,9 +322,15 @@ def main(argv=None) -> int:
     except ConfigFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except InfeasibleParametersError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except (FramingViolationError, NonGenericStratumError, NotInPError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except SamplingFailureError as exc:
+        print(f"sampling failed: {exc}", file=sys.stderr)
+        return EXIT_SAMPLING
     except AdhmKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

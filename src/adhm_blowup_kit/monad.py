@@ -48,8 +48,13 @@ from .errors import (
 from .lattice import ChernCharacter, DivisorClass, MonadDims
 from .linalg import Matrix
 from .sections import (
+    Z0,
+    Z1,
     BlowupPoints,
     SectionPoly,
+    _frac,
+    _fraction,
+    _value,
     lambda_section,
     lower_pair,
     w_section,
@@ -58,10 +63,6 @@ from .sections import (
 )
 
 Rational = Fraction | int
-
-
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -130,17 +131,24 @@ class MonadRep:
     w_slots: tuple[tuple, ...]
 
     def alpha_at(self, x: SurfacePoint) -> Matrix:
-        return _evaluate(self.alpha, x)
+        return _evaluate(self.alpha, x, self.ctx)
 
     def beta_at(self, x: SurfacePoint) -> Matrix:
-        return _evaluate(self.beta, x)
+        return _evaluate(self.beta, x, self.ctx)
 
 
-def _evaluate(entries, x: SurfacePoint) -> Matrix:
+def _evaluate(entries, x: SurfacePoint, ctx: BlowupPoints) -> Matrix:
+    """Values at ``x``, as ``eval_generic``/``eval_exceptional`` give them.
+
+    ``x`` is checked and converted to ``QQ`` once for the whole matrix.
+    """
     if x.is_exceptional:
-        i, w = x.exceptional_index, (x.coords[0], x.coords[1])
-        return Matrix([[e.eval_exceptional(i, w) for e in row] for row in entries])
-    return Matrix([[e.eval_generic(x.coords) for e in row] for row in entries])
+        i = x.exceptional_index
+        w = ctx.line_point(i, x.coords)
+        return Matrix([[_fraction(_value(e.restriction(i), w)) for e in row]
+                       for row in entries])
+    xq = ctx.chart_point(x.coords)
+    return Matrix([[_fraction(_value(e.poly, xq)) for e in row] for row in entries])
 
 
 def _offsets(sizes) -> list[int]:
@@ -320,8 +328,7 @@ def coefficient_block(comp, dims: MonadDims, bi: int, bj: int,
     for i in range(l_off[bi], l_off[bi + 1]):
         row = []
         for j in range(k_off[bj], k_off[bj + 1]):
-            val = dict(comp[i][j].coeffs).get(monomial, Fraction(0))
-            row.append(val)
+            row.append(_fraction(comp[i][j].poly.get(monomial, QQ.zero)))
         rows.append(row)
     return Matrix(rows, ncols=k_off[bj + 1] - k_off[bj])
 
@@ -366,32 +373,9 @@ class ScanResult:
 
 
 #: Chart entries live in QQ[x1, x0]; x1 comes first so that ``resultant``
-#: eliminates it.  Restrictions to an exceptional line live in QQ[w0, w1].
+#: eliminates it.  Restrictions to an exceptional line stay in the sections'
+#: ring, as forms in z0, z1 (read as w0, w1).
 _CHART, _X1, _X0 = ring("x1,x0", QQ)
-_LINE, _W0, _W1 = ring("w0,w1", QQ)
-
-
-def _qq(c: Fraction):
-    return QQ(c.numerator, c.denominator)
-
-
-def _fraction(c) -> Fraction:
-    return Fraction(int(c.numerator), int(c.denominator))
-
-
-def _section_to_chart_poly(s: SectionPoly):
-    """The section's polynomial on the chart ``z2 = 1``, in ``QQ[x1, x0]``."""
-    return _CHART.from_dict({(e1, e0): _qq(c) for (e0, e1, _e2), c in s.coeffs})
-
-
-def _section_to_divisor_poly(s: SectionPoly, i: int):
-    """The section's restriction to ``E_i``, homogeneous in ``QQ[w0, w1]``."""
-    qi = int(s.bidegree.q[i - 1])
-    if qi > 0:
-        return _LINE.zero
-    order = -qi
-    return _LINE.from_dict({(mx, my): _qq(c) for (mx, my), c in s._taylor_at(i).items()
-                            if mx + my == order})
 
 
 def _domain_matrix(rows: list[list], domain) -> DomainMatrix:
@@ -503,7 +487,7 @@ def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool
     for r0 in roots0:
         fibre = None
         for p in polys:
-            sub = p.evaluate(_X0, _qq(r0))
+            sub = p.evaluate(_X0, r0)
             if not sub:
                 continue
             fibre = sub if fibre is None else fibre.gcd(sub)
@@ -522,7 +506,9 @@ def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool
 def _scan_chart(m: MonadRep, rng: Random, use_all_minors: bool):
     """Rank-drop points in the chart z2 = 1 (minus blow-up centres)."""
     full_rank = m.dims.total_k
-    entries = [[_section_to_chart_poly(e) for e in row] for row in m.alpha]
+    # each entry's polynomial at z2 = 1
+    entries = [[_CHART.from_dict({(e1, e0): c for (e0, e1, _), c in e.poly.items()})
+                for e in row] for row in m.alpha]
     drops: list[SurfacePoint] = []
     complete = True
     if use_all_minors:
@@ -566,7 +552,7 @@ def _scan_chart(m: MonadRep, rng: Random, use_all_minors: bool):
 def _scan_divisor(m: MonadRep, i: int, rng: Random, use_all_minors: bool):
     """Rank-drop points on the exceptional line E_i."""
     full_rank = m.dims.total_k
-    entries = [[_section_to_divisor_poly(e, i) for e in row] for row in m.alpha]
+    entries = [[e.restriction(i) for e in row] for row in m.alpha]
     if use_all_minors:
         polys = _all_minors(entries, full_rank)
     else:
@@ -589,7 +575,7 @@ def _scan_divisor(m: MonadRep, i: int, rng: Random, use_all_minors: bool):
             degree = max(sum(mono) for mono in fac.monoms())
             if degree == 1:
                 # fac = a0 w0 + a1 w1 vanishes at (w0 : w1) = (-a1 : a0)
-                w0, w1 = -fac.coeff(_W1), fac.coeff(_W0)
+                w0, w1 = -fac.coeff(Z1), fac.coeff(Z0)
                 if w0:
                     cand = SurfacePoint.exceptional(i, 1, _fraction(w1 / w0))
                 else:

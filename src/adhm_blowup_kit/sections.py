@@ -2,7 +2,7 @@
 
 A section is stored through its image under the trivialisation away from the
 exceptional divisors: a homogeneous polynomial of degree ``p`` in the plane
-coordinates ``z0, z1, z2`` with rational coefficients.  The trivialisation is
+coordinates, an element of the ring ``QQ[z0, z1, z2]``.  The trivialisation is
 injective (the complement of the exceptional set is dense), so equality of
 sections is plain polynomial equality and no elimination machinery is needed.
 
@@ -18,7 +18,8 @@ Conventions, fixed once for the whole package:
 
 Values on an exceptional divisor use the local frame in which the value of a
 section of ``O(p, q)`` at ``(w0 : w1)`` on ``E_i`` is the coefficient of
-``lambda^(-q_i)`` in ``poly(p_i + lambda w, 1)``.  This makes ``lambda_i``
+``lambda^(-q_i)`` in ``poly(p_i + lambda w, 1)``, read off the Taylor shift
+``poly(z0 + p_i^0 z2, z1 + p_i^1 z2, z2)``.  This makes ``lambda_i``
 vanish on ``E_i`` and makes ``w_i^A`` restrict to the homogeneous coordinates
 of ``E_i``, and it is multiplicative, so joint ranks of matrices with a common
 frame are well defined.
@@ -31,14 +32,16 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, TypeVar
 
+from sympy import QQ
+from sympy.polys.rings import PolyElement, ring
+
 from .errors import AmbiguousPointError, DimensionMismatchError, MalformedSectionError
 from .lattice import DivisorClass
 
 Rational = Fraction | int
-Monomial = tuple[int, int, int]
 
-#: Invariant checking on construction; cheap at this project's scale.
-VERIFY_INVARIANTS = True
+#: The ring every section polynomial lives in.
+RING, Z0, Z1, Z2 = ring("z0,z1,z2", QQ)
 
 T = TypeVar("T")
 
@@ -59,6 +62,26 @@ def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _to_ring(x: Rational):
+    """An int or ``Fraction`` as an element of ``QQ``."""
+    x = _frac(x)
+    return QQ(x.numerator, x.denominator)
+
+
+def _fraction(c) -> Fraction:
+    """An element of ``QQ`` as a ``Fraction``."""
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _value(poly: PolyElement, x):
+    """``poly`` at the ``QQ`` coordinates ``x = (x0, x1, x2)``."""
+    x0, x1, x2 = x
+    total = QQ.zero
+    for (e0, e1, e2), c in poly.items():
+        total += c * x0 ** e0 * x1 ** e1 * x2 ** e2
+    return total
+
+
 @dataclass(frozen=True)
 class BlowupPoints:
     """The (pairwise distinct, affine) centres of the blow-up."""
@@ -70,6 +93,9 @@ class BlowupPoints:
         if len(set(pts)) != len(pts):
             raise ValueError("blow-up points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
+        # the same centres in QQ, for Taylor shifts
+        object.__setattr__(self, "_ring_points",
+                           tuple((_to_ring(a), _to_ring(b)) for a, b in pts))
 
     @property
     def n(self) -> int:
@@ -79,125 +105,140 @@ class BlowupPoints:
         """Affine coordinate ``p_i^A`` (i is 1-based, A in {0, 1})."""
         return self.points[i - 1][a]
 
+    def chart_point(self, x: tuple[Rational, Rational, Rational]) -> tuple:
+        """``x`` in ``QQ``, after checking it is a plane point off the centres."""
+        x = tuple(_frac(t) for t in x)
+        if all(t == 0 for t in x):
+            raise ValueError("(0,0,0) is not a projective point")
+        if x[2] != 0 and (x[0] / x[2], x[1] / x[2]) in self.points:
+            raise AmbiguousPointError(
+                f"{x} is a blown-up point; evaluate on its exceptional divisor"
+            )
+        return tuple(_to_ring(t) for t in x)
 
-def _poly_mul(f: dict[Monomial, Fraction], g: dict[Monomial, Fraction]):
-    out: dict[Monomial, Fraction] = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-            c = out.get(m, Fraction(0)) + c1 * c2
-            if c:
-                out[m] = c
-            elif m in out:
-                del out[m]
-    return out
+    def line_point(self, i: int, w: tuple[Rational, Rational]) -> tuple:
+        """``(w0, w1, 1)`` in ``QQ``, after checking ``(w0 : w1)`` is a point of E_i."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"exceptional index {i} out of range 1..{self.n}")
+        w0, w1 = _frac(w[0]), _frac(w[1])
+        if w0 == 0 and w1 == 0:
+            raise ValueError("(0,0) is not a point of the exceptional line")
+        return (_to_ring(w0), _to_ring(w1), QQ.one)
 
 
 @dataclass(frozen=True)
 class SectionPoly:
-    """A section of ``O(bidegree)``, stored as its trivialised polynomial."""
+    """A section of ``O(bidegree)``, stored as its trivialised polynomial.
+
+    ``poly`` is an element of :data:`RING`, or anything that ring converts
+    (a dict from exponent triples to rationals, a number).  Every
+    construction checks that it is homogeneous of degree ``p`` and vanishes
+    to order at least ``-q_i`` at each centre with ``q_i < 0``.
+    """
 
     bidegree: DivisorClass
-    coeffs: tuple[tuple[Monomial, Fraction], ...]
+    poly: PolyElement
     ctx: BlowupPoints
 
-    def __init__(self, bidegree: DivisorClass, coeffs, ctx: BlowupPoints):
+    def __init__(self, bidegree: DivisorClass, poly, ctx: BlowupPoints):
         if bidegree.n != ctx.n:
             raise DimensionMismatchError("bidegree length disagrees with point count")
         if not bidegree.is_integral():
             raise ValueError("section bidegree must be integral")
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = coeffs
-        clean = {tuple(m): _frac(c) for m, c in items if c != 0}
         object.__setattr__(self, "bidegree", bidegree)
-        object.__setattr__(self, "coeffs", tuple(sorted(clean.items())))
+        object.__setattr__(self, "poly", RING(poly))
         object.__setattr__(self, "ctx", ctx)
-        if VERIFY_INVARIANTS:
-            self._check_invariants()
+        self._check_invariants()
 
     # -- invariants ----------------------------------------------------------
 
     def _check_invariants(self) -> None:
         p = int(self.bidegree.p)
-        for mono, _ in self.coeffs:
-            if sum(mono) != p or min(mono) < 0:
+        for mono in self.poly.itermonoms():
+            if sum(mono) != p:
                 raise MalformedSectionError(
                     f"monomial {mono} is not homogeneous of degree {p}"
                 )
         for i, qi in enumerate(self.bidegree.q, start=1):
-            if qi < 0 and self.vanishing_order(i) < -qi:
+            if qi < 0 and (order := self.vanishing_order(i)) < -qi:
                 raise MalformedSectionError(
                     f"section of twist q_{i}={qi} vanishes to order "
-                    f"{self.vanishing_order(i)} < {-qi} at point {i}"
+                    f"{order} < {-qi} at point {i}"
                 )
 
     def vanishing_order(self, i: int) -> int:
         """Vanishing order at the blow-up point ``p_i`` (in the chart z2=1)."""
-        taylor = self._taylor_at(i)
-        if not taylor:
+        shifted = self._shifted(i)
+        if not shifted:
             return int(self.bidegree.p) + 1  # zero section: order beyond degree
-        return min(mx + my for (mx, my) in taylor)
+        return min(u + v for u, v, _ in shifted.itermonoms())
 
-    def _taylor_at(self, i: int) -> dict[tuple[int, int], Fraction]:
-        """Coefficients of ``poly(p_i^0 + X, p_i^1 + Y, 1)`` in ``Q[X, Y]``."""
-        p0, p1 = self.ctx.points[i - 1]
-        out: dict[tuple[int, int], Fraction] = {}
-        for (e0, e1, e2), c in self.coeffs:
+    def _shifted(self, i: int):
+        """``poly(z0 + p_i^0 z2, z1 + p_i^1 z2, z2)``: the Taylor expansion at ``p_i``.
+
+        A term ``z0^u z1^v z2^t`` carries the coefficient of ``X^u Y^v`` in
+        ``poly(p_i^0 + X, p_i^1 + Y, 1)``.
+        """
+        p0, p1 = self.ctx._ring_points[i - 1]
+        out = RING.zero
+        for (e0, e1, e2), c in self.poly.items():
             for u in range(e0 + 1):
-                b0 = comb(e0, u) * p0 ** (e0 - u)
+                c0 = c * comb(e0, u) * p0 ** (e0 - u)
                 for v in range(e1 + 1):
-                    b1 = comb(e1, v) * p1 ** (e1 - v)
-                    key = (u, v)
-                    val = out.get(key, Fraction(0)) + c * b0 * b1
+                    mono = (u, v, e0 + e1 + e2 - u - v)
+                    val = out.get(mono, QQ.zero) + c0 * comb(e1, v) * p1 ** (e1 - v)
                     if val:
-                        out[key] = val
-                    elif key in out:
-                        del out[key]
+                        out[mono] = val
+                    else:
+                        out.pop(mono, None)
+        return out
+
+    def restriction(self, i: int):
+        """The value on ``E_i`` in the ``lambda``-frame, as a form in ``z0, z1``.
+
+        This is the coefficient of ``lambda^(-q_i)`` in
+        ``poly(p_i + lambda (z0, z1), 1)``: homogeneous of degree ``-q_i``
+        in ``z0, z1`` (read as ``w0, w1``), and 0 whenever ``q_i > 0``.
+        """
+        order = -int(self.bidegree.q[i - 1])
+        out = RING.zero
+        if order >= 0:
+            keep = int(self.bidegree.p) - order
+            for (u, v, t), c in self._shifted(i).items():
+                if t == keep:
+                    out[(u, v, 0)] = c
         return out
 
     # -- ring structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.poly
 
-    def __add__(self, other: SectionPoly) -> SectionPoly:
+    def _same_blowup(self, other: SectionPoly) -> None:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise DimensionMismatchError("sections from different blow-ups")
+
+    def __add__(self, other: SectionPoly) -> SectionPoly:
+        self._same_blowup(other)
         if self.bidegree != other.bidegree:
             raise DimensionMismatchError(
                 f"adding sections of bidegrees {self.bidegree} and {other.bidegree}"
             )
-        out = dict(self.coeffs)
-        for m, c in other.coeffs:
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return SectionPoly(self.bidegree, out, self.ctx)
+        return SectionPoly(self.bidegree, self.poly + other.poly, self.ctx)
 
     def __sub__(self, other: SectionPoly) -> SectionPoly:
-        return self + other.scale(-1)
+        return self + -other
 
     def __neg__(self) -> SectionPoly:
-        return self.scale(-1)
+        return SectionPoly(self.bidegree, -self.poly, self.ctx)
 
     def __mul__(self, other: SectionPoly) -> SectionPoly:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise DimensionMismatchError("sections from different blow-ups")
-        return SectionPoly(
-            self.bidegree + other.bidegree,
-            _poly_mul(dict(self.coeffs), dict(other.coeffs)),
-            self.ctx,
-        )
+        self._same_blowup(other)
+        return SectionPoly(self.bidegree + other.bidegree, self.poly * other.poly,
+                           self.ctx)
 
     def scale(self, s: Rational) -> SectionPoly:
-        s = _frac(s)
-        return SectionPoly(
-            self.bidegree, {m: s * c for m, c in self.coeffs}, self.ctx
-        )
+        return SectionPoly(self.bidegree, self.poly.mul_ground(_to_ring(s)), self.ctx)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -207,19 +248,7 @@ class SectionPoly:
         The caller chooses the homogeneous representative; only joint ranks of
         matrices evaluated in a common frame are invariant.
         """
-        x = tuple(_frac(t) for t in x)
-        if all(t == 0 for t in x):
-            raise ValueError("(0,0,0) is not a projective point")
-        if x[2] != 0:
-            affine = (x[0] / x[2], x[1] / x[2])
-            if affine in self.ctx.points:
-                raise AmbiguousPointError(
-                    f"{x} is a blown-up point; evaluate on its exceptional divisor"
-                )
-        total = Fraction(0)
-        for (e0, e1, e2), c in self.coeffs:
-            total += c * x[0] ** e0 * x[1] ** e1 * x[2] ** e2
-        return total
+        return _fraction(_value(self.poly, self.ctx.chart_point(x)))
 
     def eval_exceptional(self, i: int, w: tuple[Rational, Rational]) -> Fraction:
         """Value at ``(w0 : w1)`` on ``E_i`` in the local ``lambda``-frame.
@@ -227,27 +256,8 @@ class SectionPoly:
         Returns the coefficient of ``lambda^(-q_i)`` in
         ``poly(p_i + lambda w, 1)``; in particular 0 whenever ``q_i > 0``.
         """
-        if not 1 <= i <= self.ctx.n:
-            raise ValueError(f"exceptional index {i} out of range 1..{self.ctx.n}")
-        w0, w1 = _frac(w[0]), _frac(w[1])
-        if w0 == 0 and w1 == 0:
-            raise ValueError("(0,0) is not a point of the exceptional line")
-        qi = int(self.bidegree.q[i - 1])
-        taylor = self._taylor_at(i)
-        by_order: dict[int, Fraction] = {}
-        for (mx, my), c in taylor.items():
-            v = by_order.get(mx + my, Fraction(0)) + c * w0 ** mx * w1 ** my
-            if v:
-                by_order[mx + my] = v
-            elif mx + my in by_order:
-                del by_order[mx + my]
-        if qi < 0 and any(order < -qi for order in by_order):
-            raise MalformedSectionError(
-                f"vanishing order below {-qi} at point {i}; section is malformed"
-            )
-        if -qi < 0:
-            return Fraction(0)
-        return by_order.get(-qi, Fraction(0))
+        w = self.ctx.line_point(i, w)
+        return _fraction(_value(self.restriction(i), w))
 
 
 # -- constructors ---------------------------------------------------------------
@@ -257,8 +267,7 @@ def z_section(ctx: BlowupPoints, a: int) -> SectionPoly:
     """Coordinate section ``z^a`` of ``O(1, 0)``, a in {0, 1, 2}."""
     if a not in (0, 1, 2):
         raise ValueError(f"coordinate index {a} out of range 0..2")
-    mono = tuple(1 if t == a else 0 for t in range(3))
-    return SectionPoly(DivisorClass(1, [0] * ctx.n), {mono: Fraction(1)}, ctx)
+    return SectionPoly(DivisorClass(1, [0] * ctx.n), RING.gens[a], ctx)
 
 
 def w_section(ctx: BlowupPoints, i: int, a: int) -> SectionPoly:
@@ -269,12 +278,8 @@ def w_section(ctx: BlowupPoints, i: int, a: int) -> SectionPoly:
         raise ValueError(f"exceptional index {i} out of range 1..{ctx.n}")
     q = [0] * ctx.n
     q[i - 1] = -1
-    mono = (1, 0, 0) if a == 0 else (0, 1, 0)
-    return SectionPoly(
-        DivisorClass(1, q),
-        {mono: Fraction(1), (0, 0, 1): -ctx.coordinate(i, a)},
-        ctx,
-    )
+    return SectionPoly(DivisorClass(1, q),
+                       RING.gens[a] - Z2.mul_ground(ctx._ring_points[i - 1][a]), ctx)
 
 
 def lambda_section(ctx: BlowupPoints, i: int) -> SectionPoly:
@@ -283,16 +288,14 @@ def lambda_section(ctx: BlowupPoints, i: int) -> SectionPoly:
         raise ValueError(f"exceptional index {i} out of range 1..{ctx.n}")
     q = [0] * ctx.n
     q[i - 1] = 1
-    return SectionPoly(DivisorClass(0, q), {(0, 0, 0): Fraction(1)}, ctx)
+    return SectionPoly(DivisorClass(0, q), RING.one, ctx)
 
 
 def const_section(ctx: BlowupPoints, value: Rational) -> SectionPoly:
     """Constant section of the trivial bundle."""
-    return SectionPoly(
-        DivisorClass(0, [0] * ctx.n), {(0, 0, 0): _frac(value)}, ctx
-    )
+    return SectionPoly(DivisorClass(0, [0] * ctx.n), _to_ring(value), ctx)
 
 
 def zero_section(ctx: BlowupPoints, bidegree: DivisorClass) -> SectionPoly:
     """The zero section, shape-typed by an explicit bidegree."""
-    return SectionPoly(bidegree, {}, ctx)
+    return SectionPoly(bidegree, RING.zero, ctx)

@@ -117,28 +117,28 @@ def test_criterion_2_dimension_bookkeeping():
 
 
 def test_criterion_3_monad_identity():
-    per_strategy = {
-        "commuting": [sample_config(r, [], k, seed=s, strategy="commuting")
+    per_method = {
+        "commuting": [sample_config(r, [], k, seed=s)
                       for s, (r, k) in enumerate(
                           [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1),
                            (1, 3), (2, 3), (3, 2), (1, 4), (3, 3)])],
-        "solve-d": [sample_config(r, a, k, seed=s, strategy="solve-d")
+        "solve-d": [sample_config(r, a, k, seed=s)
                     for s, (r, a, k) in enumerate(
                         [(2, [1], 1), (1, [0], 1), (2, [0], 1), (2, [1, 0], 1),
                          (1, [-1], 1), (3, [1], 2), (3, [1], 1), (2, [-1], 1),
                          (3, [1, 0], 1), (2, [0, 0], 1)])],
-        "line-bundle": [sample_config(1, [-1], 0, seed=s, strategy="line-bundle")
+        "line-bundle": [sample_config(1, [-1], 0, seed=s)
                         for s in range(10)],
     }
-    for strategy, cfgs in per_strategy.items():
+    for method, cfgs in per_method.items():
         assert len(cfgs) >= 10
         for cfg in cfgs:
             comp = check_monad_condition(build_monad(cfg))
-            assert composite_is_zero(comp), strategy
-    # one sample per strategy also passes the full finite validation
+            assert composite_is_zero(comp), method
+    # one sample per method also passes the full finite validation
     from adhm_blowup_kit.monad import validate_config
-    for cfg in (per_strategy["commuting"][0], per_strategy["solve-d"][0],
-                per_strategy["line-bundle"][0]):
+    for cfg in (per_method["commuting"][0], per_method["solve-d"][0],
+                per_method["line-bundle"][0]):
         assert validate_config(cfg, seed=0).valid
     # rows i >= 1 vanish identically even on invalid data
     rng = Random(99)
@@ -149,7 +149,7 @@ def test_criterion_3_monad_identity():
         ld = cfg.dims.dim_l
         for i in range(ld[0], sum(ld)):
             assert all(entry.is_zero() for entry in comp[i])
-    _passed("criterion-3 monad identity (10+ configs per strategy)")
+    _passed("criterion-3 monad identity (10+ configs per sampler method)")
 
 
 def test_criterion_4_compact_constraint_calibration():
@@ -164,7 +164,7 @@ def test_criterion_4_compact_constraint_calibration():
         dims = cfg.dims
         # single candidate block: the z2^2 coefficient in block (0,0)
         assert coefficient_block(comp, dims, 0, 0, (0, 0, 2)) == res.compact
-        total_terms = sum(len(dict(e.coeffs)) for row in comp for e in row)
+        total_terms = sum(len(e.poly) for row in comp for e in row)
         in_block = sum(1 for row in res.compact.rows for x in row if x != 0)
         assert total_terms == in_block
         # global sign: compact form computed with sigma = +1 from q^A

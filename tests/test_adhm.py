@@ -287,7 +287,7 @@ def test_sample_deterministic():
 
 
 def test_sample_line_bundle_dims():
-    cfg = sample_config(1, [-1], 0, seed=7, strategy="line-bundle")
+    cfg = sample_config(1, [-1], 0, seed=7)
     assert cfg.dims.dim_k == (0, 1)
     assert cfg.dims.dim_l == (1, 0)
     assert cfg.dims.rank_w == 3
@@ -295,7 +295,7 @@ def test_sample_line_bundle_dims():
 
 
 def test_sample_commuting_r_equals_k():
-    cfg = sample_config(3, [], 3, seed=11, strategy="commuting")
+    cfg = sample_config(3, [], 3, seed=11)
     assert constraint_residual(cfg).raw_is_zero()
     assert assemble_a(cfg).det() != 0
 
@@ -309,7 +309,7 @@ def test_sample_failure_is_reported():
     # dim K_0 = 2 > r = 1 with dim L_0 = 3 > 0: the row space of c cannot
     # contain the target, so the solver must give up and say so
     with pytest.raises(SamplingFailureError):
-        sample_config(1, [-1], 2, seed=0, tries=8)
+        sample_config(1, [-1], 2, seed=0)
 
 
 def test_tangent_examples():

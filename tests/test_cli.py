@@ -198,13 +198,32 @@ def test_tangent_rejects_invalid_file(capsys, tmp_path):
     assert "monad condition" in err
 
 
-@pytest.mark.parametrize("command", ("scan", "validate", "report"))
-def test_config_commands_take_only_seed_and_json(command):
+@pytest.mark.parametrize("command, options", [
+    ("scan", {"path", "--seed", "--json"}),
+    ("validate", {"path", "--seed", "--json"}),
+    ("report", {"path", "--seed", "--json"}),
+    ("sample", {"-r", "-a", "-k", "--seed", "-o", "--output"}),
+    ("tangent", {"path", "-r", "-a", "-k", "--seed", "--json"}),
+])
+def test_config_commands_take_only_seed_and_json(command, options):
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
-    options = {opt for action in subparsers.choices[command]._actions
+    offered = {opt for action in subparsers.choices[command]._actions
                for opt in action.option_strings or [action.dest]}
-    assert options == {"path", "--seed", "--json", "-h", "--help"}
+    assert offered == options | {"-h", "--help"}
+
+
+def test_tangent_without_k_is_a_format_error(capsys):
+    code, out, err = run_cli(capsys, "tangent", "-r", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "-r and -k" in err
+
+
+@pytest.mark.parametrize("command", ("tangent", "sample", "dims"))
+def test_infeasible_parameters_exit_2(capsys, command):
+    code, out, err = run_cli(capsys, command, "-r", "0", "-k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("infeasible:") and "rank must be >= 1" in err
 
 
 def test_scan_block_in_config_is_rejected(capsys, tmp_path):

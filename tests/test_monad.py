@@ -146,7 +146,7 @@ def test_perturbation_localised_to_quadratic_coefficient():
     # the only nonzero coefficients sit in block (0,0) at monomial z2^2
     res = constraint_residual(broken)
     assert coefficient_block(comp, dims, 0, 0, (0, 0, 2)) == res.compact
-    nonzero = sum(len(dict(e.coeffs)) for row in comp for e in row)
+    nonzero = sum(len(e.poly) for row in comp for e in row)
     in_block = sum(1 for row in res.compact.rows for x in row if x != 0)
     assert nonzero == in_block > 0
 

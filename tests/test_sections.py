@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+import sympy as sp
 
 from adhm_blowup_kit.errors import (
     AmbiguousPointError,
@@ -166,3 +167,53 @@ def test_faithfulness_sampled():
                     break
             values.append(s.eval_generic(x))
         assert s.is_zero() == all(v == 0 for v in values)
+
+
+def test_exceptional_values_match_expr_oracle():
+    """Products of z/w/lambda sections against a sympy ``Expr`` built alongside.
+
+    The oracle expands ``poly(p_i + lambda w, 1)`` from the constructors'
+    definitions alone (``z^a``, ``z^A - p_i^A z2``, 1), so it shares no code
+    with the sections' ring arithmetic or Taylor shift.
+    """
+    z = sp.symbols("z0:3")
+    lam, w0, w1 = sp.symbols("lam w0 w1")
+    rng = Random(31)
+
+    def rand_q(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
+
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        pts = []
+        while len(pts) < n:
+            pt = (rand_q(-5, 5), rand_q(-5, 5))
+            if pt not in pts:
+                pts.append(pt)
+        ctx = BlowupPoints(pts)
+        centres = [tuple(sp.Rational(c) for c in pt) for pt in pts]
+        pool = [(z_section(ctx, a), z[a]) for a in range(3)]
+        for i, (p0, p1) in enumerate(centres, start=1):
+            pool.append((lambda_section(ctx, i), sp.Integer(1)))
+            pool.append((w_section(ctx, i, 0), z[0] - p0 * z[2]))
+            pool.append((w_section(ctx, i, 1), z[1] - p1 * z[2]))
+        section, expr = const_section(ctx, 1), sp.Integer(1)
+        for _ in range(rng.randint(1, 4)):
+            s, e = rng.choice(pool)
+            section, expr = section * s, expr * e
+        for i, (p0, p1) in enumerate(centres, start=1):
+            along = sp.Poly(sp.expand(expr.subs(
+                {z[0]: p0 + lam * w0, z[1]: p1 + lam * w1, z[2]: 1},
+                simultaneous=True)), lam)
+            assert section.vanishing_order(i) == min(m for (m,) in along.monoms())
+            order = -int(section.bidegree.q[i - 1])
+            coeff = along.coeff_monomial(lam ** order) if order >= 0 else 0
+            w = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(1, 5)))
+            expected = sp.sympify(coeff).subs({w0: w[0], w1: w[1]})
+            assert sp.Rational(section.eval_exceptional(i, w)) == expected
+        while True:
+            x = (rand_q(-9, 9), rand_q(-9, 9), Fraction(rng.randint(1, 3)))
+            if (x[0] / x[2], x[1] / x[2]) not in pts:
+                break
+        direct = expr.subs({z[a]: sp.Rational(x[a]) for a in range(3)})
+        assert sp.Rational(section.eval_generic(x)) == direct

@@ -198,19 +198,22 @@ def test_tangent_rejects_invalid_file(capsys, tmp_path):
     assert "monad condition" in err
 
 
-@pytest.mark.parametrize("command, options", [
-    ("scan", {"path", "--seed", "--json"}),
-    ("validate", {"path", "--seed", "--json"}),
-    ("report", {"path", "--seed", "--json"}),
-    ("sample", {"-r", "-a", "-k", "--seed", "-o", "--output"}),
-    ("tangent", {"path", "-r", "-a", "-k", "--seed", "--json"}),
-])
-def test_config_commands_take_only_seed_and_json(command, options):
+OPTIONS = {
+    "scan": {"path", "--seed", "--json"},
+    "validate": {"path", "--seed", "--json"},
+    "report": {"path", "--seed", "--json"},
+    "sample": {"-r", "-a", "-k", "--seed", "-o", "--output"},
+    "tangent": {"path", "-r", "-a", "-k", "--seed", "--json"},
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_config_commands_take_only_seed_and_json(command):
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     offered = {opt for action in subparsers.choices[command]._actions
                for opt in action.option_strings or [action.dest]}
-    assert offered == options | {"-h", "--help"}
+    assert offered == OPTIONS[command] | {"-h", "--help"}
 
 
 def test_tangent_without_k_is_a_format_error(capsys):

@@ -12,7 +12,7 @@ from adhm_blowup_kit.adhm import (
     derive_bA,
     sample_config,
 )
-from adhm_blowup_kit.errors import MonadDegeneracyError, NotInPError
+from adhm_blowup_kit.errors import AmbiguousPointError, MonadDegeneracyError, NotInPError
 from adhm_blowup_kit.lattice import ChernCharacter, DivisorClass, monad_dims
 from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.monad import (
@@ -135,6 +135,25 @@ def test_lower_rows_vanish_for_any_configuration():
         for i in range(ld[0], sum(ld)):
             for entry in comp[i]:
                 assert entry.is_zero()
+
+
+def test_evaluated_matrices_match_entrywise_evaluation():
+    cfg = sample_config(2, [1, 0], 1, seed=0)
+    m = build_monad(cfg)
+    plane = SurfacePoint.generic(Fraction(3, 7), Fraction(-5, 2), 2)
+    line = SurfacePoint.exceptional(2, 1, Fraction(5, 3))
+    for maps, at in ((m.alpha, m.alpha_at), (m.beta, m.beta_at)):
+        assert at(plane) == Matrix([[e.eval_generic(plane.coords) for e in row]
+                                    for row in maps])
+        assert at(line) == Matrix([[e.eval_exceptional(2, line.coords) for e in row]
+                                   for row in maps])
+    # the point is refused as eval_generic / eval_exceptional refuse it
+    p0, p1 = cfg.points.points[0]
+    for at in (m.alpha_at, m.beta_at):
+        with pytest.raises(AmbiguousPointError):
+            at(SurfacePoint.generic(2 * p0, 2 * p1, 2))
+        with pytest.raises(ValueError):
+            at(SurfacePoint.exceptional(3, 1, 0))
 
 
 def test_perturbation_localised_to_quadratic_coefficient():

@@ -27,6 +27,7 @@ and deterministic samplers for valid configurations all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -134,6 +135,15 @@ class AdhmConfig:
         kwargs.update(changes)
         return AdhmConfig(**kwargs)
 
+    @cached_property
+    def _stabilizer_nullity(self) -> int:
+        """Nullity of the isotropy system, kept on the instance once computed.
+
+        Not a field: equality, ``replace`` and ``act`` ignore it, and every new
+        instance starts without it.
+        """
+        return _stabilizer_system(self).nullity()
+
     def point_coord(self, i: int, a: int) -> Fraction:
         return self.points.coordinate(i, a)
 
@@ -231,6 +241,35 @@ def _derive_bA(cfg: AdhmConfig, ainv: Matrix) -> MatrixPair:
     return (out[0], out[1])
 
 
+def _q_strips(cfg: AdhmConfig) -> tuple[MatrixPair, MatrixPair]:
+    """The first ``l0`` rows and the first ``k0`` columns of each ``q^A``.
+
+    Built from the blocks directly, equal to those parts of ``assemble_qA``.
+    """
+    n = cfg.n
+    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
+    rows, cols = [], []
+    for a in (0, 1):
+        p = [cfg.point_coord(i + 1, a) for i in range(n)]
+        corner = -cfg.aA00[a]
+        rows.append(block_matrix([[corner] + [cfg.a0i[i].scale(p[i]) for i in range(n)]],
+                                 [ld[0]], list(kd)))
+        cols.append(block_matrix([[corner]] + [[cfg.ai0[i].scale(p[i])] for i in range(n)],
+                                 list(ld), [kd[0]]))
+    return (rows[0], rows[1]), (cols[0], cols[1])
+
+
+def _compact_block(cfg: AdhmConfig, ainv: Matrix) -> Matrix:
+    """``COMPACT_SIGN (q^A a^{-1} q_A)^{00}``, the compact constraint without ``dc``.
+
+    Only the ``(L_0, K_0)`` block is kept, so only the first ``l0`` rows of
+    ``q^A a^{-1}`` and the first ``k0`` columns of ``q_A`` enter the products.
+    """
+    rows, cols = _q_strips(cfg)
+    qa = [m * ainv for m in rows]
+    return (qa[1] * cols[0] - qa[0] * cols[1]).scale(COMPACT_SIGN)
+
+
 def b_block(cfg: AdhmConfig, b: Matrix, j: int) -> Matrix:
     """Block ``b^A_0j`` of a derived row ``b^A``."""
     ld = cfg.dims.dim_l
@@ -290,11 +329,7 @@ def constraint_residual(cfg: AdhmConfig) -> ConstraintResidual:
                 r3 = r3 + cfg.d * cfg.cAi[i + 1][a]
             raw.append((f"linear[{a}]@{i + 1}", r3))
 
-    q = assemble_qA(cfg)
-    s = q[1] * ainv * q[0] - q[0] * ainv * q[1]
-    l0 = cfg.dims.dim_l[0]
-    k0 = cfg.dims.dim_k[0]
-    compact = s.submatrix(0, l0, 0, k0).scale(COMPACT_SIGN) + cfg.d * cfg.c
+    compact = _compact_block(cfg, ainv) + cfg.d * cfg.c
     if compact != r2:
         raise InternalConsistencyError(
             "compact constraint disagrees with the expanded quadratic block"
@@ -571,11 +606,13 @@ def _stabilizer_system(cfg: AdhmConfig) -> Matrix:
 
 
 def stabilizer_dim(cfg: AdhmConfig) -> int:
-    """Dimension of the isotropy algebra at ``cfg``; expected 0 on valid data."""
+    """Dimension of the isotropy algebra at ``cfg``; expected 0 on valid data.
+
+    Computed once per configuration instance and then read back.
+    """
     if not cfg.is_normalized():
         raise ValueError("stabilizer is computed on gauge-normalised configurations")
-    system = _stabilizer_system(cfg)
-    return system.nullity()
+    return cfg._stabilizer_nullity
 
 
 # -- tangent computation ----------------------------------------------------------
@@ -658,10 +695,10 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
     l0, k0 = ld[0], kd[0]
     ainv = _a_inverse(cfg)
-    q = assemble_qA(cfg)
     # the first l0 rows of q^A a^{-1} and the first k0 columns of a^{-1} q^A
-    qa = [(m.submatrix(0, l0, 0, m.ncols) * ainv).rows for m in q]
-    aq = [(ainv * m.submatrix(0, m.nrows, 0, k0)).rows for m in q]
+    q_rows, q_cols = _q_strips(cfg)
+    qa = [(m * ainv).rows for m in q_rows]
+    aq = [(ainv * m).rows for m in q_cols]
     row_off = [sum(ld[:i]) for i in range(n + 1)]
     col_off = [sum(kd[:i]) for i in range(n + 1)]
     p = [(cfg.point_coord(i + 1, 0), cfg.point_coord(i + 1, 1)) for i in range(n)]
@@ -831,9 +868,7 @@ def _sample_solve_d(r, a_vec, k, rng: Random) -> AdhmConfig:
         except ZeroDivisionError:
             log.append(f"attempt {attempt}: singular a")
             continue
-        q = assemble_qA(cfg)
-        s = q[1] * ainv * q[0] - q[0] * ainv * q[1]
-        target = -s.submatrix(0, ld[0], 0, kd[0]).scale(COMPACT_SIGN)
+        target = -_compact_block(cfg, ainv)
         # d c = target  <=>  c^T d^T = target^T
         sol = cfg.c.transpose().solve(target.transpose())
         if sol is None:

@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals.
 
 Small dense matrices with ``fractions.Fraction`` entries: enough for block
-assembly, Gaussian elimination, kernels and determinants.  Every operation is
-exact; nothing here ever touches floating point.  Zero-sized matrices are
-first-class citizens because several block dimensions in this project are
-legitimately zero (``det`` of a 0x0 matrix is 1, the kernel of a 0xn matrix is
-all of Q^n, and so on).
+assembly, Gaussian elimination, kernels and determinants.  Products, ranks,
+determinants and inverses scale each row (or column) by the lcm of its
+denominators and run on Python ints, building a ``Fraction`` only for each
+result entry.  Every operation is exact; nothing here ever touches floating
+point.  Zero-sized matrices are first-class citizens because several block
+dimensions in this project are legitimately zero (``det`` of a 0x0 matrix is
+1, the kernel of a 0xn matrix is all of Q^n, and so on).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -21,6 +24,12 @@ Rational = Fraction | int
 
 def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm ``s`` of the row's denominators, and the row times ``s`` as ints."""
+    den = lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -43,6 +52,34 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
         prev = p
         rank += 1
     return rank
+
+
+def _gauss_jordan(rows: list[list[int]], n: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan on the ``n x n`` left block of ``n`` integer rows.
+
+    Works in place and returns ``(sign, pivot)``: the determinant of the left
+    block is ``sign * pivot``, and ``pivot`` is 0 when the block is singular.
+    Otherwise the rows end as ``[pivot * I | pivot * B^-1 R]`` for input
+    ``[B | R]``; only the columns right of the left block are written back.
+    Every entry is a minor of the input, so each division by the previous
+    pivot is exact (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997).
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return sign, 0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pk, tail = rows[k][k], rows[k][k + 1:]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                row[k + 1:] = [(pk * x - f * y) // prev
+                               for x, y in zip(row[k + 1:], tail)]
+        prev = pk
+    return sign, prev
 
 
 class Matrix:
@@ -134,19 +171,19 @@ class Matrix:
         return Matrix([[s * x for x in row] for row in self.rows], ncols=self.ncols)
 
     def __mul__(self, other: Matrix) -> Matrix:
+        """Integer-scaled rows times integer-scaled columns, one ``Fraction`` per entry."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionMismatchError(f"mul {self.shape} by {other.shape}")
-        out = [[Fraction(0)] * other.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                orow = other.rows[k]
-                oi = out[i]
-                for j in range(other.ncols):
-                    oi[j] += a * orow[j]
+        if other.rows:
+            cols = [_integer_row(col) for col in zip(*other.rows)]
+        else:
+            cols = [(1, [])] * other.ncols
+        out = []
+        for row in self.rows:
+            s, a = _integer_row(row)
+            out.append([Fraction(sum(map(mul, a, b)), s * t) for t, b in cols])
         return Matrix(out, ncols=other.ncols)
 
     def transpose(self) -> Matrix:
@@ -185,12 +222,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Rank by fraction-free elimination on the rows scaled to integers."""
-        rows = []
-        for row in self.rows:
-            if any(row):
-                den = lcm(*(x.denominator for x in row))
-                rows.append([x.numerator * (den // x.denominator) for x in row])
-        return _bareiss_rank(rows)
+        return _bareiss_rank([_integer_row(row)[1] for row in self.rows if any(row)])
 
     def nullspace(self) -> list[Matrix]:
         """Basis of the right kernel, as column matrices."""
@@ -210,43 +242,32 @@ class Matrix:
         return self.ncols - self.rank()
 
     def det(self) -> Fraction:
+        """Determinant by fraction-free elimination on the rows scaled to integers."""
         if self.nrows != self.ncols:
             raise DimensionMismatchError("det of non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Fraction(1)
-        m = self.copy_rows()
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        return det
+        scaled = [_integer_row(row) for row in self.rows]
+        sign, pivot = _gauss_jordan([ints for _, ints in scaled], self.nrows)
+        return Fraction(sign * pivot, prod(den for den, _ in scaled))
 
     def inverse(self) -> Matrix:
+        """Inverse by fraction-free Gauss-Jordan on the rows scaled to integers.
+
+        With ``D`` the row scales, ``(D A)^-1 = X / pivot`` and so
+        ``A^-1 = X D / pivot``.  Raises ``ZeroDivisionError`` if singular.
+        """
         if self.nrows != self.ncols:
             raise DimensionMismatchError("inverse of non-square matrix")
         n = self.nrows
-        aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        wide = Matrix(aug, ncols=2 * n)
-        m, pivots = wide._echelon()
-        if pivots[:n] != list(range(n)):
+        dens, rows = [], []
+        for i, row in enumerate(self.rows):
+            den, ints = _integer_row(row)
+            dens.append(den)
+            rows.append(ints + [int(i == j) for j in range(n)])
+        _sign, pivot = _gauss_jordan(rows, n)
+        if not pivot:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix([row[n:] for row in m], ncols=n)
+        return Matrix([[Fraction(x * s, pivot) for x, s in zip(row[n:], dens)]
+                       for row in rows], ncols=n)
 
     def solve(self, rhs: Matrix) -> Matrix | None:
         """One solution X of self @ X = rhs, or None if inconsistent."""

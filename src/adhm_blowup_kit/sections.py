@@ -148,6 +148,8 @@ class SectionPoly:
         object.__setattr__(self, "bidegree", bidegree)
         object.__setattr__(self, "poly", RING(poly))
         object.__setattr__(self, "ctx", ctx)
+        # Taylor shifts by centre index, computed on first use
+        object.__setattr__(self, "_shifts", {})
         self._check_invariants()
 
     # -- invariants ----------------------------------------------------------
@@ -177,8 +179,10 @@ class SectionPoly:
         """``poly(z0 + p_i^0 z2, z1 + p_i^1 z2, z2)``: the Taylor expansion at ``p_i``.
 
         A term ``z0^u z1^v z2^t`` carries the coefficient of ``X^u Y^v`` in
-        ``poly(p_i^0 + X, p_i^1 + Y, 1)``.
+        ``poly(p_i^0 + X, p_i^1 + Y, 1)``.  Computed once per centre.
         """
+        if i in self._shifts:
+            return self._shifts[i]
         p0, p1 = self.ctx._ring_points[i - 1]
         out = RING.zero
         for (e0, e1, e2), c in self.poly.items():
@@ -191,6 +195,7 @@ class SectionPoly:
                         out[mono] = val
                     else:
                         out.pop(mono, None)
+        self._shifts[i] = out
         return out
 
     def restriction(self, i: int):

@@ -1,11 +1,17 @@
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from adhm_blowup_kit import adhm, cli
 from adhm_blowup_kit.adhm import (
+    COMPACT_SIGN,
     AdhmConfig,
     GroupElement,
+    _compact_block,
     act,
     assemble_a,
     assemble_qA,
@@ -326,3 +332,61 @@ def test_tangent_constant_across_samples():
         for s in range(5)
     }
     assert values == {4}
+
+
+@pytest.mark.parametrize("a_vec", [(), (1,), (0, -1)], ids=["n0", "n1", "n2"])
+def test_compact_block_matches_full_products(a_vec):
+    rng = Random(30 + len(a_vec))
+    nonzero = 0
+    for r, k in ((1, 1), (2, 2), (3, 1), (2, 3)):
+        cfg = rand_config(rng, r, a_vec, k)
+        l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
+        ainv = assemble_a(cfg).inverse()
+        q = assemble_qA(cfg)
+        full = q[1] * ainv * q[0] - q[0] * ainv * q[1]
+        block = _compact_block(cfg, ainv)
+        assert block == full.submatrix(0, l0, 0, k0).scale(COMPACT_SIGN)
+        nonzero += not block.is_zero()
+    assert nonzero >= 2
+
+
+def _count_stabilizer_systems(monkeypatch) -> list:
+    built = []
+    real = adhm._stabilizer_system
+
+    def counted(cfg):
+        built.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(adhm, "_stabilizer_system", counted)
+    return built
+
+
+GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"],
+    ["report", str(GOLDEN_CONFIGS / "r1_a-1_k0.json"), "--json"],
+], ids=["tangent", "report"])
+def test_stabilizer_system_built_once_per_config(monkeypatch, argv):
+    # the sampler's acceptance check and tangent_dims, or validate_config and
+    # tangent_dims, ask for the stabilizer of the same configuration object
+    built = _count_stabilizer_systems(monkeypatch)
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert '"stabilizer_dim": 0' in out.getvalue()
+    assert built and sum(cfg is built[-1] for cfg in built) == 1
+
+
+def test_replaced_config_recomputes_stabilizer(monkeypatch):
+    cfg = sample_config(2, [1], 1, seed=5)
+    assert stabilizer_dim(cfg) == 0
+    built = _count_stabilizer_systems(monkeypatch)
+    assert stabilizer_dim(cfg) == 0 and built == []
+    framing_free = cfg.replace(c=Matrix.zeros(*cfg.c.shape), d=Matrix.zeros(*cfg.d.shape))
+    assert stabilizer_dim(framing_free) == 1
+    assert built == [framing_free]
+    # the memo is no field: equal data compare equal with or without it
+    assert cfg.replace() == cfg
+    assert act(GroupElement.identity(cfg.dims), cfg) == cfg

@@ -97,3 +97,116 @@ def rational_matrices(draw):
 def test_rank_matches_echelon(m):
     assert m.rank() == len(m._echelon()[1])
     assert m.nullity() == m.ncols - len(m._echelon()[1])
+
+
+# -- Fraction references for the integer kernels ---------------------------------
+
+
+def _ref_mul(a, b, n, p):
+    """Schoolbook product of row lists of Fractions, ``a`` is m x n, ``b`` n x p."""
+    return [[sum((row[t] * b[t][j] for t in range(n)), Fraction(0)) for j in range(p)]
+            for row in a]
+
+
+def _ref_reduce(rows):
+    """Gauss-Jordan with Fraction division on square ``[B | R]`` rows.
+
+    Returns ``(det B, B^-1 R)``, or ``(0, None)`` when ``B`` is singular.
+    """
+    n = len(rows)
+    m = [list(row) for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if p is None:
+            return Fraction(0), None
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det, [row[n:] for row in m]
+
+
+def _ref_inverse(rows):
+    n = len(rows)
+    det, inv = _ref_reduce([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                            for i, row in enumerate(rows)])
+    return inv
+
+
+# denominators well past 1 and 2
+wide_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def square_matrices(draw):
+    """Square rational matrices up to 6 x 6, 0 x 0 included.
+
+    Some have a zero leading column above their last row, so that every pivot
+    search must swap; some have a row that is a combination of two others.
+    """
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(wide_fractions, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        for row in rows[:-1]:
+            row[0] = Fraction(0)
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        f = draw(wide_fractions)
+        rows[i] = [x + f * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=square_matrices())
+def test_det_and_inverse_match_fraction_reference(rows):
+    n = len(rows)
+    m = Matrix(rows, ncols=n)
+    ref_inv = _ref_inverse(rows)
+    assert m.det() == _ref_reduce(rows)[0]
+    if ref_inv is None:
+        assert m.det() == 0
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+    else:
+        inv = m.inverse()
+        assert inv.shape == (n, n)
+        assert inv.rows == ref_inv
+        assert m * inv == Matrix.identity(n)
+
+
+def test_inverse_swaps_rows_past_zero_pivots():
+    m = Matrix([[0, 0, Fraction(3, 7)], [0, Fraction(-5, 3), 1], [Fraction(2, 9), 4, 0]])
+    assert m.det() == _ref_reduce(m.rows)[0] != 0
+    assert m.inverse().rows == _ref_inverse(m.rows)
+    with pytest.raises(ZeroDivisionError):
+        Matrix([[0, Fraction(1, 3)], [0, Fraction(5, 11)]]).inverse()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dims=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+       data=st.data())
+def test_product_matches_fraction_reference(dims, data):
+    m, n, p = dims
+    a = data.draw(st.lists(st.lists(wide_fractions, min_size=n, max_size=n),
+                           min_size=m, max_size=m))
+    b = data.draw(st.lists(st.lists(wide_fractions, min_size=p, max_size=p),
+                           min_size=n, max_size=n))
+    prod = Matrix(a, ncols=n) * Matrix(b, ncols=p)
+    assert prod.shape == (m, p)
+    assert prod.rows == _ref_mul(a, b, n, p)
+
+
+@pytest.mark.parametrize("m,n,p", [(0, 0, 0), (3, 0, 2), (0, 0, 4), (0, 3, 2), (2, 3, 0)])
+def test_product_of_empty_shapes(m, n, p):
+    a = Matrix([[Fraction(j + 1, i + 2) for j in range(n)] for i in range(m)], ncols=n)
+    b = Matrix([[Fraction(i - j, 3) for j in range(p)] for i in range(n)], ncols=p)
+    prod = a * b
+    assert prod.shape == (m, p)
+    assert prod == Matrix.zeros(m, p)

@@ -146,8 +146,9 @@ wide_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 def square_matrices(draw):
     """Square rational matrices up to 6 x 6, 0 x 0 included.
 
-    Some have a zero leading column above their last row, so that every pivot
-    search must swap; some have a row that is a combination of two others.
+    Some have a zero leading column above their last row, so that the first
+    pivot search must swap; some have a row that is a combination of two
+    others.
     """
     n = draw(st.integers(0, 6))
     rows = draw(st.lists(st.lists(wide_fractions, min_size=n, max_size=n),

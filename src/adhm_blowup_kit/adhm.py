@@ -144,6 +144,18 @@ class AdhmConfig:
         """
         return _stabilizer_system(self).nullity()
 
+    @cached_property
+    def _a_inverse(self) -> Matrix:
+        """``a^{-1}``, kept on the instance once computed, like the nullity above.
+
+        Raises :class:`FramingViolationError` when ``a`` is singular; nothing
+        is kept then.
+        """
+        try:
+            return assemble_a(self).inverse()
+        except ZeroDivisionError:
+            raise FramingViolationError("assembled matrix a is singular") from None
+
     def point_coord(self, i: int, a: int) -> Fraction:
         return self.points.coordinate(i, a)
 
@@ -208,21 +220,13 @@ def assemble_qA(cfg: AdhmConfig) -> MatrixPair:
     return (out[0], out[1])
 
 
-def _a_inverse(cfg: AdhmConfig) -> Matrix:
-    a = assemble_a(cfg)
-    try:
-        return a.inverse()
-    except ZeroDivisionError:
-        raise FramingViolationError("assembled matrix a is singular") from None
-
-
 def derive_bA(cfg: AdhmConfig) -> MatrixPair:
     """Solve ``b^A a + a_{0.} p^A + d c^A = a^A`` for the full rows ``b^A``.
 
     Returns two ``dim L_0 x sum(dim L)`` matrices; block ``j`` of ``b^A`` maps
     ``L_j`` to ``L_0``.  Raises if ``a`` is singular (no framing).
     """
-    return _derive_bA(cfg, _a_inverse(cfg))
+    return _derive_bA(cfg, cfg._a_inverse)
 
 
 def _derive_bA(cfg: AdhmConfig, ainv: Matrix) -> MatrixPair:
@@ -299,7 +303,7 @@ def constraint_residual(cfg: AdhmConfig) -> ConstraintResidual:
     the composite) is also returned in its compact ``(q^A a^{-1} q_A)^{00} + dc``
     form, and the two must agree.
     """
-    ainv = _a_inverse(cfg)
+    ainv = cfg._a_inverse
     bA = _derive_bA(cfg, ainv)
     n = cfg.n
     raw: list[tuple[str, Matrix]] = []
@@ -345,7 +349,7 @@ def gauge_fix(cfg: AdhmConfig) -> AdhmConfig:
     :class:`NonGenericStratumError` if some ``ai0`` is singular.
     """
     if cfg.cAi is not None:
-        ainv = _a_inverse(cfg)
+        ainv = cfg._a_inverse
         n = cfg.n
         kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
         correction = Matrix.zeros(cfg.r, kd[0])
@@ -658,7 +662,7 @@ def compact_derivative(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix) -> Ma
 
     The reference for the Jacobian that ``_jacobian`` assembles directly.
     """
-    ainv = _a_inverse(cfg)
+    ainv = cfg._a_inverse
     q = assemble_qA(cfg)
     aq, qa = (ainv * q[0], ainv * q[1]), (q[0] * ainv, q[1] * ainv)
     l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
@@ -694,7 +698,7 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
     n = cfg.n
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
     l0, k0 = ld[0], kd[0]
-    ainv = _a_inverse(cfg)
+    ainv = cfg._a_inverse
     # the first l0 rows of q^A a^{-1} and the first k0 columns of a^{-1} q^A
     q_rows, q_cols = _q_strips(cfg)
     qa = [(m * ainv).rows for m in q_rows]
@@ -864,8 +868,8 @@ def _sample_solve_d(r, a_vec, k, rng: Random) -> AdhmConfig:
             d=Matrix.zeros(ld[0], r),
         )
         try:
-            ainv = assemble_a(cfg).inverse()
-        except ZeroDivisionError:
+            ainv = cfg._a_inverse
+        except FramingViolationError:
             log.append(f"attempt {attempt}: singular a")
             continue
         target = -_compact_block(cfg, ainv)

@@ -314,9 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser ``main`` reuses: parsing leaves it unchanged, so one serves
+#: every call in a process.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigFormatError as exc:

@@ -12,7 +12,7 @@ mechanism kills them), so validity is carried entirely by the L_0 row.
 
 Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps;
 ``singular_scan`` locates the finite set where alpha drops rank (exact
-elimination over polynomial rings in each chart, with a certified
+elimination over integer polynomial rings in each chart, with a certified
 completeness flag and a rank-drop-along-a-curve detector); ``framing_check`` compares the
 determinant criterion for the framing with the fibre criterion along the
 framing line.  ``validate_config`` bundles everything into one report.
@@ -21,11 +21,12 @@ framing line.  ``validate_config`` bundles everything into one report.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
@@ -48,8 +49,6 @@ from .errors import (
 from .lattice import ChernCharacter, DivisorClass, MonadDims
 from .linalg import Matrix
 from .sections import (
-    Z0,
-    Z1,
     BlowupPoints,
     SectionPoly,
     _frac,
@@ -372,10 +371,35 @@ class ScanResult:
     complete: bool
 
 
-#: Chart entries live in QQ[x1, x0]; x1 comes first so that ``resultant``
-#: eliminates it.  Restrictions to an exceptional line stay in the sections'
-#: ring, as forms in z0, z1 (read as w0, w1).
-_CHART, _X1, _X0 = ring("x1,x0", QQ)
+#: The scan eliminates over the integers.  Chart entries live in ZZ[x1, x0];
+#: x1 comes first so that ``resultant`` eliminates it, into ZZ[x0], and a
+#: fibre over a root of the eliminant lies in ZZ[x1].  Restrictions to an
+#: exceptional line are forms in ZZ[w0, w1].
+_CHART, _X1, _X0 = ring("x1,x0", ZZ)
+_FIBRE = _CHART.drop(_X0)
+_LINE, _W0, _W1 = ring("w0,w1", ZZ)
+
+
+def _scan_entries(m: MonadRep, i: int | None = None) -> list[list]:
+    """``L alpha`` at z2 = 1 in ZZ[x1, x0], or restricted to ``E_i`` in ZZ[w0, w1].
+
+    ``L`` is one common denominator: the lcm of the denominators of every
+    coefficient of the matrix scanned.  With one ``L`` for the whole matrix,
+    every maximal minor and every compression ``det(U . L alpha)`` is ``L^k``
+    times that of ``alpha``, a fixed nonzero constant, so common zeros, gcd
+    degrees and factors are those of the rational matrix.
+    """
+    if i is None:
+        rows = [[e.poly for e in row] for row in m.alpha]
+        target, monom = _CHART, lambda mono: (mono[1], mono[0])
+    else:
+        rows = [[e.restriction(i) for e in row] for row in m.alpha]
+        target, monom = _LINE, lambda mono: mono[:2]
+    lcm = math.lcm(1, *(int(c.denominator)
+                        for row in rows for e in row for c in e.itercoeffs()))
+    return [[target.from_dict({monom(mono): int(c.numerator) * (lcm // int(c.denominator))
+                               for mono, c in e.items()})
+             for e in row] for row in rows]
 
 
 def _domain_matrix(rows: list[list], domain) -> DomainMatrix:
@@ -427,25 +451,39 @@ def _rational_roots(poly) -> tuple[list[Fraction], bool]:
     _, factors = poly.factor_list()
     for fac, _mult in factors:
         if fac.degree() == 1:
-            roots.append(_fraction(-fac.coeff(1) / fac.coeff(var)))
+            roots.append(Fraction(-int(fac.coeff(1)), int(fac.coeff(var))))
         elif fac.degree() > 1:
             all_rational = False
     return roots, all_rational
 
 
 def _eliminate_x1(f1, f2):
-    """An element of the ideal (f1, f2) in ``QQ[x0]``, zero iff they share a factor.
+    """An element of the ideal (f1, f2) in ``ZZ[x0]``, zero iff they share a factor.
 
     ``resultant`` with respect to x1 is 1 when neither input involves x1, and 1
-    is not in the ideal; for such a pair the gcd in ``QQ[x0]`` is.
+    is not in the ideal; for such a pair the gcd in ``ZZ[x0]`` is.
     """
     if f1.degree(_X1) == 0 and f2.degree(_X1) == 0:
         return f1.gcd(f2).drop(_X1)
     return f1.resultant(f2)
 
 
+def _at_x0(p, x0: Fraction):
+    """``b^d p(x1, a/b)`` in ``ZZ[x1]`` for ``x0 = a/b`` and ``d = deg_x0 p``.
+
+    A nonzero multiple of ``p(x1, x0)``, computed without leaving the integers.
+    """
+    a, b = x0.numerator, x0.denominator
+    deg = p.degree(_X0)
+    scale = [a ** e * b ** (deg - e) for e in range(deg + 1)]
+    out: dict[tuple[int], int] = {}
+    for (e1, e0), c in p.items():
+        out[(e1,)] = out.get((e1,), 0) + c * scale[e0]
+    return _FIBRE.from_dict(out)
+
+
 def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool, bool]:
-    """Candidate common zeros of elements of ``QQ[x1, x0]``, as pairs (x0, x1).
+    """Candidate common zeros of elements of ``ZZ[x1, x0]``, as pairs (x0, x1).
 
     Returns (candidates, curve_detected, complete).  Candidates may contain
     spurious points (callers verify); no genuine common zero with rational
@@ -487,7 +525,7 @@ def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool
     for r0 in roots0:
         fibre = None
         for p in polys:
-            sub = p.evaluate(_X0, r0)
+            sub = _at_x0(p, r0)
             if not sub:
                 continue
             fibre = sub if fibre is None else fibre.gcd(sub)
@@ -506,9 +544,7 @@ def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool
 def _scan_chart(m: MonadRep, rng: Random, use_all_minors: bool):
     """Rank-drop points in the chart z2 = 1 (minus blow-up centres)."""
     full_rank = m.dims.total_k
-    # each entry's polynomial at z2 = 1
-    entries = [[_CHART.from_dict({(e1, e0): c for (e0, e1, _), c in e.poly.items()})
-                for e in row] for row in m.alpha]
+    entries = _scan_entries(m)
     drops: list[SurfacePoint] = []
     complete = True
     if use_all_minors:
@@ -552,7 +588,7 @@ def _scan_chart(m: MonadRep, rng: Random, use_all_minors: bool):
 def _scan_divisor(m: MonadRep, i: int, rng: Random, use_all_minors: bool):
     """Rank-drop points on the exceptional line E_i."""
     full_rank = m.dims.total_k
-    entries = [[e.restriction(i) for e in row] for row in m.alpha]
+    entries = _scan_entries(m, i)
     if use_all_minors:
         polys = _all_minors(entries, full_rank)
     else:
@@ -575,9 +611,9 @@ def _scan_divisor(m: MonadRep, i: int, rng: Random, use_all_minors: bool):
             degree = max(sum(mono) for mono in fac.monoms())
             if degree == 1:
                 # fac = a0 w0 + a1 w1 vanishes at (w0 : w1) = (-a1 : a0)
-                w0, w1 = -fac.coeff(Z1), fac.coeff(Z0)
+                w0, w1 = -int(fac.coeff(_W1)), int(fac.coeff(_W0))
                 if w0:
-                    cand = SurfacePoint.exceptional(i, 1, _fraction(w1 / w0))
+                    cand = SurfacePoint.exceptional(i, 1, Fraction(w1, w0))
                 else:
                     cand = SurfacePoint.exceptional(i, 0, 1)
                 if m.alpha_at(cand).rank() < full_rank:
@@ -594,7 +630,10 @@ def singular_scan(m: MonadRep, seed: int = 0) -> ScanResult:
     Elimination runs on the full maximal-minor ideal when ``sum(dim K)`` is at
     most 2, and otherwise on three seeded compressions ``det(U_j . alpha)``,
     which lie in that ideal (Cauchy-Binet), so their common zeros contain
-    every drop point.  Every reported point is re-verified by an exact rank
+    every drop point.  Elimination runs on integer polynomials: the chart
+    matrix and each restriction to an ``E_i`` are first multiplied by one
+    common denominator, which scales every minor and compression by a nonzero
+    constant.  Every reported point is re-verified by an exact rank
     computation, and a drop along a curve raises :class:`NotInPError`.  The
     seed fixes the random probes and compressions, so the result is a
     function of ``m`` and ``seed``.

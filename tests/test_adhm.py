@@ -111,8 +111,10 @@ def test_derive_bA_singular_raises():
                      a00=Matrix.zeros(1, 1), a0i=(), ai0=(), aii=(),
                      aA00=(Matrix([[1]]), Matrix([[2]])),
                      c=Matrix([[1]]), d=Matrix([[0]]))
-    with pytest.raises(FramingViolationError):
-        derive_bA(cfg)
+    # a failed inverse is not kept on the configuration: every reader raises
+    for read in (derive_bA, derive_bA, constraint_residual):
+        with pytest.raises(FramingViolationError):
+            read(cfg)
 
 
 def test_assemble_qA_corner_n0():
@@ -390,3 +392,21 @@ def test_replaced_config_recomputes_stabilizer(monkeypatch):
     # the memo is no field: equal data compare equal with or without it
     assert cfg.replace() == cfg
     assert act(GroupElement.identity(cfg.dims), cfg) == cfg
+
+
+def test_report_inverts_a_once(monkeypatch):
+    # validate_config's residual, build_monad's b^A and tangent's Jacobian
+    # read one a^{-1}, kept on the configuration object
+    shapes = []
+    real = Matrix.inverse
+
+    def counted(self):
+        shapes.append(self.shape)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    argv = ["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"]
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert '"tangent"' in out.getvalue()
+    assert shapes == [(3, 3)]

@@ -268,3 +268,27 @@ def test_reports_are_byte_stable(capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    # one parser serves every call: an argparse error leaves it usable, and
+    # no ArgumentParser (nor subcommand parser) is built per call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    tangent = ("tangent", "-r", "2", "-a", "", "-k", "1", "--seed", "3", "--json")
+    code, out, _ = run_cli(capsys, "dims", "-r", "1", "-a", "-1", "-k", "0")
+    assert code == 0 and "rank W = 3" in out
+    first = run_cli(capsys, *tangent)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["tangent", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run_cli(capsys, *tangent) == first
+    assert built == []

@@ -1,9 +1,17 @@
+import itertools
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.rings import ring
+
+from adhm_blowup_kit import config_io
 
 from adhm_blowup_kit.adhm import (
     AdhmConfig,
@@ -29,9 +37,12 @@ from adhm_blowup_kit.monad import (
     validate_config,
     _X0,
     _X1,
+    _all_minors,
     _common_zeros_2d,
+    _compressed_dets,
     _scan_chart,
     _scan_divisor,
+    _scan_entries,
 )
 from adhm_blowup_kit.sections import (
     BlowupPoints,
@@ -490,3 +501,154 @@ def test_validate_config_valid_and_invalid():
     rep2 = validate_config(bad, seed=0)
     assert not rep2.valid
     assert rep2.raw_residual_zero is False
+
+
+# -- the integer scan against a rational reference ----------------------------------
+
+_QQ_CHART, _QX1, _QX0 = ring("x1,x0", QQ)
+_QQ_LINE = ring("w0,w1", QQ)[0]
+
+
+def _rational_entries(m, i=None):
+    """alpha at z2 = 1 (or restricted to E_i) over QQ, and the lcm of its denominators."""
+    if i is None:
+        entries = [[_QQ_CHART.from_dict({(e1, e0): c for (e0, e1, _), c in e.poly.items()})
+                    for e in row] for row in m.alpha]
+    else:
+        entries = [[_QQ_LINE.from_dict({(u, v): c for (u, v, _), c in e.restriction(i).items()})
+                    for e in row] for row in m.alpha]
+    lcm = math.lcm(*(int(c.denominator) for row in entries for e in row
+                     for c in e.itercoeffs()))
+    return entries, lcm
+
+
+def _as_rational(p, target):
+    return target.from_dict({mono: QQ(int(c)) for mono, c in p.items()})
+
+
+def _rational_common_zeros(polys):
+    """``_common_zeros_2d`` eliminating over QQ, as the scan did before it used ZZ.
+
+    """
+    polys = [p for p in polys if p]
+    g = polys[0]
+    for p in polys[1:]:
+        g = g.gcd(p)
+    if not g.is_ground:
+        return [], True, True
+    if len(polys) == 1:
+        return [], False, True
+
+    def rational_roots(poly):
+        if poly.degree() <= 0:
+            return [], True
+        var = poly.ring.gens[0]
+        facs = [f for f, _ in poly.factor_list()[1]]
+        roots = [-f.coeff(1) / f.coeff(var) for f in facs if f.degree() == 1]
+        roots = [Fraction(int(q.numerator), int(q.denominator)) for q in roots]
+        return roots, all(f.degree() <= 1 for f in facs)
+
+    def eliminate(f1, f2):
+        if f1.degree(_QX1) == 0 and f2.degree(_QX1) == 0:
+            return f1.gcd(f2).drop(_QX1)
+        return f1.resultant(f2)
+
+    pairs = itertools.combinations(polys[: max(3, min(len(polys), 6))], 2)
+    resultants = [res for res in itertools.starmap(eliminate, pairs) if res]
+    if not resultants:
+        rng = Random(1729)
+        extra = [sum(rng.randint(1, 7) * p for p in polys) for _ in range(2)]
+        pairs = itertools.product(extra, polys[:4])
+        resultants = [res for res in itertools.starmap(eliminate, pairs) if res]
+        if not resultants:
+            return [], False, False
+    eliminant = resultants[0]
+    for res in resultants[1:12]:
+        eliminant = eliminant.gcd(res)
+    if eliminant.is_ground:
+        return [], False, True
+    roots0, complete = rational_roots(eliminant)
+    candidates = []
+    for r0 in roots0:
+        subs = [s for s in (p.evaluate(_QX0, QQ(r0.numerator, r0.denominator))
+                            for p in polys) if s]
+        fibre = subs[0]
+        for s in subs[1:]:
+            fibre = fibre.gcd(s)
+        roots1, rational1 = rational_roots(fibre)
+        complete = complete and rational1
+        candidates += [(r0, r1) for r1 in roots1]
+    return candidates, False, complete
+
+
+def _integer_scan_configs():
+    yield sample_config(1, [], 2, seed=0)        # n = 0, commuting sampler
+    yield sample_config(1, [0], 1, seed=2)       # n = 1
+    yield sample_config(2, [1], 1, seed=5)       # n = 1, compressed route
+    yield sample_config(1, [1, 0], 1, seed=0)    # n = 2, drops on E_1
+    yield isolated_drop_config()
+    rng = Random(23)
+    for k in (2, 3):
+        pairs = set()
+        while len(pairs) < k:
+            pairs.add((Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                       Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        yield diagonal_config(sorted(pairs))  # plane-diagonal, n = 0
+
+
+def test_integer_scan_polys_are_common_multiples_of_rational_ones():
+    # one common denominator L scales every k x k minor and every compression
+    # det(U . L alpha) by exactly L^k
+    for cfg in _integer_scan_configs():
+        m = build_monad(cfg)
+        k = m.dims.total_k
+        for i in [None] + list(range(1, cfg.n + 1)):
+            ints = _scan_entries(m, i)
+            ref, lcm = _rational_entries(m, i)
+            target = ref[0][0].ring
+            assert [[_as_rational(e, target) for e in row] for row in ints] == \
+                [[e.mul_ground(QQ(lcm)) for e in row] for row in ref]
+            scale = QQ(lcm ** k)
+            for seed in (0, 1):
+                got = _compressed_dets(ints, k, Random(seed))
+                want = _compressed_dets(ref, k, Random(seed))
+                assert [_as_rational(p, target) for p in got] == \
+                    [p.mul_ground(scale) for p in want]
+            got, want = _all_minors(ints, k), _all_minors(ref, k)
+            assert [_as_rational(p, target) for p in got] == \
+                [p.mul_ground(scale) for p in want]
+
+
+def test_integer_common_zeros_match_rational_reference():
+    for cfg in _integer_scan_configs():
+        m = build_monad(cfg)
+        k = m.dims.total_k
+        ints, (ref, _) = _scan_entries(m), _rational_entries(m)
+        routes = [(_all_minors(ints, k), _all_minors(ref, k))]
+        routes.append((list(_compressed_dets(ints, k, Random(3))),
+                       list(_compressed_dets(ref, k, Random(3)))))
+        for got, want in routes:
+            cands, curve, complete = _common_zeros_2d(got)
+            ref_cands, ref_curve, ref_complete = _rational_common_zeros(want)
+            assert sorted(cands) == sorted(ref_cands)
+            assert (curve, complete) == (ref_curve, ref_complete)
+            assert all(type(c) is Fraction for pair in cands for c in pair)
+
+
+def test_common_zeros_non_monic_roots_are_exact_fractions():
+    cands, curve, complete = _common_zeros_2d([3 * _X0 - 2, 5 * _X1 + 4])
+    assert cands == [(Fraction(2, 3), Fraction(-4, 5))]
+    assert all(type(c) is Fraction for c in cands[0])
+    assert (curve, complete) == (False, True)
+
+
+def test_scan_points_have_fraction_coordinates():
+    golden = Path(__file__).parent / "golden" / "configs"
+    for path in sorted(golden.glob("*.json")):
+        cfg, seed = config_io.config_from_json(json.loads(path.read_text()))
+        rep = validate_config(cfg, seed=seed or 0)
+        assert all(type(c) is Fraction for p in rep.singular_points for c in p.coords)
+    # the drop on E_1 comes from the line scan's linear factor
+    scan = singular_scan(build_monad(sample_config(1, [1, 0], 1, seed=0)))
+    assert any(p.exceptional_index == 1 for p in scan.points)
+    assert all(type(c) is Fraction for p in scan.points for c in p.coords)

@@ -156,6 +156,23 @@ class AdhmConfig:
         except ZeroDivisionError:
             raise FramingViolationError("assembled matrix a is singular") from None
 
+    @cached_property
+    def _bA(self) -> MatrixPair:
+        """``b^A`` (see :func:`derive_bA`), kept on the instance like ``a^{-1}`` above."""
+        n = self.n
+        kd, ld = self.dims.dim_k, self.dims.dim_l
+        out = []
+        for a in (0, 1):
+            rhs_blocks = [self.aA00[a]]
+            for j in range(n):
+                rhs_blocks.append(-self.a0i[j].scale(self.point_coord(j + 1, a)))
+            rhs = block_matrix([rhs_blocks], [ld[0]], list(kd))
+            if self.cAi is not None:
+                c_row = block_matrix([[pair[a] for pair in self.cAi]], [self.r], list(kd))
+                rhs = rhs - self.d * c_row
+            out.append(rhs * self._a_inverse)
+        return (out[0], out[1])
+
     def point_coord(self, i: int, a: int) -> Fraction:
         return self.points.coordinate(i, a)
 
@@ -224,25 +241,10 @@ def derive_bA(cfg: AdhmConfig) -> MatrixPair:
     """Solve ``b^A a + a_{0.} p^A + d c^A = a^A`` for the full rows ``b^A``.
 
     Returns two ``dim L_0 x sum(dim L)`` matrices; block ``j`` of ``b^A`` maps
-    ``L_j`` to ``L_0``.  Raises if ``a`` is singular (no framing).
+    ``L_j`` to ``L_0``.  Raises if ``a`` is singular (no framing).  Solved
+    once per configuration object (``AdhmConfig._bA``).
     """
-    return _derive_bA(cfg, cfg._a_inverse)
-
-
-def _derive_bA(cfg: AdhmConfig, ainv: Matrix) -> MatrixPair:
-    n = cfg.n
-    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    out = []
-    for a in (0, 1):
-        rhs_blocks = [cfg.aA00[a]]
-        for j in range(n):
-            rhs_blocks.append(-cfg.a0i[j].scale(cfg.point_coord(j + 1, a)))
-        rhs = block_matrix([rhs_blocks], [ld[0]], list(kd))
-        if cfg.cAi is not None:
-            c_row = block_matrix([[pair[a] for pair in cfg.cAi]], [cfg.r], list(kd))
-            rhs = rhs - cfg.d * c_row
-        out.append(rhs * ainv)
-    return (out[0], out[1])
+    return cfg._bA
 
 
 def _q_strips(cfg: AdhmConfig) -> tuple[MatrixPair, MatrixPair]:
@@ -263,14 +265,14 @@ def _q_strips(cfg: AdhmConfig) -> tuple[MatrixPair, MatrixPair]:
     return (rows[0], rows[1]), (cols[0], cols[1])
 
 
-def _compact_block(cfg: AdhmConfig, ainv: Matrix) -> Matrix:
+def _compact_block(cfg: AdhmConfig) -> Matrix:
     """``COMPACT_SIGN (q^A a^{-1} q_A)^{00}``, the compact constraint without ``dc``.
 
     Only the ``(L_0, K_0)`` block is kept, so only the first ``l0`` rows of
     ``q^A a^{-1}`` and the first ``k0`` columns of ``q_A`` enter the products.
     """
     rows, cols = _q_strips(cfg)
-    qa = [m * ainv for m in rows]
+    qa = [m * cfg._a_inverse for m in rows]
     return (qa[1] * cols[0] - qa[0] * cols[1]).scale(COMPACT_SIGN)
 
 
@@ -303,8 +305,7 @@ def constraint_residual(cfg: AdhmConfig) -> ConstraintResidual:
     the composite) is also returned in its compact ``(q^A a^{-1} q_A)^{00} + dc``
     form, and the two must agree.
     """
-    ainv = cfg._a_inverse
-    bA = _derive_bA(cfg, ainv)
+    bA = cfg._bA
     n = cfg.n
     raw: list[tuple[str, Matrix]] = []
     b00 = (b_block(cfg, bA[0], 0), b_block(cfg, bA[1], 0))
@@ -333,7 +334,7 @@ def constraint_residual(cfg: AdhmConfig) -> ConstraintResidual:
                 r3 = r3 + cfg.d * cfg.cAi[i + 1][a]
             raw.append((f"linear[{a}]@{i + 1}", r3))
 
-    compact = _compact_block(cfg, ainv) + cfg.d * cfg.c
+    compact = _compact_block(cfg) + cfg.d * cfg.c
     if compact != r2:
         raise InternalConsistencyError(
             "compact constraint disagrees with the expanded quadratic block"
@@ -868,11 +869,10 @@ def _sample_solve_d(r, a_vec, k, rng: Random) -> AdhmConfig:
             d=Matrix.zeros(ld[0], r),
         )
         try:
-            ainv = cfg._a_inverse
+            target = -_compact_block(cfg)
         except FramingViolationError:
             log.append(f"attempt {attempt}: singular a")
             continue
-        target = -_compact_block(cfg, ainv)
         # d c = target  <=>  c^T d^T = target^T
         sol = cfg.c.transpose().solve(target.transpose())
         if sol is None:

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Small dense matrices with ``fractions.Fraction`` entries: enough for block
-assembly, Gaussian elimination, kernels and determinants.  Products, ranks,
-determinants and inverses scale each row (or column) by the lcm of its
-denominators and run on Python ints, building a ``Fraction`` only for each
-result entry.  Every operation is exact; nothing here ever touches floating
-point.  Zero-sized matrices are first-class citizens because several block
-dimensions in this project are legitimately zero (``det`` of a 0x0 matrix is
-1, the kernel of a 0xn matrix is all of Q^n, and so on).
+assembly, Gaussian elimination, kernels and determinants.  Every elimination
+and product scales each row (or column) by the lcm of its denominators, runs
+on Python ints and builds a ``Fraction`` only for each result entry.  There
+are two integer kernels: Bareiss elimination for ``rank`` and ``nullity``,
+and one fraction-free Gauss-Jordan reduction behind ``det``, ``inverse``,
+``solve`` and ``nullspace``.  Every operation is exact; nothing here ever
+touches floating point.  Zero-sized matrices are first-class citizens because
+several block dimensions in this project are legitimately zero (``det`` of a
+0x0 matrix is 1, the kernel of a 0xn matrix is all of Q^n, and so on).
 """
 
 from __future__ import annotations
@@ -54,32 +56,48 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _gauss_jordan(rows: list[list[int]], n: int) -> tuple[int, int]:
-    """Fraction-free Gauss-Jordan on the ``n x n`` left block of ``n`` integer rows.
+def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination on integer rows, in place.
 
-    Works in place and returns ``(sign, pivot)``: the determinant of the left
-    block is ``sign * pivot``, and ``pivot`` is 0 when the block is singular.
-    Otherwise the rows end as ``[pivot * I | pivot * B^-1 R]`` for input
-    ``[B | R]``; only the columns right of the left block are written back.
-    Every entry is a minor of the input, so each division by the previous
-    pivot is exact (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997).
+    Finds the pivot columns left to right and returns ``(pivots, sign,
+    pivot)``: those columns, the sign of the row swaps and the last pivot (1
+    if there is none).  Row ``i < len(pivots)`` then ends as ``pivot`` times
+    row ``i`` of the reduced row echelon form, and the rows below as zero,
+    in every column but the pivot columns, which are not written back.  A
+    square matrix has determinant ``sign * pivot`` if every column is a pivot
+    column, and 0 otherwise.  Every entry is a minor of the input, so each
+    division by the previous pivot is exact (Nakos, Turner and Williams,
+    SIGSAM Bull. 31, 1997).
     """
-    sign, prev = 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
+    pivots: list[int] = []
+    free: list[int] = []
+    sign, prev, m = 1, 1, len(rows)
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, m) if rows[i][c]), None)
         if p is None:
-            return sign, 0
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
+            free.append(c)
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
-        pk, tail = rows[k][k], rows[k][k + 1:]
+        prow = rows[r]
+        pk, tail = prow[c], prow[c + 1:]
         for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                row[k + 1:] = [(pk * x - f * y) // prev
-                               for x, y in zip(row[k + 1:], tail)]
+            if i != r:
+                f = row[c]
+                row[c + 1:] = [(pk * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+        if free:
+            # a free column left of this pivot is zero from row r down, but
+            # the rows above carry it scaled by prev
+            for row in rows[:r]:
+                for j in free:
+                    row[j] = pk * row[j] // prev
+        pivots.append(c)
         prev = pk
-    return sign, prev
+        if r + 1 == m:
+            break
+    return pivots, sign, prev
 
 
 class Matrix:
@@ -194,47 +212,20 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _echelon(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Row echelon form (destructive on a copy); returns (rows, pivot columns)."""
-        m = self.copy_rows()
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return m, pivots
-
     def rank(self) -> int:
         """Rank by fraction-free elimination on the rows scaled to integers."""
         return _bareiss_rank([_integer_row(row)[1] for row in self.rows if any(row)])
 
     def nullspace(self) -> list[Matrix]:
-        """Basis of the right kernel, as column matrices."""
-        m, pivots = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
+        """Basis of the right kernel, as column matrices, read off the reduced rows."""
+        rows = [_integer_row(row)[1] for row in self.rows if any(row)]
+        pivots, _sign, pivot = _gauss_jordan(rows)
         basis = []
-        for fc in free:
+        for fc in (c for c in range(self.ncols) if c not in pivots):
             v = [Fraction(0)] * self.ncols
             v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
+            for row, pc in zip(rows, pivots):
+                v[pc] = Fraction(-row[fc], pivot)
             basis.append(Matrix.column(v))
         return basis
 
@@ -246,7 +237,9 @@ class Matrix:
         if self.nrows != self.ncols:
             raise DimensionMismatchError("det of non-square matrix")
         scaled = [_integer_row(row) for row in self.rows]
-        sign, pivot = _gauss_jordan([ints for _, ints in scaled], self.nrows)
+        pivots, sign, pivot = _gauss_jordan([ints for _, ints in scaled])
+        if len(pivots) < self.nrows:
+            return Fraction(0)
         return Fraction(sign * pivot, prod(den for den, _ in scaled))
 
     def inverse(self) -> Matrix:
@@ -263,26 +256,28 @@ class Matrix:
             den, ints = _integer_row(row)
             dens.append(den)
             rows.append(ints + [int(i == j) for j in range(n)])
-        _sign, pivot = _gauss_jordan(rows, n)
-        if not pivot:
+        pivots, _sign, pivot = _gauss_jordan(rows)
+        if pivots and pivots[-1] >= n:
             raise ZeroDivisionError("matrix is singular")
         return Matrix([[Fraction(x * s, pivot) for x, s in zip(row[n:], dens)]
                        for row in rows], ncols=n)
 
     def solve(self, rhs: Matrix) -> Matrix | None:
-        """One solution X of self @ X = rhs, or None if inconsistent."""
+        """One solution X of self @ X = rhs, or None if inconsistent.
+
+        Reduces ``[self | rhs]``: a pivot in a column of ``rhs`` means no
+        solution, and otherwise the rows of X at free columns are zero.
+        """
         if rhs.nrows != self.nrows:
             raise DimensionMismatchError("solve shape mismatch")
         n, k = self.ncols, rhs.ncols
-        aug = [list(r1) + list(r2) for r1, r2 in zip(self.rows, rhs.rows)]
-        wide = Matrix(aug, ncols=n + k) if self.nrows else Matrix([], ncols=n + k)
-        m, pivots = wide._echelon()
-        if any(p >= n for p in pivots):
+        rows = [_integer_row(r1 + r2)[1] for r1, r2 in zip(self.rows, rhs.rows)]
+        pivots, _sign, pivot = _gauss_jordan(rows)
+        if pivots and pivots[-1] >= n:
             return None
         sol = [[Fraction(0)] * k for _ in range(n)]
-        for r, pc in enumerate(pivots):
-            for j in range(k):
-                sol[pc][j] = m[r][n + j]
+        for row, pc in zip(rows, pivots):
+            sol[pc] = [Fraction(x, pivot) for x in row[n:]]
         return Matrix(sol, ncols=k)
 
     # -- block helpers -----------------------------------------------------

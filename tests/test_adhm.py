@@ -346,7 +346,7 @@ def test_compact_block_matches_full_products(a_vec):
         ainv = assemble_a(cfg).inverse()
         q = assemble_qA(cfg)
         full = q[1] * ainv * q[0] - q[0] * ainv * q[1]
-        block = _compact_block(cfg, ainv)
+        block = _compact_block(cfg)
         assert block == full.submatrix(0, l0, 0, k0).scale(COMPACT_SIGN)
         nonzero += not block.is_zero()
     assert nonzero >= 2
@@ -410,3 +410,24 @@ def test_report_inverts_a_once(monkeypatch):
         assert cli.main(argv) == 0
     assert '"tangent"' in out.getvalue()
     assert shapes == [(3, 3)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "-r", "2", "-a", "1", "-k", "1", "--seed", "5"],
+    ["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"],
+], ids=["sample", "report"])
+def test_bA_derived_once_per_config(monkeypatch, argv):
+    # the sampler's residual guard, or validate_config's residual and
+    # build_monad, read one b^A, kept on the configuration object
+    built = []
+    derivation = AdhmConfig.__dict__["_bA"]
+    real = derivation.func
+
+    def counted(cfg):
+        built.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(derivation, "func", counted)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert built and sum(cfg is built[-1] for cfg in built) == 1

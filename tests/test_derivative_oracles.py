@@ -22,7 +22,7 @@ from adhm_blowup_kit.adhm import (
     sample_config,
 )
 from adhm_blowup_kit.linalg import Matrix
-from util import rand_config, rand_matrix
+from util import echelon, rand_config, rand_matrix
 
 T = sp.Symbol("t")
 
@@ -205,5 +205,5 @@ def test_assembled_systems_match_references(source, params):
         assert not jac.submatrix(0, jac.nrows, jac.ncols - framing, jac.ncols).is_zero()
     stab = _stabilizer_system(cfg)
     assert stab == _reference_stabilizer(cfg)
-    assert stab.rank() == len(stab._echelon()[1])
-    assert jac.rank() == len(jac._echelon()[1])
+    assert stab.rank() == len(echelon(stab)[1])
+    assert jac.rank() == len(echelon(jac)[1])

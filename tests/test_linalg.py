@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from adhm_blowup_kit.errors import DimensionMismatchError
 from adhm_blowup_kit.linalg import Matrix, block_matrix
+from util import echelon
 
 
 def test_identity_and_inverse():
@@ -74,8 +75,10 @@ fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 @st.composite
 def rational_matrices(draw):
-    """Rational matrices of every shape up to 6 x 6, 0 x n and n x 0 included,
-    with zero rows, repeated rows and sums of rows mixed in."""
+    """Rational matrices with up to 9 rows and 7 columns, 0 x n and n x 0 included,
+    with zero rows, repeated rows and sums of rows mixed in, and some with a
+    zero column or a multiple of an earlier column, which is free although a
+    pivot column may follow it."""
     m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     rows = draw(st.lists(st.lists(fractions, min_size=n, max_size=n),
                          min_size=m, max_size=m))
@@ -89,14 +92,73 @@ def rational_matrices(draw):
             new = [x + f * y for x, y in zip(draw(st.sampled_from(rows)),
                                              draw(st.sampled_from(rows)))]
         rows.insert(draw(st.integers(0, len(rows))), new)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, n))
+        f = draw(fractions) if at else Fraction(0)
+        src = draw(st.integers(0, at - 1)) if at else 0
+        for row in rows:
+            row.insert(at, f * row[src] if at else Fraction(0))
+        n += 1
     return Matrix(rows, ncols=n)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(m=rational_matrices())
 def test_rank_matches_echelon(m):
-    assert m.rank() == len(m._echelon()[1])
-    assert m.nullity() == m.ncols - len(m._echelon()[1])
+    assert m.rank() == len(echelon(m)[1])
+    assert m.nullity() == m.ncols - len(echelon(m)[1])
+
+
+def _ref_nullspace(m):
+    """Kernel basis read off the ``Fraction`` reduced row echelon form."""
+    rows, pivots = echelon(m)
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=rational_matrices())
+def test_nullspace_matches_echelon(m):
+    basis = m.nullspace()
+    assert [v.rows for v in basis] == [[[x] for x in v] for v in _ref_nullspace(m)]
+    assert len(basis) == m.nullity()
+    for v in basis:
+        assert v.shape == (m.ncols, 1) and (m * v).is_zero()
+    # the same kernel gives determinants, with the sign of its row swaps
+    sq = min(m.shape)
+    block = m.submatrix(0, sq, 0, sq)
+    assert block.det() == _ref_reduce(block.rows)[0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=rational_matrices(), k=st.integers(0, 3), consistent=st.booleans(), data=st.data())
+def test_solve_matches_echelon(m, k, consistent, data):
+    if consistent:
+        x = data.draw(st.lists(st.lists(fractions, min_size=k, max_size=k),
+                               min_size=m.ncols, max_size=m.ncols))
+        rhs = m * Matrix(x, ncols=k)
+    else:
+        rhs = Matrix(data.draw(st.lists(st.lists(fractions, min_size=k, max_size=k),
+                                        min_size=m.nrows, max_size=m.nrows)), ncols=k)
+    rows, pivots = echelon(m.hstack(rhs))
+    n = m.ncols
+    sol = m.solve(rhs)
+    if any(p >= n for p in pivots):
+        assert sol is None
+        assert m.hstack(rhs).rank() > m.rank()
+    else:
+        assert m.hstack(rhs).rank() == m.rank()
+        ref = [[Fraction(0)] * k for _ in range(n)]
+        for r, pc in enumerate(pivots):
+            ref[pc] = rows[r][n:]
+        assert sol.shape == (n, k) and sol.rows == ref
+        assert m * sol == rhs
 
 
 # -- Fraction references for the integer kernels ---------------------------------

@@ -1,0 +1,53 @@
+"""The names that ``perfbench/tracing.py`` wraps must exist in the package.
+
+The tracer looks methods up by name in their class ``__dict__`` and metrics
+by span name, so a rename or deletion would only show when a traced benchmark
+runs.  These checks read the tracer's tables and compare them with the code.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _layer(tracing, name):
+    return importlib.import_module(f"{tracing.PACKAGE}.{name}")
+
+
+def test_traced_methods_are_in_their_class_dict():
+    tracing = _tracing()
+    for (layer, cls_name), methods in tracing.METHODS.items():
+        cls = getattr(_layer(tracing, layer), cls_name)
+        for meth in methods:
+            assert meth in cls.__dict__, f"{layer}.{cls_name}.{meth}"
+
+
+def test_metric_spans_name_traced_functions():
+    tracing = _tracing()
+    names = [n for names in tracing.TIME_METRICS.values() for n in names]
+    names += [n for names in tracing.CALL_METRICS.values() for n in names]
+    names += list(tracing.SELF_METRICS.values())
+    names += [name for name, _ in tracing.VALUE_METRICS.values()]
+    for span in names:
+        layer, *path = span.split(".")
+        assert layer in tracing.LAYERS, span
+        module = _layer(tracing, layer)
+        if len(path) == 2:
+            # a method: traced when METHODS lists it
+            cls_name, meth = path
+            assert meth in tracing.METHODS.get((layer, cls_name), ()), span
+        else:
+            (attr,) = path
+            obj = getattr(module, attr, None)
+            assert not attr.startswith("_") and inspect.isfunction(obj), span
+            assert obj.__module__ == module.__name__, span

@@ -26,6 +26,36 @@ def rand_invertible(rng: Random, n: int) -> Matrix:
             return m
 
 
+def echelon(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by ``Fraction`` division; returns (rows, pivot columns).
+
+    A reference for the integer kernels of ``linalg``, independent of them.
+    """
+    rows = m.copy_rows()
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.ncols):
+        pivot_row = None
+        for i in range(r, m.nrows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return rows, pivots
+
+
 def rand_points(rng: Random, n: int) -> BlowupPoints:
     pts: list[tuple[Fraction, Fraction]] = []
     while len(pts) < n:

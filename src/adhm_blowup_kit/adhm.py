@@ -50,6 +50,9 @@ COMPACT_SIGN = 1
 
 MatrixPair = tuple[Matrix, Matrix]
 
+#: The blocks the arrowhead matrix ``a`` is assembled from.
+_ARROW_BLOCKS = frozenset({"a00", "a0i", "ai0", "aii"})
+
 
 def contract_pairs(x: MatrixPair, y: MatrixPair) -> Matrix:
     """Penrose contraction ``sum_A x^A y_A = x^1 y^0 - x^0 y^1`` of matrix pairs."""
@@ -133,7 +136,10 @@ class AdhmConfig:
             "aA00": self.aA00, "c": self.c, "d": self.d, "cAi": self.cAi,
         }
         kwargs.update(changes)
-        return AdhmConfig(**kwargs)
+        new = AdhmConfig(**kwargs)
+        if "_a_inverse" in self.__dict__ and not changes.keys() & _ARROW_BLOCKS:
+            new.__dict__["_a_inverse"] = self._a_inverse  # the same a
+        return new
 
     @cached_property
     def _stabilizer_nullity(self) -> int:
@@ -148,8 +154,9 @@ class AdhmConfig:
     def _a_inverse(self) -> Matrix:
         """``a^{-1}``, kept on the instance once computed, like the nullity above.
 
-        Raises :class:`FramingViolationError` when ``a`` is singular; nothing
-        is kept then.
+        Unlike the nullity, ``replace`` hands it on when no block of ``a``
+        changes.  Raises :class:`FramingViolationError` when ``a`` is
+        singular; nothing is kept then.
         """
         try:
             return assemble_a(self).inverse()
@@ -503,34 +510,6 @@ def verify_equivalence(c1: AdhmConfig, c2: AdhmConfig, witness: GroupElement) ->
     return act(witness, c1) == c2
 
 
-def action_derivative(cfg: AdhmConfig, g0: Matrix, gam: Sequence[Matrix],
-                      h0: Matrix, hi: Sequence[Matrix]) -> list[Matrix]:
-    """Derivative of the group action at the identity along a Lie direction.
-
-    Returns the first-order changes of (a00, aA00[0], aA00[1], a0i..., aii...,
-    c, d) under ``(g00, g0i, h00, hii) = (1 + t g0, t gam, 1 + t h0, 1 + t hi)``.
-    """
-    n = cfg.n
-    out = []
-    d_a00 = g0 * cfg.a00 + cfg.a00 * h0
-    for i in range(n):
-        d_a00 = d_a00 + gam[i]
-    out.append(d_a00)
-    for a in (0, 1):
-        acc = g0 * cfg.aA00[a] + cfg.aA00[a] * h0
-        for i in range(n):
-            acc = acc - gam[i].scale(cfg.point_coord(i + 1, a))
-        out.append(acc)
-    for i in range(n):
-        out.append(g0 * cfg.a0i[i] + gam[i] * cfg.aii[i] + cfg.a0i[i] * hi[i])
-    for i in range(n):
-        # g_ii = h00^{-1} is slaved, so delta(g_ii) = -h0
-        out.append(-(h0 * cfg.aii[i]) + cfg.aii[i] * hi[i])
-    out.append(cfg.c * h0)
-    out.append(g0 * cfg.d)
-    return out
-
-
 def _from_columns(columns: list[list]) -> Matrix:
     return Matrix([list(row) for row in zip(*columns)], ncols=len(columns))
 
@@ -538,8 +517,10 @@ def _from_columns(columns: list[list]) -> Matrix:
 def _stabilizer_system(cfg: AdhmConfig) -> Matrix:
     """Linearised fixed-point equations at the identity, as one big matrix.
 
-    Rows are the entries of the blocks ``action_derivative`` returns, in its
-    order and row by row; columns are the unit directions ``E_PQ`` of ``g00``,
+    Rows are the first-order changes of (a00, aA00[0], aA00[1], a0i..., aii...,
+    c, d) under ``(g00, g0i, h00, hii) = (1 + t g0, t gam, 1 + t h0, 1 + t hi)``
+    (``g_ii = h00^{-1}`` is slaved, so ``delta(g_ii) = -h0``), each block row
+    by row; columns are the unit directions ``E_PQ`` of ``g00``,
     ``g0i``..., ``h00``, ``hii``..., each block row by row.  A term
     ``E_PQ X`` is row ``Q`` of ``X`` put in row ``P``, and ``X E_PQ`` is
     column ``P`` of ``X`` put in column ``Q``.
@@ -632,59 +613,6 @@ class TangentReport:
     empirical_moduli_dim: int
 
 
-def _delta_arrow(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix) -> Matrix:
-    n = cfg.n
-    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    blocks = [[Matrix.zeros(ld[i], kd[j]) for j in range(n + 1)] for i in range(n + 1)]
-    if kind == "a00":
-        blocks[0][0] = unit
-    elif kind == "a0i":
-        blocks[0][idx + 1] = unit
-    elif kind == "aii":
-        blocks[idx + 1][idx + 1] = unit
-    return block_matrix(blocks, list(ld), list(kd))
-
-
-def _delta_q(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix, a: int) -> Matrix:
-    n = cfg.n
-    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    blocks = [[Matrix.zeros(ld[i], kd[j]) for j in range(n + 1)] for i in range(n + 1)]
-    if kind == f"aA{a}":
-        blocks[0][0] = -unit
-    elif kind == "a0i":
-        blocks[0][idx + 1] = unit.scale(cfg.point_coord(idx + 1, a))
-    elif kind == "aii":
-        blocks[idx + 1][idx + 1] = unit.scale(cfg.point_coord(idx + 1, a))
-    return block_matrix(blocks, list(ld), list(kd))
-
-
-def compact_derivative(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix) -> Matrix:
-    """Directional derivative of the compact constraint along one free entry.
-
-    The reference for the Jacobian that ``_jacobian`` assembles directly.
-    """
-    ainv = cfg._a_inverse
-    q = assemble_qA(cfg)
-    aq, qa = (ainv * q[0], ainv * q[1]), (q[0] * ainv, q[1] * ainv)
-    l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
-    da = _delta_arrow(cfg, kind, idx, unit)
-    dq = (_delta_q(cfg, kind, idx, unit, 0), _delta_q(cfg, kind, idx, unit, 1))
-    ds = (
-        dq[1] * aq[0]
-        - qa[1] * da * aq[0]
-        + qa[1] * dq[0]
-        - dq[0] * aq[1]
-        + qa[0] * da * aq[1]
-        - qa[0] * dq[1]
-    )
-    delta = ds.submatrix(0, l0, 0, k0).scale(COMPACT_SIGN)
-    if kind == "c":
-        delta = delta + cfg.d * unit
-    elif kind == "d":
-        delta = delta + unit * cfg.c
-    return delta
-
-
 def _jacobian(cfg: AdhmConfig) -> Matrix:
     """Jacobian of the compact constraint, one column per free entry.
 
@@ -692,7 +620,7 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
     the unit directions ``E_PQ`` of a00, a0i..., aii..., aA00[0], aA00[1], c
     and d, each block row by row.  A direction moves the arrow by ``t E_PQ``
     (or not) and ``q^A`` by ``t s_A E_PQ``; since ``X E_PQ Y = X[:, P] Y[Q, :]``,
-    the six products of ``compact_derivative`` reduce to an outer product of
+    the six products of the derivative of ``q^A a^{-1} q_A`` reduce to an outer product of
     a column of ``q^A a^{-1}`` with a row of ``a^{-1} q^A``, plus ``s_A``-scaled
     rows of ``a^{-1} q^A`` and columns of ``q^A a^{-1}``.
     """

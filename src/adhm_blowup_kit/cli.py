@@ -233,8 +233,7 @@ def _cmd_report(args) -> int:
     rep = monad.validate_config(cfg, seed=seed)
     doc = config_io.report_to_json(rep)
     if rep.valid and rep.normalizable:
-        doc["tangent"] = _tangent_doc(
-            cfg if cfg.is_normalized() else adhm.gauge_fix(cfg))
+        doc["tangent"] = _tangent_doc(rep.normalized)
     lines = [f"valid: {rep.valid}"]
     if "tangent" in doc:
         lines.append(

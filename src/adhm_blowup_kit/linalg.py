@@ -165,9 +165,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
 
-    def copy_rows(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.rows]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Matrix) -> Matrix:
@@ -281,19 +278,6 @@ class Matrix:
         return Matrix(sol, ncols=k)
 
     # -- block helpers -----------------------------------------------------
-
-    def hstack(self, other: Matrix) -> Matrix:
-        if self.nrows != other.nrows:
-            raise DimensionMismatchError("hstack row mismatch")
-        return Matrix(
-            [list(a) + list(b) for a, b in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
-        )
-
-    def vstack(self, other: Matrix) -> Matrix:
-        if self.ncols != other.ncols:
-            raise DimensionMismatchError("vstack column mismatch")
-        return Matrix(self.copy_rows() + other.copy_rows(), ncols=self.ncols)
 
     def submatrix(self, row0: int, row1: int, col0: int, col1: int) -> Matrix:
         return Matrix(

@@ -4,18 +4,31 @@
 
     alpha : (+) K_j (-1, E_j)  ->  W,        beta : W  ->  (+) L_i (1, -E_i)
 
-as explicit matrices of sections, with the middle term trivial of rank
-``2 sum(dim L) + r`` in the ordered basis (L_0 pair, ..., L_n pair, C^r).
-``check_monad_condition`` composes them symbolically; the composite vanishes
-identically in rows i >= 1 for any configuration (the ``w^A w_A = 0``
-mechanism kills them), so validity is carried entirely by the L_0 row.
+with the middle term trivial of rank ``2 sum(dim L) + r`` in the ordered basis
+(L_0 pair, ..., L_n pair, C^r).  Every entry of either map is a linear form in
+the plane coordinates, so each map is an integer linear pencil
+``(z0 M_0 + z1 M_1 + z2 M_2) / L``: three integer matrices over one common
+denominator.  An entry twisted by ``-E_i`` (a ``K_i`` column of alpha, an
+``L_i`` row of beta) vanishes at the centre ``p_i``; on ``E_i`` it restricts
+to ``w0 M_0 + w1 M_1`` and every other entry to its value at ``p_i``.  A value
+at a point is one integer combination of the three matrices, and rank-only
+callers take those integer rows straight to Bareiss elimination.
+``check_monad_condition`` composes the pencils: the coefficient of ``z_a z_b``
+in ``beta . alpha`` is ``B_a A_b + B_b A_a``.  It vanishes identically in rows
+i >= 1 for any configuration (the ``w^A w_A = 0`` mechanism kills them), so
+validity is carried entirely by the L_0 row.
 
 Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps;
-``singular_scan`` locates the finite set where alpha drops rank (exact
-elimination over integer polynomial rings in each chart, with a certified
-completeness flag and a rank-drop-along-a-curve detector); ``framing_check`` compares the
-determinant criterion for the framing with the fibre criterion along the
-framing line.  ``validate_config`` bundles everything into one report.
+``singular_scan`` locates the finite set where alpha drops rank.  In the chart
+``z2 = 1`` the drop points are the joint eigenvalues of ``T_A = a^{-1} q^A``
+on the largest subspace of the framing kernel that both leave invariant: the
+rational ones come from the characteristic polynomials and are verified by
+exact ranks, and an irrational one is detected by a common-eigenvector test.
+On each exceptional line the scan eliminates over the maximal minors or three
+compressions, with a rank-drop-along-the-line detector.  ``framing_check``
+compares the determinant criterion for the framing with the fibre criterion
+along the framing line.  ``validate_config`` bundles everything into one
+report.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 from sympy import QQ, ZZ
@@ -33,7 +47,7 @@ from sympy.polys.rings import ring
 from .adhm import (
     AdhmConfig,
     assemble_a,
-    b_block,
+    assemble_qA,
     constraint_residual,
     derive_bA,
     gauge_fix,
@@ -47,19 +61,8 @@ from .errors import (
     NotInPError,
 )
 from .lattice import ChernCharacter, DivisorClass, MonadDims
-from .linalg import Matrix
-from .sections import (
-    BlowupPoints,
-    SectionPoly,
-    _frac,
-    _fraction,
-    _value,
-    lambda_section,
-    lower_pair,
-    w_section,
-    z_section,
-    zero_section,
-)
+from .linalg import Matrix, _bareiss_rank, _integer_row, block_matrix
+from .sections import BlowupPoints, _frac, _fraction
 
 Rational = Fraction | int
 
@@ -113,41 +116,98 @@ class FiberData:
     fiber_dim: int
 
 
-@dataclass(frozen=True)
-class MonadRep:
-    """The two monad maps as matrices of sections, plus block metadata.
+def _terms(x: SurfacePoint, ctx: BlowupPoints, integer: bool = False) -> tuple:
+    """``(i, plain, twisted)``: what :meth:`Pencil.combine` weighs its matrices by at ``x``.
 
-    ``alpha`` has ``rank W`` rows and ``sum(dim K)`` columns; ``beta`` has
-    ``sum(dim L)`` rows and ``rank W`` columns.  ``w_slots`` labels each row
-    of ``alpha`` (equivalently column of ``beta``) by its summand: (i, A)
-    for the A-th copy of ``L_i``, or ("C", m) for the framing summand.
-    """
-
-    alpha: tuple[tuple[SectionPoly, ...], ...]
-    beta: tuple[tuple[SectionPoly, ...], ...]
-    dims: MonadDims
-    ctx: BlowupPoints
-    w_slots: tuple[tuple, ...]
-
-    def alpha_at(self, x: SurfacePoint) -> Matrix:
-        return _evaluate(self.alpha, x, self.ctx)
-
-    def beta_at(self, x: SurfacePoint) -> Matrix:
-        return _evaluate(self.beta, x, self.ctx)
-
-
-def _evaluate(entries, x: SurfacePoint, ctx: BlowupPoints) -> Matrix:
-    """Values at ``x``, as ``eval_generic``/``eval_exceptional`` give them.
-
-    ``x`` is checked and converted to ``QQ`` once for the whole matrix.
+    In the chart ``i`` is None and ``plain`` is the chosen representative
+    ``(z0, z1, z2)``.  On ``E_i``, ``plain = (p_i^0, p_i^1, 1)`` gives an
+    untwisted entry its value at the centre and ``twisted = (w0, w1)`` gives
+    an entry twisted by ``-E_i`` its restriction: the ``lambda``-frame of
+    :mod:`.sections`.  ``integer`` scales all of them by one common
+    denominator, which scales every entry by the same nonzero constant.
     """
     if x.is_exceptional:
         i = x.exceptional_index
-        w = ctx.line_point(i, x.coords)
-        return Matrix([[_fraction(_value(e.restriction(i), w)) for e in row]
-                       for row in entries])
-    xq = ctx.chart_point(x.coords)
-    return Matrix([[_fraction(_value(e.poly, xq)) for e in row] for row in entries])
+        ctx.line_point(i, x.coords)  # checks the index
+        nums = (*ctx.points[i - 1], Fraction(1), *x.coords)
+    else:
+        i = None
+        ctx.chart_point(x.coords)  # refuses a blow-up centre
+        nums = x.coords + x.coords[:2]
+    if integer:
+        nums = _integer_row(nums)[1]
+    return i, tuple(nums[:3]), tuple(nums[3:])
+
+
+@dataclass(frozen=True)
+class Pencil:
+    """The matrix ``(z0 M_0 + z1 M_1 + z2 M_2) / den`` of linear forms, ``M_a`` integer.
+
+    ``row_twist[r]`` (or ``col_twist[c]``) is ``i`` when the entries of that
+    row (column) are sections twisted by ``-E_i``, and 0 when untwisted.
+    """
+
+    mats: tuple[tuple[tuple[int, ...], ...], ...]
+    den: int
+    row_twist: tuple[int, ...]
+    col_twist: tuple[int, ...]
+
+    @classmethod
+    def from_rational(cls, mats, row_twist, col_twist) -> Pencil:
+        den = math.lcm(1, *(_frac(x).denominator for m in mats for row in m for x in row))
+        ints = tuple(tuple(tuple(int(x * den) for x in row) for row in m) for m in mats)
+        return cls(ints, den, tuple(row_twist), tuple(col_twist))
+
+    def combine(self, terms) -> list[list]:
+        """``sum_a t_a M_a`` entrywise, with ``t`` chosen by :func:`_terms`."""
+        i, (x0, x1, x2), (w0, w1) = terms
+        out = []
+        for r, (m0, m1, m2) in enumerate(zip(*self.mats)):
+            if i is None:
+                out.append([x0 * a + x1 * b + x2 * c for a, b, c in zip(m0, m1, m2)])
+            elif self.row_twist[r] == i:
+                out.append([w0 * a + w1 * b for a, b in zip(m0, m1)])
+            else:
+                out.append([w0 * a + w1 * b if t == i else x0 * a + x1 * b + x2 * c
+                            for a, b, c, t in zip(m0, m1, m2, self.col_twist)])
+        return out
+
+    def at(self, x: SurfacePoint, ctx: BlowupPoints) -> Matrix:
+        """Exact values at ``x``, in the frame its coordinates fix."""
+        return Matrix([[v / self.den for v in row] for row in self.combine(_terms(x, ctx))],
+                      ncols=len(self.col_twist))
+
+    def rank_at(self, x: SurfacePoint, ctx: BlowupPoints) -> int:
+        return _rank(self.combine(_terms(x, ctx, integer=True)))
+
+
+def _rank(rows: list[list[int]]) -> int:
+    return _bareiss_rank([row for row in rows if any(row)])
+
+
+@dataclass(frozen=True)
+class MonadRep:
+    """The two monad maps as integer pencils, plus block metadata.
+
+    ``alpha`` has ``rank W`` rows and ``sum(dim K)`` columns; ``beta`` has
+    ``sum(dim L)`` rows and ``rank W`` columns.  ``w_slots`` labels each row
+    of ``alpha`` (equivalently column of ``beta``) by its summand: (i, A, m)
+    for row m of the A-th copy of ``L_i``, or ("C", m) for the framing
+    summand.  ``a_inverse`` is the configuration's kept ``a^{-1}``.
+    """
+
+    alpha: Pencil
+    beta: Pencil
+    dims: MonadDims
+    ctx: BlowupPoints
+    w_slots: tuple[tuple, ...]
+    a_inverse: Matrix
+
+    def alpha_at(self, x: SurfacePoint) -> Matrix:
+        return self.alpha.at(x, self.ctx)
+
+    def beta_at(self, x: SurfacePoint) -> Matrix:
+        return self.beta.at(x, self.ctx)
 
 
 def _offsets(sizes) -> list[int]:
@@ -156,192 +216,115 @@ def _offsets(sizes) -> list[int]:
 
 
 def build_monad(cfg: AdhmConfig) -> MonadRep:
-    """Assemble the monad maps from a configuration (``b^A`` is derived).
+    """Assemble the monad pencils from a configuration (``b^A`` is derived).
 
-    Works for pre-gauge data too: the optional ``cAi`` rows land in the
-    framing row of ``alpha`` and the derived ``b^A`` absorbs them, so a
-    configuration and its gauge-fixed form have the same fibre data.
+    On the two copies of ``L_i``, alpha is ``-(z1 a - z2 q^1)`` and
+    ``z0 a - z2 q^0`` (rows of the assembled ``a`` and ``q^A``), and on the
+    framing summand ``z2 c`` plus the optional ``cAi`` rows, each times the
+    lowered pair ``z_A`` (on ``K_0``) or ``w_{j,A}`` (on ``K_j``).  Row
+    ``L_0`` of beta is ``[z0 + z2 b^0 | z1 + z2 b^1 | z2 d]`` and row ``L_i``
+    is ``w_i^A = z^A - p_i^A z2`` on the matching copies of ``L_i``.  Works
+    for pre-gauge data too: the derived ``b^A`` absorbs the ``cAi`` rows, so
+    a configuration and its gauge-fixed form have the same fibre data.
     """
-    ctx = cfg.points
     dims = cfg.dims
     n, r = cfg.n, cfg.r
     kd, ld = dims.dim_k, dims.dim_l
+    l_off = _offsets(ld)
     bA = derive_bA(cfg)
+    a = assemble_a(cfg).rows
+    q0, q1 = (m.rows for m in assemble_qA(cfg))
+    zero_k = [0] * dims.total_k
 
-    zlow = lower_pair((z_section(ctx, 0), z_section(ctx, 1)))
-    z2 = z_section(ctx, 2)
-    wlow = {i: lower_pair((w_section(ctx, i, 0), w_section(ctx, i, 1)))
-            for i in range(1, n + 1)}
-    lam = {i: lambda_section(ctx, i) for i in range(1, n + 1)}
-    aA_low = lower_pair(cfg.aA00)
-
-    def col_bidegree(j: int) -> DivisorClass:
-        q = [0] * n
-        if j >= 1:
-            q[j - 1] = -1
-        return DivisorClass(1, q)
-
-    def zero_entry(j: int) -> SectionPoly:
-        return zero_section(ctx, col_bidegree(j))
-
-    # W slot labels, in basis order.
     w_slots: list[tuple] = []
+    alpha: tuple[list, list, list] = ([], [], [])
     for i in range(n + 1):
-        for a_idx in (0, 1):
-            for m in range(ld[i]):
-                w_slots.append((i, a_idx, m))
-    for m in range(r):
-        w_slots.append(("C", m))
+        block = range(l_off[i], l_off[i + 1])
+        w_slots += [(i, a_idx, m) for a_idx in (0, 1) for m in range(ld[i])]
+        for row in block:
+            alpha[0].append(zero_k)
+            alpha[1].append([-x for x in a[row]])
+            alpha[2].append(q1[row])
+        for row in block:
+            alpha[0].append(a[row])
+            alpha[1].append(zero_k)
+            alpha[2].append([-x for x in q0[row]])
+    w_slots += [("C", m) for m in range(r)]
+    col_twist = [j for j in range(n + 1) for _ in range(kd[j])]
+    c_rows = [list(row) + [0] * (dims.total_k - kd[0]) for row in cfg.c.rows]
+    if cfg.cAi is None:
+        alpha[0].extend([zero_k] * r)
+        alpha[1].extend([zero_k] * r)
+        alpha[2].extend(c_rows)
+    else:
+        # x^A y_A = x^1 y^0 - x^0 y^1, with w_j^A = z^A - p_j^A z2 and p_0 = 0
+        cA = [block_matrix([[pair[a_idx] for pair in cfg.cAi]], [r], list(kd)).rows
+              for a_idx in (0, 1)]
+        p = [(0, 0) if j == 0 else cfg.points.points[j - 1] for j in col_twist]
+        alpha[0].extend(cA[1])
+        alpha[1].extend([-x for x in row] for row in cA[0])
+        alpha[2].extend([c + pj[1] * x - pj[0] * y for c, x, y, pj in zip(*rows, p)]
+                        for rows in zip(c_rows, cA[0], cA[1]))
 
-    def scaled(section: SectionPoly, coeff: Fraction) -> SectionPoly:
-        return section.scale(coeff)
-
-    alpha_rows: list[list[SectionPoly]] = []
+    slot = {s: col for col, s in enumerate(w_slots)}
+    beta: tuple[list, list, list] = ([], [], [])
     for i in range(n + 1):
-        for a_idx in (0, 1):
-            for m in range(ld[i]):
-                row: list[SectionPoly] = []
-                for j in range(n + 1):
-                    for mu in range(kd[j]):
-                        entry = zero_entry(j)
-                        if i == 0 and j == 0:
-                            entry = (
-                                scaled(zlow[a_idx], cfg.a00[m, mu])
-                                + scaled(z2, aA_low[a_idx][m, mu])
-                            )
-                        elif i == 0 and j >= 1:
-                            entry = scaled(wlow[j][a_idx], cfg.a0i[j - 1][m, mu])
-                        elif i >= 1 and j == 0:
-                            entry = scaled(
-                                lam[i] * wlow[i][a_idx], cfg.ai0[i - 1][m, mu]
-                            )
-                        elif i >= 1 and j == i:
-                            entry = scaled(wlow[i][a_idx], cfg.aii[i - 1][m, mu])
-                        row.append(entry)
-                alpha_rows.append(row)
-    for m in range(r):
-        row = []
-        for j in range(n + 1):
-            for mu in range(kd[j]):
-                entry = zero_entry(j)
-                if j == 0:
-                    entry = scaled(z2, cfg.c[m, mu])
-                    if cfg.cAi is not None:
-                        for a_idx in (0, 1):
-                            entry = entry + scaled(
-                                zlow[a_idx], cfg.cAi[0][a_idx][m, mu]
-                            )
-                elif cfg.cAi is not None:
-                    for a_idx in (0, 1):
-                        entry = entry + scaled(
-                            wlow[j][a_idx], cfg.cAi[j][a_idx][m, mu]
-                        )
-                row.append(entry)
-        alpha_rows.append(row)
-
-    beta_rows: list[list[SectionPoly]] = []
-    w_raised = {i: (w_section(ctx, i, 0), w_section(ctx, i, 1))
-                for i in range(1, n + 1)}
-    zs = (z_section(ctx, 0), z_section(ctx, 1))
-    for i in range(n + 1):
-        row_bd = col_bidegree(i)
         for m in range(ld[i]):
-            row = []
-            for slot in w_slots:
-                if slot[0] == "C":
-                    if i == 0:
-                        row.append(scaled(z2, cfg.d[m, slot[1]]))
-                    else:
-                        row.append(zero_section(ctx, row_bd))
-                    continue
-                si, sa, sm = slot
-                if i == 0:
-                    b = b_block(cfg, bA[sa], si)
-                    if si == 0:
-                        entry = scaled(z2, b[m, sm])
-                        if sm == m:
-                            entry = entry + zs[sa]
-                    else:
-                        entry = scaled(z2, b[m, sm])
-                    row.append(entry)
-                elif si == i:
-                    if sm == m:
-                        row.append(w_raised[i][sa])
-                    else:
-                        row.append(zero_section(ctx, row_bd))
-                else:
-                    row.append(zero_section(ctx, row_bd))
-            beta_rows.append(row)
+            rows = [[0] * dims.rank_w for _ in range(3)]
+            for a_idx in (0, 1):
+                rows[a_idx][slot[i, a_idx, m]] = 1
+                if i:
+                    rows[2][slot[i, a_idx, m]] = -cfg.point_coord(i, a_idx)
+            if i == 0:
+                rows[2] = [cfg.d[m, s[1]] if s[0] == "C" else bA[s[1]][m, l_off[s[0]] + s[2]]
+                           for s in w_slots]
+            for mat, row in zip(beta, rows):
+                mat.append(row)
+    row_twist = [i for i in range(n + 1) for _ in range(ld[i])]
 
     return MonadRep(
-        alpha=tuple(tuple(r_) for r_ in alpha_rows),
-        beta=tuple(tuple(r_) for r_ in beta_rows),
+        alpha=Pencil.from_rational(alpha, [0] * dims.rank_w, col_twist),
+        beta=Pencil.from_rational(beta, row_twist, [0] * dims.rank_w),
         dims=dims,
-        ctx=ctx,
+        ctx=cfg.points,
         w_slots=tuple(w_slots),
+        a_inverse=cfg._a_inverse,
     )
 
 
-def check_monad_condition(m: MonadRep) -> tuple[tuple[SectionPoly, ...], ...]:
-    """The composite ``beta . alpha`` as a matrix of sections (zero iff valid)."""
-    dims = m.dims
-    n = dims.n
-    ctx = m.ctx
-    total_k, total_l = dims.total_k, dims.total_l
-    l_off = _offsets(dims.dim_l)
-    k_off = _offsets(dims.dim_k)
+def check_monad_condition(m: MonadRep) -> dict[tuple[int, int, int], Matrix]:
+    """The composite ``beta . alpha`` by monomial: exponents of ``z_a z_b`` to its coefficient.
 
-    def out_bidegree(row: int, col: int) -> DivisorClass:
-        bi = next(i for i in range(n + 1) if l_off[i] <= row < l_off[i + 1])
-        bj = next(j for j in range(n + 1) if k_off[j] <= col < k_off[j + 1])
-        q = [0] * n
-        if bi >= 1:
-            q[bi - 1] -= 1
-        if bj >= 1:
-            q[bj - 1] -= 1
-        return DivisorClass(2, q)
-
-    out = []
-    for i in range(total_l):
-        row = []
-        for j in range(total_k):
-            acc = zero_section(ctx, out_bidegree(i, j))
-            for s in range(dims.rank_w):
-                term = m.beta[i][s] * m.alpha[s][j]
-                acc = acc + term
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    With ``alpha = sum z_a A_a`` and ``beta = sum z_a B_a``, the coefficient
+    of ``z_a z_b`` is ``B_a A_b + B_b A_a`` for a < b and ``B_a A_a`` for
+    a = b.  The monad condition holds iff all six matrices vanish.
+    """
+    alpha_cols = [list(zip(*mat)) for mat in m.alpha.mats]
+    beta = m.beta.mats
+    den = m.alpha.den * m.beta.den
+    out = {}
+    for a, b in itertools.combinations_with_replacement(range(3), 2):
+        pairs = {(a, b), (b, a)}
+        out[tuple((a == e) + (b == e) for e in range(3))] = Matrix(
+            [[Fraction(sum(sum(map(mul, beta[s][i], alpha_cols[t][j])) for s, t in pairs), den)
+              for j in range(m.dims.total_k)] for i in range(m.dims.total_l)],
+            ncols=m.dims.total_k)
+    return out
 
 
 def composite_is_zero(comp) -> bool:
-    return all(entry.is_zero() for row in comp for entry in row)
-
-
-def coefficient_block(comp, dims: MonadDims, bi: int, bj: int,
-                      monomial: tuple[int, int, int]) -> Matrix:
-    """Coefficient of one monomial across a block of the composite."""
-    l_off = _offsets(dims.dim_l)
-    k_off = _offsets(dims.dim_k)
-    rows = []
-    for i in range(l_off[bi], l_off[bi + 1]):
-        row = []
-        for j in range(k_off[bj], k_off[bj + 1]):
-            row.append(_fraction(comp[i][j].poly.get(monomial, QQ.zero)))
-        rows.append(row)
-    return Matrix(rows, ncols=k_off[bj + 1] - k_off[bj])
+    return all(mat.is_zero() for mat in comp.values())
 
 
 def fiber_data(m: MonadRep, x: SurfacePoint) -> FiberData:
     """Exact fibre ranks at one point; flags a non-surjective ``beta``."""
-    a_mat = m.alpha_at(x)
-    b_mat = m.beta_at(x)
-    rank_beta = b_mat.rank()
+    terms = _terms(x, m.ctx, integer=True)
+    rank_beta = _rank(m.beta.combine(terms))
     if rank_beta < m.dims.total_l:
         raise MonadDegeneracyError(
             f"beta drops to rank {rank_beta} < {m.dims.total_l} at {x}"
         )
-    rank_alpha = a_mat.rank()
+    rank_alpha = _rank(m.alpha.combine(terms))
     dim_ker_beta = m.dims.rank_w - rank_beta
     return FiberData(
         point=x,
@@ -354,14 +337,12 @@ def fiber_data(m: MonadRep, x: SurfacePoint) -> FiberData:
 # -- singular locus -----------------------------------------------------------------
 
 
-#: ``singular_scan`` eliminates over the full maximal-minor ideal when
-#: ``sum(dim K)`` is at most this, and over three compressions above it: the
-#: minor count grows combinatorially, and the compressions are faster from
-#: ``sum(dim K) = 3`` on.
+#: On an exceptional line, ``singular_scan`` eliminates over the full
+#: maximal-minor ideal when ``sum(dim K)`` is at most this, and over three
+#: compressions above it: the minor count grows combinatorially, and the
+#: compressions are faster from ``sum(dim K) = 3`` on.
 _EXACT_MAX_DIM = 2
-#: Random chart points, and random points of the framing line, that the scan
-#: probes for a rank drop along a curve before eliminating.
-_CHART_PROBES = 25
+#: Random points of the framing line that the scan probes for a rank drop.
 _FRAMING_PROBES = 5
 
 
@@ -371,34 +352,140 @@ class ScanResult:
     complete: bool
 
 
-#: The scan eliminates over the integers.  Chart entries live in ZZ[x1, x0];
-#: x1 comes first so that ``resultant`` eliminates it, into ZZ[x0], and a
-#: fibre over a root of the eliminant lies in ZZ[x1].  Restrictions to an
-#: exceptional line are forms in ZZ[w0, w1].
-_CHART, _X1, _X0 = ring("x1,x0", ZZ)
-_FIBRE = _CHART.drop(_X0)
+#: Characteristic polynomials live in QQ[t]; restrictions to an exceptional
+#: line are forms in ZZ[w0, w1], computed in QQ[w0, w1] first.
+_T = ring("t", QQ)[0]
+_QLINE, _QW0, _QW1 = ring("w0,w1", QQ)
 _LINE, _W0, _W1 = ring("w0,w1", ZZ)
 
 
-def _scan_entries(m: MonadRep, i: int | None = None) -> list[list]:
-    """``L alpha`` at z2 = 1 in ZZ[x1, x0], or restricted to ``E_i`` in ZZ[w0, w1].
+def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
+    """The ``ops`` on the largest subspace of ker ``c`` that they all preserve.
+
+    That subspace is the kernel of the observability matrix ``[c; c T; c T';
+    c T T'; ...]`` over all words in the ops (the unobservable subspace; W.
+    M. Wonham, *Linear Multivariable Control*).  Its rows are collected
+    breadth-first, each kept only if it raises the rank, so there are at
+    most ``dim`` of them.  Returns each op in a basis of the kernel.
+    """
+    n = c.ncols
+    kept: list[list[Fraction]] = []
+    frontier = c.rows
+    while frontier:
+        new = []
+        for row in frontier:
+            if any(row) and Matrix(kept + [row], ncols=n).rank() > len(kept):
+                kept.append(row)
+                new.append(row)
+        frontier = [row for t in ops for row in (Matrix(new, ncols=n) * t).rows] if new else []
+    basis = Matrix(kept, ncols=n).nullspace()
+    v = Matrix([[col[j, 0] for col in basis] for j in range(n)], ncols=len(basis))
+    return [v.solve(t * v) for t in ops]
+
+
+def _factors(g: Matrix) -> list:
+    """Irreducible factors over QQ of the characteristic polynomial of ``g``."""
+    dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in g.rows],
+                      g.shape, QQ)
+    return [f for f, _ in _T.from_list(dm.charpoly()).factor_list()[1]]
+
+
+def _poly_at(f, g: Matrix) -> Matrix:
+    """``f(g)`` by Horner's rule."""
+    out = Matrix.zeros(g.nrows, g.ncols)
+    for coeff in f.to_dense():
+        out = out * g + Matrix.identity(g.nrows).scale(_fraction(coeff))
+    return out
+
+
+def _common_eigenvector(g0: Matrix, g1: Matrix) -> bool:
+    """Whether ``g0`` and ``g1`` share an eigenvector over the complex numbers.
+
+    Shemesh's criterion: they do iff the kernels of the commutators
+    ``[g0^i, g1^j]``, ``1 <= i, j < dim``, meet nontrivially (D. Shemesh,
+    Linear Algebra Appl. 62, 1984).
+    """
+    s = g0.nrows
+    powers = []
+    for g in (g0, g1):
+        p, ps = g, []
+        for _ in range(1, s):
+            ps.append(p)
+            p = p * g
+        powers.append(ps)
+    rows = [row for p in powers[0] for q in powers[1] for row in (p * q - q * p).rows]
+    return Matrix(rows, ncols=s).rank() < s
+
+
+def _chart_operators(m: MonadRep) -> tuple[list[Matrix], Matrix]:
+    """``T_A = a^{-1} q^A`` and the framing rows ``C = F_2 + F_0 T_0 + F_1 T_1``.
+
+    Read off alpha's pencil (see :func:`build_monad`): ``q^0`` is ``-M_2``
+    on copy 1 of the ``L_i``, ``q^1`` is ``M_2`` on copy 0, and ``F_a`` is
+    ``M_a`` on the framing rows.  At ``(x0, x1, 1)`` the ``L`` rows of
+    ``alpha v`` vanish iff ``T_A v = x_A v``, and then the framing rows are
+    ``C v``.
+    """
+    summand = ["C" if s[0] == "C" else s[1] for s in m.w_slots]  # copy 0, copy 1 or C^r
+
+    def rows(kind, mat, sign=1):
+        return Matrix([[Fraction(sign * x, m.alpha.den) for x in row]
+                       for row, s in zip(mat, summand) if s == kind], ncols=m.dims.total_k)
+
+    m0, m1, m2 = m.alpha.mats
+    ops = [m.a_inverse * rows(1, m2, -1), m.a_inverse * rows(0, m2)]
+    return ops, rows("C", m2) + rows("C", m0) * ops[0] + rows("C", m1) * ops[1]
+
+
+def _scan_chart(m: MonadRep) -> tuple[list[SurfacePoint], bool]:
+    """Rank-drop points in the chart z2 = 1 (minus blow-up centres), and completeness.
+
+    ``alpha(x0, x1, 1) v = 0`` iff ``T_A v = x_A v`` and ``C v = 0``, so the
+    drop points are the joint eigenvalues of the ``T_A`` on S, the largest
+    subspace of ker ``C`` invariant under both.  With ``a`` invertible there
+    are finitely many, and each ``K_i`` is a joint eigenspace for its centre.
+    Every pair of rational roots of the characteristic polynomials of
+    ``T_0|S`` and ``T_1|S`` off the centres is verified by an exact rank.  A
+    joint eigenvalue with an irrational coordinate lies over an irreducible
+    factor ``f`` of one of them, where the ``T_A`` have a common eigenvector
+    on the largest subspace of ker ``f(T_A|S)`` they preserve; one makes the
+    scan incomplete.
+    """
+    ops, c = _chart_operators(m)
+    on_s = _restrict(c, ops)
+    roots: list[list[Fraction]] = []
+    complete = True
+    for g in on_s:
+        roots.append([])
+        for f in _factors(g):
+            if f.degree() == 1:
+                roots[-1].append(_fraction(-f.coeff(1) / f.LC))
+            elif complete:
+                sub = _restrict(_poly_at(f, g), on_s)
+                complete = not (sub[0].nrows and _common_eigenvector(*sub))
+    centres = set(m.ctx.points)
+    candidates = [SurfacePoint.generic(x0, x1, 1) for x0 in roots[0] for x1 in roots[1]
+                  if (x0, x1) not in centres]
+    full_rank = m.dims.total_k
+    return [pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank], complete
+
+
+def _scan_entries(m: MonadRep, i: int) -> list[list]:
+    """``L alpha`` restricted to ``E_i``, in ZZ[w0, w1].
 
     ``L`` is one common denominator: the lcm of the denominators of every
-    coefficient of the matrix scanned.  With one ``L`` for the whole matrix,
-    every maximal minor and every compression ``det(U . L alpha)`` is ``L^k``
-    times that of ``alpha``, a fixed nonzero constant, so common zeros, gcd
-    degrees and factors are those of the rational matrix.
+    coefficient of the restricted matrix.  With one ``L`` for the whole
+    matrix, every maximal minor and every compression ``det(U . L alpha)``
+    is ``L^k`` times that of ``alpha``, a fixed nonzero constant, so common
+    zeros, gcd degrees and factors are those of the rational matrix.
     """
-    if i is None:
-        rows = [[e.poly for e in row] for row in m.alpha]
-        target, monom = _CHART, lambda mono: (mono[1], mono[0])
-    else:
-        rows = [[e.restriction(i) for e in row] for row in m.alpha]
-        target, monom = _LINE, lambda mono: mono[:2]
-    lcm = math.lcm(1, *(int(c.denominator)
-                        for row in rows for e in row for c in e.itercoeffs()))
-    return [[target.from_dict({monom(mono): int(c.numerator) * (lcm // int(c.denominator))
-                               for mono, c in e.items()})
+    scale = QQ(1, m.alpha.den)
+    p0, p1 = (QQ(x.numerator, x.denominator) * scale for x in m.ctx.points[i - 1])
+    rows = m.alpha.combine((i, (_QLINE(p0), _QLINE(p1), _QLINE(scale)),
+                            (_QW0 * scale, _QW1 * scale)))
+    lcm = math.lcm(1, *(int(c.denominator) for row in rows for e in row for c in e.itercoeffs()))
+    return [[_LINE.from_dict({mono: int(c.numerator) * (lcm // int(c.denominator))
+                              for mono, c in e.items()})
              for e in row] for row in rows]
 
 
@@ -441,150 +528,6 @@ def _gcd_all(polys: list):
     return g
 
 
-def _rational_roots(poly) -> tuple[list[Fraction], bool]:
-    """Rational roots of a nonzero univariate ring element, plus 'all roots rational'."""
-    if poly.degree() <= 0:
-        return [], True
-    var = poly.ring.gens[0]
-    roots: list[Fraction] = []
-    all_rational = True
-    _, factors = poly.factor_list()
-    for fac, _mult in factors:
-        if fac.degree() == 1:
-            roots.append(Fraction(-int(fac.coeff(1)), int(fac.coeff(var))))
-        elif fac.degree() > 1:
-            all_rational = False
-    return roots, all_rational
-
-
-def _eliminate_x1(f1, f2):
-    """An element of the ideal (f1, f2) in ``ZZ[x0]``, zero iff they share a factor.
-
-    ``resultant`` with respect to x1 is 1 when neither input involves x1, and 1
-    is not in the ideal; for such a pair the gcd in ``ZZ[x0]`` is.
-    """
-    if f1.degree(_X1) == 0 and f2.degree(_X1) == 0:
-        return f1.gcd(f2).drop(_X1)
-    return f1.resultant(f2)
-
-
-def _at_x0(p, x0: Fraction):
-    """``b^d p(x1, a/b)`` in ``ZZ[x1]`` for ``x0 = a/b`` and ``d = deg_x0 p``.
-
-    A nonzero multiple of ``p(x1, x0)``, computed without leaving the integers.
-    """
-    a, b = x0.numerator, x0.denominator
-    deg = p.degree(_X0)
-    scale = [a ** e * b ** (deg - e) for e in range(deg + 1)]
-    out: dict[tuple[int], int] = {}
-    for (e1, e0), c in p.items():
-        out[(e1,)] = out.get((e1,), 0) + c * scale[e0]
-    return _FIBRE.from_dict(out)
-
-
-def _common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool, bool]:
-    """Candidate common zeros of elements of ``ZZ[x1, x0]``, as pairs (x0, x1).
-
-    Returns (candidates, curve_detected, complete).  Candidates may contain
-    spurious points (callers verify); no genuine common zero with rational
-    coordinates is missed unless ``complete`` is False.
-    """
-    polys = [p for p in polys if p]
-    if not polys:
-        return [], True, True  # everything vanishes: a curve (handled by caller)
-    if not _gcd_all(polys).is_ground:
-        return [], True, True
-    if len(polys) == 1:
-        return [], False, True  # a single nonzero constant: no common zeros
-    complete = True
-    resultants = []
-    pair_budget = 12
-    for f1, f2 in itertools.combinations(polys[: max(3, min(len(polys), 6))], 2):
-        res = _eliminate_x1(f1, f2)
-        if res:
-            resultants.append(res)
-        if len(resultants) >= pair_budget:
-            break
-    if not resultants:
-        # every pair shares a factor; add combinations from the ideal and retry
-        rng = Random(1729)
-        extra = [sum(rng.randint(1, 7) * p for p in polys) for _ in range(2)]
-        for f1 in extra:
-            for f2 in polys[:4]:
-                res = _eliminate_x1(f1, f2)
-                if res:
-                    resultants.append(res)
-        if not resultants:
-            return [], False, False
-    eliminant = _gcd_all(resultants)
-    if eliminant.is_ground:
-        return [], False, True  # nonzero constant eliminant: no common zeros
-    roots0, rational0 = _rational_roots(eliminant)
-    complete = complete and rational0
-    candidates: list[tuple[Fraction, Fraction]] = []
-    for r0 in roots0:
-        fibre = None
-        for p in polys:
-            sub = _at_x0(p, r0)
-            if not sub:
-                continue
-            fibre = sub if fibre is None else fibre.gcd(sub)
-        if fibre is None:
-            complete = False  # whole line x0 = r0 shared; should not happen
-            continue
-        if fibre.is_ground:
-            continue  # no common zero above this root
-        roots1, rational1 = _rational_roots(fibre)
-        complete = complete and rational1
-        for r1 in roots1:
-            candidates.append((r0, r1))
-    return candidates, False, complete
-
-
-def _scan_chart(m: MonadRep, rng: Random, use_all_minors: bool):
-    """Rank-drop points in the chart z2 = 1 (minus blow-up centres)."""
-    full_rank = m.dims.total_k
-    entries = _scan_entries(m)
-    drops: list[SurfacePoint] = []
-    complete = True
-    if use_all_minors:
-        polys = _all_minors(entries, full_rank)
-        if not polys:
-            raise NotInPError("alpha drops rank on the whole surface")
-        candidates, curve, comp_flag = _common_zeros_2d(polys)
-        if curve:
-            raise NotInPError("alpha drops rank along a curve in the affine chart")
-        complete = comp_flag
-    else:
-        candidates = None
-        for _attempt in range(4):
-            dets = _compressed_dets(entries, full_rank, rng)
-            if not any(dets):
-                continue
-            cand, curve, comp_flag = _common_zeros_2d(list(dets))
-            if curve:
-                continue
-            candidates = cand
-            complete = comp_flag
-            break
-        if candidates is None:
-            # persistent identical vanishing or shared factor: genuine curve drop
-            probe = SurfacePoint.generic(
-                Fraction(rng.randint(50, 99), 7), Fraction(rng.randint(50, 99), 11), 1
-            )
-            if m.alpha_at(probe).rank() < full_rank:
-                raise NotInPError("alpha drops rank at a generic point")
-            raise NotInPError("alpha drops rank along a curve in the affine chart")
-    centres = set(m.ctx.points)
-    for x0, x1 in candidates or []:
-        if (x0, x1) in centres:
-            continue  # that plane point is replaced by its exceptional line
-        pt = SurfacePoint.generic(x0, x1, 1)
-        if m.alpha_at(pt).rank() < full_rank:
-            drops.append(pt)
-    return drops, complete
-
-
 def _scan_divisor(m: MonadRep, i: int, rng: Random, use_all_minors: bool):
     """Rank-drop points on the exceptional line E_i."""
     full_rank = m.dims.total_k
@@ -599,7 +542,7 @@ def _scan_divisor(m: MonadRep, i: int, rng: Random, use_all_minors: bool):
                 break
     if not polys:
         probe = SurfacePoint.exceptional(i, 1, Fraction(rng.randint(50, 99), 7))
-        if m.alpha_at(probe).rank() < full_rank:
+        if m.alpha.rank_at(probe, m.ctx) < full_rank:
             raise NotInPError(f"alpha drops rank along the exceptional line E_{i}")
         return [], False
     g = _gcd_all(polys)
@@ -616,7 +559,7 @@ def _scan_divisor(m: MonadRep, i: int, rng: Random, use_all_minors: bool):
                     cand = SurfacePoint.exceptional(i, 1, Fraction(w1, w0))
                 else:
                     cand = SurfacePoint.exceptional(i, 0, 1)
-                if m.alpha_at(cand).rank() < full_rank:
+                if m.alpha.rank_at(cand, m.ctx) < full_rank:
                     drops.append(cand)
             elif degree > 1:
                 complete = False
@@ -627,22 +570,25 @@ def singular_scan(m: MonadRep, seed: int = 0) -> ScanResult:
     """All points where ``alpha`` drops below full column rank.
 
     Covers the affine chart, every exceptional line and the framing line.
-    Elimination runs on the full maximal-minor ideal when ``sum(dim K)`` is at
-    most 2, and otherwise on three seeded compressions ``det(U_j . alpha)``,
-    which lie in that ideal (Cauchy-Binet), so their common zeros contain
-    every drop point.  Elimination runs on integer polynomials: the chart
-    matrix and each restriction to an ``E_i`` are first multiplied by one
-    common denominator, which scales every minor and compression by a nonzero
-    constant.  Every reported point is re-verified by an exact rank
-    computation, and a drop along a curve raises :class:`NotInPError`.  The
-    seed fixes the random probes and compressions, so the result is a
-    function of ``m`` and ``seed``.
+    In the chart the drop points are the joint eigenvalues of ``T_A = a^{-1}
+    q^A`` on the largest subspace of the framing kernel they preserve (see
+    :func:`_scan_chart`); no elimination and no random draws are involved.
+    On each exceptional line, elimination runs on the full maximal-minor
+    ideal of the restricted pencil when ``sum(dim K)`` is at most 2, and
+    otherwise on three seeded compressions ``det(U_j . alpha)``, which lie in
+    that ideal (Cauchy-Binet), so their common zeros contain every drop
+    point.  It runs on integer forms: each restriction is first multiplied
+    by one common denominator, which scales every minor and compression by a
+    nonzero constant.  Every reported point is re-verified by an exact rank
+    computation, and a drop along a line raises :class:`NotInPError`.  The
+    seed fixes the random framing-line probes and compressions, so the
+    result is a function of ``m`` and ``seed``.
 
-    ``complete`` is True only when the scan is certified: every factor of
-    every eliminant is linear over QQ, so the drop locus has no point beyond
-    the rational candidates checked.  False means further drop points could
-    not be ruled out, usually irrational ones; the reported points are still
-    genuine.
+    ``complete`` is True only when the scan is certified: no joint
+    eigenvalue in the chart has an irrational coordinate, and every factor
+    of every line eliminant is linear over QQ.  False means further drop
+    points could not be ruled out, usually irrational ones; the reported
+    points are still genuine.
     """
     rng = Random(seed)
     full_rank = m.dims.total_k
@@ -652,17 +598,11 @@ def singular_scan(m: MonadRep, seed: int = 0) -> ScanResult:
     # Framing line: the restriction of alpha factors through the assembled
     # matrix a, so a drop at any point of z2 = 0 is a drop along all of it.
     for pt in _framing_line_points(rng, _FRAMING_PROBES):
-        if m.alpha_at(pt).rank() < full_rank:
+        if m.alpha.rank_at(pt, m.ctx) < full_rank:
             raise NotInPError("alpha drops rank along the framing line")
 
-    # Random-point probe: a drop at a random point means a generic drop.
-    for _ in range(_CHART_PROBES):
-        pt = _rand_chart_point(rng, m.ctx)
-        if m.alpha_at(pt).rank() < full_rank:
-            raise NotInPError(f"alpha drops rank at the random point {pt}")
-
     use_exact = full_rank <= _EXACT_MAX_DIM
-    drops, complete = _scan_chart(m, rng, use_all_minors=use_exact)
+    drops, complete = _scan_chart(m)
     for i in range(1, m.dims.n + 1):
         d_i, c_i = _scan_divisor(m, i, rng, use_all_minors=use_exact)
         drops.extend(d_i)
@@ -693,25 +633,22 @@ def _framing_line_points(rng: Random, count: int) -> list[SurfacePoint]:
 
 
 def _framing_fiber_ok(m: MonadRep, cfg: AdhmConfig, x: SurfacePoint) -> bool:
-    a_mat = m.alpha_at(x)
-    b_mat = m.beta_at(x)
-    total_k, total_l = m.dims.total_k, m.dims.total_l
-    if b_mat.rank() < total_l:
+    terms = _terms(x, m.ctx, integer=True)
+    a_rows, b_rows = m.alpha.combine(terms), m.beta.combine(terms)
+    total_k, total_l, rank_w = m.dims.total_k, m.dims.total_l, m.dims.rank_w
+    if _rank(b_rows) < total_l:
         return False
-    rank_alpha = a_mat.rank()
-    if rank_alpha < total_k or m.dims.rank_w - total_l - rank_alpha != cfg.r:
+    rank_alpha = _rank(a_rows)
+    if rank_alpha < total_k or rank_w - total_l - rank_alpha != cfg.r:
         return False
     # the framing summand must land in ker(beta) ...
-    if not b_mat.submatrix(0, total_l, m.dims.rank_w - cfg.r,
-                           m.dims.rank_w).is_zero():
+    if any(v for row in b_rows for v in row[rank_w - cfg.r:]):
         return False
     # ... and inject into the fibre: C^r meets im(alpha) in 0
-    c_cols = Matrix.zeros(m.dims.rank_w, cfg.r)
-    rows = c_cols.copy_rows()
-    for mth in range(cfg.r):
-        rows[m.dims.rank_w - cfg.r + mth][mth] = Fraction(1)
-    joined = a_mat.hstack(Matrix(rows, ncols=cfg.r))
-    return joined.rank() == total_k + cfg.r
+    first = rank_w - cfg.r
+    joined = [row + [int(s == first + mth) for mth in range(cfg.r)]
+              for s, row in enumerate(a_rows)]
+    return _rank(joined) == total_k + cfg.r
 
 
 def framing_verdicts(cfg: AdhmConfig, seed: int = 0, m: MonadRep | None = None,
@@ -809,6 +746,9 @@ class ValidationReport:
     normalizable: bool
     valid: bool
     failures: tuple[str, ...] = field(default=())
+    #: The gauge-fixed configuration the stabilizer was computed on, if any;
+    #: not part of the report's value.
+    normalized: AdhmConfig | None = field(default=None, compare=False, repr=False)
 
 
 def _spotcheck_points(m: MonadRep, rng: Random) -> list[SurfacePoint]:
@@ -869,7 +809,7 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
     monad_zero = composite_is_zero(comp)
     if monad_zero != raw_zero:
         raise InternalConsistencyError(
-            "symbolic composite and residual formulas disagree"
+            "the composite beta . alpha and the residual formulas disagree"
         )
 
     det_v, fiber_v = framing_verdicts(cfg, seed, monad, det_ok)
@@ -947,4 +887,5 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
         normalizable=normalized is not None,
         valid=valid,
         failures=tuple(failures),
+        normalized=normalized,
     )

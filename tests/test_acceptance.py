@@ -36,7 +36,6 @@ from adhm_blowup_kit.monad import (
     SurfacePoint,
     build_monad,
     check_monad_condition,
-    coefficient_block,
     cohomology_ch_check,
     composite_is_zero,
     fiber_data,
@@ -44,7 +43,14 @@ from adhm_blowup_kit.monad import (
     singular_scan,
 )
 from adhm_blowup_kit.sections import BlowupPoints
-from util import rand_config, rand_group_element, rand_matrix
+from util import (
+    coefficient_block,
+    rand_config,
+    rand_group_element,
+    rand_matrix,
+    section_composite,
+    section_maps,
+)
 
 GRID_R = (1, 2, 3)
 GRID_K = range(5)
@@ -146,9 +152,9 @@ def test_criterion_3_monad_identity():
         cfg = rand_config(rng, rng.choice((1, 2)), rng.choice(([1], [0], [1, 0])),
                           rng.choice((1, 2)))
         comp = check_monad_condition(build_monad(cfg))
-        ld = cfg.dims.dim_l
-        for i in range(ld[0], sum(ld)):
-            assert all(entry.is_zero() for entry in comp[i])
+        l0 = cfg.dims.dim_l[0]
+        for coeff in comp.values():
+            assert coeff.submatrix(l0, coeff.nrows, 0, coeff.ncols).is_zero()
     _passed("criterion-3 monad identity (10+ configs per sampler method)")
 
 
@@ -160,13 +166,19 @@ def test_criterion_4_compact_constraint_calibration():
         r, a_vec, k = shapes[trial % len(shapes)]
         cfg = rand_config(rng, r, a_vec, k)  # random, not necessarily valid
         res = constraint_residual(cfg)
-        comp = check_monad_condition(build_monad(cfg))
         dims = cfg.dims
-        # single candidate block: the z2^2 coefficient in block (0,0)
+        # single candidate block: the z2^2 coefficient in block (0,0) of the
+        # composite of sections, and of the pencils' composite
+        comp = section_composite(*section_maps(cfg), dims, cfg.points)
         assert coefficient_block(comp, dims, 0, 0, (0, 0, 2)) == res.compact
         total_terms = sum(len(e.poly) for row in comp for e in row)
         in_block = sum(1 for row in res.compact.rows for x in row if x != 0)
         assert total_terms == in_block
+        by_monomial = check_monad_condition(build_monad(cfg))
+        l0, k0 = dims.dim_l[0], dims.dim_k[0]
+        assert by_monomial[(0, 0, 2)].submatrix(0, l0, 0, k0) == res.compact
+        assert sum(1 for coeff in by_monomial.values()
+                   for row in coeff.rows for x in row if x != 0) == in_block
         # global sign: compact form computed with sigma = +1 from q^A
         ainv = assemble_a(cfg).inverse()
         q = assemble_qA(cfg)

@@ -431,3 +431,25 @@ def test_bA_derived_once_per_config(monkeypatch, argv):
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert built and sum(cfg is built[-1] for cfg in built) == 1
+
+
+def test_solve_d_sample_inverts_each_attempt_once(monkeypatch):
+    # replace(d=...) hands the accepted attempt's a^{-1} on, so the final
+    # residual guard reads it instead of inverting a again
+    inverted, attempts = [], []
+    real_inverse, real_points = Matrix.inverse, adhm._rand_points
+
+    def inverse(self):
+        inverted.append(self.shape)
+        return real_inverse(self)
+
+    def points(rng, n):  # drawn once per attempt
+        attempts.append(n)
+        return real_points(rng, n)
+
+    monkeypatch.setattr(Matrix, "inverse", inverse)
+    monkeypatch.setattr(adhm, "_rand_points", points)
+    cfg = sample_config(2, [1], 1, seed=5)
+    assert attempts and len(inverted) == len(attempts)
+    # a change to a block of a drops the kept inverse
+    assert "_a_inverse" not in cfg.replace(a00=cfg.a00.scale(2)).__dict__

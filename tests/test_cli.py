@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from adhm_blowup_kit import adhm, config_io
+from adhm_blowup_kit import adhm, config_io, monad
+from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.cli import build_parser, main
 
 
@@ -292,3 +293,27 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert "unrecognized arguments" in capsys.readouterr().err
     assert run_cli(capsys, *tangent) == first
     assert built == []
+
+
+def test_report_gauge_fixes_once(capsys, monkeypatch, tmp_path):
+    # validate_config gauge-fixes a non-normalised input for the stabilizer,
+    # and report's tangent reads that configuration instead of fixing again
+    base = adhm.sample_config(2, [1], 1, seed=21)
+    blk = Matrix([[2, 1], [1, 1]])
+    pre = base.replace(ai0=(blk,), aii=(blk * base.aii[0],))
+    path = tmp_path / "pre.json"
+    path.write_text(config_io.dump_canonical(config_io.config_to_json(pre, seed=0)))
+    fixed = []
+    real = adhm.gauge_fix
+
+    def counted(cfg):
+        fixed.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(adhm, "gauge_fix", counted)
+    monkeypatch.setattr(monad, "gauge_fix", counted)
+    code, out, _ = run_cli(capsys, "report", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["normalizable"] is True and "tangent" in doc
+    assert fixed == [pre]

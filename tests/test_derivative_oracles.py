@@ -14,15 +14,15 @@ from random import Random
 import pytest
 import sympy as sp
 
-from adhm_blowup_kit.adhm import (
-    _jacobian,
-    _stabilizer_system,
+from adhm_blowup_kit.adhm import _jacobian, _stabilizer_system, sample_config
+from adhm_blowup_kit.linalg import Matrix
+from util import (
     action_derivative,
     compact_derivative,
-    sample_config,
+    echelon,
+    rand_config,
+    rand_matrix,
 )
-from adhm_blowup_kit.linalg import Matrix
-from util import echelon, rand_config, rand_matrix
 
 T = sp.Symbol("t")
 

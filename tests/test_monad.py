@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from adhm_blowup_kit import config_io
+from adhm_blowup_kit import config_io, monad
 
 from adhm_blowup_kit.adhm import (
     AdhmConfig,
@@ -27,7 +27,6 @@ from adhm_blowup_kit.monad import (
     SurfacePoint,
     build_monad,
     check_monad_condition,
-    coefficient_block,
     cohomology_ch_check,
     composite_is_zero,
     fiber_data,
@@ -35,10 +34,7 @@ from adhm_blowup_kit.monad import (
     framing_verdicts,
     singular_scan,
     validate_config,
-    _X0,
-    _X1,
     _all_minors,
-    _common_zeros_2d,
     _compressed_dets,
     _scan_chart,
     _scan_divisor,
@@ -50,7 +46,20 @@ from adhm_blowup_kit.sections import (
     w_section,
     z_section,
 )
-from util import rand_config, rand_matrix
+from util import (
+    X0,
+    X1,
+    chart_entries,
+    coefficient_block,
+    common_zeros_2d,
+    pencil_sections,
+    rand_config,
+    rand_matrix,
+    reference_scan_chart,
+    section_coefficients,
+    section_composite,
+    section_maps,
+)
 
 
 def hilbert_k2_config() -> AdhmConfig:
@@ -66,44 +75,44 @@ def hilbert_k2_config() -> AdhmConfig:
 def test_build_monad_classical_plane_shape():
     rng = Random(0)
     cfg = rand_config(rng, 1, [], 1)
-    m = build_monad(cfg)
-    assert len(m.alpha) == 3 and len(m.alpha[0]) == 1
-    assert len(m.beta) == 1 and len(m.beta[0]) == 3
+    alpha, beta = pencil_sections(build_monad(cfg))
+    assert len(alpha) == 3 and len(alpha[0]) == 1
+    assert len(beta) == 1 and len(beta[0]) == 3
     ctx = cfg.points
     zl = lower_pair((z_section(ctx, 0), z_section(ctx, 1)))
     z2 = z_section(ctx, 2)
     aA_low = lower_pair(cfg.aA00)
     for a_idx in (0, 1):
         expected = zl[a_idx].scale(cfg.a00[0, 0]) + z2.scale(aA_low[a_idx][0, 0])
-        assert m.alpha[a_idx][0] == expected
-    assert m.alpha[2][0] == z2.scale(cfg.c[0, 0])
+        assert alpha[a_idx][0] == expected
+    assert alpha[2][0] == z2.scale(cfg.c[0, 0])
     b = derive_bA(cfg)
     for a_idx in (0, 1):
         expected = z_section(ctx, a_idx) + z2.scale(b[a_idx][0, 0])
-        assert m.beta[0][a_idx] == expected
-    assert m.beta[0][2] == z2.scale(cfg.d[0, 0])
+        assert beta[0][a_idx] == expected
+    assert beta[0][2] == z2.scale(cfg.d[0, 0])
 
 
 def test_build_monad_line_bundle_shape():
     cfg = sample_config(1, [-1], 0, seed=7)
-    m = build_monad(cfg)
+    alpha, beta = pencil_sections(build_monad(cfg))
     ctx = cfg.points
     wl = lower_pair((w_section(ctx, 1, 0), w_section(ctx, 1, 1)))
     # alpha: single K_1 column hitting the two L_0 slots
-    assert m.alpha[0][0] == wl[0].scale(cfg.a0i[0][0, 0])
-    assert m.alpha[1][0] == wl[1].scale(cfg.a0i[0][0, 0])
-    assert m.alpha[2][0].is_zero()
+    assert alpha[0][0] == wl[0].scale(cfg.a0i[0][0, 0])
+    assert alpha[1][0] == wl[1].scale(cfg.a0i[0][0, 0])
+    assert alpha[2][0].is_zero()
     # beta row: z^A + b^A z2, then d z2
     b = derive_bA(cfg)
     z2 = z_section(ctx, 2)
     for a_idx in (0, 1):
-        assert m.beta[0][a_idx] == z_section(ctx, a_idx) + z2.scale(b[a_idx][0, 0])
-    assert m.beta[0][2] == z2.scale(cfg.d[0, 0])
+        assert beta[0][a_idx] == z_section(ctx, a_idx) + z2.scale(b[a_idx][0, 0])
+    assert beta[0][2] == z2.scale(cfg.d[0, 0])
 
 
 def test_entry_bidegrees_match_slots():
     cfg = sample_config(2, [1], 1, seed=5)
-    m = build_monad(cfg)
+    alpha, beta = pencil_sections(build_monad(cfg))
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
     col_bids = []
     for j in range(cfg.n + 1):
@@ -111,7 +120,7 @@ def test_entry_bidegrees_match_slots():
         if j >= 1:
             q[j - 1] = -1
         col_bids.extend([DivisorClass(1, q)] * kd[j])
-    for row in m.alpha:
+    for row in alpha:
         for entry, bid in zip(row, col_bids):
             assert entry.bidegree == bid
     row_bids = []
@@ -120,7 +129,7 @@ def test_entry_bidegrees_match_slots():
         if i >= 1:
             q[i - 1] = -1
         row_bids.extend([DivisorClass(1, q)] * ld[i])
-    for row, bid in zip(m.beta, row_bids):
+    for row, bid in zip(beta, row_bids):
         for entry in row:
             assert entry.bidegree == bid
 
@@ -140,12 +149,10 @@ def test_lower_rows_vanish_for_any_configuration():
     for trial in range(5):
         cfg = rand_config(rng, rng.choice((1, 2)), rng.choice(([1], [0], [1, 0])),
                           1, with_cai=bool(trial % 2), normalized=False)
-        m = build_monad(cfg)
-        comp = check_monad_condition(m)
-        ld = cfg.dims.dim_l
-        for i in range(ld[0], sum(ld)):
-            for entry in comp[i]:
-                assert entry.is_zero()
+        comp = check_monad_condition(build_monad(cfg))
+        l0 = cfg.dims.dim_l[0]
+        for coeff in comp.values():
+            assert coeff.submatrix(l0, coeff.nrows, 0, coeff.ncols).is_zero()
 
 
 def test_evaluated_matrices_match_entrywise_evaluation():
@@ -153,7 +160,7 @@ def test_evaluated_matrices_match_entrywise_evaluation():
     m = build_monad(cfg)
     plane = SurfacePoint.generic(Fraction(3, 7), Fraction(-5, 2), 2)
     line = SurfacePoint.exceptional(2, 1, Fraction(5, 3))
-    for maps, at in ((m.alpha, m.alpha_at), (m.beta, m.beta_at)):
+    for maps, at in zip(section_maps(cfg), (m.alpha_at, m.beta_at)):
         assert at(plane) == Matrix([[e.eval_generic(plane.coords) for e in row]
                                     for row in maps])
         assert at(line) == Matrix([[e.eval_exceptional(2, line.coords) for e in row]
@@ -171,7 +178,7 @@ def test_perturbation_localised_to_quadratic_coefficient():
     valid = sample_config(2, [1], 1, seed=5)
     rng = Random(3)
     broken = valid.replace(d=valid.d + rand_matrix(rng, *valid.d.shape))
-    comp = check_monad_condition(build_monad(broken))
+    comp = section_composite(*section_maps(broken), broken.dims, broken.points)
     dims = broken.dims
     # the only nonzero coefficients sit in block (0,0) at monomial z2^2
     res = constraint_residual(broken)
@@ -179,6 +186,8 @@ def test_perturbation_localised_to_quadratic_coefficient():
     nonzero = sum(len(e.poly) for row in comp for e in row)
     in_block = sum(1 for row in res.compact.rows for x in row if x != 0)
     assert nonzero == in_block > 0
+    # the pencils' composite holds the same coefficients, monomial by monomial
+    assert check_monad_condition(build_monad(broken)) == section_coefficients(comp, dims)
 
 
 def test_fiber_line_bundle_constant_rank_one():
@@ -356,12 +365,14 @@ def test_scan_not_in_p_for_curve_drop():
 
 
 def test_scan_compressed_agrees_with_exact():
+    # in the chart, the reference elimination against the joint eigenvalues
     for cfg in (hilbert_k2_config(), sample_config(2, [1], 1, seed=5)):
         m = build_monad(cfg)
-        exact_pts, _ = _scan_chart(m, Random(1), use_all_minors=True)
-        comp_pts, _ = _scan_chart(m, Random(2), use_all_minors=False)
+        exact_pts, _ = reference_scan_chart(m, Random(1), use_all_minors=True)
+        comp_pts, _ = reference_scan_chart(m, Random(2), use_all_minors=False)
+        eigen_pts, _ = _scan_chart(m)
         assert sorted(p.coords for p in exact_pts) == \
-            sorted(p.coords for p in comp_pts)
+            sorted(p.coords for p in comp_pts) == sorted(p.coords for p in eigen_pts)
     # on the exceptional lines; the sampled n = 2 configuration drops rank
     # at one point of E_1
     for cfg in (isolated_drop_config(), sample_config(1, [1, 0], 1, seed=0)):
@@ -385,8 +396,9 @@ pairs_strategy = st.lists(
 def test_scan_routes_match_diagonal_oracle(pairs):
     m = build_monad(diagonal_config(pairs))
     expected = sorted((-lam, -mu, Fraction(1)) for lam, mu in pairs)
-    for use_all_minors in (False, True):
-        points, complete = _scan_chart(m, Random(0), use_all_minors)
+    routes = [reference_scan_chart(m, Random(0), use_all_minors)
+              for use_all_minors in (False, True)]
+    for points, complete in routes + [_scan_chart(m)]:
         assert sorted(p.coords for p in points) == expected
         assert complete
 
@@ -394,15 +406,16 @@ def test_scan_routes_match_diagonal_oracle(pairs):
 def test_common_zeros_when_no_pair_member_involves_x1():
     # the resultant in x1 of two polynomials free of x1 is 1, which is not in
     # the ideal; the eliminant must still vanish at x0 = 1/2
-    zeros = _common_zeros_2d([2 * _X0 - 1, (2 * _X0 - 1) ** 2, 3 * _X1 - 2])
+    zeros = common_zeros_2d([2 * X0 - 1, (2 * X0 - 1) ** 2, 3 * X1 - 2])
     assert zeros == ([(Fraction(1, 2), Fraction(2, 3))], False, True)
 
 
 def test_exact_chart_scan_finds_drop_with_x1_free_minors():
     m = build_monad(sample_config(1, [1], 1, seed=933631))
     expected = [(Fraction(1, 2), Fraction(2, 3), Fraction(1))]
-    for use_all_minors in (False, True):
-        points, complete = _scan_chart(m, Random(1), use_all_minors)
+    routes = [reference_scan_chart(m, Random(1), use_all_minors)
+              for use_all_minors in (False, True)]
+    for points, complete in routes + [_scan_chart(m)]:
         assert [p.coords for p in points] == expected
         assert complete
 
@@ -427,13 +440,13 @@ def test_framing_fiber_check_ranks_alpha_once(monkeypatch):
     cfg = sample_config(2, [1], 1, seed=5)
     m = build_monad(cfg)
     calls = []
-    rank = Matrix.rank
+    rank = monad._bareiss_rank
 
-    def counted(self):
-        calls.append(self.shape)
-        return rank(self)
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
 
-    monkeypatch.setattr(Matrix, "rank", counted)
+    monkeypatch.setattr(monad, "_bareiss_rank", counted)
     assert framing_verdicts(cfg, 0, m, True) == (True, True)
     assert len(calls) == 30
 
@@ -509,14 +522,18 @@ _QQ_CHART, _QX1, _QX0 = ring("x1,x0", QQ)
 _QQ_LINE = ring("w0,w1", QQ)[0]
 
 
-def _rational_entries(m, i=None):
-    """alpha at z2 = 1 (or restricted to E_i) over QQ, and the lcm of its denominators."""
+def _rational_entries(cfg, i=None):
+    """alpha at z2 = 1 (or restricted to E_i) over QQ, and the lcm of its denominators.
+
+    Read off the matrix of sections, independently of the pencil.
+    """
+    alpha, _ = section_maps(cfg)
     if i is None:
         entries = [[_QQ_CHART.from_dict({(e1, e0): c for (e0, e1, _), c in e.poly.items()})
-                    for e in row] for row in m.alpha]
+                    for e in row] for row in alpha]
     else:
         entries = [[_QQ_LINE.from_dict({(u, v): c for (u, v, _), c in e.restriction(i).items()})
-                    for e in row] for row in m.alpha]
+                    for e in row] for row in alpha]
     lcm = math.lcm(*(int(c.denominator) for row in entries for e in row
                      for c in e.itercoeffs()))
     return entries, lcm
@@ -527,7 +544,7 @@ def _as_rational(p, target):
 
 
 def _rational_common_zeros(polys):
-    """``_common_zeros_2d`` eliminating over QQ, as the scan did before it used ZZ.
+    """``common_zeros_2d`` eliminating over QQ, as the scan did before it used ZZ.
 
     """
     polys = [p for p in polys if p]
@@ -603,8 +620,8 @@ def test_integer_scan_polys_are_common_multiples_of_rational_ones():
         m = build_monad(cfg)
         k = m.dims.total_k
         for i in [None] + list(range(1, cfg.n + 1)):
-            ints = _scan_entries(m, i)
-            ref, lcm = _rational_entries(m, i)
+            ints = chart_entries(m) if i is None else _scan_entries(m, i)
+            ref, lcm = _rational_entries(cfg, i)
             target = ref[0][0].ring
             assert [[_as_rational(e, target) for e in row] for row in ints] == \
                 [[e.mul_ground(QQ(lcm)) for e in row] for row in ref]
@@ -623,12 +640,12 @@ def test_integer_common_zeros_match_rational_reference():
     for cfg in _integer_scan_configs():
         m = build_monad(cfg)
         k = m.dims.total_k
-        ints, (ref, _) = _scan_entries(m), _rational_entries(m)
+        ints, (ref, _) = chart_entries(m), _rational_entries(cfg)
         routes = [(_all_minors(ints, k), _all_minors(ref, k))]
         routes.append((list(_compressed_dets(ints, k, Random(3))),
                        list(_compressed_dets(ref, k, Random(3)))))
         for got, want in routes:
-            cands, curve, complete = _common_zeros_2d(got)
+            cands, curve, complete = common_zeros_2d(got)
             ref_cands, ref_curve, ref_complete = _rational_common_zeros(want)
             assert sorted(cands) == sorted(ref_cands)
             assert (curve, complete) == (ref_curve, ref_complete)
@@ -636,7 +653,7 @@ def test_integer_common_zeros_match_rational_reference():
 
 
 def test_common_zeros_non_monic_roots_are_exact_fractions():
-    cands, curve, complete = _common_zeros_2d([3 * _X0 - 2, 5 * _X1 + 4])
+    cands, curve, complete = common_zeros_2d([3 * X0 - 2, 5 * X1 + 4])
     assert cands == [(Fraction(2, 3), Fraction(-4, 5))]
     assert all(type(c) is Fraction for c in cands[0])
     assert (curve, complete) == (False, True)

@@ -1,14 +1,49 @@
-"""Shared helpers for the test suite: seeded random data of every flavour."""
+"""Shared helpers for the test suite: seeded random data and independent references.
+
+Besides random data of every flavour, this holds the references that the
+package's direct routes are checked against: the block-product derivatives,
+the monad as matrices of sections, and the chart scan by elimination.
+"""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from random import Random
+from typing import Sequence
 
-from adhm_blowup_kit.adhm import AdhmConfig, GroupElement, assemble_a
+from sympy import QQ, ZZ
+from sympy.polys.rings import ring
+
+from adhm_blowup_kit.adhm import (
+    COMPACT_SIGN,
+    AdhmConfig,
+    GroupElement,
+    assemble_a,
+    assemble_qA,
+    b_block,
+    derive_bA,
+)
+from adhm_blowup_kit.errors import NotInPError
 from adhm_blowup_kit.lattice import DivisorClass, monad_dims
-from adhm_blowup_kit.linalg import Matrix
-from adhm_blowup_kit.sections import BlowupPoints
+from adhm_blowup_kit.linalg import Matrix, block_matrix
+from adhm_blowup_kit.monad import (
+    SurfacePoint,
+    _all_minors,
+    _compressed_dets,
+    _gcd_all,
+    _offsets,
+)
+from adhm_blowup_kit.sections import (
+    BlowupPoints,
+    SectionPoly,
+    _fraction,
+    lambda_section,
+    lower_pair,
+    w_section,
+    z_section,
+    zero_section,
+)
 
 
 def rand_frac(rng: Random, lo: int = -4, hi: int = 4) -> Fraction:
@@ -31,7 +66,7 @@ def echelon(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
 
     A reference for the integer kernels of ``linalg``, independent of them.
     """
-    rows = m.copy_rows()
+    rows = [list(row) for row in m.rows]
     pivots: list[int] = []
     r = 0
     for c in range(m.ncols):
@@ -111,3 +146,398 @@ def rand_group_element(rng: Random, dims) -> GroupElement:
         h00=rand_invertible(rng, kd[0]),
         hii=tuple(rand_invertible(rng, kd[i + 1]) for i in range(dims.n)),
     )
+
+
+# -- the derivative references ---------------------------------------------------
+#
+# The first-order changes that ``adhm._jacobian`` and ``adhm._stabilizer_system``
+# assemble column by column, computed here by block products instead.
+
+
+def action_derivative(cfg: AdhmConfig, g0: Matrix, gam: Sequence[Matrix],
+                      h0: Matrix, hi: Sequence[Matrix]) -> list[Matrix]:
+    """Derivative of the group action at the identity along a Lie direction.
+
+    Returns the first-order changes of (a00, aA00[0], aA00[1], a0i..., aii...,
+    c, d) under ``(g00, g0i, h00, hii) = (1 + t g0, t gam, 1 + t h0, 1 + t hi)``.
+    """
+    n = cfg.n
+    out = []
+    d_a00 = g0 * cfg.a00 + cfg.a00 * h0
+    for i in range(n):
+        d_a00 = d_a00 + gam[i]
+    out.append(d_a00)
+    for a in (0, 1):
+        acc = g0 * cfg.aA00[a] + cfg.aA00[a] * h0
+        for i in range(n):
+            acc = acc - gam[i].scale(cfg.point_coord(i + 1, a))
+        out.append(acc)
+    for i in range(n):
+        out.append(g0 * cfg.a0i[i] + gam[i] * cfg.aii[i] + cfg.a0i[i] * hi[i])
+    for i in range(n):
+        # g_ii = h00^{-1} is slaved, so delta(g_ii) = -h0
+        out.append(-(h0 * cfg.aii[i]) + cfg.aii[i] * hi[i])
+    out.append(cfg.c * h0)
+    out.append(g0 * cfg.d)
+    return out
+
+
+def _delta_arrow(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix) -> Matrix:
+    n = cfg.n
+    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
+    blocks = [[Matrix.zeros(ld[i], kd[j]) for j in range(n + 1)] for i in range(n + 1)]
+    if kind == "a00":
+        blocks[0][0] = unit
+    elif kind == "a0i":
+        blocks[0][idx + 1] = unit
+    elif kind == "aii":
+        blocks[idx + 1][idx + 1] = unit
+    return block_matrix(blocks, list(ld), list(kd))
+
+
+def _delta_q(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix, a: int) -> Matrix:
+    n = cfg.n
+    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
+    blocks = [[Matrix.zeros(ld[i], kd[j]) for j in range(n + 1)] for i in range(n + 1)]
+    if kind == f"aA{a}":
+        blocks[0][0] = -unit
+    elif kind == "a0i":
+        blocks[0][idx + 1] = unit.scale(cfg.point_coord(idx + 1, a))
+    elif kind == "aii":
+        blocks[idx + 1][idx + 1] = unit.scale(cfg.point_coord(idx + 1, a))
+    return block_matrix(blocks, list(ld), list(kd))
+
+
+def compact_derivative(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix) -> Matrix:
+    """Directional derivative of the compact constraint along one free entry.
+
+    The reference for the Jacobian that ``adhm._jacobian`` assembles directly.
+    """
+    ainv = cfg._a_inverse
+    q = assemble_qA(cfg)
+    aq, qa = (ainv * q[0], ainv * q[1]), (q[0] * ainv, q[1] * ainv)
+    l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
+    da = _delta_arrow(cfg, kind, idx, unit)
+    dq = (_delta_q(cfg, kind, idx, unit, 0), _delta_q(cfg, kind, idx, unit, 1))
+    ds = (
+        dq[1] * aq[0]
+        - qa[1] * da * aq[0]
+        + qa[1] * dq[0]
+        - dq[0] * aq[1]
+        + qa[0] * da * aq[1]
+        - qa[0] * dq[1]
+    )
+    delta = ds.submatrix(0, l0, 0, k0).scale(COMPACT_SIGN)
+    if kind == "c":
+        delta = delta + cfg.d * unit
+    elif kind == "d":
+        delta = delta + unit * cfg.c
+    return delta
+
+
+# -- the monad as matrices of sections -------------------------------------------
+#
+# ``monad.build_monad`` stores each map as an integer pencil.  Here the same maps
+# are assembled entry by entry from the sections z^A, w_i^A and lambda_i, and
+# composed by ring arithmetic, as an independent reference.
+
+
+def _col_bidegree(n: int, j: int) -> DivisorClass:
+    q = [0] * n
+    if j >= 1:
+        q[j - 1] = -1
+    return DivisorClass(1, q)
+
+
+def section_maps(cfg: AdhmConfig):
+    """``(alpha, beta)`` of ``build_monad(cfg)`` as tuples of rows of ``SectionPoly``."""
+    ctx = cfg.points
+    dims = cfg.dims
+    n, r = cfg.n, cfg.r
+    kd, ld = dims.dim_k, dims.dim_l
+    bA = derive_bA(cfg)
+    zlow = lower_pair((z_section(ctx, 0), z_section(ctx, 1)))
+    z2 = z_section(ctx, 2)
+    wlow = {i: lower_pair((w_section(ctx, i, 0), w_section(ctx, i, 1)))
+            for i in range(1, n + 1)}
+    lam = {i: lambda_section(ctx, i) for i in range(1, n + 1)}
+    aA_low = lower_pair(cfg.aA00)
+
+    def zero_entry(j: int):
+        return zero_section(ctx, _col_bidegree(n, j))
+
+    w_slots = [(i, a_idx, m) for i in range(n + 1) for a_idx in (0, 1) for m in range(ld[i])]
+    w_slots += [("C", m) for m in range(r)]
+
+    alpha_rows = []
+    for i, a_idx, m in w_slots[: 2 * dims.total_l]:
+        row = []
+        for j in range(n + 1):
+            for mu in range(kd[j]):
+                entry = zero_entry(j)
+                if i == 0 and j == 0:
+                    entry = (zlow[a_idx].scale(cfg.a00[m, mu])
+                             + z2.scale(aA_low[a_idx][m, mu]))
+                elif i == 0 and j >= 1:
+                    entry = wlow[j][a_idx].scale(cfg.a0i[j - 1][m, mu])
+                elif i >= 1 and j == 0:
+                    entry = (lam[i] * wlow[i][a_idx]).scale(cfg.ai0[i - 1][m, mu])
+                elif i >= 1 and j == i:
+                    entry = wlow[i][a_idx].scale(cfg.aii[i - 1][m, mu])
+                row.append(entry)
+        alpha_rows.append(tuple(row))
+    for m in range(r):
+        row = []
+        for j in range(n + 1):
+            for mu in range(kd[j]):
+                entry = zero_entry(j)
+                if j == 0:
+                    entry = z2.scale(cfg.c[m, mu])
+                    if cfg.cAi is not None:
+                        for a_idx in (0, 1):
+                            entry = entry + zlow[a_idx].scale(cfg.cAi[0][a_idx][m, mu])
+                elif cfg.cAi is not None:
+                    for a_idx in (0, 1):
+                        entry = entry + wlow[j][a_idx].scale(cfg.cAi[j][a_idx][m, mu])
+                row.append(entry)
+        alpha_rows.append(tuple(row))
+
+    beta_rows = []
+    w_raised = {i: (w_section(ctx, i, 0), w_section(ctx, i, 1)) for i in range(1, n + 1)}
+    zs = (z_section(ctx, 0), z_section(ctx, 1))
+    for i in range(n + 1):
+        row_bd = _col_bidegree(n, i)
+        for m in range(ld[i]):
+            row = []
+            for slot in w_slots:
+                if slot[0] == "C":
+                    row.append(z2.scale(cfg.d[m, slot[1]]) if i == 0
+                               else zero_section(ctx, row_bd))
+                    continue
+                si, sa, sm = slot
+                if i == 0:
+                    entry = z2.scale(b_block(cfg, bA[sa], si)[m, sm])
+                    if si == 0 and sm == m:
+                        entry = entry + zs[sa]
+                    row.append(entry)
+                elif si == i and sm == m:
+                    row.append(w_raised[i][sa])
+                else:
+                    row.append(zero_section(ctx, row_bd))
+            beta_rows.append(tuple(row))
+    return tuple(alpha_rows), tuple(beta_rows)
+
+
+def pencil_sections(m):
+    """``(alpha, beta)`` of a ``MonadRep`` as rows of ``SectionPoly``, read off its pencils.
+
+    Each entry's bidegree is ``(1, -E_i)`` for its twist ``i``; the
+    ``SectionPoly`` constructor checks that it vanishes at that centre.
+    """
+    n = m.dims.n
+
+    def sections(pencil):
+        den = Fraction(1, pencil.den)
+        return tuple(
+            tuple(SectionPoly(_col_bidegree(n, rt or ct),
+                              {(1, 0, 0): a * den, (0, 1, 0): b * den, (0, 0, 1): c * den},
+                              m.ctx)
+                  for a, b, c, ct in zip(m0, m1, m2, pencil.col_twist))
+            for m0, m1, m2, rt in zip(*pencil.mats, pencil.row_twist))
+
+    return sections(m.alpha), sections(m.beta)
+
+
+def section_composite(alpha, beta, dims, ctx):
+    """The composite ``beta . alpha`` as a matrix of sections (zero iff valid)."""
+    n = dims.n
+    l_off = _offsets(dims.dim_l)
+    k_off = _offsets(dims.dim_k)
+
+    def out_bidegree(row: int, col: int) -> DivisorClass:
+        bi = next(i for i in range(n + 1) if l_off[i] <= row < l_off[i + 1])
+        bj = next(j for j in range(n + 1) if k_off[j] <= col < k_off[j + 1])
+        q = [0] * n
+        if bi >= 1:
+            q[bi - 1] -= 1
+        if bj >= 1:
+            q[bj - 1] -= 1
+        return DivisorClass(2, q)
+
+    out = []
+    for i in range(dims.total_l):
+        row = []
+        for j in range(dims.total_k):
+            acc = zero_section(ctx, out_bidegree(i, j))
+            for s in range(dims.rank_w):
+                acc = acc + beta[i][s] * alpha[s][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def coefficient_block(comp, dims, bi: int, bj: int, monomial: tuple[int, int, int]) -> Matrix:
+    """Coefficient of one monomial across a block of a composite of sections."""
+    l_off = _offsets(dims.dim_l)
+    k_off = _offsets(dims.dim_k)
+    rows = []
+    for i in range(l_off[bi], l_off[bi + 1]):
+        row = []
+        for j in range(k_off[bj], k_off[bj + 1]):
+            row.append(_fraction(comp[i][j].poly.get(monomial, QQ.zero)))
+        rows.append(row)
+    return Matrix(rows, ncols=k_off[bj + 1] - k_off[bj])
+
+
+def section_coefficients(comp, dims) -> dict[tuple[int, int, int], Matrix]:
+    """A quadratic composite of sections as one coefficient matrix per monomial."""
+    return {mono: Matrix([[_fraction(e.poly.get(mono, QQ.zero)) for e in row] for row in comp],
+                         ncols=dims.total_k)
+            for mono in ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))}
+
+
+# -- the chart scan by elimination -----------------------------------------------
+#
+# ``monad._scan_chart`` finds the chart's drop points as joint eigenvalues.  The
+# route it replaced eliminates over the maximal minors (or three compressions)
+# of alpha at z2 = 1 in ZZ[x1, x0]: x1 comes first so that ``resultant``
+# eliminates it into ZZ[x0], and a fibre over a root of the eliminant lies in
+# ZZ[x1].
+
+
+CHART, X1, X0 = ring("x1,x0", ZZ)
+_FIBRE = CHART.drop(X0)
+
+
+def chart_entries(m) -> list[list]:
+    """``L alpha`` at z2 = 1 in ZZ[x1, x0], ``L`` the pencil's common denominator."""
+    return [[CHART.from_dict({mono: v for mono, v in (((0, 1), a), ((1, 0), b), ((0, 0), c)) if v})
+             for a, b, c in zip(m0, m1, m2)] for m0, m1, m2 in zip(*m.alpha.mats)]
+
+
+def _rational_roots(poly) -> tuple[list[Fraction], bool]:
+    """Rational roots of a nonzero univariate ring element, plus 'all roots rational'."""
+    if poly.degree() <= 0:
+        return [], True
+    var = poly.ring.gens[0]
+    roots: list[Fraction] = []
+    all_rational = True
+    _, factors = poly.factor_list()
+    for fac, _mult in factors:
+        if fac.degree() == 1:
+            roots.append(Fraction(-int(fac.coeff(1)), int(fac.coeff(var))))
+        elif fac.degree() > 1:
+            all_rational = False
+    return roots, all_rational
+
+
+def _eliminate_x1(f1, f2):
+    """An element of the ideal (f1, f2) in ``ZZ[x0]``, zero iff they share a factor.
+
+    ``resultant`` with respect to x1 is 1 when neither input involves x1, and 1
+    is not in the ideal; for such a pair the gcd in ``ZZ[x0]`` is.
+    """
+    if f1.degree(X1) == 0 and f2.degree(X1) == 0:
+        return f1.gcd(f2).drop(X1)
+    return f1.resultant(f2)
+
+
+def _at_x0(p, x0: Fraction):
+    """``b^d p(x1, a/b)`` in ``ZZ[x1]`` for ``x0 = a/b`` and ``d = deg_x0 p``."""
+    a, b = x0.numerator, x0.denominator
+    deg = p.degree(X0)
+    scale = [a ** e * b ** (deg - e) for e in range(deg + 1)]
+    out: dict[tuple[int], int] = {}
+    for (e1, e0), c in p.items():
+        out[(e1,)] = out.get((e1,), 0) + c * scale[e0]
+    return _FIBRE.from_dict(out)
+
+
+def common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool, bool]:
+    """Candidate common zeros of elements of ``ZZ[x1, x0]``, as pairs (x0, x1).
+
+    Returns (candidates, curve_detected, complete).  Candidates may contain
+    spurious points (callers verify); no genuine common zero with rational
+    coordinates is missed unless ``complete`` is False.
+    """
+    polys = [p for p in polys if p]
+    if not polys:
+        return [], True, True
+    if not _gcd_all(polys).is_ground:
+        return [], True, True
+    if len(polys) == 1:
+        return [], False, True
+    resultants = []
+    for f1, f2 in itertools.combinations(polys[: max(3, min(len(polys), 6))], 2):
+        res = _eliminate_x1(f1, f2)
+        if res:
+            resultants.append(res)
+        if len(resultants) >= 12:
+            break
+    if not resultants:
+        # every pair shares a factor; add combinations from the ideal and retry
+        rng = Random(1729)
+        extra = [sum(rng.randint(1, 7) * p for p in polys) for _ in range(2)]
+        for f1 in extra:
+            for f2 in polys[:4]:
+                res = _eliminate_x1(f1, f2)
+                if res:
+                    resultants.append(res)
+        if not resultants:
+            return [], False, False
+    eliminant = _gcd_all(resultants)
+    if eliminant.is_ground:
+        return [], False, True
+    roots0, complete = _rational_roots(eliminant)
+    candidates: list[tuple[Fraction, Fraction]] = []
+    for r0 in roots0:
+        fibre = None
+        for p in polys:
+            sub = _at_x0(p, r0)
+            if sub:
+                fibre = sub if fibre is None else fibre.gcd(sub)
+        if fibre is None:
+            complete = False
+            continue
+        if fibre.is_ground:
+            continue
+        roots1, rational1 = _rational_roots(fibre)
+        complete = complete and rational1
+        candidates += [(r0, r1) for r1 in roots1]
+    return candidates, False, complete
+
+
+def reference_scan_chart(m, rng: Random, use_all_minors: bool):
+    """Rank-drop points in the chart z2 = 1 (minus blow-up centres) by elimination."""
+    full_rank = m.dims.total_k
+    entries = chart_entries(m)
+    complete = True
+    if use_all_minors:
+        polys = _all_minors(entries, full_rank)
+        if not polys:
+            raise NotInPError("alpha drops rank on the whole surface")
+        candidates, curve, complete = common_zeros_2d(polys)
+        if curve:
+            raise NotInPError("alpha drops rank along a curve in the affine chart")
+    else:
+        candidates = None
+        for _attempt in range(4):
+            dets = _compressed_dets(entries, full_rank, rng)
+            if not any(dets):
+                continue
+            cand, curve, comp_flag = common_zeros_2d(list(dets))
+            if curve:
+                continue
+            candidates, complete = cand, comp_flag
+            break
+        if candidates is None:
+            raise NotInPError("alpha drops rank along a curve in the affine chart")
+    centres = set(m.ctx.points)
+    drops = []
+    for x0, x1 in candidates:
+        if (x0, x1) in centres:
+            continue
+        pt = SurfacePoint.generic(x0, x1, 1)
+        if m.alpha_at(pt).rank() < full_rank:
+            drops.append(pt)
+    return drops, complete

@@ -134,14 +134,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cfg, seed = _load_config_and_seed(args)
+    cfg, _seed = _load_config(args.path)
     try:
         rep = monad.build_monad(cfg)
     except FramingViolationError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        scan = monad.singular_scan(rep, seed)
+        scan = monad.singular_scan(rep)
     except NotInPError as exc:
         _emit({"schema": config_io.SCHEMA_VERSION, "finite_rank_drop": False,
                "reason": str(exc)}, args.json, [f"not in P: {exc}"])
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="singular locus of a configuration file")
     p.add_argument("path")
-    add_common(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("tangent", help="empirical moduli dimension")

@@ -24,8 +24,11 @@ Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps;
 on the largest subspace of the framing kernel that both leave invariant: the
 rational ones come from the characteristic polynomials and are verified by
 exact ranks, and an irrational one is detected by a common-eigenvector test.
-On each exceptional line the scan eliminates over the maximal minors or three
-compressions, with a rank-drop-along-the-line detector.  ``framing_check``
+On each exceptional line alpha is constant columns beside a pencil in
+``(w0 : w1)``, and the drop points are the eigenvalues of one rational matrix
+on the largest subspace of a kernel that it preserves; full rank at one of
+``dim K_i + 1`` points rules out a drop along the line.  Nothing in the scan is
+drawn at random.  ``framing_check``
 compares the determinant criterion for the framing with the fibre criterion
 along the framing line.  ``validate_config`` bundles everything into one
 report.
@@ -40,7 +43,7 @@ from fractions import Fraction
 from operator import mul
 from random import Random
 
-from sympy import QQ, ZZ
+from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
@@ -337,26 +340,14 @@ def fiber_data(m: MonadRep, x: SurfacePoint) -> FiberData:
 # -- singular locus -----------------------------------------------------------------
 
 
-#: On an exceptional line, ``singular_scan`` eliminates over the full
-#: maximal-minor ideal when ``sum(dim K)`` is at most this, and over three
-#: compressions above it: the minor count grows combinatorially, and the
-#: compressions are faster from ``sum(dim K) = 3`` on.
-_EXACT_MAX_DIM = 2
-#: Random points of the framing line that the scan probes for a rank drop.
-_FRAMING_PROBES = 5
-
-
 @dataclass(frozen=True)
 class ScanResult:
     points: tuple[SurfacePoint, ...]
     complete: bool
 
 
-#: Characteristic polynomials live in QQ[t]; restrictions to an exceptional
-#: line are forms in ZZ[w0, w1], computed in QQ[w0, w1] first.
+#: Characteristic polynomials live in QQ[t].
 _T = ring("t", QQ)[0]
-_QLINE, _QW0, _QW1 = ring("w0,w1", QQ)
-_LINE, _W0, _W1 = ring("w0,w1", ZZ)
 
 
 def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
@@ -470,141 +461,97 @@ def _scan_chart(m: MonadRep) -> tuple[list[SurfacePoint], bool]:
     return [pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank], complete
 
 
-def _scan_entries(m: MonadRep, i: int) -> list[list]:
-    """``L alpha`` restricted to ``E_i``, in ZZ[w0, w1].
+def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]], bool] | None:
+    """Where the pencil ``w0 a0 + w1 a1`` drops below full column rank ``d``.
 
-    ``L`` is one common denominator: the lcm of the denominators of every
-    coefficient of the restricted matrix.  With one ``L`` for the whole
-    matrix, every maximal minor and every compression ``det(U . L alpha)``
-    is ``L^k`` times that of ``alpha``, a fixed nonzero constant, so common
-    zeros, gcd degrees and factors are those of the rational matrix.
+    None if it drops everywhere; otherwise the rational points ``(w0 : w1)``,
+    as ``(1, w1/w0)`` or ``(0, 1)``, and whether they are all of them.  Every
+    d x d minor is a form of degree d in ``w``, so full rank at one of the
+    d + 1 points ``(mu : 1)``, ``0 <= mu <= d``, rules out a drop everywhere.
+    With ``B = mu a0 + a1`` of full rank, ``T = -(B^T B)^{-1} B^T a0`` and
+    ``C = a0 + B T``, whose columns are orthogonal to those of ``B``, the
+    pencil at ``(1 + mu tau : tau)`` is ``B (tau - T) + C``.  It kills ``v``
+    iff ``T v = tau v`` and ``C v = 0``, so the drop points other than
+    ``(mu : 1)``, which is none, are the eigenvalues of ``T`` on the largest
+    ``T``-invariant subspace of ker ``C``.  A linear factor of their
+    characteristic polynomial is a rational point; any other factor makes
+    the list incomplete.
     """
-    scale = QQ(1, m.alpha.den)
-    p0, p1 = (QQ(x.numerator, x.denominator) * scale for x in m.ctx.points[i - 1])
-    rows = m.alpha.combine((i, (_QLINE(p0), _QLINE(p1), _QLINE(scale)),
-                            (_QW0 * scale, _QW1 * scale)))
-    lcm = math.lcm(1, *(int(c.denominator) for row in rows for e in row for c in e.itercoeffs()))
-    return [[_LINE.from_dict({mono: int(c.numerator) * (lcm // int(c.denominator))
-                              for mono, c in e.items()})
-             for e in row] for row in rows]
+    d = a0.ncols
+    mu = next((mu for mu in range(d + 1) if (a0.scale(mu) + a1).rank() == d), None)
+    if mu is None:
+        return None
+    b = a0.scale(mu) + a1
+    bt = b.transpose()
+    t = -(bt * b).solve(bt * a0)
+    [g] = _restrict(a0 + b * t, [t])
+    points, complete = [], True
+    for f in _factors(g):
+        if f.degree() > 1:
+            complete = False
+            continue
+        tau = _fraction(-f.coeff(1) / f.LC)
+        w0 = 1 + mu * tau
+        points.append((Fraction(1), tau / w0) if w0 else (Fraction(0), Fraction(1)))
+    return points, complete
 
 
-def _domain_matrix(rows: list[list], domain) -> DomainMatrix:
-    return DomainMatrix(rows, (len(rows), len(rows[0])), domain)
+def _scan_divisor(m: MonadRep, i: int) -> tuple[list[SurfacePoint], bool]:
+    """Rank-drop points on the exceptional line E_i, and completeness.
 
-
-def _compressed_dets(entries: list[list], full_rank: int, rng: Random):
-    """``det(U_j . alpha)`` for three random integer ``U_j``, by fraction-free Bareiss.
-
-    Two compressions generically share spurious common zeros off the drop
-    locus, often irrational ones; a third compression generically misses them.
+    There alpha is ``[U | w0 P_0 + w1 P_1]``: the untwisted columns valued at
+    ``p_i``, and the ``K_i`` columns, linear in ``w``.  With ``N`` the left
+    kernel of ``U``, its rank is ``rank U + rank N (w0 P_0 + w1 P_1)``: it
+    drops everywhere if ``U`` does not have full column rank, and otherwise
+    where the pencil ``w0 N P_0 + w1 N P_1`` does (see :func:`_line_drops`).
+    Every point found is verified by an exact rank.
     """
-    domain = entries[0][0].ring.to_domain()
-    mat = _domain_matrix(entries, domain)
-    dets = []
-    for _ in range(3):
-        u = _domain_matrix([[domain(rng.randint(-9, 9)) for _ in entries]
-                            for _ in range(full_rank)], domain)
-        dets.append((u * mat).det())
-    return tuple(dets)
-
-
-def _all_minors(entries: list[list], full_rank: int):
-    """Distinct nonzero maximal minors, in the order of their row sets."""
-    mat = _domain_matrix(entries, entries[0][0].ring.to_domain())
-    cols = list(range(mat.shape[1]))
-    minors = []
-    for rows in itertools.combinations(range(mat.shape[0]), full_rank):
-        d = mat.extract(list(rows), cols).det()
-        if d and d not in minors:
-            minors.append(d)
-    return minors
-
-
-def _gcd_all(polys: list):
-    g = polys[0]
-    for p in polys[1:]:
-        g = g.gcd(p)
-    return g
-
-
-def _scan_divisor(m: MonadRep, i: int, rng: Random, use_all_minors: bool):
-    """Rank-drop points on the exceptional line E_i."""
+    rank_w = m.dims.rank_w
+    # the columns of alpha at (1 : 0) and (0 : 1), both scaled by the integer
+    # that clears the denominators of p_i
+    at = [list(zip(*m.alpha.combine(_terms(SurfacePoint.exceptional(i, *w), m.ctx, True))))
+          for w in ((1, 0), (0, 1))]
+    twisted = [t == i for t in m.alpha.col_twist]
+    u_t = Matrix([col for col, t in zip(at[0], twisted) if not t], ncols=rank_w)
+    kernel = u_t.nullspace()
+    found = None
+    if len(kernel) == rank_w - u_t.nrows:
+        n = Matrix([[v[j, 0] for j in range(rank_w)] for v in kernel], ncols=rank_w)
+        found = _line_drops(*(n * Matrix([col for col, t in zip(cols, twisted) if t],
+                                         ncols=rank_w).transpose() for cols in at))
+    if found is None:
+        raise NotInPError(f"alpha drops rank along the exceptional line E_{i}")
     full_rank = m.dims.total_k
-    entries = _scan_entries(m, i)
-    if use_all_minors:
-        polys = _all_minors(entries, full_rank)
-    else:
-        polys = []
-        for _attempt in range(4):
-            polys = [p for p in _compressed_dets(entries, full_rank, rng) if p]
-            if polys:
-                break
-    if not polys:
-        probe = SurfacePoint.exceptional(i, 1, Fraction(rng.randint(50, 99), 7))
-        if m.alpha.rank_at(probe, m.ctx) < full_rank:
-            raise NotInPError(f"alpha drops rank along the exceptional line E_{i}")
-        return [], False
-    g = _gcd_all(polys)
-    drops: list[SurfacePoint] = []
-    complete = True
-    if not g.is_ground:
-        _, factors = g.factor_list()
-        for fac, _mult in factors:
-            degree = max(sum(mono) for mono in fac.monoms())
-            if degree == 1:
-                # fac = a0 w0 + a1 w1 vanishes at (w0 : w1) = (-a1 : a0)
-                w0, w1 = -int(fac.coeff(_W1)), int(fac.coeff(_W0))
-                if w0:
-                    cand = SurfacePoint.exceptional(i, 1, Fraction(w1, w0))
-                else:
-                    cand = SurfacePoint.exceptional(i, 0, 1)
-                if m.alpha.rank_at(cand, m.ctx) < full_rank:
-                    drops.append(cand)
-            elif degree > 1:
-                complete = False
-    return drops, complete
+    candidates = (SurfacePoint.exceptional(i, *w) for w in found[0])
+    return [pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank], found[1]
 
 
-def singular_scan(m: MonadRep, seed: int = 0) -> ScanResult:
+def singular_scan(m: MonadRep) -> ScanResult:
     """All points where ``alpha`` drops below full column rank.
 
-    Covers the affine chart, every exceptional line and the framing line.
-    In the chart the drop points are the joint eigenvalues of ``T_A = a^{-1}
-    q^A`` on the largest subspace of the framing kernel they preserve (see
-    :func:`_scan_chart`); no elimination and no random draws are involved.
-    On each exceptional line, elimination runs on the full maximal-minor
-    ideal of the restricted pencil when ``sum(dim K)`` is at most 2, and
-    otherwise on three seeded compressions ``det(U_j . alpha)``, which lie in
-    that ideal (Cauchy-Binet), so their common zeros contain every drop
-    point.  It runs on integer forms: each restriction is first multiplied
-    by one common denominator, which scales every minor and compression by a
-    nonzero constant.  Every reported point is re-verified by an exact rank
-    computation, and a drop along a line raises :class:`NotInPError`.  The
-    seed fixes the random framing-line probes and compressions, so the
-    result is a function of ``m`` and ``seed``.
+    Covers the affine chart and every exceptional line; on the framing line
+    alpha has full rank, because its L rows there are ``x0 a`` and ``-x1 a``
+    and ``build_monad`` requires ``a`` invertible.  In the chart the drop
+    points are the joint eigenvalues of ``T_A = a^{-1} q^A`` on the largest
+    subspace of the framing kernel they preserve (see :func:`_scan_chart`).
+    On each exceptional line, alpha is the constant columns beside a pencil
+    in ``(w0 : w1)``, and the drop points are the eigenvalues of one matrix
+    on the largest subspace of one kernel it preserves (see
+    :func:`_scan_divisor`); a drop along the line raises
+    :class:`NotInPError`.  Every reported point is re-verified by an exact
+    rank computation.  Nothing is drawn at random, so the result is a
+    function of ``m`` alone.
 
-    ``complete`` is True only when the scan is certified: no joint
-    eigenvalue in the chart has an irrational coordinate, and every factor
-    of every line eliminant is linear over QQ.  False means further drop
-    points could not be ruled out, usually irrational ones; the reported
-    points are still genuine.
+    ``complete`` is True only when the scan is certified: no drop point, in
+    the chart or on a line, has an irrational coordinate.  False means
+    further drop points could not be ruled out; the reported points are
+    still genuine.
     """
-    rng = Random(seed)
-    full_rank = m.dims.total_k
-    if full_rank == 0:
+    if m.dims.total_k == 0:
         return ScanResult(points=(), complete=True)
-
-    # Framing line: the restriction of alpha factors through the assembled
-    # matrix a, so a drop at any point of z2 = 0 is a drop along all of it.
-    for pt in _framing_line_points(rng, _FRAMING_PROBES):
-        if m.alpha.rank_at(pt, m.ctx) < full_rank:
-            raise NotInPError("alpha drops rank along the framing line")
-
-    use_exact = full_rank <= _EXACT_MAX_DIM
     drops, complete = _scan_chart(m)
     for i in range(1, m.dims.n + 1):
-        d_i, c_i = _scan_divisor(m, i, rng, use_all_minors=use_exact)
+        d_i, c_i = _scan_divisor(m, i)
         drops.extend(d_i)
         complete = complete and c_i
     unique = sorted(set(drops), key=SurfacePoint.sort_key)
@@ -622,10 +569,10 @@ def _rand_chart_point(rng: Random, ctx: BlowupPoints) -> SurfacePoint:
             return SurfacePoint.generic(x0, x1, 1)
 
 
-def _framing_line_points(rng: Random, count: int) -> list[SurfacePoint]:
-    """The two coordinate points of the framing line, then ``count`` random ones."""
+def _framing_line_points(rng: Random) -> list[SurfacePoint]:
+    """The two coordinate points of the framing line, then eight random ones."""
     pts = [SurfacePoint.generic(1, 0, 0), SurfacePoint.generic(0, 1, 0)]
-    pts += [SurfacePoint.generic(1, _rand_frac(rng), 0) for _ in range(count)]
+    pts += [SurfacePoint.generic(1, _rand_frac(rng), 0) for _ in range(8)]
     return pts
 
 
@@ -665,7 +612,7 @@ def framing_verdicts(cfg: AdhmConfig, seed: int = 0, m: MonadRep | None = None,
             m = build_monad(cfg)
         except FramingViolationError:
             return det_ok, False
-    pts = _framing_line_points(Random(seed), 8)  # ten points in all
+    pts = _framing_line_points(Random(seed))
     return det_ok, all(_framing_fiber_ok(m, cfg, x) for x in pts)
 
 
@@ -819,7 +766,7 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
 
     finite_drop: bool | None
     try:
-        scan = singular_scan(monad, seed)
+        scan = singular_scan(monad)
         finite_drop = True
         singular_points = scan.points
         scan_complete = scan.complete

@@ -200,7 +200,7 @@ def test_tangent_rejects_invalid_file(capsys, tmp_path):
 
 
 OPTIONS = {
-    "scan": {"path", "--seed", "--json"},
+    "scan": {"path", "--json"},
     "validate": {"path", "--seed", "--json"},
     "report": {"path", "--seed", "--json"},
     "sample": {"-r", "-a", "-k", "--seed", "-o", "--output"},

@@ -2,12 +2,10 @@
 
 The configurations are the two bundled ones, four sampled ladder rungs
 (``configs/r*.json``, written by ``sample --seed 0``) and an n = 0 diagonal
-ideal at k = 5 whose five drop points are ``(-lambda_i : -mu_i : 1)``.  The
-bundled configurations and ``r1_a-1_k0`` (``sum(dim K) <= 2``) take the
-scan's exact minor-ideal route, the others its compressed route.  Three
+ideal at k = 5 whose five drop points are ``(-lambda_i : -mu_i : 1)``.  Three
 n = 2, r = 3, k = 2 configurations (``configs/tangent/``, written by
 ``sample --seed 0``) pin ``tangent`` alone on larger Jacobian and stabilizer
-systems; their scans take seconds each.  The seven sampled configurations
+systems.  The seven sampled configurations
 are themselves the goldens of ``sample``, and ``commuting_r2_k2.sample.json``
 pins the n = 0 sampler; it stays outside ``configs/`` so that it joins no
 other case.  A refactor of the sampler, the scan or the tangent computation

@@ -34,11 +34,8 @@ from adhm_blowup_kit.monad import (
     framing_verdicts,
     singular_scan,
     validate_config,
-    _all_minors,
-    _compressed_dets,
     _scan_chart,
     _scan_divisor,
-    _scan_entries,
 )
 from adhm_blowup_kit.sections import (
     BlowupPoints,
@@ -49,13 +46,17 @@ from adhm_blowup_kit.sections import (
 from util import (
     X0,
     X1,
+    _all_minors,
+    _compressed_dets,
     chart_entries,
     coefficient_block,
     common_zeros_2d,
+    line_entries,
     pencil_sections,
     rand_config,
     rand_matrix,
     reference_scan_chart,
+    reference_scan_divisor,
     section_coefficients,
     section_composite,
     section_maps,
@@ -360,8 +361,11 @@ def test_scan_not_in_p_for_curve_drop():
                      aA00=(a00.scale(-p[0]), a00.scale(-p[1])),
                      c=Matrix.zeros(1, 1), d=Matrix.zeros(1, 1))
     assert assemble_a(cfg).det() != 0
-    with pytest.raises(NotInPError):
-        singular_scan(build_monad(cfg))
+    m = build_monad(cfg)
+    for scan in (singular_scan, lambda m: _scan_divisor(m, 1),
+                 lambda m: reference_scan_divisor(m, 1, Random(1), use_all_minors=True)):
+        with pytest.raises(NotInPError):
+            scan(m)
 
 
 def test_scan_compressed_agrees_with_exact():
@@ -373,14 +377,15 @@ def test_scan_compressed_agrees_with_exact():
         eigen_pts, _ = _scan_chart(m)
         assert sorted(p.coords for p in exact_pts) == \
             sorted(p.coords for p in comp_pts) == sorted(p.coords for p in eigen_pts)
-    # on the exceptional lines; the sampled n = 2 configuration drops rank
-    # at one point of E_1
+    # on the exceptional lines, the reference elimination against the
+    # eigenvalue route; the sampled n = 2 configuration drops rank at one
+    # point of E_1
     for cfg in (isolated_drop_config(), sample_config(1, [1, 0], 1, seed=0)):
         m = build_monad(cfg)
         for i in range(1, cfg.n + 1):
-            exact = _scan_divisor(m, i, Random(1), use_all_minors=True)
-            comp = _scan_divisor(m, i, Random(2), use_all_minors=False)
-            assert exact == comp
+            exact = reference_scan_divisor(m, i, Random(1), use_all_minors=True)
+            comp = reference_scan_divisor(m, i, Random(2), use_all_minors=False)
+            assert exact == comp == _scan_divisor(m, i)
             assert exact[1] is True
         assert singular_scan(m).points
 
@@ -601,7 +606,7 @@ def _rational_common_zeros(polys):
 def _integer_scan_configs():
     yield sample_config(1, [], 2, seed=0)        # n = 0, commuting sampler
     yield sample_config(1, [0], 1, seed=2)       # n = 1
-    yield sample_config(2, [1], 1, seed=5)       # n = 1, compressed route
+    yield sample_config(2, [1], 1, seed=5)       # n = 1, sum(dim K) = 3
     yield sample_config(1, [1, 0], 1, seed=0)    # n = 2, drops on E_1
     yield isolated_drop_config()
     rng = Random(23)
@@ -620,7 +625,7 @@ def test_integer_scan_polys_are_common_multiples_of_rational_ones():
         m = build_monad(cfg)
         k = m.dims.total_k
         for i in [None] + list(range(1, cfg.n + 1)):
-            ints = chart_entries(m) if i is None else _scan_entries(m, i)
+            ints = chart_entries(m) if i is None else line_entries(m, i)
             ref, lcm = _rational_entries(cfg, i)
             target = ref[0][0].ring
             assert [[_as_rational(e, target) for e in row] for row in ints] == \

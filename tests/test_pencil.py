@@ -5,6 +5,8 @@ invertible ``a`` and no further constraint, so they are mostly not monads.
 Some are pushed towards chart drop points: ``c = 0`` (the whole space is
 unobservable), upper triangular ``aA00`` (a common eigenvector) or
 ``aA00[0] = aA00[1]`` (many, often irrational).  The rest are sampled monads.
+Such data almost never drop rank on an exceptional line, so the line route is
+also checked on planted pencils ``X D(w) Y`` whose drop points are known.
 """
 
 from fractions import Fraction
@@ -15,20 +17,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhm_blowup_kit.adhm import sample_config
-from adhm_blowup_kit.errors import AmbiguousPointError, InfeasibleParametersError
+from adhm_blowup_kit.adhm import assemble_a, sample_config
+from adhm_blowup_kit.errors import (
+    AmbiguousPointError,
+    InfeasibleParametersError,
+    NotInPError,
+)
 from adhm_blowup_kit.lattice import monad_dims
 from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.monad import (
     SurfacePoint,
+    _line_drops,
     _scan_chart,
+    _scan_divisor,
     build_monad,
     check_monad_condition,
     composite_is_zero,
 )
 from util import (
+    W0,
+    W1,
+    _all_minors,
+    line_zeros,
     rand_config,
     reference_scan_chart,
+    reference_scan_divisor,
     section_coefficients,
     section_composite,
     section_maps,
@@ -125,3 +138,117 @@ def test_chart_eigen_route_matches_elimination(cfg):
     ref_points, ref_complete = reference_scan_chart(m, Random(0), m.dims.total_k <= 2)
     assert sorted(p.coords for p in points) == sorted(p.coords for p in ref_points)
     assert complete == ref_complete
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cfg=configs(), t=fractions)
+def test_alpha_has_full_rank_on_the_framing_line(cfg, t):
+    # at z2 = 0 the L rows of alpha are x0 a and -x1 a, so an invertible a
+    # gives full column rank at every point of the framing line
+    assert assemble_a(cfg).det() != 0
+    m = build_monad(cfg)
+    for pt in (SurfacePoint.generic(1, 0, 0), SurfacePoint.generic(0, 1, 0),
+               SurfacePoint.generic(1, t, 0)):
+        assert m.alpha.rank_at(pt, m.ctx) == m.dims.total_k
+
+
+def _line_scan_or_none(scan, m, i):
+    try:
+        return scan(m, i)
+    except NotInPError:
+        return None
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(cfg=configs().filter(lambda cfg: cfg.n >= 1))
+def test_line_eigen_route_matches_elimination(cfg):
+    m = build_monad(cfg)
+    for i in range(1, cfg.n + 1):
+        got = _line_scan_or_none(_scan_divisor, m, i)
+        want = _line_scan_or_none(
+            lambda m, i: reference_scan_divisor(m, i, Random(0), use_all_minors=True), m, i)
+        assert got == want
+
+
+#: Blocks of a planted pencil ``D(w)``: (the rows of ``D_0``, those of ``D_1``).
+#: ``w0 - lam w1`` drops at ``(lam : 1)``, ``w1`` at ``(1 : 0)``, ``w0`` at
+#: ``(0 : 1)``, the 2 x 2 block of determinant ``w0^2 - c w1^2`` at two
+#: irrational points, the zero block everywhere and ``(w0, w1)^T`` nowhere.
+BLOCKS = {
+    "linear": lambda lam: ([[lam.denominator]], [[-lam.numerator]]),
+    "w1": lambda _: ([[0]], [[1]]),
+    "w0": lambda _: ([[1]], [[0]]),
+    "irrational": lambda c: ([[1, 0], [0, 1]], [[0, c], [1, 0]]),
+    "zero": lambda _: ([[0]], [[0]]),
+    "nowhere": lambda _: ([[1], [0]], [[0], [1]]),
+}
+
+
+def _block_diagonal(blocks):
+    nrows, ncols = sum(len(b) for b in blocks), sum(len(b[0]) for b in blocks)
+    out, r, c = [[0] * ncols for _ in range(nrows)], 0, 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[r + i][c:c + len(row)] = row
+        r, c = r + len(b), c + len(b[0])
+    return Matrix(out, ncols=ncols)
+
+
+def _rand_int_matrix(rng, m, n, invertible=False):
+    while True:
+        x = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)], ncols=n)
+        if not invertible or x.det() != 0:
+            return x
+
+
+def _planted_drops(blocks):
+    """Whole-line drop (None), or the planted points and whether all are rational."""
+    if any(kind == "zero" for kind, _ in blocks):
+        return None
+    found = set()
+    for kind, lam in blocks:
+        if kind == "w1":
+            found.add((Fraction(1), Fraction(0)))
+        elif kind == "w0" or kind == "linear" and lam == 0:
+            found.add((Fraction(0), Fraction(1)))
+        elif kind == "linear":
+            found.add((Fraction(1), 1 / lam))
+    return sorted(found), all(kind != "irrational" for kind, _ in blocks)
+
+
+def _sorted(found):
+    return found and (sorted(found[0]), found[1])
+
+
+block_strategy = st.one_of(
+    st.tuples(st.just("linear"), fractions),
+    st.tuples(st.just("irrational"), st.sampled_from((2, 3, 5, -1, -3))),
+    st.tuples(st.sampled_from(("w1", "w0", "zero", "nowhere")), st.none()),
+)
+blocks_strategy = st.lists(block_strategy, min_size=1, max_size=4).filter(
+    lambda bs: sum(2 if k == "irrational" else 1 for k, _ in bs) <= 5)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(blocks=blocks_strategy, extra=st.sampled_from(("none", "random", "shared")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_line_route_matches_minor_gcd_on_planted_pencils(blocks, extra, seed):
+    # the drops of X D(w) Y, X and Y invertible, are those of D(w); extra
+    # rows Z D(w) Y keep them, random extra rows usually remove them
+    rng = Random(seed)
+    parts = [BLOCKS[kind](p) for kind, p in blocks]
+    d_w = [_block_diagonal([part[j] for part in parts]) for j in (0, 1)]
+    s, d = d_w[0].shape
+    x, y = _rand_int_matrix(rng, s, s, True), _rand_int_matrix(rng, d, d, True)
+    pencil = [x * dj * y for dj in d_w]
+    if extra == "shared":
+        z = _rand_int_matrix(rng, 2, s)
+        pencil = [Matrix(a.rows + (z * dj * y).rows, ncols=d) for a, dj in zip(pencil, d_w)]
+    elif extra == "random":
+        pencil = [Matrix(a.rows + _rand_int_matrix(rng, 1, d).rows, ncols=d) for a in pencil]
+    entries = [[int(a) * W0 + int(b) * W1 for a, b in zip(r0, r1)]
+               for r0, r1 in zip(pencil[0].rows, pencil[1].rows)]
+    want = _sorted(line_zeros(_all_minors(entries, d)))
+    assert _sorted(_line_drops(*pencil)) == want
+    if extra != "random":
+        assert want == _planted_drops(blocks)

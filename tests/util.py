@@ -2,17 +2,19 @@
 
 Besides random data of every flavour, this holds the references that the
 package's direct routes are checked against: the block-product derivatives,
-the monad as matrices of sections, and the chart scan by elimination.
+the monad as matrices of sections, and the singular scan by elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 from typing import Sequence
 
 from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from adhm_blowup_kit.adhm import (
@@ -27,13 +29,7 @@ from adhm_blowup_kit.adhm import (
 from adhm_blowup_kit.errors import NotInPError
 from adhm_blowup_kit.lattice import DivisorClass, monad_dims
 from adhm_blowup_kit.linalg import Matrix, block_matrix
-from adhm_blowup_kit.monad import (
-    SurfacePoint,
-    _all_minors,
-    _compressed_dets,
-    _gcd_all,
-    _offsets,
-)
+from adhm_blowup_kit.monad import SurfacePoint, _offsets
 from adhm_blowup_kit.sections import (
     BlowupPoints,
     SectionPoly,
@@ -396,13 +392,54 @@ def section_coefficients(comp, dims) -> dict[tuple[int, int, int], Matrix]:
             for mono in ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))}
 
 
-# -- the chart scan by elimination -----------------------------------------------
+# -- the singular scan by elimination ----------------------------------------------
 #
-# ``monad._scan_chart`` finds the chart's drop points as joint eigenvalues.  The
-# route it replaced eliminates over the maximal minors (or three compressions)
-# of alpha at z2 = 1 in ZZ[x1, x0]: x1 comes first so that ``resultant``
-# eliminates it into ZZ[x0], and a fibre over a root of the eliminant lies in
-# ZZ[x1].
+# ``monad._scan_chart`` and ``monad._scan_divisor`` find the drop points as
+# eigenvalues.  The routes they replaced eliminate over the maximal minors (or
+# three random compressions) of alpha, scaled to integer entries: at z2 = 1 in
+# ZZ[x1, x0], where x1 comes first so that ``resultant`` eliminates it into
+# ZZ[x0] and a fibre over a root of the eliminant lies in ZZ[x1]; on E_i in
+# ZZ[w0, w1], where the gcd of the forms is the eliminant.
+
+
+def _domain_matrix(rows: list[list], domain) -> DomainMatrix:
+    return DomainMatrix(rows, (len(rows), len(rows[0])), domain)
+
+
+def _compressed_dets(entries: list[list], full_rank: int, rng: Random):
+    """``det(U_j . alpha)`` for three random integer ``U_j``, by fraction-free Bareiss.
+
+    They lie in the maximal-minor ideal (Cauchy-Binet).  Two compressions
+    generically share spurious common zeros off the drop locus, often
+    irrational ones; a third compression generically misses them.
+    """
+    domain = entries[0][0].ring.to_domain()
+    mat = _domain_matrix(entries, domain)
+    dets = []
+    for _ in range(3):
+        u = _domain_matrix([[domain(rng.randint(-9, 9)) for _ in entries]
+                            for _ in range(full_rank)], domain)
+        dets.append((u * mat).det())
+    return tuple(dets)
+
+
+def _all_minors(entries: list[list], full_rank: int):
+    """Distinct nonzero maximal minors, in the order of their row sets."""
+    mat = _domain_matrix(entries, entries[0][0].ring.to_domain())
+    cols = list(range(mat.shape[1]))
+    minors = []
+    for rows in itertools.combinations(range(mat.shape[0]), full_rank):
+        d = mat.extract(list(rows), cols).det()
+        if d and d not in minors:
+            minors.append(d)
+    return minors
+
+
+def _gcd_all(polys: list):
+    g = polys[0]
+    for p in polys[1:]:
+        g = g.gcd(p)
+    return g
 
 
 CHART, X1, X0 = ring("x1,x0", ZZ)
@@ -541,3 +578,75 @@ def reference_scan_chart(m, rng: Random, use_all_minors: bool):
         if m.alpha_at(pt).rank() < full_rank:
             drops.append(pt)
     return drops, complete
+
+
+_QLINE, _QW0, _QW1 = ring("w0,w1", QQ)
+LINE, W0, W1 = ring("w0,w1", ZZ)
+
+
+def line_entries(m, i: int) -> list[list]:
+    """``L alpha`` restricted to ``E_i``, in ZZ[w0, w1].
+
+    ``L`` is one common denominator: the lcm of the denominators of every
+    coefficient of the restricted matrix.  With one ``L`` for the whole
+    matrix, every maximal minor and every compression ``det(U . L alpha)``
+    is ``L^k`` times that of ``alpha``, a fixed nonzero constant, so common
+    zeros, gcd degrees and factors are those of the rational matrix.
+    """
+    scale = QQ(1, m.alpha.den)
+    p0, p1 = (QQ(x.numerator, x.denominator) * scale for x in m.ctx.points[i - 1])
+    rows = m.alpha.combine((i, (_QLINE(p0), _QLINE(p1), _QLINE(scale)),
+                            (_QW0 * scale, _QW1 * scale)))
+    lcm = math.lcm(1, *(int(c.denominator) for row in rows for e in row for c in e.itercoeffs()))
+    return [[LINE.from_dict({mono: int(c.numerator) * (lcm // int(c.denominator))
+                             for mono, c in e.items()})
+             for e in row] for row in rows]
+
+
+def line_zeros(forms: list) -> tuple[list[tuple[Fraction, Fraction]], bool] | None:
+    """Common zeros ``(w0 : w1)`` of forms in ZZ[w0, w1], from their gcd.
+
+    None if every form is zero; otherwise the rational zeros, as ``(1, w1/w0)``
+    or ``(0, 1)`` in the order of the factors, and whether all zeros are
+    rational.
+    """
+    forms = [f for f in forms if f]
+    if not forms:
+        return None
+    g = _gcd_all(forms)
+    points: list[tuple[Fraction, Fraction]] = []
+    complete = True
+    for fac, _mult in ([] if g.is_ground else g.factor_list()[1]):
+        degree = max(sum(mono) for mono in fac.monoms())
+        if degree == 1:
+            # fac = a0 w0 + a1 w1 vanishes at (w0 : w1) = (-a1 : a0)
+            w0, w1 = -int(fac.coeff(W1)), int(fac.coeff(W0))
+            points.append((Fraction(1), Fraction(w1, w0)) if w0 else (Fraction(0), Fraction(1)))
+        elif degree > 1:
+            complete = False
+    return points, complete
+
+
+def reference_scan_divisor(m, i: int, rng: Random, use_all_minors: bool):
+    """Rank-drop points on the exceptional line E_i by elimination, and completeness.
+
+    Eliminates over every maximal minor, or over three compressions (drawn
+    again, up to four times, while all three vanish).  Raises
+    :class:`NotInPError` when alpha drops rank along the whole line.
+    """
+    full_rank = m.dims.total_k
+    entries = line_entries(m, i)
+    if use_all_minors:
+        found = line_zeros(_all_minors(entries, full_rank))
+    else:
+        for _attempt in range(4):
+            found = line_zeros(list(_compressed_dets(entries, full_rank, rng)))
+            if found is not None:
+                break
+    if found is None:
+        probe = SurfacePoint.exceptional(i, 1, Fraction(rng.randint(50, 99), 7))
+        if m.alpha.rank_at(probe, m.ctx) < full_rank:
+            raise NotInPError(f"alpha drops rank along the exceptional line E_{i}")
+        return [], False
+    candidates = (SurfacePoint.exceptional(i, *w) for w in found[0])
+    return [pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank], found[1]

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Sequence
 
@@ -40,7 +41,7 @@ from .errors import (
     SamplingFailureError,
 )
 from .lattice import MonadDims, monad_dims
-from .linalg import Matrix, block_matrix
+from .linalg import Matrix, block_matrix, clear_denoms
 from .sections import BlowupPoints
 
 #: Global sign of the compact constraint relative to the (z2)^2 coefficient of
@@ -257,18 +258,22 @@ def derive_bA(cfg: AdhmConfig) -> MatrixPair:
 def _q_strips(cfg: AdhmConfig) -> tuple[MatrixPair, MatrixPair]:
     """The first ``l0`` rows and the first ``k0`` columns of each ``q^A``.
 
-    Built from the blocks directly, equal to those parts of ``assemble_qA``.
+    Built from the blocks directly, equal to those parts of ``assemble_qA``:
+    the blocks over one denominator ``den``, the point coordinates over
+    ``dp``, and each strip over ``dp den``.
     """
-    n = cfg.n
-    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
+    dp, (p,) = clear_denoms(_point_matrix(cfg))
     rows, cols = [], []
     for a in (0, 1):
-        p = [cfg.point_coord(i + 1, a) for i in range(n)]
-        corner = -cfg.aA00[a]
-        rows.append(block_matrix([[corner] + [cfg.a0i[i].scale(p[i]) for i in range(n)]],
-                                 [ld[0]], list(kd)))
-        cols.append(block_matrix([[corner]] + [[cfg.ai0[i].scale(p[i])] for i in range(n)],
-                                 list(ld), [kd[0]]))
+        den, (corner, *blocks) = clear_denoms(cfg.aA00[a], *cfg.a0i, *cfg.ai0)
+        a0i, ai0 = blocks[:cfg.n], blocks[cfg.n:]
+        corner = [[-dp * x for x in row] for row in corner]
+        rows.append(Matrix.from_ints(
+            [row + [p[i][a] * x for i, blk in enumerate(a0i) for x in blk[r]]
+             for r, row in enumerate(corner)], dp * den, cfg.dims.total_k))
+        cols.append(Matrix.from_ints(
+            corner + [[p[i][a] * x for x in row] for i, blk in enumerate(ai0) for row in blk],
+            dp * den, cfg.dims.dim_k[0]))
     return (rows[0], rows[1]), (cols[0], cols[1])
 
 
@@ -510,8 +515,13 @@ def verify_equivalence(c1: AdhmConfig, c2: AdhmConfig, witness: GroupElement) ->
     return act(witness, c1) == c2
 
 
-def _from_columns(columns: list[list]) -> Matrix:
-    return Matrix([list(row) for row in zip(*columns)], ncols=len(columns))
+def _from_columns(columns: list[list[int]], den: int) -> Matrix:
+    return Matrix.from_ints([list(row) for row in zip(*columns)], den, len(columns))
+
+
+def _point_matrix(cfg: AdhmConfig) -> Matrix:
+    """The blow-up centres as the rows of an ``n x 2`` matrix."""
+    return Matrix([list(p) for p in cfg.points.points], ncols=2)
 
 
 def _stabilizer_system(cfg: AdhmConfig) -> Matrix:
@@ -523,11 +533,17 @@ def _stabilizer_system(cfg: AdhmConfig) -> Matrix:
     by row; columns are the unit directions ``E_PQ`` of ``g00``,
     ``g0i``..., ``h00``, ``hii``..., each block row by row.  A term
     ``E_PQ X`` is row ``Q`` of ``X`` put in row ``P``, and ``X E_PQ`` is
-    column ``P`` of ``X`` put in column ``Q``.
+    column ``P`` of ``X`` put in column ``Q``.  Every entry is taken over one
+    common denominator.
     """
     n = cfg.n
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
     l0, k0 = ld[0], kd[0]
+    den, ints = clear_denoms(cfg.a00, *cfg.aA00, *cfg.a0i, *cfg.aii, cfg.c, cfg.d,
+                             _point_matrix(cfg))
+    a00, aA0, aA1 = ints[:3]
+    a0i, aii = ints[3:3 + n], ints[3 + n:3 + 2 * n]
+    c, d, pts = ints[3 + 2 * n:]
     # output blocks: a00, aA00[0], aA00[1], a0i..., aii..., c, d
     shapes = [cfg.a00.shape] * 3 + [m.shape for m in cfg.a0i + cfg.aii]
     shapes += [cfg.c.shape, cfg.d.shape]
@@ -537,13 +553,13 @@ def _stabilizer_system(cfg: AdhmConfig) -> Matrix:
     A0I, AII, C, D = 3, 3 + n, 3 + 2 * n, 4 + 2 * n
     columns: list[list] = []
 
-    def left(col, b, P, Q, x: Matrix, sign=1):
+    def left(col, b, P, Q, x: list[list[int]], sign=1):
         off, w = offsets[b] + P * shapes[b][1], shapes[b][1]
-        col[off:off + w] = [sign * v for v in x.rows[Q]]
+        col[off:off + w] = x[Q] if sign == 1 else [sign * v for v in x[Q]]
 
-    def right(col, b, P, Q, x: Matrix):
+    def right(col, b, P, Q, x: list[list[int]]):
         off, w = offsets[b] + Q, shapes[b][1]
-        for i, row in enumerate(x.rows):
+        for i, row in enumerate(x):
             col[off + i * w] = row[P]
 
     def units(m, w, fill):
@@ -554,32 +570,32 @@ def _stabilizer_system(cfg: AdhmConfig) -> Matrix:
                 columns.append(col)
 
     def g0(col, P, Q):
-        for b, x in enumerate((cfg.a00, *cfg.aA00)):
+        for b, x in enumerate((a00, aA0, aA1)):
             left(col, b, P, Q, x)
         for i in range(n):
-            left(col, A0I + i, P, Q, cfg.a0i[i])
-        left(col, D, P, Q, cfg.d)
+            left(col, A0I + i, P, Q, a0i[i])
+        left(col, D, P, Q, d)
 
     def gam(i):
         def fill(col, P, Q):
-            col[P * k0 + Q] = 1
+            col[P * k0 + Q] = den
             for a in (0, 1):
-                col[offsets[1 + a] + P * k0 + Q] = -cfg.point_coord(i + 1, a)
-            left(col, A0I + i, P, Q, cfg.aii[i])
+                col[offsets[1 + a] + P * k0 + Q] = -pts[i][a]
+            left(col, A0I + i, P, Q, aii[i])
         return fill
 
     def h0(col, P, Q):
-        for b, x in enumerate((cfg.a00, *cfg.aA00)):
+        for b, x in enumerate((a00, aA0, aA1)):
             right(col, b, P, Q, x)
         for i in range(n):
             # g_ii = h00^{-1} is slaved, so delta(g_ii) = -h0
-            left(col, AII + i, P, Q, cfg.aii[i], -1)
-        right(col, C, P, Q, cfg.c)
+            left(col, AII + i, P, Q, aii[i], -1)
+        right(col, C, P, Q, c)
 
     def hi(i):
         def fill(col, P, Q):
-            right(col, A0I + i, P, Q, cfg.a0i[i])
-            right(col, AII + i, P, Q, cfg.aii[i])
+            right(col, A0I + i, P, Q, a0i[i])
+            right(col, AII + i, P, Q, aii[i])
         return fill
 
     units(l0, l0, g0)
@@ -588,7 +604,7 @@ def _stabilizer_system(cfg: AdhmConfig) -> Matrix:
     units(k0, k0, h0)
     for i in range(n):
         units(kd[i + 1], kd[i + 1], hi(i))
-    return _from_columns(columns)
+    return _from_columns(columns, den)
 
 
 def stabilizer_dim(cfg: AdhmConfig) -> int:
@@ -623,6 +639,10 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
     the six products of the derivative of ``q^A a^{-1} q_A`` reduce to an outer product of
     a column of ``q^A a^{-1}`` with a row of ``a^{-1} q^A``, plus ``s_A``-scaled
     rows of ``a^{-1} q^A`` and columns of ``q^A a^{-1}``.
+
+    With ``q^A a^{-1}`` over ``du``, ``a^{-1} q^A`` over ``dv`` and the points
+    over ``dp``, each term is an integer over ``du dv dp``, then over ``den``
+    with ``c`` and ``d``.
     """
     n = cfg.n
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
@@ -630,18 +650,21 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
     ainv = cfg._a_inverse
     # the first l0 rows of q^A a^{-1} and the first k0 columns of a^{-1} q^A
     q_rows, q_cols = _q_strips(cfg)
-    qa = [(m * ainv).rows for m in q_rows]
-    aq = [(ainv * m).rows for m in q_cols]
+    du, qa = clear_denoms(*(m * ainv for m in q_rows))
+    dv, aq = clear_denoms(*(ainv * m for m in q_cols))
+    dp, (p,) = clear_denoms(_point_matrix(cfg))
+    den = lcm(du * dv * dp, cfg.c.den, cfg.d.den)
+    f = den // (du * dv * dp)
+    fp, fu, fv = f * dp, f * du, f * dv
     row_off = [sum(ld[:i]) for i in range(n + 1)]
     col_off = [sum(kd[:i]) for i in range(n + 1)]
-    p = [(cfg.point_coord(i + 1, 0), cfg.point_coord(i + 1, 1)) for i in range(n)]
-    # (first row, first column, height, width, moves the arrow, s_0, s_1)
+    # (first row, first column, height, width, moves the arrow, dp s_0, dp s_1)
     blocks = [(0, 0, l0, k0, True, 0, 0)]
     blocks += [(0, col_off[i + 1], l0, kd[i + 1], True, *p[i]) for i in range(n)]
     blocks += [(row_off[i + 1], col_off[i + 1], ld[i + 1], kd[i + 1], True, *p[i])
                for i in range(n)]
-    blocks += [(0, 0, l0, k0, False, -1, 0), (0, 0, l0, k0, False, 0, -1)]
-    columns: list[list] = []
+    blocks += [(0, 0, l0, k0, False, -dp, 0), (0, 0, l0, k0, False, 0, -dp)]
+    columns: list[list[int]] = []
     for row0, col0, height, width, moves, s0, s1 in blocks:
         for P in range(row0, row0 + height):
             u0 = [qa[0][i][P] for i in range(l0)]
@@ -649,24 +672,25 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
             for Q in range(col0, col0 + width):
                 v0, v1 = aq[0][Q], aq[1][Q]
                 if moves:
-                    ds = [[x0 * y1 - x1 * y0 for y0, y1 in zip(v0, v1)]
+                    ds = [[fp * (x0 * y1 - x1 * y0) for y0, y1 in zip(v0, v1)]
                           for x0, x1 in zip(u0, u1)]
                 else:
                     ds = [[0] * k0 for _ in range(l0)]
                 if P < l0 and (s0 or s1):
-                    ds[P] = [x + s1 * y0 - s0 * y1 for x, y0, y1 in zip(ds[P], v0, v1)]
+                    ds[P] = [x + fu * (s1 * y0 - s0 * y1) for x, y0, y1 in zip(ds[P], v0, v1)]
                 if Q < k0 and (s0 or s1):
                     for i in range(l0):
-                        ds[i][Q] += s0 * u1[i] - s1 * u0[i]
+                        ds[i][Q] += fv * (s0 * u1[i] - s1 * u0[i])
                 columns.append([COMPACT_SIGN * x for row in ds for x in row])
     # d E_PQ and E_PQ c
+    c, d = ([[x * (den // m.den) for x in row] for row in m.num] for m in (cfg.c, cfg.d))
     for P in range(cfg.r):
         for Q in range(k0):
-            columns.append([row[P] if j == Q else 0 for row in cfg.d.rows for j in range(k0)])
+            columns.append([row[P] if j == Q else 0 for row in d for j in range(k0)])
     for P in range(l0):
         for Q in range(cfg.r):
-            columns.append([x if i == P else 0 for i in range(l0) for x in cfg.c.rows[Q]])
-    return _from_columns(columns)
+            columns.append([x if i == P else 0 for i in range(l0) for x in c[Q]])
+    return _from_columns(columns, den)
 
 
 def tangent_dims(cfg: AdhmConfig) -> TangentReport:
@@ -701,7 +725,10 @@ def _rand_fraction(rng: Random, lo: int = -4, hi: int = 4) -> Fraction:
 
 
 def _rand_matrix(rng: Random, m: int, n: int) -> Matrix:
-    return Matrix.from_function(m, n, lambda i, j: _rand_fraction(rng))
+    """An ``m x n`` matrix of :func:`_rand_fraction` entries, drawn row by row."""
+    draws = [[(rng.randint(-4, 4), rng.choice((1, 1, 2))) for _ in range(n)] for _ in range(m)]
+    den = 2 if any(q == 2 for row in draws for _, q in row) else 1
+    return Matrix.from_ints([[v * (den // q) for v, q in row] for row in draws], den, n)
 
 
 def _rand_points(rng: Random, n: int) -> BlowupPoints:

@@ -46,7 +46,9 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: bad JSON, bytes that are not UTF-8, or an integer
+        # past Python's digit limit
         raise ConfigFormatError(f"{path}: {exc}") from None
 
 

@@ -41,6 +41,8 @@ def frac_from_str(s: Any) -> Fraction:
             return Fraction(s)
         except ZeroDivisionError:
             raise ConfigFormatError(f"bad rational {s!r}: zero denominator") from None
+        except ValueError as exc:  # past Python's digit limit
+            raise ConfigFormatError(f"bad rational {s[:20]!r}...: {exc}") from None
     raise ConfigFormatError(f"expected a rational \"num/den\", got {s!r}")
 
 

@@ -1,21 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Small dense matrices with ``fractions.Fraction`` entries: enough for block
-assembly, Gaussian elimination, kernels and determinants.  Every elimination
-and product scales each row (or column) by the lcm of its denominators, runs
-on Python ints and builds a ``Fraction`` only for each result entry.  There
-are two integer kernels: Bareiss elimination for ``rank`` and ``nullity``,
-and one fraction-free Gauss-Jordan reduction behind ``det``, ``inverse``,
-``solve`` and ``nullspace``.  Every operation is exact; nothing here ever
-touches floating point.  Zero-sized matrices are first-class citizens because
-several block dimensions in this project are legitimately zero (``det`` of a
-0x0 matrix is 1, the kernel of a 0xn matrix is all of Q^n, and so on).
+A ``Matrix`` stores integer rows ``num`` over one positive denominator
+``den``, in lowest terms: ``gcd(den, every entry) == 1``.  So each rational
+matrix has exactly one ``(num, den)``, and a zero matrix has ``den == 1``
+(sympy's ``DomainMatrix.clear_denoms``).  Sums, products, scaling,
+transposes and blocks run on ``num`` and restore lowest terms with one gcd
+over the entries.  Entries go in as ints or ``fractions.Fraction``s, and
+``rows`` and indexing give ``Fraction``s back.
+
+Elimination first divides each row by its content, the gcd of its entries
+(sympy's ``clear_denoms_rowwise``), so that no row carries a factor that
+only another row's denominator put there.  Then one of two integer kernels
+runs: Bareiss elimination for ``rank`` and ``nullity``, and one fraction-free
+Gauss-Jordan reduction for ``det``, ``inverse``, ``solve`` and
+``nullspace``.  Every operation is exact; nothing here ever touches floating
+point.  Zero-sized matrices are first-class citizens because several block
+dimensions in this project are legitimately zero (``det`` of a 0x0 matrix is
+1, the kernel of a 0xn matrix is all of Q^n, and so on).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -24,14 +31,10 @@ from .errors import DimensionMismatchError
 Rational = Fraction | int
 
 
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm ``s`` of the row's denominators, and the row times ``s`` as ints."""
-    den = lcm(*(x.denominator for x in row))
-    return den, [x.numerator * (den // x.denominator) for x in row]
+def _primitive(row: Sequence[int]) -> list[int]:
+    """A new list: the row divided by its content (a zero row stays zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else list(row)
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -100,13 +103,20 @@ def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, sign, prev
 
 
-class Matrix:
-    """Immutable-by-convention dense rational matrix."""
+def clear_denoms(*mats: Matrix) -> tuple[int, list[list[list[int]]]]:
+    """The lcm ``L`` of the matrices' denominators, and each one's rows times ``L``."""
+    den = lcm(1, *(m.den for m in mats))
+    return den, [m.num if m.den == den else [[x * (den // m.den) for x in row] for row in m.num]
+                 for m in mats]
 
-    __slots__ = ("rows", "nrows", "ncols")
+
+class Matrix:
+    """Immutable-by-convention dense rational matrix ``num / den``."""
+
+    __slots__ = ("num", "den", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence[Rational]], ncols: int | None = None):
-        data = [[_frac(x) for x in row] for row in rows]
+        data = [list(row) for row in rows]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -116,22 +126,55 @@ class Matrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        self.rows = data
+        den = 1
+        for row in data:
+            for x in row:
+                if type(x) is not int:
+                    if isinstance(x, Fraction):
+                        den = lcm(den, x.denominator)
+                    elif not isinstance(x, int):
+                        raise TypeError(f"Matrix entries are int or Fraction, not {type(x).__name__}")
+        # the lcm of reduced denominators leaves the entries in lowest terms
+        self.num = [[x.numerator * (den // x.denominator) for x in row] for row in data]
+        self.den = den
         self.nrows = len(data)
         self.ncols = ncols
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_ints(cls, num: list[list[int]], den: int = 1, ncols: int | None = None) -> Matrix:
+        """The matrix ``num / den``, for integer rows and a nonzero int ``den``.
+
+        Brings it to lowest terms with one gcd over the entries.  ``num`` is
+        taken over, not copied, when it is already in lowest terms.
+        """
+        if den < 0:
+            num, den = [[-x for x in row] for row in num], -den
+        if den != 1:
+            g = den
+            for row in num:
+                g = gcd(g, *row)
+                if g == 1:
+                    break
+            if g != 1:
+                num, den = [[x // g for x in row] for row in num], den // g
+        return cls._reduced(num, den, len(num[0]) if num else ncols or 0)
+
+    @classmethod
+    def _reduced(cls, num: list[list[int]], den: int, ncols: int) -> Matrix:
+        """``num / den`` already in lowest terms, with ``den > 0``."""
+        self = object.__new__(cls)
+        self.num, self.den, self.nrows, self.ncols = num, den, len(num), ncols
+        return self
+
+    @classmethod
     def zeros(cls, m: int, n: int) -> Matrix:
-        return cls([[Fraction(0)] * n for _ in range(m)], ncols=n)
+        return cls._reduced([[0] * n for _ in range(m)], 1, n)
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)],
-            ncols=n,
-        )
+        return cls._reduced([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @classmethod
     def from_function(cls, m: int, n: int, f: Callable[[int, int], Rational]) -> Matrix:
@@ -147,166 +190,181 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """The entries as new lists of ``Fraction``s."""
+        den = self.den
+        return [[Fraction(x, den) for x in row] for row in self.num]
+
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
+        return self.shape == other.shape and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
+        return hash((self.nrows, self.ncols, self.den, tuple(map(tuple, self.num))))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows!r}, ncols={self.ncols})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.num))
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: Matrix) -> Matrix:
+    def _plus(self, other: Matrix, sign: int) -> Matrix:
         if self.shape != other.shape:
             raise DimensionMismatchError(f"add {self.shape} vs {other.shape}")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        return Matrix.from_ints([[s * a + t * b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self.num, other.num)], den, self.ncols)
+
+    def __add__(self, other: Matrix) -> Matrix:
+        return self._plus(other, 1)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> Matrix:
-        return self.scale(-1)
+        return Matrix._reduced([[-x for x in row] for row in self.num], self.den, self.ncols)
 
     def scale(self, s: Rational) -> Matrix:
-        s = _frac(s)
-        return Matrix([[s * x for x in row] for row in self.rows], ncols=self.ncols)
+        if not isinstance(s, (int, Fraction)):
+            raise TypeError(f"Matrix scalars are int or Fraction, not {type(s).__name__}")
+        p = s.numerator
+        return Matrix.from_ints([[p * x for x in row] for row in self.num],
+                                self.den * s.denominator, self.ncols)
 
     def __mul__(self, other: Matrix) -> Matrix:
-        """Integer-scaled rows times integer-scaled columns, one ``Fraction`` per entry."""
+        """Integer rows times integer columns, over the product of the denominators."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionMismatchError(f"mul {self.shape} by {other.shape}")
-        if other.rows:
-            cols = [_integer_row(col) for col in zip(*other.rows)]
-        else:
-            cols = [(1, [])] * other.ncols
-        out = []
-        for row in self.rows:
-            s, a = _integer_row(row)
-            out.append([Fraction(sum(map(mul, a, b)), s * t) for t, b in cols])
-        return Matrix(out, ncols=other.ncols)
+        cols = list(zip(*other.num)) if other.num else [()] * other.ncols
+        return Matrix.from_ints([[sum(map(mul, row, col)) for col in cols] for row in self.num],
+                                self.den * other.den, other.ncols)
 
     def transpose(self) -> Matrix:
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        num = [list(col) for col in zip(*self.num)] if self.num else [[] for _ in range(self.ncols)]
+        return Matrix._reduced(num, self.den, self.nrows)
 
     # -- elimination -------------------------------------------------------
 
     def rank(self) -> int:
-        """Rank by fraction-free elimination on the rows scaled to integers."""
-        return _bareiss_rank([_integer_row(row)[1] for row in self.rows if any(row)])
+        """Rank by fraction-free elimination on the primitive rows."""
+        return _bareiss_rank([_primitive(row) for row in self.num if any(row)])
 
     def nullspace(self) -> list[Matrix]:
         """Basis of the right kernel, as column matrices, read off the reduced rows."""
-        rows = [_integer_row(row)[1] for row in self.rows if any(row)]
+        rows = [_primitive(row) for row in self.num if any(row)]
         pivots, _sign, pivot = _gauss_jordan(rows)
         basis = []
-        for fc in (c for c in range(self.ncols) if c not in pivots):
-            v = [Fraction(0)] * self.ncols
-            v[fc] = Fraction(1)
+        for fc in sorted(set(range(self.ncols)) - set(pivots)):
+            v = [0] * self.ncols
+            v[fc] = pivot
             for row, pc in zip(rows, pivots):
-                v[pc] = Fraction(-row[fc], pivot)
-            basis.append(Matrix.column(v))
+                v[pc] = -row[fc]
+            basis.append(Matrix.from_ints([[x] for x in v], pivot, 1))
         return basis
 
     def nullity(self) -> int:
         return self.ncols - self.rank()
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free elimination on the rows scaled to integers."""
+        """Determinant by fraction-free elimination on the primitive rows.
+
+        With ``c_i`` the row contents, ``det(num) = prod(c_i) det(primitive rows)``.
+        """
         if self.nrows != self.ncols:
             raise DimensionMismatchError("det of non-square matrix")
-        scaled = [_integer_row(row) for row in self.rows]
-        pivots, sign, pivot = _gauss_jordan([ints for _, ints in scaled])
+        contents = [gcd(*row) or 1 for row in self.num]
+        rows = [[x // c for x in row] for row, c in zip(self.num, contents)]
+        pivots, sign, pivot = _gauss_jordan(rows)
         if len(pivots) < self.nrows:
             return Fraction(0)
-        return Fraction(sign * pivot, prod(den for den, _ in scaled))
+        return Fraction(sign * pivot * prod(contents), self.den ** self.nrows)
 
     def inverse(self) -> Matrix:
-        """Inverse by fraction-free Gauss-Jordan on the rows scaled to integers.
+        """Inverse by fraction-free Gauss-Jordan on the primitive rows.
 
-        With ``D`` the row scales, ``(D A)^-1 = X / pivot`` and so
-        ``A^-1 = X D / pivot``.  Raises ``ZeroDivisionError`` if singular.
+        With ``C`` the row contents, ``self = C P / den``.  Reducing ``[P | I]``
+        gives ``P^-1 = X / pivot``, so ``self^-1 = den X C^-1 / pivot``.
+        Raises ``ZeroDivisionError`` if singular.
         """
         if self.nrows != self.ncols:
             raise DimensionMismatchError("inverse of non-square matrix")
         n = self.nrows
-        dens, rows = [], []
-        for i, row in enumerate(self.rows):
-            den, ints = _integer_row(row)
-            dens.append(den)
-            rows.append(ints + [int(i == j) for j in range(n)])
+        contents, rows = [], []
+        for i, row in enumerate(self.num):
+            c = gcd(*row) or 1
+            contents.append(c)
+            rows.append([x // c for x in row] + [int(i == j) for j in range(n)])
         pivots, _sign, pivot = _gauss_jordan(rows)
         if pivots and pivots[-1] >= n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix([[Fraction(x * s, pivot) for x, s in zip(row[n:], dens)]
-                       for row in rows], ncols=n)
+        den = lcm(1, *contents)
+        scales = [self.den * (den // c) for c in contents]
+        return Matrix.from_ints([[x * s for x, s in zip(row[n:], scales)] for row in rows],
+                                den * pivot, n)
 
     def solve(self, rhs: Matrix) -> Matrix | None:
         """One solution X of self @ X = rhs, or None if inconsistent.
 
-        Reduces ``[self | rhs]``: a pivot in a column of ``rhs`` means no
-        solution, and otherwise the rows of X at free columns are zero.
+        Reduces the primitive rows of ``[self | rhs]`` over one denominator:
+        a pivot in a column of ``rhs`` means no solution, and otherwise the
+        rows of X at free columns are zero.
         """
         if rhs.nrows != self.nrows:
             raise DimensionMismatchError("solve shape mismatch")
         n, k = self.ncols, rhs.ncols
-        rows = [_integer_row(r1 + r2)[1] for r1, r2 in zip(self.rows, rhs.rows)]
+        g = gcd(self.den, rhs.den)
+        s, t = rhs.den // g, self.den // g
+        rows = [_primitive([s * x for x in r1] + [t * y for y in r2])
+                for r1, r2 in zip(self.num, rhs.num)]
         pivots, _sign, pivot = _gauss_jordan(rows)
         if pivots and pivots[-1] >= n:
             return None
-        sol = [[Fraction(0)] * k for _ in range(n)]
+        sol = [[0] * k for _ in range(n)]
         for row, pc in zip(rows, pivots):
-            sol[pc] = [Fraction(x, pivot) for x in row[n:]]
-        return Matrix(sol, ncols=k)
+            sol[pc] = row[n:]
+        return Matrix.from_ints(sol, pivot, k)
 
     # -- block helpers -----------------------------------------------------
 
     def submatrix(self, row0: int, row1: int, col0: int, col1: int) -> Matrix:
-        return Matrix(
-            [row[col0:col1] for row in self.rows[row0:row1]], ncols=col1 - col0
-        )
+        return Matrix.from_ints([row[col0:col1] for row in self.num[row0:row1]],
+                                self.den, col1 - col0)
 
 
 def block_matrix(blocks: Sequence[Sequence[Matrix]],
                  row_dims: Sequence[int], col_dims: Sequence[int]) -> Matrix:
-    """Assemble a matrix from a grid of blocks with prescribed block dimensions."""
+    """Assemble a matrix from a grid of blocks with prescribed block dimensions.
+
+    The blocks are brought to the lcm of their denominators, which leaves the
+    result in lowest terms.
+    """
     if len(blocks) != len(row_dims):
         raise DimensionMismatchError("block row count mismatch")
-    total_cols = sum(col_dims)
-    out: list[list[Fraction]] = []
+    den = lcm(1, *(blk.den for brow in blocks for blk in brow))
+    out: list[list[int]] = []
     for bi, brow in enumerate(blocks):
         if len(brow) != len(col_dims):
             raise DimensionMismatchError("block column count mismatch")
-        strip = [[Fraction(0)] * total_cols for _ in range(row_dims[bi])]
-        offset = 0
+        strip: list[list[int]] = [[] for _ in range(row_dims[bi])]
         for bj, blk in enumerate(brow):
             if blk.shape != (row_dims[bi], col_dims[bj]):
                 raise DimensionMismatchError(
                     f"block ({bi},{bj}) is {blk.shape}, expected "
                     f"({row_dims[bi]},{col_dims[bj]})"
                 )
-            for i in range(blk.nrows):
-                row = blk.rows[i]
-                for j in range(blk.ncols):
-                    strip[i][offset + j] = row[j]
-            offset += col_dims[bj]
+            s = den // blk.den
+            for line, row in zip(strip, blk.num):
+                line.extend(row if s == 1 else [s * x for x in row])
         out.extend(strip)
-    return Matrix(out, ncols=total_cols)
+    return Matrix._reduced(out, den, sum(col_dims))

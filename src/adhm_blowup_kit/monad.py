@@ -49,6 +49,7 @@ from sympy.polys.rings import ring
 
 from .adhm import (
     AdhmConfig,
+    _point_matrix,
     assemble_a,
     assemble_qA,
     constraint_residual,
@@ -64,7 +65,7 @@ from .errors import (
     NotInPError,
 )
 from .lattice import ChernCharacter, DivisorClass, MonadDims
-from .linalg import Matrix, _bareiss_rank, _integer_row, block_matrix
+from .linalg import Matrix, _bareiss_rank, block_matrix, clear_denoms
 from .sections import BlowupPoints, _frac, _fraction
 
 Rational = Fraction | int
@@ -138,7 +139,8 @@ def _terms(x: SurfacePoint, ctx: BlowupPoints, integer: bool = False) -> tuple:
         ctx.chart_point(x.coords)  # refuses a blow-up centre
         nums = x.coords + x.coords[:2]
     if integer:
-        nums = _integer_row(nums)[1]
+        den = math.lcm(*(x.denominator for x in nums))
+        nums = [x.numerator * (den // x.denominator) for x in nums]
     return i, tuple(nums[:3]), tuple(nums[3:])
 
 
@@ -156,10 +158,11 @@ class Pencil:
     col_twist: tuple[int, ...]
 
     @classmethod
-    def from_rational(cls, mats, row_twist, col_twist) -> Pencil:
-        den = math.lcm(1, *(_frac(x).denominator for m in mats for row in m for x in row))
-        ints = tuple(tuple(tuple(int(x * den) for x in row) for row in m) for m in mats)
-        return cls(ints, den, tuple(row_twist), tuple(col_twist))
+    def from_ints(cls, mats, den: int, row_twist, col_twist) -> Pencil:
+        """The pencil of the integer matrices ``mats`` over ``den``, in lowest terms."""
+        g = math.gcd(den, *(x for m in mats for row in m for x in row))
+        return cls(tuple(tuple(tuple(x // g for x in row) for row in m) for m in mats),
+                   den // g, tuple(row_twist), tuple(col_twist))
 
     def combine(self, terms) -> list[list]:
         """``sum_a t_a M_a`` entrywise, with ``t`` chosen by :func:`_terms`."""
@@ -177,8 +180,8 @@ class Pencil:
 
     def at(self, x: SurfacePoint, ctx: BlowupPoints) -> Matrix:
         """Exact values at ``x``, in the frame its coordinates fix."""
-        return Matrix([[v / self.den for v in row] for row in self.combine(_terms(x, ctx))],
-                      ncols=len(self.col_twist))
+        return Matrix(self.combine(_terms(x, ctx)),
+                      ncols=len(self.col_twist)).scale(Fraction(1, self.den))
 
     def rank_at(self, x: SurfacePoint, ctx: BlowupPoints) -> int:
         return _rank(self.combine(_terms(x, ctx, integer=True)))
@@ -234,9 +237,22 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
     n, r = cfg.n, cfg.r
     kd, ld = dims.dim_k, dims.dim_l
     l_off = _offsets(ld)
-    bA = derive_bA(cfg)
-    a = assemble_a(cfg).rows
-    q0, q1 = (m.rows for m in assemble_qA(cfg))
+    col_twist = [j for j in range(n + 1) for _ in range(kd[j])]
+    # alpha: a, q^A and the framing rows F_a over one denominator
+    c_row = block_matrix([[cfg.c, Matrix.zeros(r, dims.total_k - kd[0])]],
+                         [r], [kd[0], dims.total_k - kd[0]])
+    if cfg.cAi is None:
+        framing = [Matrix.zeros(r, dims.total_k)] * 2 + [c_row]
+    else:
+        # x^A y_A = x^1 y^0 - x^0 y^1, with w_j^A = z^A - p_j^A z2 and p_0 = 0
+        cA = [block_matrix([[pair[a_idx] for pair in cfg.cAi]], [r], list(kd))
+              for a_idx in (0, 1)]
+        p = [(0, 0) if j == 0 else cfg.points.points[j - 1] for j in col_twist]
+        framing = [cA[1], -cA[0],
+                   Matrix([[c + pj[1] * x - pj[0] * y for c, x, y, pj in zip(*rows, p)]
+                           for rows in zip(c_row.rows, cA[0].rows, cA[1].rows)],
+                          ncols=dims.total_k)]
+    a_den, (a, q0, q1, *framing) = clear_denoms(assemble_a(cfg), *assemble_qA(cfg), *framing)
     zero_k = [0] * dims.total_k
 
     w_slots: list[tuple] = []
@@ -253,41 +269,30 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
             alpha[1].append(zero_k)
             alpha[2].append([-x for x in q0[row]])
     w_slots += [("C", m) for m in range(r)]
-    col_twist = [j for j in range(n + 1) for _ in range(kd[j])]
-    c_rows = [list(row) + [0] * (dims.total_k - kd[0]) for row in cfg.c.rows]
-    if cfg.cAi is None:
-        alpha[0].extend([zero_k] * r)
-        alpha[1].extend([zero_k] * r)
-        alpha[2].extend(c_rows)
-    else:
-        # x^A y_A = x^1 y^0 - x^0 y^1, with w_j^A = z^A - p_j^A z2 and p_0 = 0
-        cA = [block_matrix([[pair[a_idx] for pair in cfg.cAi]], [r], list(kd)).rows
-              for a_idx in (0, 1)]
-        p = [(0, 0) if j == 0 else cfg.points.points[j - 1] for j in col_twist]
-        alpha[0].extend(cA[1])
-        alpha[1].extend([-x for x in row] for row in cA[0])
-        alpha[2].extend([c + pj[1] * x - pj[0] * y for c, x, y, pj in zip(*rows, p)]
-                        for rows in zip(c_rows, cA[0], cA[1]))
+    for mat, f in zip(alpha, framing):
+        mat.extend(f)
 
+    # beta: 1, the centres, d and b^A over one denominator
+    b_den, (pts, d, *bA) = clear_denoms(_point_matrix(cfg), cfg.d, *derive_bA(cfg))
     slot = {s: col for col, s in enumerate(w_slots)}
     beta: tuple[list, list, list] = ([], [], [])
     for i in range(n + 1):
         for m in range(ld[i]):
             rows = [[0] * dims.rank_w for _ in range(3)]
             for a_idx in (0, 1):
-                rows[a_idx][slot[i, a_idx, m]] = 1
+                rows[a_idx][slot[i, a_idx, m]] = b_den
                 if i:
-                    rows[2][slot[i, a_idx, m]] = -cfg.point_coord(i, a_idx)
+                    rows[2][slot[i, a_idx, m]] = -pts[i - 1][a_idx]
             if i == 0:
-                rows[2] = [cfg.d[m, s[1]] if s[0] == "C" else bA[s[1]][m, l_off[s[0]] + s[2]]
+                rows[2] = [d[m][s[1]] if s[0] == "C" else bA[s[1]][m][l_off[s[0]] + s[2]]
                            for s in w_slots]
             for mat, row in zip(beta, rows):
                 mat.append(row)
     row_twist = [i for i in range(n + 1) for _ in range(ld[i])]
 
     return MonadRep(
-        alpha=Pencil.from_rational(alpha, [0] * dims.rank_w, col_twist),
-        beta=Pencil.from_rational(beta, row_twist, [0] * dims.rank_w),
+        alpha=Pencil.from_ints(alpha, a_den, [0] * dims.rank_w, col_twist),
+        beta=Pencil.from_ints(beta, b_den, row_twist, [0] * dims.rank_w),
         dims=dims,
         ctx=cfg.points,
         w_slots=tuple(w_slots),
@@ -308,10 +313,10 @@ def check_monad_condition(m: MonadRep) -> dict[tuple[int, int, int], Matrix]:
     out = {}
     for a, b in itertools.combinations_with_replacement(range(3), 2):
         pairs = {(a, b), (b, a)}
-        out[tuple((a == e) + (b == e) for e in range(3))] = Matrix(
-            [[Fraction(sum(sum(map(mul, beta[s][i], alpha_cols[t][j])) for s, t in pairs), den)
+        out[tuple((a == e) + (b == e) for e in range(3))] = Matrix.from_ints(
+            [[sum(sum(map(mul, beta[s][i], alpha_cols[t][j])) for s, t in pairs)
               for j in range(m.dims.total_k)] for i in range(m.dims.total_l)],
-            ncols=m.dims.total_k)
+            den, m.dims.total_k)
     return out
 
 
@@ -360,24 +365,24 @@ def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
     most ``dim`` of them.  Returns each op in a basis of the kernel.
     """
     n = c.ncols
-    kept: list[list[Fraction]] = []
-    frontier = c.rows
+    # rows only matter up to scale here, so they are kept as integer rows
+    kept: list[list[int]] = []
+    frontier = c.num
     while frontier:
         new = []
         for row in frontier:
-            if any(row) and Matrix(kept + [row], ncols=n).rank() > len(kept):
+            if any(row) and Matrix.from_ints(kept + [row], 1, n).rank() > len(kept):
                 kept.append(row)
                 new.append(row)
-        frontier = [row for t in ops for row in (Matrix(new, ncols=n) * t).rows] if new else []
-    basis = Matrix(kept, ncols=n).nullspace()
-    v = Matrix([[col[j, 0] for col in basis] for j in range(n)], ncols=len(basis))
+        frontier = [row for t in ops for row in (Matrix.from_ints(new, 1, n) * t).num] if new else []
+    basis = Matrix.from_ints(kept, 1, n).nullspace()
+    v = block_matrix([basis], [n], [1] * len(basis))
     return [v.solve(t * v) for t in ops]
 
 
 def _factors(g: Matrix) -> list:
     """Irreducible factors over QQ of the characteristic polynomial of ``g``."""
-    dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in g.rows],
-                      g.shape, QQ)
+    dm = DomainMatrix([[QQ(x, g.den) for x in row] for row in g.num], g.shape, QQ)
     return [f for f, _ in _T.from_list(dm.charpoly()).factor_list()[1]]
 
 
@@ -420,8 +425,8 @@ def _chart_operators(m: MonadRep) -> tuple[list[Matrix], Matrix]:
     summand = ["C" if s[0] == "C" else s[1] for s in m.w_slots]  # copy 0, copy 1 or C^r
 
     def rows(kind, mat, sign=1):
-        return Matrix([[Fraction(sign * x, m.alpha.den) for x in row]
-                       for row, s in zip(mat, summand) if s == kind], ncols=m.dims.total_k)
+        return Matrix.from_ints([[sign * x for x in row] for row, s in zip(mat, summand) if s == kind],
+                                m.alpha.den, m.dims.total_k)
 
     m0, m1, m2 = m.alpha.mats
     ops = [m.a_inverse * rows(1, m2, -1), m.a_inverse * rows(0, m2)]
@@ -516,7 +521,7 @@ def _scan_divisor(m: MonadRep, i: int) -> tuple[list[SurfacePoint], bool]:
     kernel = u_t.nullspace()
     found = None
     if len(kernel) == rank_w - u_t.nrows:
-        n = Matrix([[v[j, 0] for j in range(rank_w)] for v in kernel], ncols=rank_w)
+        n = block_matrix([kernel], [rank_w], [1] * len(kernel)).transpose()
         found = _line_drops(*(n * Matrix([col for col, t in zip(cols, twisted) if t],
                                          ncols=rank_w).transpose() for cols in at))
     if found is None:

@@ -69,6 +69,32 @@ def test_validate_bad_shape_is_usage_error(capsys, tmp_path):
     assert code == 1
 
 
+def test_validate_non_utf8_file_is_format_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"r": "\xff"}')
+    code, _out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+def test_validate_json_integer_past_digit_limit_is_format_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"r": ' + "1" * 5000 + "}")
+    code, _out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert err.startswith("error: ") and "digits" in err
+
+
+def test_validate_rational_past_digit_limit_is_format_error(capsys, tmp_path):
+    doc = json.loads(Path(_data_path("hilbert_k2.json")).read_text())
+    doc["blocks"]["c"] = [["1" * 5000, "1/1"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert err.startswith("error: bad rational") and "digits" in err
+
+
 def test_dims_command(capsys):
     code, out, _ = run_cli(capsys, "dims", "-r", "1", "-a", "-1", "-k", "0")
     assert code == 0

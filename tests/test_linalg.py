@@ -1,10 +1,13 @@
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adhm_blowup_kit import linalg
 from adhm_blowup_kit.errors import DimensionMismatchError
 from adhm_blowup_kit.linalg import Matrix, block_matrix
 from util import echelon
@@ -265,3 +268,123 @@ def test_product_of_empty_shapes(m, n, p):
     prod = a * b
     assert prod.shape == (m, p)
     assert prod == Matrix.zeros(m, p)
+
+
+# -- the stored form: integer rows over one denominator, in lowest terms ---------
+
+
+def _assert_lowest_terms(m):
+    assert len(m.num) == m.nrows and all(len(row) == m.ncols for row in m.num)
+    assert all(type(x) is int for row in m.num for x in row)
+    assert m.den > 0 and gcd(m.den, *(x for row in m.num for x in row)) == 1
+    if m.is_zero():
+        assert m.den == 1
+
+
+def _fraction_rows(data, m, n):
+    return data.draw(st.lists(st.lists(fractions, min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=rational_matrices(), s=fractions, data=st.data())
+def test_results_are_in_lowest_terms_and_match_fraction_reference(m, s, data):
+    a = m.rows
+    b = _fraction_rows(data, m.nrows, m.ncols)
+    other = Matrix(b, ncols=m.ncols)
+    at = [[a[i][j] for i in range(m.nrows)] for j in range(m.ncols)]
+    r0, r1 = sorted(data.draw(st.lists(st.integers(0, m.nrows), min_size=2, max_size=2)))
+    c0, c1 = sorted(data.draw(st.lists(st.integers(0, m.ncols), min_size=2, max_size=2)))
+    cases = [
+        (m, a),
+        (m + other, [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]),
+        (m - other, [[x - y for x, y in zip(u, v)] for u, v in zip(a, b)]),
+        (-m, [[-x for x in u] for u in a]),
+        (m.scale(s), [[s * x for x in u] for u in a]),
+        (m.transpose(), at),
+        (m * m.transpose(), _ref_mul(a, at, m.ncols, m.nrows)),
+        (m.submatrix(r0, r1, c0, c1), [u[c0:c1] for u in a[r0:r1]]),
+        (block_matrix([[m, other], [other, m]], [m.nrows] * 2, [m.ncols] * 2),
+         [u + v for u, v in zip(a, b)] + [v + u for u, v in zip(a, b)]),
+    ]
+    for got, want in cases:
+        _assert_lowest_terms(got)
+        assert got.rows == want
+    basis = m.nullspace()
+    for v, want in zip(basis, _ref_nullspace(m)):
+        _assert_lowest_terms(v)
+        assert v.rows == [[x] for x in want]
+    x = Matrix(_fraction_rows(data, m.ncols, 2), ncols=2)
+    sol = m.solve(m * x)
+    _assert_lowest_terms(sol)
+    assert m * sol == m * x
+    sq = min(m.shape)
+    block = m.submatrix(0, sq, 0, sq)
+    ref_inv = _ref_inverse(block.rows)
+    if ref_inv is not None:
+        inv = block.inverse()
+        _assert_lowest_terms(inv)
+        assert inv.rows == ref_inv
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(m=rational_matrices(), s=fractions.filter(bool))
+def test_the_same_matrix_by_any_route_is_stored_alike(m, s):
+    for same in (Matrix(m.rows, ncols=m.ncols), m.scale(s).scale(1 / s),
+                 m * Matrix.identity(m.ncols), -(-m), m + Matrix.zeros(*m.shape),
+                 m.transpose().transpose()):
+        assert (same.num, same.den) == (m.num, m.den)
+        assert same == m and hash(same) == hash(m)
+
+
+def test_one_half_by_three_routes():
+    routes = [Matrix([[Fraction(1, 2)]]), Matrix([[1]]).scale(Fraction(1, 2)),
+              Matrix([[2]]) * Matrix([[Fraction(1, 4)]]), Matrix.from_ints([[-3]], -6)]
+    for m in routes:
+        assert (m.num, m.den) == ([[1]], 2)
+        assert m == routes[0] and hash(m) == hash(routes[0])
+    zeros = [Matrix.zeros(2, 2), Matrix([[Fraction(1, 3)] * 2] * 2).scale(0),
+             Matrix([[Fraction(1, 3), 1]] * 2) - Matrix([[Fraction(1, 3), 1]] * 2),
+             Matrix.from_ints([[0, 0], [0, 0]], 7)]
+    for z in zeros:
+        assert (z.num, z.den) == ([[0, 0], [0, 0]], 1)
+        assert z == zeros[0] and hash(z) == hash(zeros[0])
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, Decimal("0.5"), "1/2", None, 1j])
+def test_matrix_refuses_inexact_entries(bad):
+    with pytest.raises(TypeError):
+        Matrix([[1, bad]])
+    with pytest.raises(TypeError):
+        Matrix.column([bad])
+    with pytest.raises(TypeError):
+        Matrix.identity(2).scale(bad)
+
+
+def test_elimination_sees_primitive_rows(monkeypatch):
+    """Each row reaches the integer kernels divided by its content.
+
+    With one common denominator of 10^30, the row with denominator 1 would
+    otherwise carry a factor 10^30 that only the other row put there.
+    """
+    seen = []
+
+    def wrap(kernel):
+        def checked(rows):
+            seen.extend(list(row) for row in rows)
+            assert all(gcd(*row) == 1 for row in rows if any(row))
+            return kernel(rows)
+        return checked
+
+    for name in ("_bareiss_rank", "_gauss_jordan"):
+        monkeypatch.setattr(linalg, name, wrap(getattr(linalg, name)))
+    big = 10 ** 30
+    m = Matrix([[1, 2, 3], [Fraction(1, big), Fraction(7, big), Fraction(5, big)]])
+    assert m.den == big
+    assert m.rank() == 2
+    [v] = m.nullspace()
+    assert (m * v).is_zero()
+    rhs = Matrix([[1], [Fraction(1, big)]])
+    assert m * m.solve(rhs) == rhs
+    assert len(seen) == 2 + 2 + 2
+    assert max(abs(x) for row in seen for x in row) < 10

@@ -105,10 +105,7 @@ def config_from_json(doc: Any) -> tuple[AdhmConfig, int | None]:
         raise ConfigFormatError("params.r and params.k must be integers")
     if not isinstance(a_vec, list) or not all(_is_int(x) for x in a_vec):
         raise ConfigFormatError("params.a must be a list of integers")
-    try:
-        dims = monad_dims(r, a_vec, k)
-    except Exception as exc:
-        raise ConfigFormatError(f"infeasible parameters: {exc}") from None
+    dims = monad_dims(r, a_vec, k)
     n = dims.n
     pts_doc = doc["points"]
     if not isinstance(pts_doc, list) or len(pts_doc) != n:

@@ -28,10 +28,11 @@ On each exceptional line alpha is constant columns beside a pencil in
 ``(w0 : w1)``, and the drop points are the eigenvalues of one rational matrix
 on the largest subspace of a kernel that it preserves; full rank at one of
 ``dim K_i + 1`` points rules out a drop along the line.  Nothing in the scan is
-drawn at random.  ``framing_check``
-compares the determinant criterion for the framing with the fibre criterion
-along the framing line.  ``validate_config`` bundles everything into one
-report.
+drawn at random.  ``framing_check`` compares the determinant criterion for
+the framing (``a`` invertible) with the fibre criterion at every point of the
+framing line ``z2 = 0``, which is one more line for the exceptional-line
+routine.  ``validate_config`` bundles everything into one report; its seed
+picks only the spot-check points.
 """
 
 from __future__ import annotations
@@ -130,14 +131,10 @@ def _terms(x: SurfacePoint, ctx: BlowupPoints, integer: bool = False) -> tuple:
     :mod:`.sections`.  ``integer`` scales all of them by one common
     denominator, which scales every entry by the same nonzero constant.
     """
-    if x.is_exceptional:
-        i = x.exceptional_index
-        ctx.line_point(i, x.coords)  # checks the index
-        nums = (*ctx.points[i - 1], Fraction(1), *x.coords)
-    else:
-        i = None
-        ctx.chart_point(x.coords)  # refuses a blow-up centre
-        nums = x.coords + x.coords[:2]
+    i = x.exceptional_index
+    ctx.check_point(x.coords, i)
+    nums = ((*ctx.points[i - 1], Fraction(1), *x.coords) if x.is_exceptional
+            else x.coords + x.coords[:2])
     if integer:
         den = math.lcm(*(x.denominator for x in nums))
         nums = [x.numerator * (den // x.denominator) for x in nums]
@@ -501,15 +498,28 @@ def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]]
     return points, complete
 
 
+def _drops_beside(u: Matrix, p0: Matrix,
+                  p1: Matrix) -> tuple[list[tuple[Fraction, Fraction]], bool] | None:
+    """Where ``[u | w0 p0 + w1 p1]`` drops below full column rank, as :func:`_line_drops`.
+
+    With ``N`` the left kernel of the constant columns ``u``, its rank is
+    ``rank u + rank N (w0 p0 + w1 p1)``: it drops everywhere if ``u`` does not
+    have full column rank, and otherwise where the pencil
+    ``w0 N p0 + w1 N p1`` does.
+    """
+    kernel = u.transpose().nullspace()
+    if len(kernel) != u.nrows - u.ncols:
+        return None
+    n = block_matrix([kernel], [u.nrows], [1] * len(kernel)).transpose()
+    return _line_drops(n * p0, n * p1)
+
+
 def _scan_divisor(m: MonadRep, i: int) -> tuple[list[SurfacePoint], bool]:
     """Rank-drop points on the exceptional line E_i, and completeness.
 
     There alpha is ``[U | w0 P_0 + w1 P_1]``: the untwisted columns valued at
-    ``p_i``, and the ``K_i`` columns, linear in ``w``.  With ``N`` the left
-    kernel of ``U``, its rank is ``rank U + rank N (w0 P_0 + w1 P_1)``: it
-    drops everywhere if ``U`` does not have full column rank, and otherwise
-    where the pencil ``w0 N P_0 + w1 N P_1`` does (see :func:`_line_drops`).
-    Every point found is verified by an exact rank.
+    ``p_i``, and the ``K_i`` columns, linear in ``w`` (see
+    :func:`_drops_beside`).  Every point found is verified by an exact rank.
     """
     rank_w = m.dims.rank_w
     # the columns of alpha at (1 : 0) and (0 : 1), both scaled by the integer
@@ -517,13 +527,9 @@ def _scan_divisor(m: MonadRep, i: int) -> tuple[list[SurfacePoint], bool]:
     at = [list(zip(*m.alpha.combine(_terms(SurfacePoint.exceptional(i, *w), m.ctx, True))))
           for w in ((1, 0), (0, 1))]
     twisted = [t == i for t in m.alpha.col_twist]
-    u_t = Matrix([col for col, t in zip(at[0], twisted) if not t], ncols=rank_w)
-    kernel = u_t.nullspace()
-    found = None
-    if len(kernel) == rank_w - u_t.nrows:
-        n = block_matrix([kernel], [rank_w], [1] * len(kernel)).transpose()
-        found = _line_drops(*(n * Matrix([col for col, t in zip(cols, twisted) if t],
-                                         ncols=rank_w).transpose() for cols in at))
+    found = _drops_beside(*(
+        Matrix([col for col, t in zip(cols, twisted) if t == kind], ncols=rank_w).transpose()
+        for cols, kind in ((at[0], False), (at[0], True), (at[1], True))))
     if found is None:
         raise NotInPError(f"alpha drops rank along the exceptional line E_{i}")
     full_rank = m.dims.total_k
@@ -574,56 +580,48 @@ def _rand_chart_point(rng: Random, ctx: BlowupPoints) -> SurfacePoint:
             return SurfacePoint.generic(x0, x1, 1)
 
 
-def _framing_line_points(rng: Random) -> list[SurfacePoint]:
-    """The two coordinate points of the framing line, then eight random ones."""
-    pts = [SurfacePoint.generic(1, 0, 0), SurfacePoint.generic(0, 1, 0)]
-    pts += [SurfacePoint.generic(1, _rand_frac(rng), 0) for _ in range(8)]
-    return pts
-
-
 # -- framing ------------------------------------------------------------------------
 
 
-def _framing_fiber_ok(m: MonadRep, cfg: AdhmConfig, x: SurfacePoint) -> bool:
-    terms = _terms(x, m.ctx, integer=True)
-    a_rows, b_rows = m.alpha.combine(terms), m.beta.combine(terms)
-    total_k, total_l, rank_w = m.dims.total_k, m.dims.total_l, m.dims.rank_w
-    if _rank(b_rows) < total_l:
+def _a_invertible(cfg: AdhmConfig) -> bool:
+    """Whether ``a`` is invertible, read off the configuration's kept ``a^{-1}``."""
+    try:
+        return cfg._a_inverse is not None
+    except FramingViolationError:
         return False
-    rank_alpha = _rank(a_rows)
-    if rank_alpha < total_k or rank_w - total_l - rank_alpha != cfg.r:
-        return False
-    # the framing summand must land in ker(beta) ...
-    if any(v for row in b_rows for v in row[rank_w - cfg.r:]):
-        return False
-    # ... and inject into the fibre: C^r meets im(alpha) in 0
-    first = rank_w - cfg.r
-    joined = [row + [int(s == first + mth) for mth in range(cfg.r)]
-              for s, row in enumerate(a_rows)]
-    return _rank(joined) == total_k + cfg.r
 
 
-def framing_verdicts(cfg: AdhmConfig, seed: int = 0, m: MonadRep | None = None,
-                     det_ok: bool | None = None) -> tuple[bool, bool]:
-    """(determinant criterion, fibre criterion along the framing line).
+def framing_verdicts(cfg: AdhmConfig, m: MonadRep | None = None) -> tuple[bool, bool]:
+    """(``a`` invertible, the fibre criterion at every point of the framing line ``z2 = 0``).
 
-    ``m`` and ``det_ok``, when given, must be ``build_monad(cfg)`` and
-    ``assemble_a(cfg).det() != 0``; they are computed otherwise.
+    The second is read off the pencils of ``m``, ``build_monad(cfg)`` when
+    not given, and is False when ``a`` is singular and there is no monad.
+    On the line both maps are ``x0 M_0 + x1 M_1``, and ``C^r`` injects into
+    every fibre iff beta's framing columns vanish, ``[alpha | C^r]`` never
+    drops rank and beta is onto (its transpose, beside no constant columns,
+    never drops rank); both pencils go through :func:`_drops_beside`.
     """
-    if det_ok is None:
-        det_ok = assemble_a(cfg).det() != 0
+    det_ok = _a_invertible(cfg)
     if m is None:
-        try:
-            m = build_monad(cfg)
-        except FramingViolationError:
-            return det_ok, False
-    pts = _framing_line_points(Random(seed))
-    return det_ok, all(_framing_fiber_ok(m, cfg, x) for x in pts)
+        if not det_ok:
+            return False, False
+        m = build_monad(cfg)
+    dims = m.dims
+    first = dims.rank_w - dims.rank  # the framing summand is the last block of W
+    if any(x for mat in m.beta.mats[:2] for row in mat for x in row[first:]):
+        return det_ok, False
+    unit = Matrix.identity(dims.rank_w).submatrix(0, dims.rank_w, first, dims.rank_w)
+    injects = _drops_beside(unit, *(Matrix.from_ints(a, 1, dims.total_k)
+                                    for a in m.alpha.mats[:2]))
+    onto = _drops_beside(Matrix.zeros(dims.rank_w, 0),
+                         *(Matrix.from_ints(b, 1, dims.rank_w).transpose()
+                           for b in m.beta.mats[:2]))
+    return det_ok, injects == onto == ([], True)
 
 
-def framing_check(m: MonadRep, cfg: AdhmConfig, seed: int = 0) -> bool:
+def framing_check(m: MonadRep, cfg: AdhmConfig) -> bool:
     """True iff the framing exists; the two criteria must agree."""
-    det_ok, fiber_ok = framing_verdicts(cfg, seed, m)
+    det_ok, fiber_ok = framing_verdicts(cfg, m)
     if det_ok != fiber_ok:
         raise InternalConsistencyError(
             f"framing criteria disagree: det {det_ok}, fibre {fiber_ok}"
@@ -723,7 +721,7 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
         ch_check = False
         failures.append("chern character bookkeeping")
 
-    det_ok = assemble_a(cfg).det() != 0
+    det_ok = _a_invertible(cfg)
     if not det_ok:
         failures.append("assembled matrix a is singular")
         # second normalisation step only needs the ai0 blocks; the first
@@ -764,7 +762,7 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
             "the composite beta . alpha and the residual formulas disagree"
         )
 
-    det_v, fiber_v = framing_verdicts(cfg, seed, monad, det_ok)
+    det_v, fiber_v = framing_verdicts(cfg, monad)
     framing = det_v and fiber_v
     if det_v != fiber_v:
         failures.append("framing criteria disagree")

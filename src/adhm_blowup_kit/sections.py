@@ -105,25 +105,27 @@ class BlowupPoints:
         """Affine coordinate ``p_i^A`` (i is 1-based, A in {0, 1})."""
         return self.points[i - 1][a]
 
+    def check_point(self, x: tuple[Fraction, ...], i: int | None = None) -> None:
+        """Refuse ``x`` unless it lies on E_i or, with ``i`` None, in the plane off the centres."""
+        if i is not None and not 1 <= i <= self.n:
+            raise ValueError(f"exceptional index {i} out of range 1..{self.n}")
+        if not any(x):
+            raise ValueError(f"{x} has no nonzero coordinate, so it is not a point")
+        if i is None and x[2] and (x[0] / x[2], x[1] / x[2]) in self.points:
+            raise AmbiguousPointError(
+                f"{x} is a blown-up point; evaluate on its exceptional divisor")
+
     def chart_point(self, x: tuple[Rational, Rational, Rational]) -> tuple:
         """``x`` in ``QQ``, after checking it is a plane point off the centres."""
-        x = tuple(_frac(t) for t in x)
-        if all(t == 0 for t in x):
-            raise ValueError("(0,0,0) is not a projective point")
-        if x[2] != 0 and (x[0] / x[2], x[1] / x[2]) in self.points:
-            raise AmbiguousPointError(
-                f"{x} is a blown-up point; evaluate on its exceptional divisor"
-            )
-        return tuple(_to_ring(t) for t in x)
+        x = tuple(map(_frac, x))
+        self.check_point(x)
+        return tuple(map(_to_ring, x))
 
     def line_point(self, i: int, w: tuple[Rational, Rational]) -> tuple:
         """``(w0, w1, 1)`` in ``QQ``, after checking ``(w0 : w1)`` is a point of E_i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"exceptional index {i} out of range 1..{self.n}")
-        w0, w1 = _frac(w[0]), _frac(w[1])
-        if w0 == 0 and w1 == 0:
-            raise ValueError("(0,0) is not a point of the exceptional line")
-        return (_to_ring(w0), _to_ring(w1), QQ.one)
+        w = tuple(map(_frac, w))
+        self.check_point(w, i)
+        return (*map(_to_ring, w), QQ.one)
 
 
 @dataclass(frozen=True)

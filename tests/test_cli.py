@@ -249,9 +249,20 @@ def test_tangent_without_k_is_a_format_error(capsys):
     assert err.startswith("error:") and "-r and -k" in err
 
 
-@pytest.mark.parametrize("command", ("tangent", "sample", "dims"))
-def test_infeasible_parameters_exit_2(capsys, command):
-    code, out, err = run_cli(capsys, command, "-r", "0", "-k", "1")
+@pytest.mark.parametrize("command", ("tangent", "sample", "dims",
+                                     "validate", "scan", "report", "orbit", "tangent PATH"))
+def test_infeasible_parameters_exit_2(capsys, tmp_path, command):
+    if command in ("tangent", "sample", "dims"):
+        argv = [command, "-r", "0", "-k", "1"]
+    else:
+        # a file whose parameters are infeasible: the same exit as -r 0
+        doc = json.loads(Path(_data_path("hilbert_k2.json")).read_text())
+        doc["params"]["r"] = 0
+        path = tmp_path / "r0.json"
+        path.write_text(json.dumps(doc))
+        argv = {"orbit": ["orbit", "--witness", str(path), str(path), str(path)],
+                "tangent PATH": ["tangent", str(path)]}.get(command, [command, str(path)])
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("infeasible:") and "rank must be >= 1" in err
 

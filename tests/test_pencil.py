@@ -6,9 +6,11 @@ Some are pushed towards chart drop points: ``c = 0`` (the whole space is
 unobservable), upper triangular ``aA00`` (a common eigenvector) or
 ``aA00[0] = aA00[1]`` (many, often irrational).  The rest are sampled monads.
 Such data almost never drop rank on an exceptional line, so the line route is
-also checked on planted pencils ``X D(w) Y`` whose drop points are known.
+also checked on planted pencils ``X D(w) Y`` whose drop points are known, and
+the framing-line verdict on monads with a planted drop.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -21,6 +23,7 @@ from adhm_blowup_kit.adhm import assemble_a, sample_config
 from adhm_blowup_kit.errors import (
     AmbiguousPointError,
     InfeasibleParametersError,
+    InternalConsistencyError,
     NotInPError,
 )
 from adhm_blowup_kit.lattice import monad_dims
@@ -33,6 +36,8 @@ from adhm_blowup_kit.monad import (
     build_monad,
     check_monad_condition,
     composite_is_zero,
+    framing_check,
+    framing_verdicts,
 )
 from util import (
     W0,
@@ -40,6 +45,7 @@ from util import (
     _all_minors,
     line_zeros,
     rand_config,
+    reference_framing_fiber,
     reference_scan_chart,
     reference_scan_divisor,
     section_coefficients,
@@ -252,3 +258,73 @@ def test_line_route_matches_minor_gcd_on_planted_pencils(blocks, extra, seed):
     assert _sorted(_line_drops(*pencil)) == want
     if extra != "random":
         assert want == _planted_drops(blocks)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cfg=configs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_framing_line_verdict_matches_sampled_fibres(cfg, seed):
+    # a is invertible, so alpha's L rows x0 a and -x1 a frame every point
+    m = build_monad(cfg)
+    assert framing_verdicts(cfg, m=m) == (True, True)
+    assert reference_framing_fiber(m, Random(seed))
+
+
+def _planted(m, which, a_idx, edit):
+    """``m`` with ``edit(rows)`` applied to matrix ``a_idx`` of its ``which`` pencil."""
+    pencil = getattr(m, which)
+    mats = [[list(row) for row in mat] for mat in pencil.mats]
+    edit(mats[a_idx])
+    mats = tuple(tuple(tuple(row) for row in mat) for mat in mats)
+    return dataclasses.replace(m, **{which: dataclasses.replace(pencil, mats=mats)})
+
+
+def _set_column(j, values):
+    def edit(rows):
+        for row, v in zip(rows, values):
+            row[j] = v
+    return edit
+
+
+def _set_row(i, values):
+    def edit(rows):
+        rows[i] = values
+    return edit
+
+
+def _framing_plants(m):
+    """Monads whose fibre criterion fails somewhere on the framing line, by name."""
+    rank_w = m.dims.rank_w
+    v = [row[0] for row in m.alpha.mats[0]]
+    # column 0 of alpha is 7 v x0 - 11 v x1: zero at (1 : 7/11 : 0), never sampled
+    rational = _planted(_planted(m, "alpha", 0, _set_column(0, [7 * x for x in v])),
+                        "alpha", 1, _set_column(0, [-11 * x for x in v]))
+    # columns 0 and 1 of alpha are [[x0, 2 x1], [x1, x0]] on rows 0 and 1
+    # and zero elsewhere: they meet at the two points x0 = +-sqrt(2) x1
+    pair = m
+    for a_idx, block in ((0, ((1, 0), (0, 1))), (1, ((0, 2), (1, 0)))):
+        for j in (0, 1):
+            col = [block[0][j], block[1][j]] + [0] * (rank_w - 2)
+            pair = _planted(pair, "alpha", a_idx, _set_column(j, col))
+    # row 0 of beta is 7 u x0 - 11 u x1: beta is not onto at (1 : 7/11 : 0)
+    u = m.beta.mats[0][0]
+    not_onto = _planted(_planted(m, "beta", 0, _set_row(0, [7 * x for x in u])),
+                        "beta", 1, _set_row(0, [-11 * x for x in u]))
+    framing_col = next(c for c, s in enumerate(m.w_slots) if s[0] == "C")
+    beta = _planted(m, "beta", 0, _set_column(framing_col, [1] * m.dims.total_l))
+    return {"rational": rational, "irrational": pair, "beta not onto": not_onto,
+            "beta framing column": beta}
+
+
+@pytest.mark.parametrize("name", ("rational", "irrational", "beta not onto",
+                                  "beta framing column"))
+@pytest.mark.parametrize("shape", ((2, (1,), 1), (1, (), 2), (3, (1, 0), 2)))
+def test_framing_line_catches_planted_failures(shape, name):
+    cfg = sample_config(*shape, seed=0)
+    m = build_monad(cfg)
+    assert framing_verdicts(cfg, m=m) == (True, True)
+    planted = _framing_plants(m)[name]
+    assert framing_verdicts(cfg, m=planted) == (True, False)
+    # ten sampled points miss the drops, which lie off them
+    assert reference_framing_fiber(planted, Random(0)) == (name != "beta framing column")
+    with pytest.raises(InternalConsistencyError):
+        framing_check(planted, cfg)

@@ -650,3 +650,28 @@ def reference_scan_divisor(m, i: int, rng: Random, use_all_minors: bool):
         return [], False
     candidates = (SurfacePoint.exceptional(i, *w) for w in found[0])
     return [pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank], found[1]
+
+
+def reference_framing_fiber(m, rng: Random) -> bool:
+    """The fibre criterion for the framing, sampled on the framing line ``z2 = 0``.
+
+    At ``(1:0:0)``, ``(0:1:0)`` and eight random ``(1:t:0)``: beta must be
+    onto and kill the framing summand ``C^r``, and ``[alpha | C^r]`` must have
+    full column rank.  A drop anywhere else on the line goes unseen.
+    """
+    dims = m.dims
+    pts = [SurfacePoint.generic(1, 0, 0), SurfacePoint.generic(0, 1, 0)]
+    pts += [SurfacePoint.generic(1, Fraction(rng.randint(-24, 24), rng.randint(1, 5)), 0)
+            for _ in range(8)]
+    framing = [s[0] == "C" for s in m.w_slots]
+    unit = Matrix([[int(s == ("C", j)) for j in range(dims.rank)] for s in m.w_slots],
+                  ncols=dims.rank)
+    for x in pts:
+        alpha, beta = m.alpha_at(x), m.beta_at(x)
+        if beta.rank() < dims.total_l or any(
+                v for row in beta.rows for v, f in zip(row, framing) if f):
+            return False
+        joined = block_matrix([[alpha, unit]], [dims.rank_w], [dims.total_k, dims.rank])
+        if joined.rank() < dims.total_k + dims.rank:
+            return False
+    return True

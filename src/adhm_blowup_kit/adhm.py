@@ -8,20 +8,18 @@ of blocks
 * ``a00 : K_0 -> L_0``, ``a0i : K_i -> L_0``, ``ai0 : K_0 -> L_i``,
   ``aii : K_i -> L_i`` (the arrowhead matrix ``a``),
 * the pair ``aA00 : K_0 -> L_0`` (A = 0, 1),
-* ``c : K_0 -> C^r`` and ``d : C^r -> L_0`` (the framing row and column),
-* optionally, pre-gauge rows ``cAi : K_i -> C^r`` that a change of basis of
-  the middle term eliminates.
+* ``c : K_0 -> C^r`` and ``d : C^r -> L_0`` (the framing row and column).
 
-The row ``b^A = (b^A_00, ..., b^A_0n)`` is never free data: it is derived from
-the linear part of the monad condition, ``b^A a + a_{0.} p^A + d c^A = a^A``,
-whenever ``a`` is invertible.  With ``b^A`` so derived the whole quadratic
-condition collapses to a single block, equal to ``(q^A a^{-1} q_A)^{00} + dc``
-(the compact constraint; the sign convention is calibrated against the
-symbolic expansion of the monad in the test suite).
+This is the normal form of the data: the framing row of the middle term
+involves ``K_0`` alone.  The row ``b^A = (b^A_00, ..., b^A_0n)`` is never free
+data: it is derived from the linear part of the monad condition,
+``b^A a + a_{0.} p^A = a^A``, whenever ``a`` is invertible.  With ``b^A`` so
+derived the whole monad condition collapses to a single block, the compact
+residual ``(q^A a^{-1} q_A)^{00} + dc``.
 
-Gauge normalisation sets ``cAi = 0`` and ``ai0 = Id``; the residual symmetry
-group and its action on normalised configurations, the tangent computation,
-and deterministic samplers for valid configurations all live here.
+Gauge normalisation sets ``ai0 = Id``; the residual symmetry group and its
+action on normalised configurations, the tangent computation, and
+deterministic samplers for valid configurations all live here.
 """
 
 from __future__ import annotations
@@ -44,20 +42,10 @@ from .lattice import MonadDims, monad_dims
 from .linalg import Matrix, block_matrix, clear_denoms
 from .sections import BlowupPoints
 
-#: Global sign of the compact constraint relative to the (z2)^2 coefficient of
-#: the (L0, K0) block of beta compose alpha.  Build-time constant; the
-#: calibration property in the test suite pins it.
-COMPACT_SIGN = 1
-
 MatrixPair = tuple[Matrix, Matrix]
 
 #: The blocks the arrowhead matrix ``a`` is assembled from.
 _ARROW_BLOCKS = frozenset({"a00", "a0i", "ai0", "aii"})
-
-
-def contract_pairs(x: MatrixPair, y: MatrixPair) -> Matrix:
-    """Penrose contraction ``sum_A x^A y_A = x^1 y^0 - x^0 y^1`` of matrix pairs."""
-    return x[1] * y[0] - x[0] * y[1]
 
 
 @dataclass(frozen=True)
@@ -76,9 +64,8 @@ class AdhmConfig:
     aA00: MatrixPair
     c: Matrix
     d: Matrix
-    cAi: tuple[MatrixPair, ...] | None = None
 
-    def __init__(self, r, a_vec, k, points, a00, a0i, ai0, aii, aA00, c, d, cAi=None):
+    def __init__(self, r, a_vec, k, points, a00, a0i, ai0, aii, aA00, c, d):
         dims = monad_dims(r, a_vec, k)
         n = dims.n
         if points.n != n:
@@ -102,13 +89,6 @@ class AdhmConfig:
             shapes.append((f"a0i[{i}]", a0i[i], (ld[0], kd[i + 1])))
             shapes.append((f"ai0[{i}]", ai0[i], (ld[i + 1], kd[0])))
             shapes.append((f"aii[{i}]", aii[i], (ld[i + 1], kd[i + 1])))
-        if cAi is not None:
-            cAi = tuple((pair[0], pair[1]) for pair in cAi)
-            if len(cAi) != n + 1:
-                raise DimensionMismatchError("cAi must cover blocks 0..n")
-            for j, pair in enumerate(cAi):
-                shapes.append((f"cAi[{j}][0]", pair[0], (r, kd[j])))
-                shapes.append((f"cAi[{j}][1]", pair[1], (r, kd[j])))
         for name, mat, want in shapes:
             if mat.shape != want:
                 raise DimensionMismatchError(f"{name} is {mat.shape}, expected {want}")
@@ -124,7 +104,6 @@ class AdhmConfig:
         object.__setattr__(self, "aA00", (aA00[0], aA00[1]))
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "cAi", cAi)
 
     @property
     def n(self) -> int:
@@ -134,7 +113,7 @@ class AdhmConfig:
         kwargs = {
             "r": self.r, "a_vec": self.a_vec, "k": self.k, "points": self.points,
             "a00": self.a00, "a0i": self.a0i, "ai0": self.ai0, "aii": self.aii,
-            "aA00": self.aA00, "c": self.c, "d": self.d, "cAi": self.cAi,
+            "aA00": self.aA00, "c": self.c, "d": self.d,
         }
         kwargs.update(changes)
         new = AdhmConfig(**kwargs)
@@ -175,9 +154,6 @@ class AdhmConfig:
             for j in range(n):
                 rhs_blocks.append(-self.a0i[j].scale(self.point_coord(j + 1, a)))
             rhs = block_matrix([rhs_blocks], [ld[0]], list(kd))
-            if self.cAi is not None:
-                c_row = block_matrix([[pair[a] for pair in self.cAi]], [self.r], list(kd))
-                rhs = rhs - self.d * c_row
             out.append(rhs * self._a_inverse)
         return (out[0], out[1])
 
@@ -185,8 +161,6 @@ class AdhmConfig:
         return self.points.coordinate(i, a)
 
     def is_normalized(self) -> bool:
-        if self.cAi is not None:
-            return False
         return all(m == Matrix.identity(m.nrows) for m in self.ai0)
 
     def __eq__(self, other: object) -> bool:
@@ -202,7 +176,6 @@ class AdhmConfig:
             and self.aA00 == other.aA00
             and self.c == other.c
             and self.d == other.d
-            and self.cAi == other.cAi
         )
 
 
@@ -246,11 +219,12 @@ def assemble_qA(cfg: AdhmConfig) -> MatrixPair:
 
 
 def derive_bA(cfg: AdhmConfig) -> MatrixPair:
-    """Solve ``b^A a + a_{0.} p^A + d c^A = a^A`` for the full rows ``b^A``.
+    """Solve ``b^A a + a_{0.} p^A = a^A`` for the full rows ``b^A``.
 
-    Returns two ``dim L_0 x sum(dim L)`` matrices; block ``j`` of ``b^A`` maps
-    ``L_j`` to ``L_0``.  Raises if ``a`` is singular (no framing).  Solved
-    once per configuration object (``AdhmConfig._bA``).
+    These are the linear blocks of the monad condition.  Returns two
+    ``dim L_0 x sum(dim L)`` matrices; block ``j`` of ``b^A`` maps ``L_j`` to
+    ``L_0``.  Raises if ``a`` is singular (no framing).  Solved once per
+    configuration object (``AdhmConfig._bA``).
     """
     return cfg._bA
 
@@ -278,104 +252,34 @@ def _q_strips(cfg: AdhmConfig) -> tuple[MatrixPair, MatrixPair]:
 
 
 def _compact_block(cfg: AdhmConfig) -> Matrix:
-    """``COMPACT_SIGN (q^A a^{-1} q_A)^{00}``, the compact constraint without ``dc``.
+    """``(q^A a^{-1} q_A)^{00}``, the compact residual without ``dc``.
 
     Only the ``(L_0, K_0)`` block is kept, so only the first ``l0`` rows of
     ``q^A a^{-1}`` and the first ``k0`` columns of ``q_A`` enter the products.
     """
     rows, cols = _q_strips(cfg)
     qa = [m * cfg._a_inverse for m in rows]
-    return (qa[1] * cols[0] - qa[0] * cols[1]).scale(COMPACT_SIGN)
+    return qa[1] * cols[0] - qa[0] * cols[1]
 
 
-def b_block(cfg: AdhmConfig, b: Matrix, j: int) -> Matrix:
-    """Block ``b^A_0j`` of a derived row ``b^A``."""
-    ld = cfg.dims.dim_l
-    start = sum(ld[: j + 1]) - ld[j]
-    return b.submatrix(0, b.nrows, start, start + ld[j])
+def constraint_residual(cfg: AdhmConfig) -> Matrix:
+    """The compact residual ``(q^A a^{-1} q_A)^{00} + dc`` of the monad condition.
 
-
-@dataclass(frozen=True)
-class ConstraintResidual:
-    """Residuals of the monad condition: labelled blocks plus the compact form."""
-
-    compact: Matrix
-    raw: tuple[tuple[str, Matrix], ...]
-
-    def raw_is_zero(self) -> bool:
-        return all(m.is_zero() for _, m in self.raw)
-
-    def compact_is_zero(self) -> bool:
-        return self.compact.is_zero()
-
-
-def constraint_residual(cfg: AdhmConfig) -> ConstraintResidual:
-    """All coefficient blocks of the monad condition, with ``b^A`` derived.
-
-    The linear blocks vanish identically because ``b^A`` solves them; the
-    single quadratic block (the (z2)^2 coefficient of the (L0, K0) entry of
-    the composite) is also returned in its compact ``(q^A a^{-1} q_A)^{00} + dc``
-    form, and the two must agree.
+    With ``b^A`` derived (:func:`derive_bA`) it is the ``z2^2`` coefficient
+    of the ``(L_0, K_0)`` block of ``beta . alpha``, and every other
+    coefficient of the composite vanishes; so the monad condition holds iff
+    it is zero.  Raises :class:`FramingViolationError` if ``a`` is singular.
     """
-    bA = cfg._bA
-    n = cfg.n
-    raw: list[tuple[str, Matrix]] = []
-    b00 = (b_block(cfg, bA[0], 0), b_block(cfg, bA[1], 0))
-    for a in (0, 1):
-        r1 = -cfg.aA00[a] + b00[a] * cfg.a00
-        for i in range(n):
-            r1 = r1 + b_block(cfg, bA[a], i + 1) * cfg.ai0[i]
-        if cfg.cAi is not None:
-            r1 = r1 + cfg.d * cfg.cAi[0][a]
-        raw.append((f"linear[{a}]", r1))
-    r2 = contract_pairs(b00, cfg.aA00) + cfg.d * cfg.c
-    for i in range(n):
-        bi = (b_block(cfg, bA[0], i + 1), b_block(cfg, bA[1], i + 1))
-        p0, p1 = cfg.point_coord(i + 1, 0), cfg.point_coord(i + 1, 1)
-        r2 = r2 - (bi[1].scale(p0) - bi[0].scale(p1)) * cfg.ai0[i]
-    raw.append(("quadratic", r2))
-    for i in range(n):
-        for a in (0, 1):
-            p = cfg.point_coord(i + 1, a)
-            r3 = (
-                cfg.a0i[i].scale(p)
-                + b00[a] * cfg.a0i[i]
-                + b_block(cfg, bA[a], i + 1) * cfg.aii[i]
-            )
-            if cfg.cAi is not None:
-                r3 = r3 + cfg.d * cfg.cAi[i + 1][a]
-            raw.append((f"linear[{a}]@{i + 1}", r3))
-
-    compact = _compact_block(cfg) + cfg.d * cfg.c
-    if compact != r2:
-        raise InternalConsistencyError(
-            "compact constraint disagrees with the expanded quadratic block"
-        )
-    return ConstraintResidual(compact=compact, raw=tuple(raw))
+    return _compact_block(cfg) + cfg.d * cfg.c
 
 
 def gauge_fix(cfg: AdhmConfig) -> AdhmConfig:
-    """Normalise: eliminate the ``cAi`` rows, then set every ``ai0`` to the identity.
+    """Normalise: set every ``ai0`` to the identity.
 
-    The first step is a change of basis of the middle term, the second an
-    isomorphism of the end terms; neither changes the cohomology.  Fails with
-    :class:`NonGenericStratumError` if some ``ai0`` is singular.
+    This is an isomorphism of the end terms, so it does not change the
+    cohomology.  Fails with :class:`NonGenericStratumError` if some ``ai0``
+    is singular.
     """
-    if cfg.cAi is not None:
-        ainv = cfg._a_inverse
-        n = cfg.n
-        kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-        correction = Matrix.zeros(cfg.r, kd[0])
-        for a in (0, 1):
-            low0 = -cfg.aA00[1] if a == 0 else cfg.aA00[0]
-            v_blocks = [low0]
-            for i in range(n):
-                p_low = -cfg.point_coord(i + 1, 1) if a == 0 else cfg.point_coord(i + 1, 0)
-                v_blocks.append(cfg.ai0[i].scale(-p_low))
-            v = block_matrix([[blk] for blk in v_blocks], list(ld), [kd[0]])
-            c_row = block_matrix([[pair[a] for pair in cfg.cAi]], [cfg.r], list(kd))
-            correction = correction + c_row * ainv * v
-        cfg = cfg.replace(c=cfg.c - correction, cAi=None)
     new_ai0 = []
     new_aii = []
     for i in range(cfg.n):
@@ -681,7 +585,7 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
                 if Q < k0 and (s0 or s1):
                     for i in range(l0):
                         ds[i][Q] += fv * (s0 * u1[i] - s1 * u0[i])
-                columns.append([COMPACT_SIGN * x for row in ds for x in row])
+                columns.append([x for row in ds for x in row])
     # d E_PQ and E_PQ c
     c, d = ([[x * (den // m.den) for x in row] for row in m.num] for m in (cfg.c, cfg.d))
     for P in range(cfg.r):
@@ -862,7 +766,6 @@ def sample_config(r: int, a_vec: Sequence[int], k: int, seed: int) -> AdhmConfig
         cfg = _sample_line_bundle(r, a_vec, k, rng)
     else:
         cfg = _sample_solve_d(r, a_vec, k, rng)
-    residual = constraint_residual(cfg)
-    if not residual.raw_is_zero():
+    if not constraint_residual(cfg).is_zero():
         raise InternalConsistencyError("sampler produced an invalid configuration")
     return cfg

@@ -190,7 +190,7 @@ def _tangent_config(args):
     if args.path is not None:
         cfg, _seed = _load_config(args.path)
         cfg = adhm.gauge_fix(cfg)
-        if not adhm.constraint_residual(cfg).raw_is_zero():
+        if not adhm.constraint_residual(cfg).is_zero():
             raise NotInPError("configuration does not satisfy the monad condition")
         return cfg
     if args.r is None or args.k is None:
@@ -224,7 +224,10 @@ def _cmd_orbit(args) -> int:
         print("orbit: configurations have different parameters", file=sys.stderr)
         return EXIT_ERROR
     witness = config_io.group_element_from_json(_load_json(args.witness), cfg1.dims)
-    equivalent = adhm.verify_equivalence(cfg1, cfg2, witness)
+    try:
+        equivalent = adhm.verify_equivalence(cfg1, cfg2, witness)
+    except ValueError as exc:  # a singular witness block, or data not in normal form
+        raise ConfigFormatError(str(exc)) from None
     _emit({"schema": config_io.SCHEMA_VERSION, "equivalent": equivalent},
           args.json, [f"equivalent: {equivalent}"])
     return EXIT_OK if equivalent else EXIT_INVALID
@@ -336,7 +339,7 @@ def main(argv=None) -> int:
     except SamplingFailureError as exc:
         print(f"sampling failed: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
-    except AdhmKitError as exc:
+    except (AdhmKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -138,7 +138,7 @@ class ChernCharacter:
 
     def __init__(self, rank: int, c1: DivisorClass, pt: Rational):
         if rank < 0:
-            raise ValueError("rank must be nonnegative")
+            raise InfeasibleParametersError("rank must be nonnegative")
         object.__setattr__(self, "rank", int(rank))
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "pt", _frac(pt))

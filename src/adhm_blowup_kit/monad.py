@@ -223,33 +223,17 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
 
     On the two copies of ``L_i``, alpha is ``-(z1 a - z2 q^1)`` and
     ``z0 a - z2 q^0`` (rows of the assembled ``a`` and ``q^A``), and on the
-    framing summand ``z2 c`` plus the optional ``cAi`` rows, each times the
-    lowered pair ``z_A`` (on ``K_0``) or ``w_{j,A}`` (on ``K_j``).  Row
-    ``L_0`` of beta is ``[z0 + z2 b^0 | z1 + z2 b^1 | z2 d]`` and row ``L_i``
-    is ``w_i^A = z^A - p_i^A z2`` on the matching copies of ``L_i``.  Works
-    for pre-gauge data too: the derived ``b^A`` absorbs the ``cAi`` rows, so
-    a configuration and its gauge-fixed form have the same fibre data.
+    framing summand ``[z2 c | 0]``.  Row ``L_0`` of beta is
+    ``[z0 + z2 b^0 | z1 + z2 b^1 | z2 d]`` and row ``L_i`` is
+    ``w_i^A = z^A - p_i^A z2`` on the matching copies of ``L_i``.
     """
     dims = cfg.dims
     n, r = cfg.n, cfg.r
     kd, ld = dims.dim_k, dims.dim_l
     l_off = _offsets(ld)
     col_twist = [j for j in range(n + 1) for _ in range(kd[j])]
-    # alpha: a, q^A and the framing rows F_a over one denominator
-    c_row = block_matrix([[cfg.c, Matrix.zeros(r, dims.total_k - kd[0])]],
-                         [r], [kd[0], dims.total_k - kd[0]])
-    if cfg.cAi is None:
-        framing = [Matrix.zeros(r, dims.total_k)] * 2 + [c_row]
-    else:
-        # x^A y_A = x^1 y^0 - x^0 y^1, with w_j^A = z^A - p_j^A z2 and p_0 = 0
-        cA = [block_matrix([[pair[a_idx] for pair in cfg.cAi]], [r], list(kd))
-              for a_idx in (0, 1)]
-        p = [(0, 0) if j == 0 else cfg.points.points[j - 1] for j in col_twist]
-        framing = [cA[1], -cA[0],
-                   Matrix([[c + pj[1] * x - pj[0] * y for c, x, y, pj in zip(*rows, p)]
-                           for rows in zip(c_row.rows, cA[0].rows, cA[1].rows)],
-                          ncols=dims.total_k)]
-    a_den, (a, q0, q1, *framing) = clear_denoms(assemble_a(cfg), *assemble_qA(cfg), *framing)
+    # alpha: a, q^A and c over one denominator
+    a_den, (a, q0, q1, c) = clear_denoms(assemble_a(cfg), *assemble_qA(cfg), cfg.c)
     zero_k = [0] * dims.total_k
 
     w_slots: list[tuple] = []
@@ -266,8 +250,9 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
             alpha[1].append(zero_k)
             alpha[2].append([-x for x in q0[row]])
     w_slots += [("C", m) for m in range(r)]
-    for mat, f in zip(alpha, framing):
-        mat.extend(f)
+    alpha[0].extend([zero_k] * r)
+    alpha[1].extend([zero_k] * r)
+    alpha[2].extend(row + zero_k[kd[0]:] for row in c)
 
     # beta: 1, the centres, d and b^A over one denominator
     b_den, (pts, d, *bA) = clear_denoms(_point_matrix(cfg), cfg.d, *derive_bA(cfg))
@@ -411,23 +396,22 @@ def _common_eigenvector(g0: Matrix, g1: Matrix) -> bool:
 
 
 def _chart_operators(m: MonadRep) -> tuple[list[Matrix], Matrix]:
-    """``T_A = a^{-1} q^A`` and the framing rows ``C = F_2 + F_0 T_0 + F_1 T_1``.
+    """``T_A = a^{-1} q^A`` and the framing rows ``C = [c 0]``.
 
     Read off alpha's pencil (see :func:`build_monad`): ``q^0`` is ``-M_2``
-    on copy 1 of the ``L_i``, ``q^1`` is ``M_2`` on copy 0, and ``F_a`` is
-    ``M_a`` on the framing rows.  At ``(x0, x1, 1)`` the ``L`` rows of
+    on copy 1 of the ``L_i``, ``q^1`` is ``M_2`` on copy 0, and ``C`` is
+    ``M_2`` on the framing rows.  At ``(x0, x1, 1)`` the ``L`` rows of
     ``alpha v`` vanish iff ``T_A v = x_A v``, and then the framing rows are
     ``C v``.
     """
     summand = ["C" if s[0] == "C" else s[1] for s in m.w_slots]  # copy 0, copy 1 or C^r
+    m2 = m.alpha.mats[2]
 
-    def rows(kind, mat, sign=1):
-        return Matrix.from_ints([[sign * x for x in row] for row, s in zip(mat, summand) if s == kind],
+    def rows(kind, sign=1):
+        return Matrix.from_ints([[sign * x for x in row] for row, s in zip(m2, summand) if s == kind],
                                 m.alpha.den, m.dims.total_k)
 
-    m0, m1, m2 = m.alpha.mats
-    ops = [m.a_inverse * rows(1, m2, -1), m.a_inverse * rows(0, m2)]
-    return ops, rows("C", m2) + rows("C", m0) * ops[0] + rows("C", m1) * ops[1]
+    return [m.a_inverse * rows(1, -1), m.a_inverse * rows(0)], rows("C")
 
 
 def _scan_chart(m: MonadRep) -> tuple[list[SurfacePoint], bool]:
@@ -678,26 +662,31 @@ class SpotCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ValidationReport:
+    """The verdicts of :func:`validate_config`.
+
+    With ``a`` singular there is no monad, and the fields that need one keep
+    their defaults.
+    """
+
     det_a_nonzero: bool
-    raw_residual_zero: bool | None
-    compact_residual_zero: bool | None
-    monad_identity_zero: bool | None
-    framing: bool | None
+    raw_residual_zero: bool | None = None
+    compact_residual_zero: bool | None = None
+    monad_identity_zero: bool | None = None
+    framing: bool
     framing_det: bool
-    framing_fiber: bool | None
-    finite_rank_drop: bool | None
-    singular_points: tuple[SurfacePoint, ...]
-    scan_complete: bool | None
-    fiber_spotchecks: tuple[SpotCheck, ...]
+    framing_fiber: bool
+    finite_rank_drop: bool | None = None
+    singular_points: tuple[SurfacePoint, ...] = ()
+    scan_complete: bool | None = None
+    fiber_spotchecks: tuple[SpotCheck, ...] = ()
     ch_check: bool
-    stabilizer_dim: int | None
+    stabilizer_dim: int | None = None
     normalizable: bool
     valid: bool
-    failures: tuple[str, ...] = field(default=())
-    #: The gauge-fixed configuration the stabilizer was computed on, if any;
-    #: not part of the report's value.
+    failures: tuple[str, ...] = ()
+    #: The gauge-fixed configuration, if any; not part of the report's value.
     normalized: AdhmConfig | None = field(default=None, compare=False, repr=False)
 
 
@@ -713,7 +702,13 @@ def _spotcheck_points(m: MonadRep, rng: Random) -> list[SurfacePoint]:
 
 
 def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
-    """Run every finite check on a configuration and aggregate the verdicts."""
+    """Run every finite check on a configuration and aggregate the verdicts.
+
+    The monad condition is read from the compact residual, and cross-checked
+    against the composite ``beta . alpha``: its ``z2^2`` coefficient on
+    ``(L_0, K_0)`` must equal the residual, and the whole composite must
+    vanish exactly when the residual does.
+    """
     failures: list[str] = []
     try:
         ch_check = cohomology_ch_check(cfg.dims) is not None
@@ -721,121 +716,85 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
         ch_check = False
         failures.append("chern character bookkeeping")
 
-    det_ok = _a_invertible(cfg)
-    if not det_ok:
-        failures.append("assembled matrix a is singular")
-        # second normalisation step only needs the ai0 blocks; the first
-        # (eliminating cAi) needs the inverse of a, which does not exist here
-        normalizable = cfg.cAi is None and all(
-            m.nrows == 0 or m.det() != 0 for m in cfg.ai0
-        )
-        return ValidationReport(
-            det_a_nonzero=False,
-            raw_residual_zero=None,
-            compact_residual_zero=None,
-            monad_identity_zero=None,
-            framing=False,
-            framing_det=False,
-            framing_fiber=False,
-            finite_rank_drop=None,
-            singular_points=(),
-            scan_complete=None,
-            fiber_spotchecks=(),
-            ch_check=ch_check,
-            stabilizer_dim=None,
-            normalizable=normalizable,
-            valid=False,
-            failures=tuple(failures),
-        )
-
-    residual = constraint_residual(cfg)
-    raw_zero = residual.raw_is_zero()
-    compact_zero = residual.compact_is_zero()
-    if not raw_zero:
-        failures.append("monad condition residual is nonzero")
-
-    monad = build_monad(cfg)
-    comp = check_monad_condition(monad)
-    monad_zero = composite_is_zero(comp)
-    if monad_zero != raw_zero:
-        raise InternalConsistencyError(
-            "the composite beta . alpha and the residual formulas disagree"
-        )
-
-    det_v, fiber_v = framing_verdicts(cfg, monad)
-    framing = det_v and fiber_v
-    if det_v != fiber_v:
-        failures.append("framing criteria disagree")
-
-    finite_drop: bool | None
-    try:
-        scan = singular_scan(monad)
-        finite_drop = True
-        singular_points = scan.points
-        scan_complete = scan.complete
-    except NotInPError as exc:
-        finite_drop = False
-        singular_points = ()
-        scan_complete = None
-        failures.append(str(exc))
-
-    rng = Random(seed + 1)
-    spots: list[SpotCheck] = []
-    singular_set = set(singular_points)
-    for pt in _spotcheck_points(monad, rng):
-        try:
-            fd = fiber_data(monad, pt)
-        except MonadDegeneracyError:
-            spots.append(SpotCheck(pt, None, None, None, False, False))
-            failures.append(f"beta not surjective at {pt}")
-            continue
-        expected_min = cfg.r + 1 if pt in singular_set else cfg.r
-        ok = (fd.fiber_dim >= expected_min if pt in singular_set
-              else fd.fiber_dim == cfg.r)
-        if not ok:
-            failures.append(f"unexpected fibre dimension {fd.fiber_dim} at {pt}")
-        spots.append(SpotCheck(pt, fd.rank_alpha, fd.dim_ker_beta,
-                               fd.fiber_dim, True, ok))
-
     try:
         normalized = cfg if cfg.is_normalized() else gauge_fix(cfg)
     except NonGenericStratumError:
-        normalized = None
-    if normalized is not None:
-        stab = _stabilizer_dim(normalized)
-        if stab != 0:
-            failures.append(f"positive-dimensional stabilizer ({stab})")
-    else:
         # a singular ai0 block: not normalisable, though possibly still valid
-        stab = None
+        normalized = None
 
-    valid = (
-        det_ok
-        and raw_zero
-        and compact_zero
-        and monad_zero
-        and framing
-        and finite_drop is True
-        and ch_check
-        and (stab in (0, None))
-        and all(s.ok for s in spots)
-    )
+    det_ok = _a_invertible(cfg)
+    found: dict = {"framing": False, "framing_fiber": False}
+    valid = False
+    if not det_ok:
+        failures.append("assembled matrix a is singular")
+    else:
+        residual = constraint_residual(cfg)
+        residual_zero = residual.is_zero()
+        if not residual_zero:
+            failures.append("monad condition residual is nonzero")
+        monad = build_monad(cfg)
+        comp = check_monad_condition(monad)
+        l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
+        if (comp[0, 0, 2].submatrix(0, l0, 0, k0) != residual
+                or composite_is_zero(comp) != residual_zero):
+            raise InternalConsistencyError(
+                "the composite beta . alpha and the compact residual disagree"
+            )
+
+        # a is invertible, so the determinant criterion holds
+        fiber_v = framing_verdicts(cfg, monad)[1]
+        if not fiber_v:
+            failures.append("framing criteria disagree")
+
+        try:
+            scan = singular_scan(monad)
+        except NotInPError as exc:
+            scan = None
+            failures.append(str(exc))
+
+        rng = Random(seed + 1)
+        spots: list[SpotCheck] = []
+        singular_set = set(scan.points if scan else ())
+        for pt in _spotcheck_points(monad, rng):
+            try:
+                fd = fiber_data(monad, pt)
+            except MonadDegeneracyError:
+                spots.append(SpotCheck(pt, None, None, None, False, False))
+                failures.append(f"beta not surjective at {pt}")
+                continue
+            expected_min = cfg.r + 1 if pt in singular_set else cfg.r
+            ok = (fd.fiber_dim >= expected_min if pt in singular_set
+                  else fd.fiber_dim == cfg.r)
+            if not ok:
+                failures.append(f"unexpected fibre dimension {fd.fiber_dim} at {pt}")
+            spots.append(SpotCheck(pt, fd.rank_alpha, fd.dim_ker_beta,
+                                   fd.fiber_dim, True, ok))
+
+        stab = None if normalized is None else _stabilizer_dim(normalized)
+        if stab:
+            failures.append(f"positive-dimensional stabilizer ({stab})")
+
+        found = dict(
+            raw_residual_zero=residual_zero,
+            compact_residual_zero=residual_zero,
+            monad_identity_zero=residual_zero,
+            framing=fiber_v,
+            framing_fiber=fiber_v,
+            finite_rank_drop=scan is not None,
+            singular_points=scan.points if scan else (),
+            scan_complete=scan.complete if scan else None,
+            fiber_spotchecks=tuple(spots),
+            stabilizer_dim=stab,
+        )
+        valid = (residual_zero and fiber_v and scan is not None and ch_check
+                 and not stab and all(s.ok for s in spots))
     return ValidationReport(
         det_a_nonzero=det_ok,
-        raw_residual_zero=raw_zero,
-        compact_residual_zero=compact_zero,
-        monad_identity_zero=monad_zero,
-        framing=framing,
-        framing_det=det_v,
-        framing_fiber=fiber_v,
-        finite_rank_drop=finite_drop,
-        singular_points=tuple(singular_points),
-        scan_complete=scan_complete,
-        fiber_spotchecks=tuple(spots),
+        framing_det=det_ok,
         ch_check=ch_check,
-        stabilizer_dim=stab,
         normalizable=normalized is not None,
         valid=valid,
         failures=tuple(failures),
         normalized=normalized,
+        **found,
     )

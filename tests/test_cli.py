@@ -1,10 +1,15 @@
 import argparse
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import adhm_blowup_kit
 from adhm_blowup_kit import adhm, config_io, monad
 from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.cli import build_parser, main
@@ -354,3 +359,42 @@ def test_report_gauge_fixes_once(capsys, monkeypatch, tmp_path):
     doc = json.loads(out)
     assert doc["normalizable"] is True and "tangent" in doc
     assert fixed == [pre]
+
+
+def _orbit_files(tmp_path, case):
+    base = adhm.sample_config(2, [1], 1, seed=5)
+    witness = adhm.GroupElement.identity(base.dims)
+    if case == "singular witness":
+        witness = dataclasses.replace(witness, g00=Matrix.zeros(*witness.g00.shape))
+    else:  # a valid file that is not in normal form: ai0 is not the identity
+        blk = Matrix([[2, 1], [1, 1]])
+        base = base.replace(ai0=(blk,), aii=(blk * base.aii[0],))
+    cfg, pw = tmp_path / "c.json", tmp_path / "w.json"
+    cfg.write_text(config_io.dump_canonical(config_io.config_to_json(base)))
+    pw.write_text(config_io.dump_canonical(config_io.group_element_to_json(witness)))
+    return ["orbit", "--witness", str(pw), str(cfg), str(cfg)]
+
+
+BAD_INPUTS = {  # case: (exit code, start of stderr)
+    "negative rank": (2, "infeasible:"),
+    "unwritable output": (1, "error:"),
+    "singular witness": (1, "error:"),
+    "witness on data not in normal form": (1, "error:"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_gives_a_message_not_a_traceback(tmp_path, case):
+    if case == "negative rank":
+        argv = ["chi", "-p", "1", "-q", "1", "-r", "-1", "-a", "0", "-k", "0"]
+    elif case == "unwritable output":
+        argv = ["sample", "-r", "1", "-k", "1", "-o", str(tmp_path / "missing" / "x.json")]
+    else:
+        argv = _orbit_files(tmp_path, case)
+    src = str(Path(adhm_blowup_kit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "adhm_blowup_kit.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    code, prefix = BAD_INPUTS[case]
+    assert run.returncode == code and run.stdout == ""
+    assert run.stderr.startswith(prefix) and "Traceback" not in run.stderr

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from adhm_blowup_kit import config_io
+from adhm_blowup_kit import config_io, monad
 
 from adhm_blowup_kit.adhm import (
     AdhmConfig,
@@ -20,7 +20,12 @@ from adhm_blowup_kit.adhm import (
     derive_bA,
     sample_config,
 )
-from adhm_blowup_kit.errors import AmbiguousPointError, MonadDegeneracyError, NotInPError
+from adhm_blowup_kit.errors import (
+    AmbiguousPointError,
+    InternalConsistencyError,
+    MonadDegeneracyError,
+    NotInPError,
+)
 from adhm_blowup_kit.lattice import ChernCharacter, DivisorClass, monad_dims
 from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.monad import (
@@ -144,12 +149,31 @@ def test_monad_condition_zero_iff_valid():
     assert not composite_is_zero(comp)
 
 
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+def test_validate_catches_a_residual_that_disagrees_with_the_composite(monkeypatch, valid):
+    # validate_config reads the monad condition from the compact residual and
+    # checks it against the composite; a planted error in the residual must show
+    cfg = sample_config(2, [1], 1, seed=5)
+    if not valid:
+        cfg = cfg.replace(d=cfg.d + rand_matrix(Random(6), *cfg.d.shape))
+    assert validate_config(cfg).monad_identity_zero is valid
+    real = monad.constraint_residual
+
+    def planted(c):
+        res = real(c)
+        return res + Matrix.from_function(*res.shape, lambda i, j: int(i == j == 0))
+
+    monkeypatch.setattr(monad, "constraint_residual", planted)
+    with pytest.raises(InternalConsistencyError):
+        validate_config(cfg)
+
+
 def test_lower_rows_vanish_for_any_configuration():
     # rows i >= 1 die on w^A w_A = 0 regardless of validity
     rng = Random(2)
-    for trial in range(5):
+    for _ in range(5):
         cfg = rand_config(rng, rng.choice((1, 2)), rng.choice(([1], [0], [1, 0])),
-                          1, with_cai=bool(trial % 2), normalized=False)
+                          1, normalized=False)
         comp = check_monad_condition(build_monad(cfg))
         l0 = cfg.dims.dim_l[0]
         for coeff in comp.values():
@@ -183,9 +207,9 @@ def test_perturbation_localised_to_quadratic_coefficient():
     dims = broken.dims
     # the only nonzero coefficients sit in block (0,0) at monomial z2^2
     res = constraint_residual(broken)
-    assert coefficient_block(comp, dims, 0, 0, (0, 0, 2)) == res.compact
+    assert coefficient_block(comp, dims, 0, 0, (0, 0, 2)) == res
     nonzero = sum(len(e.poly) for row in comp for e in row)
-    in_block = sum(1 for row in res.compact.rows for x in row if x != 0)
+    in_block = sum(1 for row in res.rows for x in row if x != 0)
     assert nonzero == in_block > 0
     # the pencils' composite holds the same coefficients, monomial by monomial
     assert check_monad_condition(build_monad(broken)) == section_coefficients(comp, dims)
@@ -502,7 +526,7 @@ def test_validate_config_valid_and_invalid():
     assert rep.valid
     assert len(rep.singular_points) == 2
     bad = good.replace(c=Matrix([[1, 1]]))
-    assert not constraint_residual(bad).raw_is_zero()
+    assert not constraint_residual(bad).is_zero()
     rep2 = validate_config(bad, seed=0)
     assert not rep2.valid
     assert rep2.raw_residual_zero is False

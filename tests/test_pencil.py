@@ -86,8 +86,7 @@ def configs(draw):
         return sample_config(*draw(st.sampled_from(SAMPLED)), seed=draw(st.integers(0, 2)))
     r, a_vec, k = draw(st.sampled_from(SHAPES))
     rng = Random(draw(st.integers(0, 2 ** 32 - 1)))
-    cfg = rand_config(rng, r, a_vec, k, with_cai=draw(st.booleans()),
-                      normalized=draw(st.booleans()))
+    cfg = rand_config(rng, r, a_vec, k, normalized=draw(st.booleans()))
     if mode != "random":
         cfg = cfg.replace(c=Matrix.zeros(*cfg.c.shape))
     if mode == "triangular":

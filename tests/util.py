@@ -18,12 +18,10 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from adhm_blowup_kit.adhm import (
-    COMPACT_SIGN,
     AdhmConfig,
     GroupElement,
     assemble_a,
     assemble_qA,
-    b_block,
     derive_bA,
 )
 from adhm_blowup_kit.errors import NotInPError
@@ -102,8 +100,7 @@ def rand_divisor(rng: Random, n: int, bound: int = 6) -> DivisorClass:
     )
 
 
-def rand_config(rng: Random, r: int, a_vec, k: int,
-                with_cai: bool = False, normalized: bool = True) -> AdhmConfig:
+def rand_config(rng: Random, r: int, a_vec, k: int, normalized: bool = True) -> AdhmConfig:
     """Random configuration with invertible assembled matrix (not nec. valid)."""
     dims = monad_dims(r, a_vec, k)
     n = dims.n
@@ -113,12 +110,6 @@ def rand_config(rng: Random, r: int, a_vec, k: int,
             ai0 = tuple(Matrix.identity(kd[0]) for _ in range(n))
         else:
             ai0 = tuple(rand_invertible(rng, kd[0]) for _ in range(n))
-        cai = None
-        if with_cai:
-            cai = tuple(
-                (rand_matrix(rng, r, kd[j]), rand_matrix(rng, r, kd[j]))
-                for j in range(n + 1)
-            )
         cfg = AdhmConfig(
             r, a_vec, k, rand_points(rng, n),
             a00=rand_matrix(rng, ld[0], kd[0]),
@@ -128,7 +119,6 @@ def rand_config(rng: Random, r: int, a_vec, k: int,
             aA00=(rand_matrix(rng, ld[0], kd[0]), rand_matrix(rng, ld[0], kd[0])),
             c=rand_matrix(rng, r, kd[0]),
             d=rand_matrix(rng, ld[0], r),
-            cAi=cai,
         )
         if assemble_a(cfg).det() != 0:
             return cfg
@@ -223,7 +213,7 @@ def compact_derivative(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix) -> Ma
         + qa[0] * da * aq[1]
         - qa[0] * dq[1]
     )
-    delta = ds.submatrix(0, l0, 0, k0).scale(COMPACT_SIGN)
+    delta = ds.submatrix(0, l0, 0, k0)
     if kind == "c":
         delta = delta + cfg.d * unit
     elif kind == "d":
@@ -243,6 +233,12 @@ def _col_bidegree(n: int, j: int) -> DivisorClass:
     if j >= 1:
         q[j - 1] = -1
     return DivisorClass(1, q)
+
+
+def b_block(cfg: AdhmConfig, b: Matrix, j: int) -> Matrix:
+    """Block ``b^A_0j`` of a derived row ``b^A``."""
+    start = sum(cfg.dims.dim_l[:j])
+    return b.submatrix(0, b.nrows, start, start + cfg.dims.dim_l[j])
 
 
 def section_maps(cfg: AdhmConfig):
@@ -283,20 +279,8 @@ def section_maps(cfg: AdhmConfig):
                 row.append(entry)
         alpha_rows.append(tuple(row))
     for m in range(r):
-        row = []
-        for j in range(n + 1):
-            for mu in range(kd[j]):
-                entry = zero_entry(j)
-                if j == 0:
-                    entry = z2.scale(cfg.c[m, mu])
-                    if cfg.cAi is not None:
-                        for a_idx in (0, 1):
-                            entry = entry + zlow[a_idx].scale(cfg.cAi[0][a_idx][m, mu])
-                elif cfg.cAi is not None:
-                    for a_idx in (0, 1):
-                        entry = entry + wlow[j][a_idx].scale(cfg.cAi[j][a_idx][m, mu])
-                row.append(entry)
-        alpha_rows.append(tuple(row))
+        alpha_rows.append(tuple(z2.scale(cfg.c[m, mu]) if j == 0 else zero_entry(j)
+                                for j in range(n + 1) for mu in range(kd[j])))
 
     beta_rows = []
     w_raised = {i: (w_section(ctx, i, 0), w_section(ctx, i, 1)) for i in range(1, n + 1)}

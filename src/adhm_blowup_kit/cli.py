@@ -111,8 +111,7 @@ def _cmd_chi(args) -> int:
     if args.r is not None:
         a_vec = _parse_int_csv(args.a)
         if len(a_vec) != len(q):
-            print("chi: -a and -q must have the same length", file=sys.stderr)
-            return EXIT_ERROR
+            raise ConfigFormatError("-a and -q must have the same length")
         ch = lattice.ChernCharacter.of_sheaf(args.r, a_vec, args.k or 0)
         value = lattice.chi_twisted(ch, d)
     else:
@@ -221,8 +220,7 @@ def _cmd_orbit(args) -> int:
     cfg1, _ = _load_config(args.config1)
     cfg2, _ = _load_config(args.config2)
     if (cfg1.r, cfg1.a_vec, cfg1.k) != (cfg2.r, cfg2.a_vec, cfg2.k):
-        print("orbit: configurations have different parameters", file=sys.stderr)
-        return EXIT_ERROR
+        raise ConfigFormatError("configurations have different parameters")
     witness = config_io.group_element_from_json(_load_json(args.witness), cfg1.dims)
     try:
         equivalent = adhm.verify_equivalence(cfg1, cfg2, witness)

@@ -41,12 +41,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from operator import mul
 from random import Random
-
-from sympy import QQ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.rings import ring
 
 from .adhm import (
     AdhmConfig,
@@ -66,7 +63,7 @@ from .errors import (
     NotInPError,
 )
 from .lattice import ChernCharacter, DivisorClass, MonadDims
-from .linalg import Matrix, _bareiss_rank, block_matrix, clear_denoms
+from .linalg import Matrix, block_matrix, clear_denoms
 from .sections import BlowupPoints, _frac, _fraction
 
 Rational = Fraction | int
@@ -181,11 +178,8 @@ class Pencil:
                       ncols=len(self.col_twist)).scale(Fraction(1, self.den))
 
     def rank_at(self, x: SurfacePoint, ctx: BlowupPoints) -> int:
-        return _rank(self.combine(_terms(x, ctx, integer=True)))
-
-
-def _rank(rows: list[list[int]]) -> int:
-    return _bareiss_rank([row for row in rows if any(row)])
+        rows = self.combine(_terms(x, ctx, integer=True))
+        return Matrix.from_ints(rows, 1, len(self.col_twist)).rank()
 
 
 @dataclass(frozen=True)
@@ -308,13 +302,12 @@ def composite_is_zero(comp) -> bool:
 
 def fiber_data(m: MonadRep, x: SurfacePoint) -> FiberData:
     """Exact fibre ranks at one point; flags a non-surjective ``beta``."""
-    terms = _terms(x, m.ctx, integer=True)
-    rank_beta = _rank(m.beta.combine(terms))
+    rank_beta = m.beta.rank_at(x, m.ctx)
     if rank_beta < m.dims.total_l:
         raise MonadDegeneracyError(
             f"beta drops to rank {rank_beta} < {m.dims.total_l} at {x}"
         )
-    rank_alpha = _rank(m.alpha.combine(terms))
+    rank_alpha = m.alpha.rank_at(x, m.ctx)
     dim_ker_beta = m.dims.rank_w - rank_beta
     return FiberData(
         point=x,
@@ -331,10 +324,6 @@ def fiber_data(m: MonadRep, x: SurfacePoint) -> FiberData:
 class ScanResult:
     points: tuple[SurfacePoint, ...]
     complete: bool
-
-
-#: Characteristic polynomials live in QQ[t].
-_T = ring("t", QQ)[0]
 
 
 def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
@@ -362,10 +351,22 @@ def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
     return [v.solve(t * v) for t in ops]
 
 
+@cache
+def _charpoly_ring():
+    """sympy's ``DomainMatrix`` and ``QQ[t]``, where characteristic polynomials are factored."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.rings import ring
+
+    return DomainMatrix, ring("t", QQ)[0]
+
+
 def _factors(g: Matrix) -> list:
     """Irreducible factors over QQ of the characteristic polynomial of ``g``."""
-    dm = DomainMatrix([[QQ(x, g.den) for x in row] for row in g.num], g.shape, QQ)
-    return [f for f, _ in _T.from_list(dm.charpoly()).factor_list()[1]]
+    domain_matrix, qq_t = _charpoly_ring()
+    qq = qq_t.domain
+    dm = domain_matrix([[qq(x, g.den) for x in row] for row in g.num], g.shape, qq)
+    return [f for f, _ in qq_t.from_list(dm.charpoly()).factor_list()[1]]
 
 
 def _poly_at(f, g: Matrix) -> Matrix:

@@ -2,9 +2,11 @@
 
 A section is stored through its image under the trivialisation away from the
 exceptional divisors: a homogeneous polynomial of degree ``p`` in the plane
-coordinates, an element of the ring ``QQ[z0, z1, z2]``.  The trivialisation is
-injective (the complement of the exceptional set is dense), so equality of
-sections is plain polynomial equality and no elimination machinery is needed.
+coordinates, an element of the ring ``QQ[z0, z1, z2]``.  That ring is built on
+first use, so importing the package does not import sympy.  The
+trivialisation is injective (the complement of the exceptional set is
+dense), so equality of sections is plain polynomial equality and no
+elimination machinery is needed.
 
 Conventions, fixed once for the whole package:
 
@@ -29,19 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from math import comb
-from typing import Iterable, TypeVar
-
-from sympy import QQ
-from sympy.polys.rings import PolyElement, ring
+from typing import TYPE_CHECKING, Iterable, TypeVar
 
 from .errors import AmbiguousPointError, DimensionMismatchError, MalformedSectionError
 from .lattice import DivisorClass
 
-Rational = Fraction | int
+if TYPE_CHECKING:
+    from sympy.polys.rings import PolyElement, PolyRing
 
-#: The ring every section polynomial lives in.
-RING, Z0, Z1, Z2 = ring("z0,z1,z2", QQ)
+Rational = Fraction | int
 
 T = TypeVar("T")
 
@@ -58,6 +58,15 @@ def raise_pair(pair: tuple[T, T]) -> tuple[T, T]:
     return (x1, -x0)
 
 
+@cache
+def _ring() -> PolyRing:
+    """``QQ[z0, z1, z2]``, the ring every section polynomial lives in."""
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    return ring("z0,z1,z2", QQ)[0]
+
+
 def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -65,7 +74,7 @@ def _frac(x: Rational) -> Fraction:
 def _to_ring(x: Rational):
     """An int or ``Fraction`` as an element of ``QQ``."""
     x = _frac(x)
-    return QQ(x.numerator, x.denominator)
+    return _ring().domain(x.numerator, x.denominator)
 
 
 def _fraction(c) -> Fraction:
@@ -76,7 +85,7 @@ def _fraction(c) -> Fraction:
 def _value(poly: PolyElement, x):
     """``poly`` at the ``QQ`` coordinates ``x = (x0, x1, x2)``."""
     x0, x1, x2 = x
-    total = QQ.zero
+    total = _ring().domain.zero
     for (e0, e1, e2), c in poly.items():
         total += c * x0 ** e0 * x1 ** e1 * x2 ** e2
     return total
@@ -93,9 +102,11 @@ class BlowupPoints:
         if len(set(pts)) != len(pts):
             raise ValueError("blow-up points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
-        # the same centres in QQ, for Taylor shifts
-        object.__setattr__(self, "_ring_points",
-                           tuple((_to_ring(a), _to_ring(b)) for a, b in pts))
+
+    @cached_property
+    def _ring_points(self) -> tuple:
+        """The centres in ``QQ``, for the sections' Taylor shifts."""
+        return tuple((_to_ring(a), _to_ring(b)) for a, b in self.points)
 
     @property
     def n(self) -> int:
@@ -125,14 +136,14 @@ class BlowupPoints:
         """``(w0, w1, 1)`` in ``QQ``, after checking ``(w0 : w1)`` is a point of E_i."""
         w = tuple(map(_frac, w))
         self.check_point(w, i)
-        return (*map(_to_ring, w), QQ.one)
+        return (*map(_to_ring, w), _ring().domain.one)
 
 
 @dataclass(frozen=True)
 class SectionPoly:
     """A section of ``O(bidegree)``, stored as its trivialised polynomial.
 
-    ``poly`` is an element of :data:`RING`, or anything that ring converts
+    ``poly`` is an element of ``QQ[z0, z1, z2]``, or anything that ring converts
     (a dict from exponent triples to rationals, a number).  Every
     construction checks that it is homogeneous of degree ``p`` and vanishes
     to order at least ``-q_i`` at each centre with ``q_i < 0``.
@@ -148,7 +159,7 @@ class SectionPoly:
         if not bidegree.is_integral():
             raise ValueError("section bidegree must be integral")
         object.__setattr__(self, "bidegree", bidegree)
-        object.__setattr__(self, "poly", RING(poly))
+        object.__setattr__(self, "poly", _ring()(poly))
         object.__setattr__(self, "ctx", ctx)
         # Taylor shifts by centre index, computed on first use
         object.__setattr__(self, "_shifts", {})
@@ -186,13 +197,14 @@ class SectionPoly:
         if i in self._shifts:
             return self._shifts[i]
         p0, p1 = self.ctx._ring_points[i - 1]
-        out = RING.zero
+        ring = _ring()
+        out = ring.zero
         for (e0, e1, e2), c in self.poly.items():
             for u in range(e0 + 1):
                 c0 = c * comb(e0, u) * p0 ** (e0 - u)
                 for v in range(e1 + 1):
                     mono = (u, v, e0 + e1 + e2 - u - v)
-                    val = out.get(mono, QQ.zero) + c0 * comb(e1, v) * p1 ** (e1 - v)
+                    val = out.get(mono, ring.domain.zero) + c0 * comb(e1, v) * p1 ** (e1 - v)
                     if val:
                         out[mono] = val
                     else:
@@ -208,7 +220,7 @@ class SectionPoly:
         in ``z0, z1`` (read as ``w0, w1``), and 0 whenever ``q_i > 0``.
         """
         order = -int(self.bidegree.q[i - 1])
-        out = RING.zero
+        out = _ring().zero
         if order >= 0:
             keep = int(self.bidegree.p) - order
             for (u, v, t), c in self._shifted(i).items():
@@ -274,7 +286,7 @@ def z_section(ctx: BlowupPoints, a: int) -> SectionPoly:
     """Coordinate section ``z^a`` of ``O(1, 0)``, a in {0, 1, 2}."""
     if a not in (0, 1, 2):
         raise ValueError(f"coordinate index {a} out of range 0..2")
-    return SectionPoly(DivisorClass(1, [0] * ctx.n), RING.gens[a], ctx)
+    return SectionPoly(DivisorClass(1, [0] * ctx.n), _ring().gens[a], ctx)
 
 
 def w_section(ctx: BlowupPoints, i: int, a: int) -> SectionPoly:
@@ -285,8 +297,9 @@ def w_section(ctx: BlowupPoints, i: int, a: int) -> SectionPoly:
         raise ValueError(f"exceptional index {i} out of range 1..{ctx.n}")
     q = [0] * ctx.n
     q[i - 1] = -1
-    return SectionPoly(DivisorClass(1, q),
-                       RING.gens[a] - Z2.mul_ground(ctx._ring_points[i - 1][a]), ctx)
+    z = _ring().gens
+    return SectionPoly(DivisorClass(1, q), z[a] - z[2].mul_ground(ctx._ring_points[i - 1][a]),
+                       ctx)
 
 
 def lambda_section(ctx: BlowupPoints, i: int) -> SectionPoly:
@@ -295,7 +308,7 @@ def lambda_section(ctx: BlowupPoints, i: int) -> SectionPoly:
         raise ValueError(f"exceptional index {i} out of range 1..{ctx.n}")
     q = [0] * ctx.n
     q[i - 1] = 1
-    return SectionPoly(DivisorClass(0, q), RING.one, ctx)
+    return SectionPoly(DivisorClass(0, q), _ring().one, ctx)
 
 
 def const_section(ctx: BlowupPoints, value: Rational) -> SectionPoly:
@@ -305,4 +318,4 @@ def const_section(ctx: BlowupPoints, value: Rational) -> SectionPoly:
 
 def zero_section(ctx: BlowupPoints, bidegree: DivisorClass) -> SectionPoly:
     """The zero section, shape-typed by an explicit bidegree."""
-    return SectionPoly(bidegree, RING.zero, ctx)
+    return SectionPoly(bidegree, _ring().zero, ctx)

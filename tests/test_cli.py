@@ -1,18 +1,15 @@
 import argparse
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-import adhm_blowup_kit
 from adhm_blowup_kit import adhm, config_io, monad
 from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.cli import build_parser, main
+from util import run_fresh
 
 
 def _data_path(name: str) -> str:
@@ -120,6 +117,13 @@ def test_chi_command(capsys):
     assert code == 0 and out.strip() == "-3"
 
 
+def test_chi_with_a_and_q_of_different_lengths_is_a_format_error(capsys):
+    code, out, err = run_cli(capsys, "chi", "-p", "1", "-q", "1,2", "-r", "1", "-a", "0",
+                             "-k", "0")
+    assert code == 1 and out == ""
+    assert err == "error: -a and -q must have the same length\n"
+
+
 def test_sample_deterministic_bytes(capsys):
     code1, out1, _ = run_cli(capsys, "sample", "-r", "1", "-a", "", "-k", "2",
                              "--seed", "7")
@@ -195,6 +199,18 @@ def test_orbit_command(capsys, tmp_path):
     assert code == 2 and "equivalent: False" in out
     code, out, _ = run_cli(capsys, "orbit", "--witness", str(pw), str(p1), str(p1))
     assert code == 0 and "equivalent: True" in out
+
+
+def test_orbit_of_different_parameters_is_a_format_error(capsys, tmp_path):
+    cfg1, cfg2 = adhm.sample_config(2, [1], 1, seed=5), adhm.sample_config(1, [], 1, seed=0)
+    p1, p2, pw = (tmp_path / n for n in ("c1.json", "c2.json", "w.json"))
+    p1.write_text(config_io.dump_canonical(config_io.config_to_json(cfg1)))
+    p2.write_text(config_io.dump_canonical(config_io.config_to_json(cfg2)))
+    pw.write_text(config_io.dump_canonical(
+        config_io.group_element_to_json(adhm.GroupElement.identity(cfg1.dims))))
+    code, out, err = run_cli(capsys, "orbit", "--witness", str(pw), str(p1), str(p2))
+    assert code == 1 and out == ""
+    assert err == "error: configurations have different parameters\n"
 
 
 def test_report_command(capsys):
@@ -391,10 +407,7 @@ def test_bad_input_gives_a_message_not_a_traceback(tmp_path, case):
         argv = ["sample", "-r", "1", "-k", "1", "-o", str(tmp_path / "missing" / "x.json")]
     else:
         argv = _orbit_files(tmp_path, case)
-    src = str(Path(adhm_blowup_kit.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-m", "adhm_blowup_kit.cli", *argv],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = run_fresh("-m", "adhm_blowup_kit.cli", *argv)
     code, prefix = BAD_INPUTS[case]
     assert run.returncode == code and run.stdout == ""
     assert run.stderr.startswith(prefix) and "Traceback" not in run.stderr

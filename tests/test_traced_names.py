@@ -8,7 +8,10 @@ runs.  These checks read the tracer's tables and compare them with the code.
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
+
+from util import run_fresh
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +54,25 @@ def test_metric_spans_name_traced_functions():
             obj = getattr(module, attr, None)
             assert not attr.startswith("_") and inspect.isfunction(obj), span
             assert obj.__module__ == module.__name__, span
+
+
+def test_cli_import_loads_every_traced_module_and_method():
+    # Tracer.install indexes sys.modules by layer, so a layer that importing
+    # the CLI leaves unloaded would crash a traced run
+    tracing = _tracing()
+    child = """
+import json, sys
+import adhm_blowup_kit.cli
+package, layers, methods = json.loads(sys.argv[1])
+missing = [layer for layer in layers if f"{package}.{layer}" not in sys.modules]
+for layer, cls_name, names in methods:
+    module = sys.modules.get(f"{package}.{layer}")
+    cls = getattr(module, cls_name, None)
+    missing += [f"{layer}.{cls_name}.{name}" for name in names
+                if cls is None or name not in cls.__dict__]
+print(json.dumps(missing))
+"""
+    methods = [[layer, cls, names] for (layer, cls), names in tracing.METHODS.items()]
+    run = run_fresh("-c", child, json.dumps([tracing.PACKAGE, tracing.LAYERS, methods]))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == []

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 from typing import Sequence
 
@@ -17,6 +21,7 @@ from sympy import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
+import adhm_blowup_kit
 from adhm_blowup_kit.adhm import (
     AdhmConfig,
     GroupElement,
@@ -38,6 +43,14 @@ from adhm_blowup_kit.sections import (
     z_section,
     zero_section,
 )
+
+
+def run_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """``python *argv`` in a new interpreter that imports the package under test."""
+    src = str(Path(adhm_blowup_kit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 def rand_frac(rng: Random, lo: int = -4, hi: int = 4) -> Fraction:

@@ -68,6 +68,15 @@ from util import (
 )
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def pinned_sample(name: str) -> AdhmConfig:
+    """A configuration an earlier sampler drew, kept for the drop points it has."""
+    cfg, _seed = config_io.config_from_json(json.loads((FIXTURES / name).read_text()))
+    return cfg
+
+
 def hilbert_k2_config() -> AdhmConfig:
     # length-2 ideal-sheaf data: rank drops exactly at (0:0:1) and (1:1:1)
     return AdhmConfig(
@@ -402,9 +411,9 @@ def test_scan_compressed_agrees_with_exact():
         assert sorted(p.coords for p in exact_pts) == \
             sorted(p.coords for p in comp_pts) == sorted(p.coords for p in eigen_pts)
     # on the exceptional lines, the reference elimination against the
-    # eigenvalue route; the sampled n = 2 configuration drops rank at one
+    # eigenvalue route; the pinned n = 2 configuration drops rank at one
     # point of E_1
-    for cfg in (isolated_drop_config(), sample_config(1, [1, 0], 1, seed=0)):
+    for cfg in (isolated_drop_config(), pinned_sample("r1_a1_0_k1_seed0.json")):
         m = build_monad(cfg)
         for i in range(1, cfg.n + 1):
             exact = reference_scan_divisor(m, i, Random(1), use_all_minors=True)
@@ -440,7 +449,7 @@ def test_common_zeros_when_no_pair_member_involves_x1():
 
 
 def test_exact_chart_scan_finds_drop_with_x1_free_minors():
-    m = build_monad(sample_config(1, [1], 1, seed=933631))
+    m = build_monad(pinned_sample("r1_a1_k1_seed933631.json"))
     expected = [(Fraction(1, 2), Fraction(2, 3), Fraction(1))]
     routes = [reference_scan_chart(m, Random(1), use_all_minors)
               for use_all_minors in (False, True)]
@@ -615,10 +624,10 @@ def _rational_common_zeros(polys):
 
 
 def _integer_scan_configs():
-    yield sample_config(1, [], 2, seed=0)        # n = 0, commuting sampler
+    yield pinned_sample("r1_k2_seed0.json")     # n = 0, commuting diagonal pair
     yield sample_config(1, [0], 1, seed=2)       # n = 1
     yield sample_config(2, [1], 1, seed=5)       # n = 1, sum(dim K) = 3
-    yield sample_config(1, [1, 0], 1, seed=0)    # n = 2, drops on E_1
+    yield pinned_sample("r1_a1_0_k1_seed0.json")  # n = 2, drops on E_1
     yield isolated_drop_config()
     rng = Random(23)
     for k in (2, 3):
@@ -682,6 +691,6 @@ def test_scan_points_have_fraction_coordinates():
         rep = validate_config(cfg, seed=seed or 0)
         assert all(type(c) is Fraction for p in rep.singular_points for c in p.coords)
     # the drop on E_1 comes from the line scan's linear factor
-    scan = singular_scan(build_monad(sample_config(1, [1, 0], 1, seed=0)))
+    scan = singular_scan(build_monad(pinned_sample("r1_a1_0_k1_seed0.json")))
     assert any(p.exceptional_index == 1 for p in scan.points)
     assert all(type(c) is Fraction for p in scan.points for c in p.coords)

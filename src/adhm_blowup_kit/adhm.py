@@ -18,8 +18,8 @@ derived the whole monad condition collapses to a single block, the compact
 residual ``(q^A a^{-1} q_A)^{00} + dc``.
 
 Gauge normalisation sets ``ai0 = Id``; the residual symmetry group and its
-action on normalised configurations, the tangent computation, and
-deterministic samplers for valid configurations all live here.
+action on normalised configurations, the tangent computation, and the
+deterministic sampler of valid configurations all live here.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     SamplingFailureError,
 )
 from .lattice import MonadDims, monad_dims
-from .linalg import Matrix, block_matrix, clear_denoms
+from .linalg import Matrix, _gauss_jordan, _primitive, block_matrix, clear_denoms
 from .sections import BlowupPoints
 
 MatrixPair = tuple[Matrix, Matrix]
@@ -621,7 +621,7 @@ def tangent_dims(cfg: AdhmConfig) -> TangentReport:
     )
 
 
-# -- deterministic samplers --------------------------------------------------------
+# -- deterministic sampler ---------------------------------------------------------
 
 
 def _rand_fraction(rng: Random, lo: int = -4, hi: int = 4) -> Fraction:
@@ -644,128 +644,130 @@ def _rand_points(rng: Random, n: int) -> BlowupPoints:
     return BlowupPoints(pts)
 
 
-def _sample_commuting(r, k, rng: Random) -> AdhmConfig:
-    """n = 0: identity corner, commuting diagonal pair, d = 0, generic c."""
-    while True:
-        diag0 = [_rand_fraction(rng) for _ in range(k)]
-        diag1 = [_rand_fraction(rng) for _ in range(k)]
-        pairs = list(zip(diag0, diag1))
-        if len(set(pairs)) == k:
-            break
-    aA = tuple(
-        Matrix.from_function(k, k, lambda i, j, dd=dd: dd[i] if i == j else 0)
-        for dd in (diag0, diag1)
-    )
-    # first row of c strictly nonzero, so no joint eigenvector dies on c
-    rows = []
-    for i in range(r):
-        if i == 0:
-            rows.append([Fraction(rng.choice((1, 2, 3))) for _ in range(k)])
-        else:
-            rows.append([_rand_fraction(rng) for _ in range(k)])
-    c = Matrix(rows, ncols=k)
-    return AdhmConfig(
-        r, (), k, BlowupPoints(()),
-        a00=Matrix.identity(k),
-        a0i=(), ai0=(), aii=(),
-        aA00=(aA[0], aA[1]),
-        c=c,
-        d=Matrix.zeros(k, r),
-    )
+def _draw(r: int, a_vec: tuple[int, ...], k: int, rng: Random) -> AdhmConfig:
+    """Random points, ``a00``, ``a0i``, ``aii``, ``aA00[0]`` and ``d``; ``ai0 = Id``.
 
-
-def _sample_line_bundle(r, a_vec, k, rng: Random) -> AdhmConfig:
-    """The twist-by-one-exceptional-class shape: k = 0, r = 1, a = -e_i."""
+    ``aA00[1]`` and ``c`` are zero: :func:`_solve_draw` fills them in.
+    """
     dims = monad_dims(r, a_vec, k)
     n = dims.n
-    points = _rand_points(rng, n)
     kd, ld = dims.dim_k, dims.dim_l
-    i0 = a_vec.index(-1)
-    a0i = []
-    for i in range(n):
-        if i == i0:
-            val = Fraction(0)
-            while val == 0:
-                val = _rand_fraction(rng)
-            a0i.append(Matrix([[val]]))
-        else:
-            a0i.append(Matrix.zeros(ld[0], kd[i + 1]))
-    dval = Fraction(0)
-    while dval == 0:
-        dval = _rand_fraction(rng)
     return AdhmConfig(
-        r, a_vec, k, points,
-        a00=Matrix.zeros(ld[0], kd[0]),
-        a0i=tuple(a0i),
-        ai0=tuple(Matrix.zeros(ld[i + 1], kd[0]) for i in range(n)),
-        aii=tuple(Matrix.zeros(ld[i + 1], kd[i + 1]) for i in range(n)),
-        aA00=(Matrix.zeros(ld[0], kd[0]), Matrix.zeros(ld[0], kd[0])),
+        r, a_vec, k, _rand_points(rng, n),
+        a00=_rand_matrix(rng, ld[0], kd[0]),
+        a0i=tuple(_rand_matrix(rng, ld[0], kd[i + 1]) for i in range(n)),
+        ai0=tuple(Matrix.identity(kd[0]) for _ in range(n)),
+        aii=tuple(_rand_matrix(rng, ld[i + 1], kd[i + 1]) for i in range(n)),
+        aA00=(_rand_matrix(rng, ld[0], kd[0]), Matrix.zeros(ld[0], kd[0])),
         c=Matrix.zeros(r, kd[0]),
-        d=Matrix([[dval]]),
+        d=_rand_matrix(rng, ld[0], r),
     )
 
 
-#: Attempts ``_sample_solve_d`` makes before it reports a sampling failure.
-_SOLVE_D_ATTEMPTS = 60
+def _sylvester_system(cfg: AdhmConfig) -> tuple[list[list[int]], int]:
+    """The monad condition as a linear system in ``(X, c)``, ``X = aA00[1]``.
 
-
-def _sample_solve_d(r, a_vec, k, rng: Random) -> AdhmConfig:
-    """Random blocks; solve ``d c = -(q^A a^{-1} q_A)^{00}`` for ``d`` exactly."""
-    dims = monad_dims(r, a_vec, k)
-    n = dims.n
-    kd, ld = dims.dim_k, dims.dim_l
-    log: list[str] = []
-    for attempt in range(_SOLVE_D_ATTEMPTS):
-        points = _rand_points(rng, n)
-        cfg = AdhmConfig(
-            r, a_vec, k, points,
-            a00=_rand_matrix(rng, ld[0], kd[0]),
-            a0i=tuple(_rand_matrix(rng, ld[0], kd[i + 1]) for i in range(n)),
-            ai0=tuple(Matrix.identity(kd[0]) for _ in range(n)),
-            aii=tuple(_rand_matrix(rng, ld[i + 1], kd[i + 1]) for i in range(n)),
-            aA00=(_rand_matrix(rng, ld[0], kd[0]), _rand_matrix(rng, ld[0], kd[0])),
-            c=_rand_matrix(rng, r, kd[0]),
-            d=Matrix.zeros(ld[0], r),
-        )
-        try:
-            target = -_compact_block(cfg)
-        except FramingViolationError:
-            log.append(f"attempt {attempt}: singular a")
-            continue
-        # d c = target  <=>  c^T d^T = target^T
-        sol = cfg.c.transpose().solve(target.transpose())
-        if sol is None:
-            log.append(f"attempt {attempt}: target row space not spanned by c")
-            continue
-        cfg = cfg.replace(d=sol.transpose())
-        if stabilizer_dim(cfg) != 0:
-            log.append(f"attempt {attempt}: positive-dimensional stabilizer")
-            continue
-        return cfg
-    raise SamplingFailureError(
-        f"solve-d exhausted {_SOLVE_D_ATTEMPTS} attempts for "
-        f"(r={r}, a={tuple(a_vec)}, k={k}): " + "; ".join(log[-5:])
+    ``X`` enters ``q^1`` alone, as its corner ``-X``, so the compact block
+    is affine in it: ``compact(X) = compact(0) + Q X - X P``, with ``Q`` the
+    ``(L_0, L_0)`` corner of ``q^0 a^{-1}`` and ``P`` the ``(K_0, K_0)``
+    corner of ``a^{-1} q^0``.  The residual vanishes iff
+    ``Q X - X P + d c = -compact(0)``.  Returns the integer rows of
+    ``[system | rhs]`` over one denominator: one row per entry of the
+    ``(L_0, K_0)`` block, and one column per entry of ``X`` and then of
+    ``c``, each row by row, as in :func:`_jacobian`.  ``cfg`` has ``X = 0``
+    (compact(0) is its compact block).  Raises
+    :class:`FramingViolationError` when ``a`` is singular.
+    """
+    l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
+    ainv = cfg._a_inverse
+    rows, cols = _q_strips(cfg)
+    qa = [m * ainv for m in rows]
+    den, (q, p, d, compact) = clear_denoms(
+        qa[0].submatrix(0, l0, 0, l0),
+        ainv.submatrix(0, k0, 0, ainv.ncols) * cols[0],
+        cfg.d,
+        qa[1] * cols[0] - qa[0] * cols[1],
     )
+    nx = l0 * k0
+    system = []
+    for i in range(l0):
+        for j in range(k0):
+            row = [0] * (nx + cfg.r * k0 + 1)
+            for m in range(l0):  # (Q X)_ij = sum_m Q_im X_mj
+                row[m * k0 + j] += q[i][m]
+            for m in range(k0):  # (X P)_ij = sum_m X_im P_mj
+                row[i * k0 + m] -= p[m][j]
+            for m in range(cfg.r):  # (d c)_ij = sum_m d_im c_mj
+                row[nx + m * k0 + j] = d[i][m]
+            row[-1] = -compact[i][j]
+            system.append(row)
+    return system, den
+
+
+def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
+    """A random point of the solution space of :func:`_sylvester_system`, or None.
+
+    One fraction-free Gauss-Jordan reduction of ``[system | rhs]``; each free
+    unknown takes a small random integer, which keeps the entries short, and
+    the pivot unknowns follow.  None unless the system has full row rank.
+    Full row rank makes the monad condition a submersion at the sample, and
+    it is what a generic ``d`` gives: an inconsistent system is one way to
+    lack it, and ``d = 0`` at ``dim L_0 = dim K_0 = r = 1`` another.
+    """
+    system, _den = _sylvester_system(cfg)
+    l0, k0, r = cfg.dims.dim_l[0], cfg.dims.dim_k[0], cfg.r
+    nu = (l0 + r) * k0
+    system = [_primitive(row) for row in system]
+    pivots, _sign, pivot = _gauss_jordan(system)
+    if sum(pc < nu for pc in pivots) < len(system):
+        return None
+    taken = set(pivots)
+    free = {j: rng.randint(-3, 3) for j in range(nu) if j not in taken}
+    # every unknown over the last pivot
+    x = [pivot * free.get(j, 0) for j in range(nu)]
+    for row, pc in zip(system, pivots):
+        x[pc] = row[nu] - sum(row[j] * t for j, t in free.items())
+    aA1 = Matrix.from_ints([x[i * k0:(i + 1) * k0] for i in range(l0)], pivot, k0)
+    c = Matrix.from_ints([x[(l0 + i) * k0:(l0 + i + 1) * k0] for i in range(r)], pivot, k0)
+    return cfg.replace(aA00=(cfg.aA00[0], aA1), c=c)
+
+
+#: Draws ``sample_config`` makes before it reports a sampling failure.
+_SAMPLE_ATTEMPTS = 60
 
 
 def sample_config(r: int, a_vec: Sequence[int], k: int, seed: int) -> AdhmConfig:
     """Deterministically sample a gauge-normalised, constraint-valid configuration.
 
-    The shape picks the method: ``commuting`` for n = 0, ``line-bundle`` for
-    r = 1, k = 0 and one ``a_i = -1``, and ``solve-d`` otherwise.  Raises
-    :class:`SamplingFailureError` when ``solve-d`` runs out of attempts;
-    raising is a reported outcome, not a bug, since solvability of the
-    quadratic constraint is not guaranteed for every parameter set.
+    One method for every shape.  Each draw takes the points, ``a00``,
+    ``a0i``, ``aii``, ``aA00[0]`` and ``d`` at random with ``ai0 = Id``, then
+    a random point ``(aA00[1], c)`` of the affine space on which the monad
+    condition holds (:func:`_sylvester_system`).  At n = 0 that condition is
+    the ADHM equation ``[B, X] + dc = 0``, whose solutions for generic ``d``
+    are stable (Nakajima, *Lectures on Hilbert Schemes of Points on
+    Surfaces*, Prop. 2.8).  A draw is accepted when its stabilizer is 0.
+    After ``_SAMPLE_ATTEMPTS`` rejected draws it raises
+    :class:`SamplingFailureError`, which counts them by reason: singular
+    ``a``, a system not of full rank, positive stabilizer.
     """
     a_vec = tuple(int(x) for x in a_vec)
-    dims = monad_dims(r, a_vec, k)  # validates feasibility
+    monad_dims(r, a_vec, k)  # validates feasibility
     rng = Random(seed)
-    if dims.n == 0:
-        cfg = _sample_commuting(r, k, rng)
-    elif r == 1 and k == 0 and sorted(a_vec) == [-1] + [0] * (dims.n - 1):
-        cfg = _sample_line_bundle(r, a_vec, k, rng)
-    else:
-        cfg = _sample_solve_d(r, a_vec, k, rng)
-    if not constraint_residual(cfg).is_zero():
-        raise InternalConsistencyError("sampler produced an invalid configuration")
-    return cfg
+    rejected = {"singular a": 0, "system not of full rank": 0, "positive stabilizer": 0}
+    for _ in range(_SAMPLE_ATTEMPTS):
+        try:
+            cfg = _solve_draw(_draw(r, a_vec, k, rng), rng)
+        except FramingViolationError:
+            rejected["singular a"] += 1
+            continue
+        if cfg is None:
+            rejected["system not of full rank"] += 1
+        elif stabilizer_dim(cfg) != 0:
+            rejected["positive stabilizer"] += 1
+        elif not constraint_residual(cfg).is_zero():
+            raise InternalConsistencyError("sampler produced an invalid configuration")
+        else:
+            return cfg
+    raise SamplingFailureError(
+        f"no draw accepted in {_SAMPLE_ATTEMPTS} attempts for (r={r}, a={a_vec}, k={k})",
+        rejected)

@@ -38,7 +38,16 @@ class NotInPError(AdhmKitError):
 
 
 class SamplingFailureError(AdhmKitError):
-    """The configuration sampler exhausted its retry budget."""
+    """The configuration sampler exhausted its retry budget.
+
+    ``rejections`` counts the rejected draws by reason, and the message ends
+    with those counts.
+    """
+
+    def __init__(self, message: str, rejections: dict[str, int]):
+        self.rejections = dict(rejections)
+        counts = ", ".join(f"{reason}: {n}" for reason, n in self.rejections.items())
+        super().__init__(f"{message}; rejected draws by reason: {counts}")
 
 
 class InternalConsistencyError(AdhmKitError):

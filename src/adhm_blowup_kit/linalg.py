@@ -8,12 +8,13 @@ transposes and blocks run on ``num`` and restore lowest terms with one gcd
 over the entries.  Entries go in as ints or ``fractions.Fraction``s, and
 ``rows`` and indexing give ``Fraction``s back.
 
-Elimination first divides each row by its content, the gcd of its entries
-(sympy's ``clear_denoms_rowwise``), so that no row carries a factor that
-only another row's denominator put there.  Then one of two integer kernels
-runs: Bareiss elimination for ``rank`` and ``nullity``, and one fraction-free
-Gauss-Jordan reduction for ``det``, ``inverse``, ``solve`` and
-``nullspace``.  Every operation is exact; nothing here ever touches floating
+``rank`` first eliminates modulo one prime and returns that rank only when
+it is full, which certifies it.  Exact elimination first divides each row by
+its content, the gcd of its entries (sympy's ``clear_denoms_rowwise``), so
+that no row carries a factor that only another row's denominator put there.
+Then one of two integer kernels runs: Bareiss elimination for ``rank`` and
+``nullity`` when the certificate fails, and one fraction-free Gauss-Jordan
+reduction for ``det``, ``inverse``, ``solve`` and ``nullspace``.  Every operation is exact; nothing here ever touches floating
 point.  Zero-sized matrices are first-class citizens because several block
 dimensions in this project are legitimately zero (``det`` of a 0x0 matrix is
 1, the kernel of a 0xn matrix is all of Q^n, and so on).
@@ -35,6 +36,45 @@ def _primitive(row: Sequence[int]) -> list[int]:
     """A new list: the row divided by its content (a zero row stays zero)."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else list(row)
+
+
+#: The prime of ``Matrix.rank``'s certificate, and the bits of one packed
+#: entry.  A slot holds a residue below ``_P`` plus one addend below ``_P**2``
+#: per earlier pivot, so 80 bits hold up to ``_MAX_PIVOTS`` pivots.
+_P = 2 ** 31 - 1
+_SLOT = 80
+_MAX_PIVOTS = 1 << 17
+
+
+def _independent_mod_p(vectors: list[list[int]]) -> bool:
+    """True iff the integer vectors are linearly independent modulo ``_P``.
+
+    Each vector is packed into one int, an 80-bit slot per entry, so that one
+    big-int multiply-add eliminates a whole pivot.  Adding ``(_P - f)`` times
+    a pivot vector reduced mod ``_P`` subtracts ``f`` times it mod ``_P``, and
+    no slot ever borrows from the next.  Residues are read from the slots
+    only for the entry under each pivot and once per vector, to normalise it.
+    """
+    width, nbytes = len(vectors[0]), _SLOT // 8
+    mask = (1 << _SLOT) - 1
+    pivots: list[tuple[int, int]] = []  # (bit offset of the pivot slot, packed vector)
+    for vec in vectors:
+        v = int.from_bytes(b"".join((x % _P).to_bytes(nbytes, "little") for x in vec), "little")
+        for shift, w in pivots:
+            f = (v >> shift & mask) % _P
+            if f:
+                v += (_P - f) * w
+        raw = v.to_bytes(width * nbytes, "little")
+        entries = [int.from_bytes(raw[i:i + nbytes], "little") % _P
+                   for i in range(0, len(raw), nbytes)]
+        j = next((j for j, x in enumerate(entries) if x), None)
+        if j is None:
+            return False
+        inv = pow(entries[j], -1, _P)
+        w = int.from_bytes(b"".join((x * inv % _P).to_bytes(nbytes, "little") for x in entries),
+                           "little")
+        pivots.append((j * _SLOT, w))
+    return True
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -257,8 +297,19 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rank(self) -> int:
-        """Rank by fraction-free elimination on the primitive rows."""
-        return _bareiss_rank([_primitive(row) for row in self.num if any(row)])
+        """Rank: a certificate modulo a prime when it is full, else exact elimination.
+
+        The vectors of the shorter side of the nonzero rows are eliminated
+        modulo ``_P``.  When they are independent there, the rank is their
+        number: a minor that is nonzero modulo ``_P`` is a nonzero integer.
+        Otherwise the rank is the fraction-free Bareiss rank of the primitive
+        rows, which is exact whatever the prime.
+        """
+        rows = [row for row in self.num if any(row)]
+        vectors = rows if len(rows) <= self.ncols else [list(col) for col in zip(*rows)]
+        if vectors and len(vectors) <= _MAX_PIVOTS and _independent_mod_p(vectors):
+            return len(vectors)
+        return _bareiss_rank([_primitive(row) for row in rows])
 
     def nullspace(self) -> list[Matrix]:
         """Basis of the right kernel, as column matrices, read off the reduced rows."""

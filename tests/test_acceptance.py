@@ -123,29 +123,30 @@ def test_criterion_2_dimension_bookkeeping():
 
 
 def test_criterion_3_monad_identity():
-    per_method = {
-        "commuting": [sample_config(r, [], k, seed=s)
-                      for s, (r, k) in enumerate(
-                          [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1),
-                           (1, 3), (2, 3), (3, 2), (1, 4), (3, 3)])],
-        "solve-d": [sample_config(r, a, k, seed=s)
-                    for s, (r, a, k) in enumerate(
-                        [(2, [1], 1), (1, [0], 1), (2, [0], 1), (2, [1, 0], 1),
-                         (1, [-1], 1), (3, [1], 2), (3, [1], 1), (2, [-1], 1),
-                         (3, [1, 0], 1), (2, [0, 0], 1)])],
-        "line-bundle": [sample_config(1, [-1], 0, seed=s)
-                        for s in range(10)],
+    # one sampler for every shape; ten configurations per shape class: n = 0,
+    # the line-bundle shape (r = 1, k = 0, a = -e_i) and the rest
+    per_shape = {
+        "n = 0": [sample_config(r, [], k, seed=s)
+                  for s, (r, k) in enumerate(
+                      [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1),
+                       (1, 3), (2, 3), (3, 2), (1, 4), (3, 3)])],
+        "the rest": [sample_config(r, a, k, seed=s)
+                     for s, (r, a, k) in enumerate(
+                         [(2, [1], 1), (1, [0], 1), (2, [0], 1), (2, [1, 0], 1),
+                          (1, [-1], 1), (3, [1], 2), (3, [1], 1), (2, [-1], 1),
+                          (3, [1, 0], 1), (2, [0, 0], 1)])],
+        "line bundle": [sample_config(1, a, 0, seed=s)
+                        for s, a in enumerate([[-1], [-1, 0], [0, -1]] * 3 + [[-1]])],
     }
-    for method, cfgs in per_method.items():
+    for shape, cfgs in per_shape.items():
         assert len(cfgs) >= 10
         for cfg in cfgs:
             comp = check_monad_condition(build_monad(cfg))
-            assert composite_is_zero(comp), method
-    # one sample per method also passes the full finite validation
+            assert composite_is_zero(comp), shape
+    # one sample per shape class also passes the full finite validation
     from adhm_blowup_kit.monad import validate_config
-    for cfg in (per_method["commuting"][0], per_method["solve-d"][0],
-                per_method["line-bundle"][0]):
-        assert validate_config(cfg, seed=0).valid
+    for cfgs in per_shape.values():
+        assert validate_config(cfgs[0], seed=0).valid
     # rows i >= 1 vanish identically even on invalid data
     rng = Random(99)
     for _ in range(6):
@@ -155,7 +156,7 @@ def test_criterion_3_monad_identity():
         l0 = cfg.dims.dim_l[0]
         for coeff in comp.values():
             assert coeff.submatrix(l0, coeff.nrows, 0, coeff.ncols).is_zero()
-    _passed("criterion-3 monad identity (10+ configs per sampler method)")
+    _passed("criterion-3 monad identity (10+ configs per shape class)")
 
 
 def test_criterion_4_compact_constraint_calibration():

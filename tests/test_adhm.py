@@ -1,4 +1,5 @@
 import io
+import itertools
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +32,7 @@ from adhm_blowup_kit.errors import (
 )
 from adhm_blowup_kit.lattice import monad_dims
 from adhm_blowup_kit.linalg import Matrix
+from adhm_blowup_kit.monad import build_monad, singular_scan, validate_config
 from adhm_blowup_kit.sections import BlowupPoints
 from util import rand_config, rand_group_element, rand_invertible, rand_matrix
 
@@ -283,17 +285,28 @@ def test_sample_deterministic():
 
 
 def test_sample_line_bundle_dims():
-    cfg = sample_config(1, [-1], 0, seed=7)
-    assert cfg.dims.dim_k == (0, 1)
-    assert cfg.dims.dim_l == (1, 0)
-    assert cfg.dims.rank_w == 3
-    assert constraint_residual(cfg).is_zero()
+    # the line-bundle shape r = 1, k = 0, a = -e_1: the compact block is
+    # 1 x 0, so the only data are the centre, a0i and d, both 1 x 1
+    for seed in range(5):
+        cfg = sample_config(1, [-1], 0, seed=seed)
+        assert cfg.dims.dim_k == (0, 1)
+        assert cfg.dims.dim_l == (1, 0)
+        assert cfg.dims.rank_w == 3
+        assert constraint_residual(cfg).is_zero()
+        assert cfg.a0i[0][0, 0] != 0 and cfg.d[0, 0] != 0
+        assert stabilizer_dim(cfg) == 0
 
 
 def test_sample_commuting_r_equals_k():
+    # n = 0: with B = a00^{-1} aA00[0], the condition is the commutator
+    # equation [X', B] + d' c = 0 in X' = a00^{-1} aA00[1], d' = a00^{-1} d
     cfg = sample_config(3, [], 3, seed=11)
+    inv = cfg.a00.inverse()
+    b, x = inv * cfg.aA00[0], inv * cfg.aA00[1]
+    assert (_commutator(x, b) + inv * cfg.d * cfg.c).is_zero()
     assert constraint_residual(cfg).is_zero()
     assert assemble_a(cfg).det() != 0
+    assert stabilizer_dim(cfg) == 0
 
 
 def test_sample_infeasible_raises():
@@ -301,11 +314,73 @@ def test_sample_infeasible_raises():
         sample_config(1, [], -1, seed=0)
 
 
-def test_sample_failure_is_reported():
-    # dim K_0 = 2 > r = 1 with dim L_0 = 3 > 0: the row space of c cannot
-    # contain the target, so the solver must give up and say so
-    with pytest.raises(SamplingFailureError):
+def test_sample_failure_is_reported(monkeypatch):
+    # every draw of (1, (-1), 2) at seed 0 has an invertible a and a system of
+    # full rank, so with each stabilizer read as positive, every rejection
+    # has that reason
+    monkeypatch.setattr(adhm, "stabilizer_dim", lambda cfg: 1)
+    with pytest.raises(SamplingFailureError) as info:
         sample_config(1, [-1], 2, seed=0)
+    assert info.value.rejections == {
+        "singular a": 0, "system not of full rank": 0, "positive stabilizer": 60}
+    assert str(info.value).endswith("positive stabilizer: 60")
+
+
+#: The moduli-sweep grid: r <= 3, n <= 2, a_i in {-1, 0, 1}, k <= 2.
+GRID = [(r, a, k) for r in (1, 2, 3) for n in (0, 1, 2)
+        for a in itertools.product((-1, 0, 1), repeat=n) for k in (0, 1, 2)]
+
+
+def test_sample_every_grid_set_validates():
+    assert len(GRID) == 117
+    for r, a, k in GRID:
+        cfg = sample_config(r, a, k, seed=0)
+        assert stabilizer_dim(cfg) == 0
+        assert validate_config(cfg, seed=0).valid, (r, a, k)
+
+
+@pytest.mark.parametrize("r, a, k", [
+    (4, (1, 1), 3), (2, (1, 0, -1), 3), (1, (1, 1), 1), (3, (1,), 3), (2, (1, 1), 4),
+])
+def test_sample_larger_shapes_validate(r, a, k):
+    cfg = sample_config(r, a, k, seed=0)
+    assert validate_config(cfg, seed=0).valid
+    assert tangent_dims(cfg).empirical_moduli_dim == 2 * r * k + (r - 1) * sum(x * x for x in a)
+
+
+def test_rank_one_scan_is_never_complete_and_empty():
+    # a rank-1 sheaf with k >= 1 is L (x) I_Z with length(Z) = k > 0, so a
+    # complete scan that finds no point would certify a non-monad
+    for r, a, k in GRID:
+        if r == 1 and k >= 1:
+            for seed in (0, 1):
+                scan = singular_scan(build_monad(sample_config(r, a, k, seed=seed)))
+                assert scan.points or not scan.complete, (a, k, seed)
+
+
+@pytest.mark.parametrize("r, a, k", [(1, (), 2), (2, (), 2), (2, (1,), 1), (1, (0, -1), 2),
+                                     (3, (1, 0), 1), (1, (-1,), 0), (2, (-1,), 0)])
+def test_sylvester_system_is_the_jacobian_columns(r, a, k):
+    # the sampler's system in (aA00[1], c) is the Jacobian of the compact
+    # residual in those entries, at the draw
+    rng = Random(r + k)
+    while True:
+        cfg = adhm._draw(r, a, k, rng)
+        try:
+            system, den = adhm._sylvester_system(cfg)
+            break
+        except FramingViolationError:  # a singular a: draw again
+            continue
+    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
+    l0, k0 = ld[0], kd[0]
+    width = l0 * k0 + r * k0
+    lhs = Matrix.from_ints([row[:width] for row in system], den, width)
+    start = 2 * l0 * k0 + sum(l0 * w + h * w for h, w in zip(ld[1:], kd[1:]))
+    jac = adhm._jacobian(cfg)
+    assert lhs == jac.submatrix(0, jac.nrows, start, start + width)
+    rhs = Matrix.from_ints([row[width:] for row in system], den, 1)
+    assert rhs == -Matrix.from_ints([[x] for row in adhm._compact_block(cfg).num for x in row],
+                                     adhm._compact_block(cfg).den, 1)
 
 
 def test_tangent_examples():
@@ -421,9 +496,9 @@ def test_bA_derived_once_per_config(monkeypatch, argv, derived):
     assert len(built) == derived
 
 
-def test_solve_d_sample_inverts_each_attempt_once(monkeypatch):
-    # replace(d=...) hands the accepted attempt's a^{-1} on, so the final
-    # residual guard reads it instead of inverting a again
+def test_sample_inverts_each_attempt_once(monkeypatch):
+    # replace(aA00=..., c=...) hands each draw's a^{-1} on, so the stabilizer
+    # check and the final residual guard read it instead of inverting a again
     inverted, attempts = [], []
     real_inverse, real_points = Matrix.inverse, adhm._rand_points
 
@@ -437,7 +512,8 @@ def test_solve_d_sample_inverts_each_attempt_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "inverse", inverse)
     monkeypatch.setattr(adhm, "_rand_points", points)
+    monkeypatch.setattr(adhm, "stabilizer_dim", lambda cfg: len(attempts) < 3)
     cfg = sample_config(2, [1], 1, seed=5)
-    assert attempts and len(inverted) == len(attempts)
+    assert len(attempts) == 3 and len(inverted) == len(attempts)
     # a change to a block of a drops the kept inverse
     assert "_a_inverse" not in cfg.replace(a00=cfg.a00.scale(2)).__dict__

@@ -135,11 +135,15 @@ def test_sample_deterministic_bytes(capsys):
     assert seed == 7
 
 
-def test_sample_failure_exit_code(capsys):
-    code, _out, err = run_cli(capsys, "sample", "-r", "1", "-a", "-1", "-k", "2",
-                              "--seed", "0")
-    assert code == 3
-    assert "sampling failed" in err
+def test_sample_failure_exit_code(capsys, monkeypatch):
+    # every stabilizer read as positive: each draw is rejected, and the
+    # message counts the rejections by reason
+    monkeypatch.setattr(adhm, "stabilizer_dim", lambda cfg: 1)
+    code, out, err = run_cli(capsys, "sample", "-r", "1", "-a", "-1", "-k", "2",
+                             "--seed", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("sampling failed: ")
+    assert err.endswith("singular a: 0, system not of full rank: 0, positive stabilizer: 60\n")
 
 
 def test_sample_then_validate(capsys, tmp_path):

@@ -112,6 +112,52 @@ def test_rank_matches_echelon(m):
     assert m.nullity() == m.ncols - len(echelon(m)[1])
 
 
+@st.composite
+def planted_rank_matrices(draw):
+    """Products ``A B`` of an ``m x s`` and an ``s x n`` matrix, tall or wide.
+
+    ``s`` below ``min(m, n)`` plants a rank deficiency.  Entries are
+    rationals, small integers or integers up to 10^30, which fill many slots
+    of the packed elimination.
+    """
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    s = draw(st.integers(0, min(m, n)))
+    entries = draw(st.sampled_from((fractions, st.integers(-3, 3),
+                                    st.integers(-10 ** 30, 10 ** 30))))
+    a, b = (Matrix(draw(st.lists(st.lists(entries, min_size=w, max_size=w),
+                                 min_size=h, max_size=h)), ncols=w)
+            for h, w in ((m, s), (s, n)))
+    return a * b
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=planted_rank_matrices())
+def test_rank_matches_bareiss(m):
+    exact = linalg._bareiss_rank([linalg._primitive(row) for row in m.num if any(row)])
+    assert m.rank() == exact == m.transpose().rank()
+
+
+def test_rank_certificate_falls_back_on_an_unlucky_prime(monkeypatch):
+    p = linalg._P
+    fallbacks = []
+    real = linalg._bareiss_rank
+
+    def counted(rows):
+        fallbacks.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss_rank", counted)
+    # full rank over Q, deficient modulo p: diag(p, 1), and a matrix whose
+    # only full-size minor is p, wide and tall
+    for m in (Matrix([[p, 0], [0, 1]]), Matrix([[1, 1], [1, 1 + p]]),
+              Matrix([[1, 1, 0], [1, 1 + p, 0]]).transpose()):
+        assert m.rank() == 2
+    assert len(fallbacks) == 3
+    # a full rank that the prime sees reaches no kernel
+    assert Matrix([[p + 1, 0], [0, 1]]).rank() == 2
+    assert len(fallbacks) == 3
+
+
 def _ref_nullspace(m):
     """Kernel basis read off the ``Fraction`` reduced row echelon form."""
     rows, pivots = echelon(m)
@@ -381,10 +427,16 @@ def test_elimination_sees_primitive_rows(monkeypatch):
     big = 10 ** 30
     m = Matrix([[1, 2, 3], [Fraction(1, big), Fraction(7, big), Fraction(5, big)]])
     assert m.den == big
-    assert m.rank() == 2
     [v] = m.nullspace()
     assert (m * v).is_zero()
     rhs = Matrix([[1], [Fraction(1, big)]])
     assert m * m.solve(rhs) == rhs
+    # a full rank is certified modulo a prime and reaches no kernel; a
+    # deficient one reaches Bareiss
+    assert m.rank() == 2
+    assert len(seen) == 2 + 2
+    deficient = Matrix([[1, 2, 3], [Fraction(3, big), Fraction(6, big), Fraction(9, big)]])
+    assert deficient.den == big
+    assert deficient.rank() == 1
     assert len(seen) == 2 + 2 + 2
     assert max(abs(x) for row in seen for x in row) < 10

@@ -14,14 +14,17 @@ its content, the gcd of its entries (sympy's ``clear_denoms_rowwise``), so
 that no row carries a factor that only another row's denominator put there.
 Then one of two integer kernels runs: Bareiss elimination for ``rank`` and
 ``nullity`` when the certificate fails, and one fraction-free Gauss-Jordan
-reduction for ``det``, ``inverse``, ``solve`` and ``nullspace``.  Every operation is exact; nothing here ever touches floating
-point.  Zero-sized matrices are first-class citizens because several block
-dimensions in this project are legitimately zero (``det`` of a 0x0 matrix is
-1, the kernel of a 0xn matrix is all of Q^n, and so on).
+reduction for ``det``, ``inverse``, ``solve`` and ``nullspace``.  Every
+operation is exact; nothing here ever touches floating point.  Zero-sized
+matrices are first-class citizens because several block dimensions in this
+project are legitimately zero (``det`` of a 0x0 matrix is 1, the kernel of a
+0xn matrix is all of Q^n, and so on).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -39,41 +42,57 @@ def _primitive(row: Sequence[int]) -> list[int]:
 
 
 #: The prime of ``Matrix.rank``'s certificate, and the bits of one packed
-#: entry.  A slot holds a residue below ``_P`` plus one addend below ``_P**2``
-#: per earlier pivot, so 80 bits hold up to ``_MAX_PIVOTS`` pivots.
+#: entry: three 32-bit words, a residue in the lowest.  A slot then holds a
+#: residue plus 2**34 addends below ``2**62``, far more than there can be
+#: pivots.
 _P = 2 ** 31 - 1
-_SLOT = 80
-_MAX_PIVOTS = 1 << 17
+_SLOT = 96
+_SLOT_MASK = (1 << _SLOT) - 1
 
 
-def _independent_mod_p(vectors: list[list[int]]) -> bool:
+def _pack(vec: Sequence[int]) -> int:
+    """The residues of ``vec`` modulo ``_P``, one per slot, lowest slot first."""
+    words = array("I", bytes(12 * len(vec)))
+    words[::3] = array("I", map(_P.__rmod__, vec))
+    if sys.byteorder != "little":
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _each_slot(pattern: int, width: int) -> int:
+    return int.from_bytes(pattern.to_bytes(12, "little") * width, "little")
+
+
+def _independent_mod_p(vectors: Sequence[Sequence[int]]) -> bool:
     """True iff the integer vectors are linearly independent modulo ``_P``.
 
-    Each vector is packed into one int, an 80-bit slot per entry, so that one
-    big-int multiply-add eliminates a whole pivot.  Adding ``(_P - f)`` times
-    a pivot vector reduced mod ``_P`` subtracts ``f`` times it mod ``_P``, and
-    no slot ever borrows from the next.  Residues are read from the slots
-    only for the entry under each pivot and once per vector, to normalise it.
+    Each vector is packed into one int, so that one big-int multiply-add
+    eliminates a whole pivot.  Adding ``(_P - f)`` times a pivot subtracts
+    ``f`` times it modulo ``_P``, and no slot ever borrows from the next.  A
+    new pivot is first folded to slots of at most ``2**31``, all at once:
+    ``x = 2**31 h + l`` is ``h + l`` modulo ``2**31 - 1``.  Only the entry
+    under each pivot, and the lowest nonzero slot of a new one, are read.
     """
-    width, nbytes = len(vectors[0]), _SLOT // 8
-    mask = (1 << _SLOT) - 1
-    pivots: list[tuple[int, int]] = []  # (bit offset of the pivot slot, packed vector)
+    width = len(vectors[0])
+    low, high = _each_slot((1 << 31) - 1, width), _each_slot((1 << (_SLOT - 31)) - 1, width)
+    pivots: list[tuple[int, int, int]] = []  # (bit offset of the pivot slot, vector, 1/pivot)
     for vec in vectors:
-        v = int.from_bytes(b"".join((x % _P).to_bytes(nbytes, "little") for x in vec), "little")
-        for shift, w in pivots:
-            f = (v >> shift & mask) % _P
+        v = _pack(vec)
+        for shift, w, inv in pivots:
+            f = (v >> shift & _SLOT_MASK) * inv % _P
             if f:
                 v += (_P - f) * w
-        raw = v.to_bytes(width * nbytes, "little")
-        entries = [int.from_bytes(raw[i:i + nbytes], "little") % _P
-                   for i in range(0, len(raw), nbytes)]
-        j = next((j for j, x in enumerate(entries) if x), None)
-        if j is None:
+        for _ in range(4):  # slots below 2**96, then 2**66, 2**36, 2**31 + 32, then at most 2**31
+            v = (v & low) + (v >> 31 & high)
+        while v:
+            shift = ((v & -v).bit_length() - 1) // _SLOT * _SLOT
+            s = v >> shift & _SLOT_MASK
+            if s != _P:
+                pivots.append((shift, v, pow(s, -1, _P)))
+                break
+            v -= s << shift  # the residue 0 folded to _P
+        else:
             return False
-        inv = pow(entries[j], -1, _P)
-        w = int.from_bytes(b"".join((x * inv % _P).to_bytes(nbytes, "little") for x in entries),
-                           "little")
-        pivots.append((j * _SLOT, w))
     return True
 
 
@@ -306,8 +325,8 @@ class Matrix:
         rows, which is exact whatever the prime.
         """
         rows = [row for row in self.num if any(row)]
-        vectors = rows if len(rows) <= self.ncols else [list(col) for col in zip(*rows)]
-        if vectors and len(vectors) <= _MAX_PIVOTS and _independent_mod_p(vectors):
+        vectors = rows if len(rows) <= self.ncols else list(zip(*rows))
+        if vectors and _independent_mod_p(vectors):
             return len(vectors)
         return _bareiss_rank([_primitive(row) for row in rows])
 

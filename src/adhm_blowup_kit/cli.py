@@ -136,13 +136,11 @@ def _cmd_sample(args) -> int:
 
 def _cmd_scan(args) -> int:
     cfg, _seed = _load_config(args.path)
+    # the scan certifies completeness only on a monad (see monad._scan_chart)
+    if not adhm.constraint_residual(cfg).is_zero():
+        raise NotInPError("configuration does not satisfy the monad condition")
     try:
-        rep = monad.build_monad(cfg)
-    except FramingViolationError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        scan = monad.singular_scan(rep)
+        scan = monad.singular_scan(monad.build_monad(cfg))
     except NotInPError as exc:
         _emit({"schema": config_io.SCHEMA_VERSION, "finite_rank_drop": False,
                "reason": str(exc)}, args.json, [f"not in P: {exc}"])

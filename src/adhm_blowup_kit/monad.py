@@ -21,17 +21,19 @@ validity is carried entirely by the L_0 row.
 Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps;
 ``singular_scan`` locates the finite set where alpha drops rank.  In the chart
 ``z2 = 1`` the drop points are the joint eigenvalues of ``T_A = a^{-1} q^A``
-on the largest subspace of the framing kernel that both leave invariant: the
+on the largest subspace S of the framing kernel that both leave invariant: the
 rational ones come from the characteristic polynomials and are verified by
-exact ranks, and an irrational one is detected by a common-eigenvector test.
-On each exceptional line alpha is constant columns beside a pencil in
-``(w0 : w1)``, and the drop points are the eigenvalues of one rational matrix
-on the largest subspace of a kernel that it preserves; full rank at one of
-``dim K_i + 1`` points rules out a drop along the line.  Nothing in the scan is
-drawn at random.  ``framing_check`` compares the determinant criterion for
-the framing (``a`` invertible) with the fibre criterion at every point of the
-framing line ``z2 = 0``, which is one more line for the exceptional-line
-routine.  ``validate_config`` bundles everything into one report; its seed
+exact ranks.  On a monad the ``T_A`` commute on S (the blow-up form of the
+ADHM identity ``[B_1, B_2] + ij = 0``), so every eigenvalue of ``T_A|S`` is
+a coordinate of a drop point, and an irrational one makes the scan
+incomplete.  On each exceptional line alpha is constant columns beside a
+pencil in ``(w0 : w1)``, and the drop points are the eigenvalues of one
+rational matrix on the largest subspace of a kernel that it preserves; full
+rank at one of ``dim K_i + 1`` points rules out a drop along the line.
+Nothing in the scan is drawn at random.  ``framing_check`` compares the
+determinant criterion for the framing (``a`` invertible) with the fibre
+criterion at every point of the framing line ``z2 = 0``, which is one more
+line for the exceptional-line routine.  ``validate_config`` bundles everything into one report; its seed
 picks only the spot-check points.
 """
 
@@ -361,39 +363,22 @@ def _charpoly_ring():
     return DomainMatrix, ring("t", QQ)[0]
 
 
-def _factors(g: Matrix) -> list:
-    """Irreducible factors over QQ of the characteristic polynomial of ``g``."""
+def _rational_eigenvalues(g: Matrix) -> tuple[list[Fraction], bool]:
+    """The distinct rational eigenvalues of ``g``, and whether every eigenvalue is rational.
+
+    Read off the irreducible factors over QQ of its characteristic polynomial:
+    a linear factor is a rational eigenvalue, any other factor is not.
+    """
     domain_matrix, qq_t = _charpoly_ring()
     qq = qq_t.domain
     dm = domain_matrix([[qq(x, g.den) for x in row] for row in g.num], g.shape, qq)
-    return [f for f, _ in qq_t.from_list(dm.charpoly()).factor_list()[1]]
-
-
-def _poly_at(f, g: Matrix) -> Matrix:
-    """``f(g)`` by Horner's rule."""
-    out = Matrix.zeros(g.nrows, g.ncols)
-    for coeff in f.to_dense():
-        out = out * g + Matrix.identity(g.nrows).scale(_fraction(coeff))
-    return out
-
-
-def _common_eigenvector(g0: Matrix, g1: Matrix) -> bool:
-    """Whether ``g0`` and ``g1`` share an eigenvector over the complex numbers.
-
-    Shemesh's criterion: they do iff the kernels of the commutators
-    ``[g0^i, g1^j]``, ``1 <= i, j < dim``, meet nontrivially (D. Shemesh,
-    Linear Algebra Appl. 62, 1984).
-    """
-    s = g0.nrows
-    powers = []
-    for g in (g0, g1):
-        p, ps = g, []
-        for _ in range(1, s):
-            ps.append(p)
-            p = p * g
-        powers.append(ps)
-    rows = [row for p in powers[0] for q in powers[1] for row in (p * q - q * p).rows]
-    return Matrix(rows, ncols=s).rank() < s
+    roots, complete = [], True
+    for f, _ in qq_t.from_list(dm.charpoly()).factor_list()[1]:
+        if f.degree() == 1:
+            roots.append(_fraction(-f.coeff(1) / f.LC))
+        else:
+            complete = False
+    return roots, complete
 
 
 def _chart_operators(m: MonadRep) -> tuple[list[Matrix], Matrix]:
@@ -422,30 +407,26 @@ def _scan_chart(m: MonadRep) -> tuple[list[SurfacePoint], bool]:
     drop points are the joint eigenvalues of the ``T_A`` on S, the largest
     subspace of ker ``C`` invariant under both.  With ``a`` invertible there
     are finitely many, and each ``K_i`` is a joint eigenspace for its centre.
-    Every pair of rational roots of the characteristic polynomials of
-    ``T_0|S`` and ``T_1|S`` off the centres is verified by an exact rank.  A
-    joint eigenvalue with an irrational coordinate lies over an irreducible
-    factor ``f`` of one of them, where the ``T_A`` have a common eigenvector
-    on the largest subspace of ker ``f(T_A|S)`` they preserve; one makes the
-    scan incomplete.
+    Every pair of rational eigenvalues of ``T_0|S`` and ``T_1|S`` off the
+    centres is verified by an exact rank.
+
+    On a monad the ``T_A`` commute on S: ``a [T_1, T_0] = q^1 a^{-1} q^0 -
+    q^0 a^{-1} q^1`` vanishes outside its ``(L_0, K_0)`` corner, where it is
+    the compact residual minus ``dc``, and ``C`` kills S.  Commuting operators
+    share an eigenvector on every invariant subspace, so each eigenvalue of
+    either ``T_A|S`` is a coordinate of a joint eigenvalue, and the scan is
+    complete exactly when all of them are rational.  Off the monad condition
+    an irrational eigenvalue may pair with none, and the scan still says
+    incomplete: less precise, never a false certificate.
     """
     ops, c = _chart_operators(m)
-    on_s = _restrict(c, ops)
-    roots: list[list[Fraction]] = []
-    complete = True
-    for g in on_s:
-        roots.append([])
-        for f in _factors(g):
-            if f.degree() == 1:
-                roots[-1].append(_fraction(-f.coeff(1) / f.LC))
-            elif complete:
-                sub = _restrict(_poly_at(f, g), on_s)
-                complete = not (sub[0].nrows and _common_eigenvector(*sub))
+    (roots0, complete0), (roots1, complete1) = map(_rational_eigenvalues, _restrict(c, ops))
     centres = set(m.ctx.points)
-    candidates = [SurfacePoint.generic(x0, x1, 1) for x0 in roots[0] for x1 in roots[1]
+    candidates = [SurfacePoint.generic(x0, x1, 1) for x0 in roots0 for x1 in roots1
                   if (x0, x1) not in centres]
     full_rank = m.dims.total_k
-    return [pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank], complete
+    return ([pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank],
+            complete0 and complete1)
 
 
 def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]], bool] | None:
@@ -460,9 +441,8 @@ def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]]
     pencil at ``(1 + mu tau : tau)`` is ``B (tau - T) + C``.  It kills ``v``
     iff ``T v = tau v`` and ``C v = 0``, so the drop points other than
     ``(mu : 1)``, which is none, are the eigenvalues of ``T`` on the largest
-    ``T``-invariant subspace of ker ``C``.  A linear factor of their
-    characteristic polynomial is a rational point; any other factor makes
-    the list incomplete.
+    ``T``-invariant subspace of ker ``C``.  Each rational eigenvalue there is
+    a rational point, and any other makes the list incomplete.
     """
     d = a0.ncols
     mu = next((mu for mu in range(d + 1) if (a0.scale(mu) + a1).rank() == d), None)
@@ -472,12 +452,9 @@ def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]]
     bt = b.transpose()
     t = -(bt * b).solve(bt * a0)
     [g] = _restrict(a0 + b * t, [t])
-    points, complete = [], True
-    for f in _factors(g):
-        if f.degree() > 1:
-            complete = False
-            continue
-        tau = _fraction(-f.coeff(1) / f.LC)
+    taus, complete = _rational_eigenvalues(g)
+    points = []
+    for tau in taus:
         w0 = 1 + mu * tau
         points.append((Fraction(1), tau / w0) if w0 else (Fraction(0), Fraction(1)))
     return points, complete
@@ -538,10 +515,13 @@ def singular_scan(m: MonadRep) -> ScanResult:
     rank computation.  Nothing is drawn at random, so the result is a
     function of ``m`` alone.
 
-    ``complete`` is True only when the scan is certified: no drop point, in
-    the chart or on a line, has an irrational coordinate.  False means
-    further drop points could not be ruled out; the reported points are
-    still genuine.
+    ``complete`` is True exactly when every eigenvalue read, of ``T_0`` and
+    ``T_1`` on the chart's subspace and of each line's matrix on its own, is
+    rational.  On a monad the ``T_A`` commute there, so this certifies that
+    no drop point has an irrational coordinate.  Off the monad condition an
+    irrational eigenvalue still gives False, though it may mark no drop
+    point.  False means further drop points could not be ruled out; the
+    reported points are still genuine.
     """
     if m.dims.total_k == 0:
         return ScanResult(points=(), complete=True)

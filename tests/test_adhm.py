@@ -32,7 +32,13 @@ from adhm_blowup_kit.errors import (
 )
 from adhm_blowup_kit.lattice import monad_dims
 from adhm_blowup_kit.linalg import Matrix
-from adhm_blowup_kit.monad import build_monad, singular_scan, validate_config
+from adhm_blowup_kit.monad import (
+    _chart_operators,
+    _restrict,
+    build_monad,
+    singular_scan,
+    validate_config,
+)
 from adhm_blowup_kit.sections import BlowupPoints
 from util import rand_config, rand_group_element, rand_invertible, rand_matrix
 
@@ -337,6 +343,10 @@ def test_sample_every_grid_set_validates():
         cfg = sample_config(r, a, k, seed=0)
         assert stabilizer_dim(cfg) == 0
         assert validate_config(cfg, seed=0).valid, (r, a, k)
+        # on a monad the chart operators commute on S, so the scan's
+        # completeness rests on their eigenvalues alone
+        ops, c = _chart_operators(build_monad(cfg))
+        assert _commutator(*_restrict(c, ops)).is_zero(), (r, a, k)
 
 
 @pytest.mark.parametrize("r, a, k", [
@@ -412,6 +422,9 @@ def test_compact_block_matches_full_products(a_vec):
         full = q[1] * ainv * q[0] - q[0] * ainv * q[1]
         block = _compact_block(cfg)
         assert block == full.submatrix(0, l0, 0, k0)
+        # a [T_1, T_0] vanishes outside the corner even off the monad condition
+        assert full.submatrix(l0, full.nrows, 0, full.ncols).is_zero()
+        assert full.submatrix(0, l0, k0, full.ncols).is_zero()
         nonzero += not block.is_zero()
     assert nonzero >= 2
 

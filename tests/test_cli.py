@@ -250,6 +250,23 @@ def test_tangent_rejects_invalid_file(capsys, tmp_path):
     assert "monad condition" in err
 
 
+@pytest.mark.parametrize("source, block, value, message", [
+    (str(Path(__file__).parent / "golden" / "configs" / "r2_a1_k1.json"), "d",
+     [["1/1", "25/24"]], "configuration does not satisfy the monad condition"),
+    (_data_path("hilbert_k2.json"), "a00",
+     [["0/1", "0/1"], ["0/1", "0/1"]], "assembled matrix a is singular"),
+], ids=["edited d", "singular a"])
+def test_scan_refuses_a_non_monad(capsys, tmp_path, source, block, value, message):
+    # the scan certifies completeness only on a monad, as tangent PATH checks
+    doc = json.loads(Path(source).read_text())
+    doc["blocks"][block] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "scan", str(bad), "--json")
+    assert code == 2 and out == ""
+    assert err == f"invalid: {message}\n"
+
+
 OPTIONS = {
     "scan": {"path", "--json"},
     "validate": {"path", "--seed", "--json"},

@@ -504,16 +504,18 @@ def test_cohomology_ch_check_grid():
 
 
 def test_validate_irrational_singularities_flagged_incomplete():
-    # eigenvalue pairs at +-sqrt(2): genuine finite drop locus, but with no
-    # rational points to report; the scan must say so instead of guessing
-    cfg = AdhmConfig(1, [], 2, BlowupPoints(()),
-                     a00=Matrix.identity(2), a0i=(), ai0=(), aii=(),
-                     aA00=(Matrix([[0, 1], [2, 0]]), Matrix([[0, 1], [2, 0]])),
-                     c=Matrix.zeros(1, 2), d=Matrix([[1], [1]]))
-    rep = validate_config(cfg, seed=0)
-    assert rep.valid
-    assert rep.singular_points == ()
-    assert rep.scan_complete is False
+    # drop points at +-sqrt(2) in both coordinates, or in one while the other
+    # is rational: genuine finite drop locus, but with no rational points to
+    # report; the scan must say so instead of guessing
+    pair, zero = Matrix([[0, 1], [2, 0]]), Matrix.zeros(2, 2)
+    for aA00 in ((pair, pair), (zero, pair), (pair, zero)):
+        cfg = AdhmConfig(1, [], 2, BlowupPoints(()),
+                         a00=Matrix.identity(2), a0i=(), ai0=(), aii=(),
+                         aA00=aA00, c=Matrix.zeros(1, 2), d=Matrix([[1], [1]]))
+        rep = validate_config(cfg, seed=0)
+        assert rep.valid
+        assert rep.singular_points == ()
+        assert rep.scan_complete is False
 
 
 def test_validate_non_normalized_input():

@@ -3,8 +3,11 @@
 The data are random configurations with ``sum(dim K) <= 5`` and ``n <= 2``,
 invertible ``a`` and no further constraint, so they are mostly not monads.
 Some are pushed towards chart drop points: ``c = 0`` (the whole space is
-unobservable), upper triangular ``aA00`` (a common eigenvector) or
-``aA00[0] = aA00[1]`` (many, often irrational).  The rest are sampled monads.
+unobservable), upper triangular ``aA00`` or ``aA00[0] = aA00[1]`` (many,
+often irrational).  The rest are sampled monads.  Off the monad condition the
+chart operators need not commute, so an irrational eigenvalue there may mark
+no drop point; the chart scan then says incomplete where the reference, which
+finds the drop points themselves, may certify.
 Such data almost never drop rank on an exceptional line, so the line route is
 also checked on planted pencils ``X D(w) Y`` whose drop points are known, and
 the framing-line verdict on monads with a planted drop.
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhm_blowup_kit.adhm import assemble_a, sample_config
+from adhm_blowup_kit.adhm import assemble_a, constraint_residual, sample_config
 from adhm_blowup_kit.errors import (
     AmbiguousPointError,
     InfeasibleParametersError,
@@ -142,7 +145,13 @@ def test_chart_eigen_route_matches_elimination(cfg):
     points, complete = _scan_chart(m)
     ref_points, ref_complete = reference_scan_chart(m, Random(0), m.dims.total_k <= 2)
     assert sorted(p.coords for p in points) == sorted(p.coords for p in ref_points)
-    assert complete == ref_complete
+    # on a monad the T_A commute on S, so an irrational eigenvalue is an
+    # irrational drop point; off it one may be none, and the scan only errs
+    # towards incomplete
+    if constraint_residual(cfg).is_zero():
+        assert complete == ref_complete
+    else:
+        assert ref_complete or not complete
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

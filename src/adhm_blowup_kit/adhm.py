@@ -128,7 +128,16 @@ class AdhmConfig:
         Not a field: equality, ``replace`` and ``act`` ignore it, and every new
         instance starts without it.
         """
-        return _stabilizer_system(self).nullity()
+        return _isotropy_system(self).nullity()
+
+    @cached_property
+    def _jacobian_rank(self) -> int:
+        """Rank of :func:`_jacobian`, kept on the instance like the nullity above.
+
+        :func:`_solve_draw` sets it on the sample it returns, where its solve
+        has proved it, so only data from elsewhere build the Jacobian.
+        """
+        return _jacobian(self).rank()
 
     @cached_property
     def _a_inverse(self) -> Matrix:
@@ -428,93 +437,71 @@ def _point_matrix(cfg: AdhmConfig) -> Matrix:
     return Matrix([list(p) for p in cfg.points.points], ncols=2)
 
 
-def _stabilizer_system(cfg: AdhmConfig) -> Matrix:
-    """Linearised fixed-point equations at the identity, as one big matrix.
+def _isotropy_system(cfg: AdhmConfig) -> Matrix:
+    """Linearised fixed-point equations at the identity, in the ``h`` unknowns alone.
 
-    Rows are the first-order changes of (a00, aA00[0], aA00[1], a0i..., aii...,
-    c, d) under ``(g00, g0i, h00, hii) = (1 + t g0, t gam, 1 + t h0, 1 + t hi)``
-    (``g_ii = h00^{-1}`` is slaved, so ``delta(g_ii) = -h0``), each block row
-    by row; columns are the unit directions ``E_PQ`` of ``g00``,
-    ``g0i``..., ``h00``, ``hii``..., each block row by row.  A term
-    ``E_PQ X`` is row ``Q`` of ``X`` put in row ``P``, and ``X E_PQ`` is
-    column ``P`` of ``X`` put in column ``Q``.  Every entry is taken over one
-    common denominator.
+    On normalised data the action on ``a`` is ``a -> G a H``, with ``G``
+    block upper triangular (``g00``, ``g0i`` and ``g_ii = h00^{-1}``) and
+    ``H = diag(h00, hii...)``.  At first order, with ``h = diag(h0, hi...)``
+    and ``a`` invertible, the a00 and a0i equations say exactly
+    ``[g0 | gam] = -[a00 h0 | a0i hi] a^{-1} = -a_{0.} h a^{-1}``, and
+    substituting that in the others leaves the system here: one row per
+    entry of ``a_{0.} h (a^{-1} q^A)_{., K0} + aA00[A] h0`` (A = 0, 1) and
+    ``-a_{0.} h (a^{-1})_{., L0} d``, interleaved row by row, then of
+    ``c h0`` and of ``-h0 aii + aii hi``; its nullity is the isotropy
+    dimension.  Columns are the unit directions ``E_PQ`` of ``h00``,
+    ``hii``..., each block row by row.  As ``X E_PQ Y = X[:, P] Y[Q, :]``, a
+    unit direction gives column ``P`` of ``a_{0.}`` times row ``Q`` of
+    ``W = a^{-1} [q^0_{., K0} | q^1_{., K0} | -d on L_0]``, plus the
+    ``aA00``, ``c`` and ``aii`` terms, over ``den dw``.  Raises
+    :class:`FramingViolationError` when ``a`` is singular.
     """
-    n = cfg.n
+    n, r = cfg.n, cfg.r
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    l0, k0 = ld[0], kd[0]
-    den, ints = clear_denoms(cfg.a00, *cfg.aA00, *cfg.a0i, *cfg.aii, cfg.c, cfg.d,
-                             _point_matrix(cfg))
-    a00, aA0, aA1 = ints[:3]
-    a0i, aii = ints[3:3 + n], ints[3 + n:3 + 2 * n]
-    c, d, pts = ints[3 + 2 * n:]
-    # output blocks: a00, aA00[0], aA00[1], a0i..., aii..., c, d
-    shapes = [cfg.a00.shape] * 3 + [m.shape for m in cfg.a0i + cfg.aii]
-    shapes += [cfg.c.shape, cfg.d.shape]
-    offsets = [0]
-    for h, w in shapes:
-        offsets.append(offsets[-1] + h * w)
-    A0I, AII, C, D = 3, 3 + n, 3 + 2 * n, 4 + 2 * n
-    columns: list[list] = []
-
-    def left(col, b, P, Q, x: list[list[int]], sign=1):
-        off, w = offsets[b] + P * shapes[b][1], shapes[b][1]
-        col[off:off + w] = x[Q] if sign == 1 else [sign * v for v in x[Q]]
-
-    def right(col, b, P, Q, x: list[list[int]]):
-        off, w = offsets[b] + Q, shapes[b][1]
-        for i, row in enumerate(x):
-            col[off + i * w] = row[P]
-
-    def units(m, w, fill):
-        for P in range(m):
-            for Q in range(w):
-                col = [0] * offsets[-1]
-                fill(col, P, Q)
+    l0, k0, total_l = ld[0], kd[0], cfg.dims.total_l
+    ainv = cfg._a_inverse
+    _rows, (q0, q1) = _q_strips(cfg)
+    neg_d = block_matrix([[-cfg.d], [Matrix.zeros(total_l - l0, r)]], [l0, total_l - l0], [r])
+    dw, (w,) = clear_denoms(ainv * block_matrix([[q0, q1, neg_d]], [total_l], [k0, k0, r]))
+    den, (a0, aA0, aA1, c, *aii) = clear_denoms(
+        block_matrix([[cfg.a00, *cfg.a0i]], [l0], list(kd)), *cfg.aA00, cfg.c, *cfg.aii)
+    aA0, aA1, c, *aii = ([[dw * x for x in row] for row in m] for m in (aA0, aA1, c, *aii))
+    width = 2 * k0 + r
+    top = l0 * width
+    offsets = [top + r * k0]  # where the rows of each aii begin, then the end
+    for h, wd in zip(ld[1:], kd[1:]):
+        offsets.append(offsets[-1] + h * wd)
+    col_off = [sum(kd[:i]) for i in range(n + 1)]
+    columns: list[list[int]] = []
+    for b in range(n + 1):
+        for P in range(kd[b]):
+            u = [row[col_off[b] + P] for row in a0]
+            for Q in range(kd[b]):
+                col = [x * y for x in u for y in w[col_off[b] + Q]] + [0] * (offsets[-1] - top)
+                if b == 0:
+                    for i in range(l0):  # aA00[A] E_PQ
+                        col[i * width + Q] += aA0[i][P]
+                        col[i * width + k0 + Q] += aA1[i][P]
+                    for m in range(r):  # c E_PQ
+                        col[top + m * k0 + Q] = c[m][P]
+                    for j, blk in enumerate(aii):  # -E_PQ aii
+                        start = offsets[j] + P * kd[j + 1]
+                        col[start:start + kd[j + 1]] = [-x for x in blk[Q]]
+                else:  # aii E_PQ
+                    wd = kd[b]
+                    for i, row in enumerate(aii[b - 1]):
+                        col[offsets[b - 1] + i * wd + Q] = row[P]
                 columns.append(col)
-
-    def g0(col, P, Q):
-        for b, x in enumerate((a00, aA0, aA1)):
-            left(col, b, P, Q, x)
-        for i in range(n):
-            left(col, A0I + i, P, Q, a0i[i])
-        left(col, D, P, Q, d)
-
-    def gam(i):
-        def fill(col, P, Q):
-            col[P * k0 + Q] = den
-            for a in (0, 1):
-                col[offsets[1 + a] + P * k0 + Q] = -pts[i][a]
-            left(col, A0I + i, P, Q, aii[i])
-        return fill
-
-    def h0(col, P, Q):
-        for b, x in enumerate((a00, aA0, aA1)):
-            right(col, b, P, Q, x)
-        for i in range(n):
-            # g_ii = h00^{-1} is slaved, so delta(g_ii) = -h0
-            left(col, AII + i, P, Q, aii[i], -1)
-        right(col, C, P, Q, c)
-
-    def hi(i):
-        def fill(col, P, Q):
-            right(col, A0I + i, P, Q, a0i[i])
-            right(col, AII + i, P, Q, aii[i])
-        return fill
-
-    units(l0, l0, g0)
-    for i in range(n):
-        units(l0, ld[i + 1], gam(i))
-    units(k0, k0, h0)
-    for i in range(n):
-        units(kd[i + 1], kd[i + 1], hi(i))
-    return _from_columns(columns, den)
+    return _from_columns(columns, den * dw)
 
 
 def stabilizer_dim(cfg: AdhmConfig) -> int:
     """Dimension of the isotropy algebra at ``cfg``; expected 0 on valid data.
 
-    Computed once per configuration instance and then read back.
+    The nullity of :func:`_isotropy_system`, computed once per configuration
+    instance and then read back.  Raises :class:`FramingViolationError` when
+    ``a`` is singular, since the system is solved for ``g`` through
+    ``a^{-1}``.
     """
     if not cfg.is_normalized():
         raise ValueError("stabilizer is computed on gauge-normalised configurations")
@@ -601,14 +588,20 @@ def tangent_dims(cfg: AdhmConfig) -> TangentReport:
     """Exact tangent bookkeeping at a valid, normalised configuration.
 
     The Jacobian is that of the full residual system with respect to the free
-    entries; with ``b^A`` derived, only the quadratic block contributes.  The
-    orbit dimension is the group dimension minus the isotropy dimension, and
-    the empirical moduli dimension is their difference.
+    entries; with ``b^A`` derived, only the quadratic block contributes.  Its
+    kernel is the number of free entries less its rank, which a sample
+    carries from the sampler's solve, and which is computed from
+    :func:`_jacobian` otherwise.  The orbit dimension is the group dimension
+    minus the isotropy dimension, and the empirical moduli dimension is
+    their difference.
     """
     if not cfg.is_normalized():
         raise ValueError("tangent data is computed on gauge-normalised configurations")
-    jac = _jacobian(cfg)
-    dim_ker = jac.nullity() if jac.ncols else 0
+    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
+    l0, k0 = ld[0], kd[0]
+    # a00, aA00[0], aA00[1], a0i..., aii..., c and d
+    free = 3 * l0 * k0 + sum((l0 + h) * w for h, w in zip(ld[1:], kd[1:])) + cfg.r * (k0 + l0)
+    dim_ker = free - cfg._jacobian_rank
     dg = dim_group(cfg.dims)
     stab = stabilizer_dim(cfg)
     orbit = dg - stab
@@ -712,7 +705,10 @@ def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
     the pivot unknowns follow.  None unless the system has full row rank.
     Full row rank makes the monad condition a submersion at the sample, and
     it is what a generic ``d`` gives: an inconsistent system is one way to
-    lack it, and ``d = 0`` at ``dim L_0 = dim K_0 = r = 1`` another.
+    lack it, and ``d = 0`` at ``dim L_0 = dim K_0 = r = 1`` another.  The
+    system's columns are the Jacobian's ``(aA00[1], c)`` columns, which
+    depend on neither ``aA00[1]`` nor ``c``, so the Jacobian of the sample
+    has rank ``dim L_0 dim K_0`` too; the sample keeps that rank.
     """
     system, _den = _sylvester_system(cfg)
     l0, k0, r = cfg.dims.dim_l[0], cfg.dims.dim_k[0], cfg.r
@@ -729,7 +725,9 @@ def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
         x[pc] = row[nu] - sum(row[j] * t for j, t in free.items())
     aA1 = Matrix.from_ints([x[i * k0:(i + 1) * k0] for i in range(l0)], pivot, k0)
     c = Matrix.from_ints([x[(l0 + i) * k0:(l0 + i + 1) * k0] for i in range(r)], pivot, k0)
-    return cfg.replace(aA00=(cfg.aA00[0], aA1), c=c)
+    sample = cfg.replace(aA00=(cfg.aA00[0], aA1), c=c)
+    sample.__dict__["_jacobian_rank"] = len(system)
+    return sample
 
 
 #: Draws ``sample_config`` makes before it reports a sampling failure.

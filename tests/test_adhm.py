@@ -282,6 +282,15 @@ def test_stabilizer_positive_on_degenerate():
     assert stabilizer_dim(cfg) > 0
 
 
+def test_stabilizer_needs_invertible_a():
+    # the isotropy system is solved for g through a^{-1}
+    cfg = sample_config(2, [1], 1, seed=5)
+    singular = cfg.replace(a00=Matrix.zeros(*cfg.a00.shape),
+                           a0i=tuple(Matrix.zeros(*m.shape) for m in cfg.a0i))
+    with pytest.raises(FramingViolationError):
+        stabilizer_dim(singular)
+
+
 def test_sample_deterministic():
     a = sample_config(2, [1], 1, seed=42)
     b = sample_config(2, [1], 1, seed=42)
@@ -372,26 +381,38 @@ def test_rank_one_scan_is_never_complete_and_empty():
                                      (3, (1, 0), 1), (1, (-1,), 0), (2, (-1,), 0)])
 def test_sylvester_system_is_the_jacobian_columns(r, a, k):
     # the sampler's system in (aA00[1], c) is the Jacobian of the compact
-    # residual in those entries, at the draw
+    # residual in those entries, at the draw and at the solved sample
     rng = Random(r + k)
     while True:
         cfg = adhm._draw(r, a, k, rng)
         try:
             system, den = adhm._sylvester_system(cfg)
-            break
         except FramingViolationError:  # a singular a: draw again
             continue
+        sample = adhm._solve_draw(cfg, rng)
+        if sample is not None:
+            break
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
     l0, k0 = ld[0], kd[0]
     width = l0 * k0 + r * k0
     lhs = Matrix.from_ints([row[:width] for row in system], den, width)
     start = 2 * l0 * k0 + sum(l0 * w + h * w for h, w in zip(ld[1:], kd[1:]))
-    jac = adhm._jacobian(cfg)
-    assert lhs == jac.submatrix(0, jac.nrows, start, start + width)
+    for point in (cfg, sample):
+        jac = adhm._jacobian(point)
+        assert lhs == jac.submatrix(0, jac.nrows, start, start + width)
+    # so the sample's Jacobian has the full row rank of the system
+    assert sample._jacobian_rank == jac.rank() == l0 * k0
     # X = 0 and c = 0 at the draw, so its compact block is compact(0)
     compact = adhm._compact_block(cfg)
     assert Matrix.from_ints([row[width:] for row in system], den, 1) == \
         Matrix.from_ints([[-x] for row in compact.num for x in row], compact.den, 1)
+
+
+def test_sampled_jacobian_rank_is_its_rank():
+    for r, a, k in GRID:
+        for seed in (0, 1):
+            cfg = sample_config(r, a, k, seed=seed)
+            assert cfg._jacobian_rank == adhm._jacobian(cfg).rank(), (r, a, k, seed)
 
 
 def test_tangent_examples():
@@ -429,15 +450,16 @@ def test_compact_block_matches_full_products(a_vec):
     assert nonzero >= 2
 
 
-def _count_stabilizer_systems(monkeypatch) -> list:
+def _count_builds(monkeypatch, name: str) -> list:
+    """The configurations that ``adhm.<name>`` is called on from now on."""
     built = []
-    real = adhm._stabilizer_system
+    real = getattr(adhm, name)
 
     def counted(cfg):
         built.append(cfg)
         return real(cfg)
 
-    monkeypatch.setattr(adhm, "_stabilizer_system", counted)
+    monkeypatch.setattr(adhm, name, counted)
     return built
 
 
@@ -451,7 +473,7 @@ GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
 def test_stabilizer_system_built_once_per_config(monkeypatch, argv):
     # the sampler's acceptance check and tangent_dims, or validate_config and
     # tangent_dims, ask for the stabilizer of the same configuration object
-    built = _count_stabilizer_systems(monkeypatch)
+    built = _count_builds(monkeypatch, "_isotropy_system")
     with redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0
     assert '"stabilizer_dim": 0' in out.getvalue()
@@ -461,7 +483,7 @@ def test_stabilizer_system_built_once_per_config(monkeypatch, argv):
 def test_replaced_config_recomputes_stabilizer(monkeypatch):
     cfg = sample_config(2, [1], 1, seed=5)
     assert stabilizer_dim(cfg) == 0
-    built = _count_stabilizer_systems(monkeypatch)
+    built = _count_builds(monkeypatch, "_isotropy_system")
     assert stabilizer_dim(cfg) == 0 and built == []
     framing_free = cfg.replace(c=Matrix.zeros(*cfg.c.shape), d=Matrix.zeros(*cfg.d.shape))
     assert stabilizer_dim(framing_free) == 1
@@ -469,6 +491,32 @@ def test_replaced_config_recomputes_stabilizer(monkeypatch):
     # the memo is no field: equal data compare equal with or without it
     assert cfg.replace() == cfg
     assert act(GroupElement.identity(cfg.dims), cfg) == cfg
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 0),
+    (["tangent", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 1),
+    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 1),
+], ids=["sample", "file", "report"])
+def test_jacobian_built_only_for_data_from_files(monkeypatch, argv, built):
+    # a sample carries its Jacobian rank from the sampler's solve
+    jacobians = _count_builds(monkeypatch, "_jacobian")
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert '"dim_ker_jacobian": 13' in out.getvalue()
+    assert len(jacobians) == built
+
+
+def test_replaced_sample_recomputes_jacobian_rank(monkeypatch):
+    cfg = sample_config(2, [1], 1, seed=5)
+    built = _count_builds(monkeypatch, "_jacobian")
+    rep = tangent_dims(cfg)
+    assert built == []
+    same = cfg.replace()
+    assert tangent_dims(same) == rep and built == [same]
+    framing_free = cfg.replace(c=Matrix.zeros(*cfg.c.shape), d=Matrix.zeros(*cfg.d.shape))
+    assert framing_free._jacobian_rank == adhm._jacobian(framing_free).rank()
+    assert built[1:] == [framing_free, framing_free]
 
 
 def test_report_inverts_a_once(monkeypatch):

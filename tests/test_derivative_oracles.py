@@ -3,9 +3,11 @@
 Both the constraint Jacobian and the stabilizer system are differentiated by
 hand inside ``adhm``.  Here the same derivatives are recomputed by symbolic
 differentiation with sympy (building the perturbed data in Q[t], inverting,
-and taking d/dt at t = 0) and compared entry by entry.  The systems that
+and taking d/dt at t = 0) and compared entry by entry.  The Jacobian that
 ``tangent_dims`` assembles directly must equal, entry by entry, the columns
-of ``compact_derivative`` and ``action_derivative`` over every unit direction.
+of ``compact_derivative`` over every unit direction.  The isotropy system is
+assembled in the ``h`` unknowns alone, with ``g`` eliminated, so it must
+have the nullity of the full system of ``action_derivative`` columns.
 """
 
 from fractions import Fraction
@@ -13,8 +15,10 @@ from random import Random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adhm_blowup_kit.adhm import _jacobian, _stabilizer_system, sample_config
+from adhm_blowup_kit.adhm import _isotropy_system, _jacobian, sample_config
 from adhm_blowup_kit.linalg import Matrix
 from util import (
     action_derivative,
@@ -203,7 +207,22 @@ def test_assembled_systems_match_references(source, params):
         # the last r k0 + l0 r columns are the c and d directions
         framing = cfg.r * (cfg.c.ncols + cfg.d.nrows)
         assert not jac.submatrix(0, jac.nrows, jac.ncols - framing, jac.ncols).is_zero()
-    stab = _stabilizer_system(cfg)
-    assert stab == _reference_stabilizer(cfg)
+    stab = _isotropy_system(cfg)
+    assert stab.nullity() == _reference_stabilizer(cfg).nullity()
     assert stab.rank() == len(echelon(stab)[1])
     assert jac.rank() == len(echelon(jac)[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.integers(1, 3), a_vec=st.lists(st.integers(-1, 1), max_size=2),
+       k=st.integers(0, 2), zero=st.sampled_from(["c", "d", "cd"]),
+       seed=st.integers(0, 2 ** 16))
+def test_isotropy_nullity_matches_full_system(r, a_vec, k, zero, seed):
+    # without c or d the group often fixes the data, so both zero and
+    # positive isotropy occur
+    cfg = rand_config(Random(seed), r, a_vec, k)
+    if "c" in zero:
+        cfg = cfg.replace(c=Matrix.zeros(*cfg.c.shape))
+    if "d" in zero:
+        cfg = cfg.replace(d=Matrix.zeros(*cfg.d.shape))
+    assert _isotropy_system(cfg).nullity() == _reference_stabilizer(cfg).nullity()

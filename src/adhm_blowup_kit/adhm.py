@@ -153,6 +153,15 @@ class AdhmConfig:
             raise FramingViolationError("assembled matrix a is singular") from None
 
     @cached_property
+    def _strips(self) -> tuple[MatrixPair, MatrixPair]:
+        """The strips of ``q^A`` (:func:`_q_strips`), kept on the instance like the nullity above.
+
+        They depend on ``aA00``, which the sampler's solve replaces, so
+        ``replace`` does not hand them on.
+        """
+        return _q_strips(self)
+
+    @cached_property
     def _bA(self) -> MatrixPair:
         """``b^A`` (see :func:`derive_bA`), kept on the instance like ``a^{-1}`` above."""
         n = self.n
@@ -266,7 +275,7 @@ def _compact_block(cfg: AdhmConfig) -> Matrix:
     Only the ``(L_0, K_0)`` block is kept, so only the first ``l0`` rows of
     ``q^A a^{-1}`` and the first ``k0`` columns of ``q_A`` enter the products.
     """
-    rows, cols = _q_strips(cfg)
+    rows, cols = cfg._strips
     qa = [m * cfg._a_inverse for m in rows]
     return qa[1] * cols[0] - qa[0] * cols[1]
 
@@ -460,7 +469,7 @@ def _isotropy_system(cfg: AdhmConfig) -> Matrix:
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
     l0, k0, total_l = ld[0], kd[0], cfg.dims.total_l
     ainv = cfg._a_inverse
-    _rows, (q0, q1) = _q_strips(cfg)
+    _rows, (q0, q1) = cfg._strips
     neg_d = block_matrix([[-cfg.d], [Matrix.zeros(total_l - l0, r)]], [l0, total_l - l0], [r])
     dw, (w,) = clear_denoms(ainv * block_matrix([[q0, q1, neg_d]], [total_l], [k0, k0, r]))
     den, (a0, aA0, aA1, c, *aii) = clear_denoms(
@@ -540,7 +549,7 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
     l0, k0 = ld[0], kd[0]
     ainv = cfg._a_inverse
     # the first l0 rows of q^A a^{-1} and the first k0 columns of a^{-1} q^A
-    q_rows, q_cols = _q_strips(cfg)
+    q_rows, q_cols = cfg._strips
     du, qa = clear_denoms(*(m * ainv for m in q_rows))
     dv, aq = clear_denoms(*(ainv * m for m in q_cols))
     dp, (p,) = clear_denoms(_point_matrix(cfg))
@@ -673,7 +682,7 @@ def _sylvester_system(cfg: AdhmConfig) -> tuple[list[list[int]], int]:
     """
     l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
     ainv = cfg._a_inverse
-    rows, cols = _q_strips(cfg)
+    rows, cols = cfg._strips
     qa = [m * ainv for m in rows]
     den, (q, p, d, compact) = clear_denoms(
         qa[0].submatrix(0, l0, 0, l0),

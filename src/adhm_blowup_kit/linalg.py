@@ -19,10 +19,21 @@ operation is exact; nothing here ever touches floating point.  Zero-sized
 matrices are first-class citizens because several block dimensions in this
 project are legitimately zero (``det`` of a 0x0 matrix is 1, the kernel of a
 0xn matrix is all of Q^n, and so on).
+
+``rational_eigenvalues`` stays in Z as well.  The eigenvalues of ``num /
+den`` are the roots of the monic integer characteristic polynomial of
+``num`` (Faddeev-LeVerrier, each division exact) over ``den``.  Its rational
+roots are integers, the roots of its squarefree part ``h`` (a primitive-PRS
+gcd with the derivative, then exact division).  They are found modulo the
+first odd prime at which ``h`` is squarefree, lifted p-adically past the
+bound ``|h(0)|`` and each kept only if ``h`` vanishes there; all of them are
+found, and the characteristic polynomial splits over Q iff they number
+``deg h``.  What does not split comes back as the integer cofactor.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from array import array
 from fractions import Fraction
@@ -438,3 +449,163 @@ def block_matrix(blocks: Sequence[Sequence[Matrix]],
                 line.extend(row if s == 1 else [s * x for x in row])
         out.extend(strip)
     return Matrix._reduced(out, den, sum(col_dims))
+
+
+# -- characteristic polynomials and their rational roots --------------------------
+
+
+def charpoly(rows: Sequence[Sequence[int]]) -> list[int]:
+    """``det(x I - rows)`` of a square integer matrix, leading coefficient first.
+
+    Faddeev-LeVerrier: with ``M_1 = I``, the coefficient of ``x^(n-k)`` is
+    ``c_k = -tr(A M_k) / k`` and ``M_(k+1) = A M_k + c_k I``.  Each ``c_k``
+    is a coefficient of an integer polynomial, so each division is exact.
+    """
+    n = len(rows)
+    coeffs = [1]
+    m = [list(row) for row in rows]  # A M_1
+    for k in range(1, n + 1):
+        c = -sum(m[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        if k < n:
+            for i in range(n):
+                m[i][i] += c
+            cols = list(zip(*m))
+            m = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    return coeffs
+
+
+def _horner(f: Sequence[int], x: int, mod: int = 0) -> int:
+    """``f(x)``, reduced modulo ``mod`` at each step when it is nonzero."""
+    v = 0
+    for c in f:
+        v = (v * x + c) % mod if mod else v * x + c
+    return v
+
+
+def _derivative(f: Sequence[int]) -> list[int]:
+    d = len(f) - 1
+    return [c * (d - i) for i, c in enumerate(f[:-1])]
+
+
+def _strip(f: list[int]) -> list[int]:
+    """``f`` without leading zero coefficients."""
+    i = next((i for i, c in enumerate(f) if c), len(f))
+    return f[i:]
+
+
+def _primitive_poly(f: list[int]) -> list[int]:
+    """``f`` over its content, with a positive leading coefficient."""
+    g = gcd(*f)
+    if f[0] < 0:
+        g = -g
+    return [c // g for c in f] if g != 1 else f
+
+
+def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd of two integer polynomials, ``deg f >= deg g > 0``, by the primitive PRS.
+
+    Each step takes the pseudo-remainder, ``lc(g)^(deg f - deg g + 1) f``
+    modulo ``g``, and divides it by its content (Knuth, TAOCP 2, 4.6.1).
+    """
+    f, g = _primitive_poly(f), _primitive_poly(g)
+    while len(g) > 1:
+        lc, ng = g[0], len(g)
+        r = f
+        while len(r) >= ng:
+            c = r[0]
+            tail = g[1:] + [0] * (len(r) - ng)
+            r = _strip([lc * x - c * y for x, y in zip(r[1:], tail)])
+        f, g = g, (_primitive_poly(r) if r else [])
+    return [1] if g else f
+
+
+def _divide_monic(f: list[int], g: list[int]) -> list[int]:
+    """The quotient of ``f`` by a monic ``g`` that divides it."""
+    r = list(f)
+    ng = len(g)
+    for i in range(len(f) - ng + 1):
+        c = r[i]
+        if c:
+            for j in range(1, ng):
+                r[i + j] -= c * g[j]
+    return r[:len(f) - ng + 1]
+
+
+def _squarefree_mod(f: list[int], p: int) -> bool:
+    """True iff the monic ``f`` is squarefree modulo ``p``: ``gcd(f, f')`` is a unit there."""
+    a = [c % p for c in f]
+    b = _strip([c % p for c in _derivative(f)])
+    while b:
+        inv = pow(b[0], -1, p)
+        while len(a) >= len(b):  # a mod b over GF(p)
+            c = a[0] * inv % p
+            a = _strip([(x - c * y) % p for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))])
+        a, b = b, a
+    return len(a) == 1
+
+
+def _primes():
+    """3, 5, 7, 11, ... by trial division."""
+    found: list[int] = []
+    for n in itertools.count(3, 2):
+        if all(n % q for q in found):
+            found.append(n)
+            yield n
+
+
+def integer_roots(f: list[int]) -> tuple[list[int], list[int]]:
+    """The distinct integer roots of a monic integer polynomial, and its non-split part.
+
+    With ``f = x^m g`` and ``g(0) != 0``, the roots are 0 when ``m > 0`` and
+    those of the squarefree part ``h = g / gcd(g, g')``, found p-adically
+    (R. Loos, *SIAM J. Comput.* 12, 1983).  Modulo the first odd prime ``p``
+    at which ``h`` is squarefree every root of ``h`` is simple, and Newton's
+    iteration lifts it to one root modulo ``p^(2^e)`` past twice ``|h(0)|``,
+    a bound on any integer root, since it divides ``h(0)``.  A lift is kept
+    only if it is a root of ``h``.  The second item is ``h`` over the product
+    of ``x - z`` for those roots: ``[1]`` iff ``f`` splits over Z.
+    """
+    zeros = len(f) - len(_strip(f[::-1]))  # the multiplicity of the root 0
+    h = f[:len(f) - zeros]
+    roots = [0] if zeros else []
+    if len(h) == 1:
+        return roots, h
+    primes = _primes()
+    p = next(primes)
+    if not _squarefree_mod(h, p):
+        h = _divide_monic(h, _prs_gcd(h, _derivative(h)))
+        while not _squarefree_mod(h, p):
+            p = next(primes)
+    dh = _derivative(h)
+    bound = 2 * abs(h[-1])
+    rest = h
+    for r0 in range(p):
+        if _horner(h, r0, p):
+            continue
+        r, m = r0, p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(h, r, m) * pow(_horner(dh, r, m), -1, m)) % m
+        z = r if 2 * r < m else r - m
+        if not _horner(h, z):
+            roots.append(z)
+            rest = _divide_monic(rest, [1, -z])
+    return roots, rest
+
+
+def rational_eigenvalues(g: Matrix) -> tuple[list[Fraction], list[int]]:
+    """The distinct rational eigenvalues of ``g``, ascending, and the part that does not split.
+
+    With ``g = num / den`` they are ``z / den`` for the integer roots ``z`` of
+    the monic integer polynomial ``charpoly(num)`` (:func:`integer_roots`).
+    The second item is the squarefree characteristic polynomial of ``num``
+    over its linear factors, so every eigenvalue of ``g`` is rational iff it
+    is ``[1]``.
+    """
+    if g.nrows != g.ncols:
+        raise DimensionMismatchError("eigenvalues of non-square matrix")
+    if g.nrows <= 1:
+        return [Fraction(x, g.den) for row in g.num for x in row], [1]
+    roots, rest = integer_roots(charpoly(g.num))
+    return sorted(Fraction(z, g.den) for z in roots), rest

@@ -22,19 +22,22 @@ Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps;
 ``singular_scan`` locates the finite set where alpha drops rank.  In the chart
 ``z2 = 1`` the drop points are the joint eigenvalues of ``T_A = a^{-1} q^A``
 on the largest subspace S of the framing kernel that both leave invariant: the
-rational ones come from the characteristic polynomials and are verified by
-exact ranks.  On a monad the ``T_A`` commute on S (the blow-up form of the
+rational ones are the roots of the integer characteristic polynomials, found
+p-adically (:func:`.linalg.rational_eigenvalues`), and are verified by exact
+ranks.  On a monad the ``T_A`` commute on S (the blow-up form of the
 ADHM identity ``[B_1, B_2] + ij = 0``), so every eigenvalue of ``T_A|S`` is
 a coordinate of a drop point, and an irrational one makes the scan
 incomplete.  On each exceptional line alpha is constant columns beside a
 pencil in ``(w0 : w1)``, and the drop points are the eigenvalues of one
 rational matrix on the largest subspace of a kernel that it preserves; full
-rank at one of ``dim K_i + 1`` points rules out a drop along the line.
-Nothing in the scan is drawn at random.  ``framing_check`` compares the
-determinant criterion for the framing (``a`` invertible) with the fibre
-criterion at every point of the framing line ``z2 = 0``, which is one more
-line for the exceptional-line routine.  ``validate_config`` bundles everything into one report; its seed
-picks only the spot-check points.
+rank at one of ``dim K_i + 1`` points rules out a drop along the line.  A
+scan is complete when every characteristic polynomial it reads splits over
+Q.  Nothing in the scan is drawn at random, and none of it imports sympy.
+``framing_check`` compares the determinant criterion for the framing (``a``
+invertible) with the fibre criterion at every point of the framing line
+``z2 = 0``, which is one more line for the exceptional-line routine.
+``validate_config`` bundles everything into one report; its seed picks only
+the spot-check points.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from operator import mul
 from random import Random
 
@@ -65,8 +67,8 @@ from .errors import (
     NotInPError,
 )
 from .lattice import ChernCharacter, DivisorClass, MonadDims
-from .linalg import Matrix, block_matrix, clear_denoms
-from .sections import BlowupPoints, _frac, _fraction
+from .linalg import Matrix, block_matrix, clear_denoms, rational_eigenvalues
+from .sections import BlowupPoints, _frac
 
 Rational = Fraction | int
 
@@ -353,34 +355,6 @@ def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
     return [v.solve(t * v) for t in ops]
 
 
-@cache
-def _charpoly_ring():
-    """sympy's ``DomainMatrix`` and ``QQ[t]``, where characteristic polynomials are factored."""
-    from sympy import QQ
-    from sympy.polys.matrices import DomainMatrix
-    from sympy.polys.rings import ring
-
-    return DomainMatrix, ring("t", QQ)[0]
-
-
-def _rational_eigenvalues(g: Matrix) -> tuple[list[Fraction], bool]:
-    """The distinct rational eigenvalues of ``g``, and whether every eigenvalue is rational.
-
-    Read off the irreducible factors over QQ of its characteristic polynomial:
-    a linear factor is a rational eigenvalue, any other factor is not.
-    """
-    domain_matrix, qq_t = _charpoly_ring()
-    qq = qq_t.domain
-    dm = domain_matrix([[qq(x, g.den) for x in row] for row in g.num], g.shape, qq)
-    roots, complete = [], True
-    for f, _ in qq_t.from_list(dm.charpoly()).factor_list()[1]:
-        if f.degree() == 1:
-            roots.append(_fraction(-f.coeff(1) / f.LC))
-        else:
-            complete = False
-    return roots, complete
-
-
 def _chart_operators(m: MonadRep) -> tuple[list[Matrix], Matrix]:
     """``T_A = a^{-1} q^A`` and the framing rows ``C = [c 0]``.
 
@@ -420,13 +394,13 @@ def _scan_chart(m: MonadRep) -> tuple[list[SurfacePoint], bool]:
     incomplete: less precise, never a false certificate.
     """
     ops, c = _chart_operators(m)
-    (roots0, complete0), (roots1, complete1) = map(_rational_eigenvalues, _restrict(c, ops))
+    (roots0, rest0), (roots1, rest1) = map(rational_eigenvalues, _restrict(c, ops))
     centres = set(m.ctx.points)
     candidates = [SurfacePoint.generic(x0, x1, 1) for x0 in roots0 for x1 in roots1
                   if (x0, x1) not in centres]
     full_rank = m.dims.total_k
     return ([pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank],
-            complete0 and complete1)
+            rest0 == rest1 == [1])
 
 
 def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]], bool] | None:
@@ -452,12 +426,12 @@ def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]]
     bt = b.transpose()
     t = -(bt * b).solve(bt * a0)
     [g] = _restrict(a0 + b * t, [t])
-    taus, complete = _rational_eigenvalues(g)
+    taus, rest = rational_eigenvalues(g)
     points = []
     for tau in taus:
         w0 = 1 + mu * tau
         points.append((Fraction(1), tau / w0) if w0 else (Fraction(0), Fraction(1)))
-    return points, complete
+    return points, rest == [1]
 
 
 def _drops_beside(u: Matrix, p0: Matrix,

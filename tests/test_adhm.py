@@ -519,6 +519,30 @@ def test_replaced_sample_recomputes_jacobian_rank(monkeypatch):
     assert built[1:] == [framing_free, framing_free]
 
 
+@pytest.mark.parametrize("argv, built", [
+    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 2),
+    (["tangent", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 1),
+    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 1),
+], ids=["sample", "file", "report"])
+def test_q_strips_built_once_per_config(monkeypatch, argv, built):
+    # the sampler's system on the draw, then the isotropy system, the
+    # residual and the Jacobian on the sample, all from the kept strips
+    strips = _count_builds(monkeypatch, "_q_strips")
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert '"dim_ker_jacobian": 13' in out.getvalue()
+    assert len(strips) == len({id(cfg) for cfg in strips}) == built
+
+
+def test_replaced_config_rebuilds_q_strips(monkeypatch):
+    cfg = sample_config(2, [1], 1, seed=5)
+    assert cfg._strips == adhm._q_strips(cfg)
+    built = _count_builds(monkeypatch, "_q_strips")
+    assert constraint_residual(cfg).is_zero() and built == []
+    moved = cfg.replace(aA00=(cfg.aA00[0], cfg.aA00[1].scale(2)))
+    assert moved._strips[0][1] != cfg._strips[0][1] and built == [moved]
+
+
 def test_report_inverts_a_once(monkeypatch):
     # validate_config's residual, build_monad's b^A and tangent's Jacobian
     # read one a^{-1}, kept on the configuration object

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from adhm_blowup_kit import linalg
 from adhm_blowup_kit.errors import DimensionMismatchError
 from adhm_blowup_kit.linalg import Matrix, block_matrix
-from util import echelon
+from util import echelon, reference_rational_eigenvalues
 
 
 def test_identity_and_inverse():
@@ -440,3 +440,64 @@ def test_elimination_sees_primitive_rows(monkeypatch):
     assert deficient.rank() == 1
     assert len(seen) == 2 + 2 + 2
     assert max(abs(x) for row in seen for x in row) < 10
+
+
+huge = st.integers(-10 ** 30, 10 ** 30)
+
+
+@st.composite
+def spectral_matrices(draw):
+    """Square matrices up to 6 x 6 with a known block structure, or dense and huge.
+
+    A planted matrix is ``P B P^-1 / den`` with ``P`` unimodular and ``B``
+    block diagonal: Jordan blocks of rational eigenvalues (repeats and zero
+    among them), nilpotent blocks, and 2 x 2 companion blocks of ``x^2 - s x
+    + t`` with irrational or complex roots.  A dense one has entries up to
+    10^30 over denominators up to 10^30.
+    """
+    n = draw(st.integers(0, 6))
+    if draw(st.integers(0, 3)) == 0:
+        den = draw(st.integers(1, 10 ** 30))
+        return Matrix([[Fraction(draw(huge), draw(st.sampled_from((1, den)))) for _ in range(n)]
+                       for _ in range(n)], ncols=n)
+    eigenvalue = st.one_of(fractions, st.just(Fraction(0)), huge.map(Fraction))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        if i + 1 < n and draw(st.integers(0, 3)) == 0:
+            s, t = draw(st.integers(-4, 4)), draw(st.integers(-10 ** 12, 10 ** 12))
+            rows[i][i + 1], rows[i + 1][i], rows[i + 1][i + 1] = -t, Fraction(1), s
+            i += 2
+            continue
+        size = draw(st.integers(1, n - i))
+        lam = draw(eigenvalue)
+        for j in range(i, i + size):
+            rows[j][j] = lam
+            if j + 1 < i + size:
+                rows[j][j + 1] = Fraction(draw(st.integers(0, 1)))
+        i += size
+    lower, other = ([[Fraction(draw(st.integers(-3, 3))) if r > c else Fraction(int(r == c))
+                      for c in range(n)] for r in range(n)] for _ in range(2))
+    p = Matrix(lower, ncols=n) * Matrix(other, ncols=n).transpose()
+    return (p * Matrix(rows, ncols=n) * p.inverse()).scale(draw(fractions.filter(bool)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=spectral_matrices())
+def test_rational_eigenvalues_match_sympy_factoring(m):
+    roots, rest = linalg.rational_eigenvalues(m)
+    ref_roots, ref_complete = reference_rational_eigenvalues(m)
+    assert roots == sorted(ref_roots)
+    assert (rest == [1]) == ref_complete
+    # the eigenvalues left out are the roots of the cofactor
+    assert len(rest) - 1 + len(roots) <= m.nrows
+
+
+def test_integer_roots_of_a_product():
+    # (x - 1)^2 (x + 2) x^3 (x^2 - 2): repeated, zero and irrational roots
+    f = [1, 0, -5, 2, 6, -4, 0, 0, 0]
+    assert linalg.charpoly([[0, 1], [-4, 5]]) == [1, -5, 4]
+    roots, rest = linalg.integer_roots(f)
+    assert sorted(roots) == [-2, 0, 1] and rest == [1, 0, -2]
+    assert linalg.rational_eigenvalues(Matrix([])) == ([], [1])
+    assert linalg.rational_eigenvalues(Matrix([[Fraction(-3, 4)]])) == ([Fraction(-3, 4)], [1])

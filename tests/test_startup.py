@@ -1,8 +1,10 @@
-"""Commands that never factor a characteristic polynomial run without sympy.
+"""No command of the CLI imports sympy.
 
-sympy is imported only by the two accessors that build its rings on first
-use, so a fresh interpreter that imports the package, or runs a command that
-factors nothing, never loads it.
+sympy is imported only by ``sections._ring``, on the first use of a
+``SectionPoly``, and no command builds one: the singular scan and the framing
+line read their eigenvalues from integer characteristic polynomials
+(``linalg.rational_eigenvalues``).  So a fresh interpreter that imports the
+package and runs every command never loads it.
 """
 
 import json
@@ -28,7 +30,7 @@ print(json.dumps(seen))
 """
 
 
-def test_only_factoring_commands_import_sympy(tmp_path):
+def test_no_command_imports_sympy(tmp_path):
     cfg, _seed = config_io.config_from_json(json.loads(CONFIG.read_text()))
     witness = tmp_path / "w.json"
     witness.write_text(config_io.dump_canonical(
@@ -38,10 +40,12 @@ def test_only_factoring_commands_import_sympy(tmp_path):
              ["sample", "-r", "2", "-a", "1", "-k", "1"],
              ["tangent", "-r", "2", "-a", "1", "-k", "1"],
              ["orbit", "--witness", str(witness), str(CONFIG), str(CONFIG)],
+             ["scan", str(CONFIG)],
+             ["validate", str(CONFIG)],
              ["report", str(CONFIG)]]
     run = run_fresh("-c", CHILD, json.dumps(steps))
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     assert [code for _, code, _ in seen] == [0] * len(seen), seen
-    # report is the first step that factors, and so the first to load sympy
-    assert [step for step, _, loaded in seen if loaded] == [f"report {CONFIG}"], seen
+    assert len(seen) == len(steps) + 2
+    assert [step for step, _, loaded in seen if loaded] == [], seen

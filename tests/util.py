@@ -98,6 +98,27 @@ def echelon(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
+_QQ_T = ring("t", QQ)[0]
+
+
+def reference_rational_eigenvalues(g: Matrix) -> tuple[list[Fraction], bool]:
+    """The distinct rational eigenvalues of ``g``, and whether every eigenvalue is rational.
+
+    Read off the irreducible factors over QQ of its characteristic polynomial:
+    a linear factor is a rational eigenvalue, any other factor is not.  sympy's
+    ``DomainMatrix.charpoly`` and ``factor_list``: a reference for
+    ``linalg.rational_eigenvalues``, independent of it.
+    """
+    dm = DomainMatrix([[QQ(x, g.den) for x in row] for row in g.num], g.shape, QQ)
+    roots, complete = [], True
+    for f, _ in _QQ_T.from_list(dm.charpoly()).factor_list()[1]:
+        if f.degree() == 1:
+            roots.append(_fraction(-f.coeff(1) / f.LC))
+        else:
+            complete = False
+    return roots, complete
+
+
 def rand_points(rng: Random, n: int) -> BlowupPoints:
     pts: list[tuple[Fraction, Fraction]] = []
     while len(pts) < n:

@@ -503,7 +503,7 @@ def _primitive_poly(f: list[int]) -> list[int]:
 
 
 def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Primitive gcd of two integer polynomials, ``deg f >= deg g > 0``, by the primitive PRS.
+    """Primitive gcd of two nonzero integer polynomials, ``deg f >= deg g``, by the primitive PRS.
 
     Each step takes the pseudo-remainder, ``lc(g)^(deg f - deg g + 1) f``
     modulo ``g``, and divides it by its content (Knuth, TAOCP 2, 4.6.1).

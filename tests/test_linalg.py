@@ -489,8 +489,14 @@ def test_rational_eigenvalues_match_sympy_factoring(m):
     ref_roots, ref_complete = reference_rational_eigenvalues(m)
     assert roots == sorted(ref_roots)
     assert (rest == [1]) == ref_complete
-    # the eigenvalues left out are the roots of the cofactor
-    assert len(rest) - 1 + len(roots) <= m.nrows
+    # the cofactor is a factor of the characteristic polynomial of num
+    f = linalg.charpoly(m.num)
+    quotient = linalg._divide_monic(f, rest)
+    product = [0] * len(f)
+    for i, x in enumerate(quotient):
+        for j, y in enumerate(rest):
+            product[i + j] += x * y
+    assert product == f
 
 
 def test_integer_roots_of_a_product():

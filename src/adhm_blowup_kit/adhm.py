@@ -15,7 +15,8 @@ involves ``K_0`` alone.  The row ``b^A = (b^A_00, ..., b^A_0n)`` is never free
 data: it is derived from the linear part of the monad condition,
 ``b^A a + a_{0.} p^A = a^A``, whenever ``a`` is invertible.  With ``b^A`` so
 derived the whole monad condition collapses to a single block, the compact
-residual ``(q^A a^{-1} q_A)^{00} + dc``.
+residual ``(q^A a^{-1} q_A)^{00} + dc``.  ``AdhmConfig`` forms ``a^{-1}``, the
+strips of ``q^A`` and their products with ``a^{-1}`` once each.
 
 Gauge normalisation sets ``ai0 = Id``; the residual symmetry group and its
 action on normalised configurations, the tangent computation, and the
@@ -156,24 +157,31 @@ class AdhmConfig:
     def _strips(self) -> tuple[MatrixPair, MatrixPair]:
         """The strips of ``q^A`` (:func:`_q_strips`), kept on the instance like the nullity above.
 
-        They depend on ``aA00``, which the sampler's solve replaces, so
-        ``replace`` does not hand them on.
+        They and the products below depend on ``aA00``, which the sampler's
+        solve replaces, so ``replace`` hands none of them on.
         """
         return _q_strips(self)
 
     @cached_property
+    def _qa_rows(self) -> MatrixPair:
+        """The ``L_0`` rows of ``q^A a^{-1}``, kept like the strips."""
+        return tuple(m * self._a_inverse for m in self._strips[0])
+
+    @cached_property
+    def _aq_cols(self) -> Matrix:
+        """``a^{-1} [q^0_{., K0} | q^1_{., K0} | -d on L_0]``, kept like the strips.
+
+        The ``K_0`` columns of ``a^{-1} q^A``, then ``-(a^{-1})_{., L0} d``.
+        """
+        l0, k0, r = self.dims.dim_l[0], self.dims.dim_k[0], self.r
+        rest = self.dims.total_l - l0
+        neg_d = block_matrix([[-self.d], [Matrix.zeros(rest, r)]], [l0, rest], [r])
+        return self._a_inverse * block_matrix([[*self._strips[1], neg_d]], [l0 + rest], [k0, k0, r])
+
+    @cached_property
     def _bA(self) -> MatrixPair:
-        """``b^A`` (see :func:`derive_bA`), kept on the instance like ``a^{-1}`` above."""
-        n = self.n
-        kd, ld = self.dims.dim_k, self.dims.dim_l
-        out = []
-        for a in (0, 1):
-            rhs_blocks = [self.aA00[a]]
-            for j in range(n):
-                rhs_blocks.append(-self.a0i[j].scale(self.point_coord(j + 1, a)))
-            rhs = block_matrix([rhs_blocks], [ld[0]], list(kd))
-            out.append(rhs * self._a_inverse)
-        return (out[0], out[1])
+        """``b^A`` (see :func:`derive_bA`), kept on the instance like the products above."""
+        return tuple(-m for m in self._qa_rows)
 
     def point_coord(self, i: int, a: int) -> Fraction:
         return self.points.coordinate(i, a)
@@ -213,27 +221,17 @@ def assemble_a(cfg: AdhmConfig) -> Matrix:
 
 
 def assemble_qA(cfg: AdhmConfig) -> MatrixPair:
-    """The pair ``q^A`` with corner ``-a^A_00`` and ``p_i^A``-scaled arrow blocks."""
-    n = cfg.n
-    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    out = []
-    for a in (0, 1):
-        blocks: list[list[Matrix]] = []
-        row0 = [-cfg.aA00[a]] + [
-            cfg.a0i[j].scale(cfg.point_coord(j + 1, a)) for j in range(n)
-        ]
-        blocks.append(row0)
-        for i in range(n):
-            p = cfg.point_coord(i + 1, a)
-            row = [cfg.ai0[i].scale(p)]
-            for j in range(n):
-                row.append(
-                    cfg.aii[i].scale(p) if i == j
-                    else Matrix.zeros(ld[i + 1], kd[j + 1])
-                )
-            blocks.append(row)
-        out.append(block_matrix(blocks, list(ld), list(kd)))
-    return (out[0], out[1])
+    """The pair ``q^A``: the row strips of :func:`_q_strips`, then ``p_i^A`` times ``a`` on ``L_i``."""
+    l0 = cfg.dims.dim_l[0]
+    a = assemble_a(cfg)
+    dp, (p,) = clear_denoms(_point_matrix(cfg))
+    owner = [i for i, h in enumerate(cfg.dims.dim_l[1:]) for _ in range(h)]  # the L_i of a row
+    rows, _cols = cfg._strips
+    return tuple(
+        block_matrix([[rows[A]], [Matrix.from_ints(
+            [[p[i][A] * x for x in row] for i, row in zip(owner, a.num[l0:])],
+            a.den * dp, a.ncols)]], [l0, a.nrows - l0], [a.ncols])
+        for A in (0, 1))
 
 
 def derive_bA(cfg: AdhmConfig) -> MatrixPair:
@@ -241,8 +239,8 @@ def derive_bA(cfg: AdhmConfig) -> MatrixPair:
 
     These are the linear blocks of the monad condition.  Returns two
     ``dim L_0 x sum(dim L)`` matrices; block ``j`` of ``b^A`` maps ``L_j`` to
-    ``L_0``.  Raises if ``a`` is singular (no framing).  Solved once per
-    configuration object (``AdhmConfig._bA``).
+    ``L_0``: minus the kept ``L_0`` rows of ``q^A a^{-1}``, as ``a^A - a_{0.}
+    p^A`` is minus those of ``q^A``.  Raises if ``a`` is singular (no framing).
     """
     return cfg._bA
 
@@ -250,9 +248,9 @@ def derive_bA(cfg: AdhmConfig) -> MatrixPair:
 def _q_strips(cfg: AdhmConfig) -> tuple[MatrixPair, MatrixPair]:
     """The first ``l0`` rows and the first ``k0`` columns of each ``q^A``.
 
-    Built from the blocks directly, equal to those parts of ``assemble_qA``:
-    the blocks over one denominator ``den``, the point coordinates over
-    ``dp``, and each strip over ``dp den``.
+    Corner ``-a^A_00``, then the ``a0i`` (rows) or the ``ai0`` (columns)
+    scaled by ``p_i^A``: the blocks over one denominator ``den``, the point
+    coordinates over ``dp``, and each strip over ``dp den``.
     """
     dp, (p,) = clear_denoms(_point_matrix(cfg))
     rows, cols = [], []
@@ -272,11 +270,10 @@ def _q_strips(cfg: AdhmConfig) -> tuple[MatrixPair, MatrixPair]:
 def _compact_block(cfg: AdhmConfig) -> Matrix:
     """``(q^A a^{-1} q_A)^{00}``, the compact residual without ``dc``.
 
-    Only the ``(L_0, K_0)`` block is kept, so only the first ``l0`` rows of
+    Only the ``(L_0, K_0)`` block is kept, so only the kept ``L_0`` rows of
     ``q^A a^{-1}`` and the first ``k0`` columns of ``q_A`` enter the products.
     """
-    rows, cols = cfg._strips
-    qa = [m * cfg._a_inverse for m in rows]
+    qa, (_rows, cols) = cfg._qa_rows, cfg._strips
     return qa[1] * cols[0] - qa[0] * cols[1]
 
 
@@ -461,17 +458,14 @@ def _isotropy_system(cfg: AdhmConfig) -> Matrix:
     dimension.  Columns are the unit directions ``E_PQ`` of ``h00``,
     ``hii``..., each block row by row.  As ``X E_PQ Y = X[:, P] Y[Q, :]``, a
     unit direction gives column ``P`` of ``a_{0.}`` times row ``Q`` of
-    ``W = a^{-1} [q^0_{., K0} | q^1_{., K0} | -d on L_0]``, plus the
-    ``aA00``, ``c`` and ``aii`` terms, over ``den dw``.  Raises
-    :class:`FramingViolationError` when ``a`` is singular.
+    ``W = a^{-1} [q^0_{., K0} | q^1_{., K0} | -d on L_0]`` (kept as
+    ``AdhmConfig._aq_cols``), plus the ``aA00``, ``c`` and ``aii`` terms, over
+    ``den dw``.  Raises :class:`FramingViolationError` when ``a`` is singular.
     """
     n, r = cfg.n, cfg.r
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    l0, k0, total_l = ld[0], kd[0], cfg.dims.total_l
-    ainv = cfg._a_inverse
-    _rows, (q0, q1) = cfg._strips
-    neg_d = block_matrix([[-cfg.d], [Matrix.zeros(total_l - l0, r)]], [l0, total_l - l0], [r])
-    dw, (w,) = clear_denoms(ainv * block_matrix([[q0, q1, neg_d]], [total_l], [k0, k0, r]))
+    l0, k0 = ld[0], kd[0]
+    dw, (w,) = clear_denoms(cfg._aq_cols)
     den, (a0, aA0, aA1, c, *aii) = clear_denoms(
         block_matrix([[cfg.a00, *cfg.a0i]], [l0], list(kd)), *cfg.aA00, cfg.c, *cfg.aii)
     aA0, aA1, c, *aii = ([[dw * x for x in row] for row in m] for m in (aA0, aA1, c, *aii))
@@ -547,11 +541,10 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
     n = cfg.n
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
     l0, k0 = ld[0], kd[0]
-    ainv = cfg._a_inverse
-    # the first l0 rows of q^A a^{-1} and the first k0 columns of a^{-1} q^A
-    q_rows, q_cols = cfg._strips
-    du, qa = clear_denoms(*(m * ainv for m in q_rows))
-    dv, aq = clear_denoms(*(ainv * m for m in q_cols))
+    # the kept L_0 rows of q^A a^{-1} and K_0 columns of a^{-1} q^A
+    du, qa = clear_denoms(*cfg._qa_rows)
+    dv, (w,) = clear_denoms(cfg._aq_cols)
+    aq = [(row[:k0], row[k0:2 * k0]) for row in w]
     dp, (p,) = clear_denoms(_point_matrix(cfg))
     den = lcm(du * dv * dp, cfg.c.den, cfg.d.den)
     f = den // (du * dv * dp)
@@ -570,7 +563,7 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
             u0 = [qa[0][i][P] for i in range(l0)]
             u1 = [qa[1][i][P] for i in range(l0)]
             for Q in range(col0, col0 + width):
-                v0, v1 = aq[0][Q], aq[1][Q]
+                v0, v1 = aq[Q]
                 if moves:
                     ds = [[fp * (x0 * y1 - x1 * y0) for y0, y1 in zip(v0, v1)]
                           for x0, x1 in zip(u0, u1)]
@@ -677,18 +670,17 @@ def _sylvester_system(cfg: AdhmConfig) -> tuple[list[list[int]], int]:
     ``[system | rhs]`` over one denominator: one row per entry of the
     ``(L_0, K_0)`` block, and one column per entry of ``X`` and then of
     ``c``, each row by row, as in :func:`_jacobian`.  ``cfg`` has ``X = 0``
-    (compact(0) is its compact block).  Raises
-    :class:`FramingViolationError` when ``a`` is singular.
+    (compact(0) is its compact block).  ``P`` needs only the first ``k0``
+    rows of ``a^{-1}``.  Raises :class:`FramingViolationError` when ``a`` is
+    singular.
     """
     l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
     ainv = cfg._a_inverse
-    rows, cols = cfg._strips
-    qa = [m * ainv for m in rows]
     den, (q, p, d, compact) = clear_denoms(
-        qa[0].submatrix(0, l0, 0, l0),
-        ainv.submatrix(0, k0, 0, ainv.ncols) * cols[0],
+        cfg._qa_rows[0].submatrix(0, l0, 0, l0),
+        ainv.submatrix(0, k0, 0, ainv.ncols) * cfg._strips[1][0],
         cfg.d,
-        qa[1] * cols[0] - qa[0] * cols[1],
+        _compact_block(cfg),
     )
     nx = l0 * k0
     system = []

@@ -33,11 +33,11 @@ rational matrix on the largest subspace of a kernel that it preserves; full
 rank at one of ``dim K_i + 1`` points rules out a drop along the line.  A
 scan is complete when every characteristic polynomial it reads splits over
 Q.  Nothing in the scan is drawn at random, and none of it imports sympy.
-``framing_check`` compares the determinant criterion for the framing (``a``
-invertible) with the fibre criterion at every point of the framing line
-``z2 = 0``, which is one more line for the exceptional-line routine.
-``validate_config`` bundles everything into one report; its seed picks only
-the spot-check points.
+The framing holds on every monad: ``build_monad`` needs ``a`` invertible, and
+that forces the fibre criterion at every point of the framing line ``z2 = 0``
+(:func:`framing_verdicts`, which checks it as one more line for the
+exceptional-line routine).  ``validate_config`` bundles everything into one
+report; its seed picks only the spot-check points.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ from .errors import (
     NonGenericStratumError,
     NotInPError,
 )
-from .lattice import ChernCharacter, DivisorClass, MonadDims
+from .lattice import ChernCharacter, DivisorClass, MonadDims, _frac
 from .linalg import Matrix, block_matrix, clear_denoms, rational_eigenvalues
-from .sections import BlowupPoints, _frac
+from .sections import BlowupPoints
 
 Rational = Fraction | int
 
@@ -539,6 +539,14 @@ def framing_verdicts(cfg: AdhmConfig, m: MonadRep | None = None) -> tuple[bool, 
     every fibre iff beta's framing columns vanish, ``[alpha | C^r]`` never
     drops rank and beta is onto (its transpose, beside no constant columns,
     never drops rank); both pencils go through :func:`_drops_beside`.
+
+    On a monad of :func:`build_monad` both verdicts are True, so
+    :func:`validate_config` reads the framing from ``a`` alone.  At
+    ``(x0 : x1 : 0)`` alpha's L rows are ``[-x1 a; x0 a]`` and its framing
+    rows are zero: as ``a`` is invertible, ``[alpha | C^r]`` has full column
+    rank.  Beta is ``[x0 | x1]`` on every ``L_i``, with zero framing
+    columns, so it is onto.  This function checks the same from the pencils,
+    which makes it a test of ``build_monad``.
     """
     det_ok = _a_invertible(cfg)
     if m is None:
@@ -662,7 +670,9 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
     The monad condition is read from the compact residual, and cross-checked
     against the composite ``beta . alpha``: its ``z2^2`` coefficient on
     ``(L_0, K_0)`` must equal the residual, and the whole composite must
-    vanish exactly when the residual does.
+    vanish exactly when the residual does.  The framing is read from ``a``
+    being invertible, which forces the fibre criterion on the framing line
+    (see :func:`framing_verdicts`).
     """
     failures: list[str] = []
     try:
@@ -678,7 +688,7 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
         normalized = None
 
     det_ok = _a_invertible(cfg)
-    found: dict = {"framing": False, "framing_fiber": False}
+    found: dict = {}
     valid = False
     if not det_ok:
         failures.append("assembled matrix a is singular")
@@ -695,11 +705,6 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
             raise InternalConsistencyError(
                 "the composite beta . alpha and the compact residual disagree"
             )
-
-        # a is invertible, so the determinant criterion holds
-        fiber_v = framing_verdicts(cfg, monad)[1]
-        if not fiber_v:
-            failures.append("framing criteria disagree")
 
         try:
             scan = singular_scan(monad)
@@ -733,19 +738,19 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
             raw_residual_zero=residual_zero,
             compact_residual_zero=residual_zero,
             monad_identity_zero=residual_zero,
-            framing=fiber_v,
-            framing_fiber=fiber_v,
             finite_rank_drop=scan is not None,
             singular_points=scan.points if scan else (),
             scan_complete=scan.complete if scan else None,
             fiber_spotchecks=tuple(spots),
             stabilizer_dim=stab,
         )
-        valid = (residual_zero and fiber_v and scan is not None and ch_check
+        valid = (residual_zero and scan is not None and ch_check
                  and not stab and all(s.ok for s in spots))
     return ValidationReport(
         det_a_nonzero=det_ok,
+        framing=det_ok,
         framing_det=det_ok,
+        framing_fiber=det_ok,
         ch_check=ch_check,
         normalizable=normalized is not None,
         valid=valid,

@@ -36,7 +36,7 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable, TypeVar
 
 from .errors import AmbiguousPointError, DimensionMismatchError, MalformedSectionError
-from .lattice import DivisorClass
+from .lattice import DivisorClass, _frac
 
 if TYPE_CHECKING:
     from sympy.polys.rings import PolyElement, PolyRing
@@ -65,10 +65,6 @@ def _ring() -> PolyRing:
     from sympy.polys.rings import ring
 
     return ring("z0,z1,z2", QQ)[0]
-
-
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _to_ring(x: Rational):

@@ -36,11 +36,12 @@ from adhm_blowup_kit.monad import (
     _chart_operators,
     _restrict,
     build_monad,
+    framing_verdicts,
     singular_scan,
     validate_config,
 )
 from adhm_blowup_kit.sections import BlowupPoints
-from util import rand_config, rand_group_element, rand_invertible, rand_matrix
+from util import rand_config, rand_group_element, rand_invertible, rand_matrix, reference_qA
 
 
 def _commutator(x, y):
@@ -352,10 +353,26 @@ def test_sample_every_grid_set_validates():
         cfg = sample_config(r, a, k, seed=0)
         assert stabilizer_dim(cfg) == 0
         assert validate_config(cfg, seed=0).valid, (r, a, k)
+        monad = build_monad(cfg)
+        # validate_config reads the framing from a invertible, which forces
+        # the fibre criterion on the framing line
+        assert framing_verdicts(cfg, monad) == (True, True), (r, a, k)
         # on a monad the chart operators commute on S, so the scan's
         # completeness rests on their eigenvalues alone
-        ops, c = _chart_operators(build_monad(cfg))
+        ops, c = _chart_operators(monad)
         assert _commutator(*_restrict(c, ops)).is_zero(), (r, a, k)
+
+
+def test_qA_and_bA_match_the_block_reference():
+    # assemble_qA reads its L_0 rows from the kept strips, and b^A is minus
+    # the kept L_0 rows of q^A a^{-1}
+    for r, a, k in GRID:
+        cfg = sample_config(r, a, k, seed=0)
+        q = reference_qA(cfg)
+        assert assemble_qA(cfg) == q, (r, a, k)
+        ainv, l0 = assemble_a(cfg).inverse(), cfg.dims.dim_l[0]
+        assert derive_bA(cfg) == tuple(
+            -(m * ainv).submatrix(0, l0, 0, ainv.ncols) for m in q), (r, a, k)
 
 
 @pytest.mark.parametrize("r, a, k", [
@@ -541,6 +558,45 @@ def test_replaced_config_rebuilds_q_strips(monkeypatch):
     assert constraint_residual(cfg).is_zero() and built == []
     moved = cfg.replace(aA00=(cfg.aA00[0], cfg.aA00[1].scale(2)))
     assert moved._strips[0][1] != cfg._strips[0][1] and built == [moved]
+    # so are the products with a^{-1}, which the sampler's checks formed
+    products = {"_qa_rows", "_aq_cols"}
+    assert products <= cfg.__dict__.keys() and not products & moved.__dict__.keys()
+    ainv = moved._a_inverse
+    assert moved._qa_rows == tuple(m * ainv for m in moved._strips[0])
+    assert moved._qa_rows[1] != cfg._qa_rows[1]
+    k0 = cfg.dims.dim_k[0]
+    assert moved._aq_cols.submatrix(0, ainv.nrows, k0, 2 * k0) == ainv * moved._strips[1][1]
+
+
+@pytest.mark.parametrize("argv, most", [
+    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 5),
+    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 5),
+], ids=["tangent", "report"])
+def test_products_with_a_inverse_formed_once(monkeypatch, argv, most):
+    # tangent: the sampler's system on the draw forms the L_0 rows of
+    # q^A a^{-1}; on the sample the isotropy system forms the K_0 columns of
+    # a^{-1} q^A and the residual the rows again.  report: the rows, the
+    # columns, and the scan's two chart operators; b^A and the Jacobian read
+    # the kept products
+    kept, products = [], []
+    inversion = AdhmConfig.__dict__["_a_inverse"]
+    real_inverse, real_mul = inversion.func, Matrix.__mul__
+
+    def inverse(cfg):
+        kept.append(real_inverse(cfg))
+        return kept[-1]
+
+    def mul(self, other):
+        if any(m is self or m is other for m in kept):
+            products.append((self.shape, other.shape))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(inversion, "func", inverse)
+    monkeypatch.setattr(Matrix, "__mul__", mul)
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert '"dim_ker_jacobian": 13' in out.getvalue()
+    assert len(products) <= most
 
 
 def test_report_inverts_a_once(monkeypatch):

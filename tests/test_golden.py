@@ -14,11 +14,16 @@ is the commuting-variety equation ``[B, X] + dc = 0``.  A refactor of the
 sampler, the scan or the tangent computation must leave every file here
 unchanged.  After a deliberate output change, rewrite the goldens with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+
+Every golden report must also pass the benchmark's own output checks
+(``perfbench/checks.py``), so a report change that would break the benchmark
+fails here first.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 from importlib import resources
@@ -65,6 +70,24 @@ def _sample(params: dict) -> str:
 def test_cli_output_matches_golden(name, command):
     expected = (GOLDEN / f"{name}.{command}.json").read_text(encoding="utf-8")
     assert _run(command, {**CONFIGS, **TANGENT_CONFIGS}[name]) == expected
+
+
+def _perfbench_checks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(p.name.removesuffix(".report.json")
+                                        for p in GOLDEN.glob("*.report.json")))
+def test_golden_report_passes_benchmark_checks(name):
+    checks = _perfbench_checks()
+    doc = json.loads(CONFIGS[name].read_text(encoding="utf-8"))
+    report = json.loads((GOLDEN / f"{name}.report.json").read_text(encoding="utf-8"))
+    assert checks.check_config(doc) == []
+    assert checks.check_report(doc, report) == []
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLED))

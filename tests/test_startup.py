@@ -1,8 +1,8 @@
 """No command of the CLI imports sympy.
 
 sympy is imported only by ``sections._ring``, on the first use of a
-``SectionPoly``, and no command builds one: the singular scan and the framing
-line read their eigenvalues from integer characteristic polynomials
+``SectionPoly``, and no command builds one: the singular scan reads its
+eigenvalues from integer characteristic polynomials
 (``linalg.rational_eigenvalues``).  So a fresh interpreter that imports the
 package and runs every command never loads it.
 """

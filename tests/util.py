@@ -26,7 +26,6 @@ from adhm_blowup_kit.adhm import (
     AdhmConfig,
     GroupElement,
     assemble_a,
-    assemble_qA,
     derive_bA,
 )
 from adhm_blowup_kit.errors import NotInPError
@@ -168,6 +167,34 @@ def rand_group_element(rng: Random, dims) -> GroupElement:
     )
 
 
+def reference_qA(cfg: AdhmConfig) -> tuple[Matrix, Matrix]:
+    """The pair ``q^A``, block by block: corner ``-a^A_00`` and ``p_i^A``-scaled arrow blocks.
+
+    A reference for ``adhm.assemble_qA``, which reads its ``L_0`` rows from
+    the configuration's kept strips.
+    """
+    n = cfg.n
+    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
+    out = []
+    for a in (0, 1):
+        blocks: list[list[Matrix]] = []
+        row0 = [-cfg.aA00[a]] + [
+            cfg.a0i[j].scale(cfg.point_coord(j + 1, a)) for j in range(n)
+        ]
+        blocks.append(row0)
+        for i in range(n):
+            p = cfg.point_coord(i + 1, a)
+            row = [cfg.ai0[i].scale(p)]
+            for j in range(n):
+                row.append(
+                    cfg.aii[i].scale(p) if i == j
+                    else Matrix.zeros(ld[i + 1], kd[j + 1])
+                )
+            blocks.append(row)
+        out.append(block_matrix(blocks, list(ld), list(kd)))
+    return (out[0], out[1])
+
+
 # -- the derivative references ---------------------------------------------------
 #
 # The first-order changes that ``adhm._jacobian`` and ``adhm._stabilizer_system``
@@ -234,7 +261,7 @@ def compact_derivative(cfg: AdhmConfig, kind: str, idx: int, unit: Matrix) -> Ma
     The reference for the Jacobian that ``adhm._jacobian`` assembles directly.
     """
     ainv = cfg._a_inverse
-    q = assemble_qA(cfg)
+    q = reference_qA(cfg)
     aq, qa = (ainv * q[0], ainv * q[1]), (q[0] * ainv, q[1] * ainv)
     l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
     da = _delta_arrow(cfg, kind, idx, unit)

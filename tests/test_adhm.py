@@ -568,11 +568,11 @@ def test_replaced_config_rebuilds_q_strips(monkeypatch):
     assert moved._aq_cols.submatrix(0, ainv.nrows, k0, 2 * k0) == ainv * moved._strips[1][1]
 
 
-@pytest.mark.parametrize("argv, most", [
-    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 5),
-    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 5),
+@pytest.mark.parametrize("argv", [
+    ["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"],
+    ["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"],
 ], ids=["tangent", "report"])
-def test_products_with_a_inverse_formed_once(monkeypatch, argv, most):
+def test_products_with_a_inverse_formed_once(monkeypatch, argv):
     # tangent: the sampler's system on the draw forms the L_0 rows of
     # q^A a^{-1}; on the sample the isotropy system forms the K_0 columns of
     # a^{-1} q^A and the residual the rows again.  report: the rows, the
@@ -596,7 +596,7 @@ def test_products_with_a_inverse_formed_once(monkeypatch, argv, most):
     with redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0
     assert '"dim_ker_jacobian": 13' in out.getvalue()
-    assert len(products) <= most
+    assert len(products) <= 5
 
 
 def test_report_inverts_a_once(monkeypatch):

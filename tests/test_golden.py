@@ -23,7 +23,6 @@ fails here first.
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import json
 from importlib import resources
@@ -32,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from adhm_blowup_kit.cli import main
+from util import perfbench_module
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = {
@@ -72,18 +72,10 @@ def test_cli_output_matches_golden(name, command):
     assert _run(command, {**CONFIGS, **TANGENT_CONFIGS}[name]) == expected
 
 
-def _perfbench_checks():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", sorted(p.name.removesuffix(".report.json")
                                         for p in GOLDEN.glob("*.report.json")))
 def test_golden_report_passes_benchmark_checks(name):
-    checks = _perfbench_checks()
+    checks = perfbench_module("checks")
     doc = json.loads(CONFIGS[name].read_text(encoding="utf-8"))
     report = json.loads((GOLDEN / f"{name}.report.json").read_text(encoding="utf-8"))
     assert checks.check_config(doc) == []

@@ -6,21 +6,10 @@ runs.  These checks read the tracer's tables and compare them with the code.
 """
 
 import importlib
-import importlib.util
 import inspect
 import json
-from pathlib import Path
 
-from util import run_fresh
-
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from util import perfbench_module, run_fresh
 
 
 def _layer(tracing, name):
@@ -28,7 +17,7 @@ def _layer(tracing, name):
 
 
 def test_traced_methods_are_in_their_class_dict():
-    tracing = _tracing()
+    tracing = perfbench_module("tracing")
     for (layer, cls_name), methods in tracing.METHODS.items():
         cls = getattr(_layer(tracing, layer), cls_name)
         for meth in methods:
@@ -36,7 +25,7 @@ def test_traced_methods_are_in_their_class_dict():
 
 
 def test_metric_spans_name_traced_functions():
-    tracing = _tracing()
+    tracing = perfbench_module("tracing")
     names = [n for names in tracing.TIME_METRICS.values() for n in names]
     names += [n for names in tracing.CALL_METRICS.values() for n in names]
     names += list(tracing.SELF_METRICS.values())
@@ -59,7 +48,7 @@ def test_metric_spans_name_traced_functions():
 def test_cli_import_loads_every_traced_module_and_method():
     # Tracer.install indexes sys.modules by layer, so a layer that importing
     # the CLI leaves unloaded would crash a traced run
-    tracing = _tracing()
+    tracing = perfbench_module("tracing")
     child = """
 import json, sys
 import adhm_blowup_kit.cli

@@ -7,6 +7,7 @@ the monad as matrices of sections, and the singular scan by elimination.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import os
@@ -50,6 +51,15 @@ def run_fresh(*argv: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded from the checkout without importing the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rand_frac(rng: Random, lo: int = -4, hi: int = 4) -> Fraction:

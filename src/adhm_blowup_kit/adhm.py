@@ -25,7 +25,8 @@ deterministic sampler of valid configurations all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -56,7 +57,7 @@ class AdhmConfig:
     r: int
     a_vec: tuple[int, ...]
     k: int
-    dims: MonadDims
+    dims: MonadDims = field(init=False, compare=False)
     points: BlowupPoints
     a00: Matrix
     a0i: tuple[Matrix, ...]
@@ -66,58 +67,43 @@ class AdhmConfig:
     c: Matrix
     d: Matrix
 
-    def __init__(self, r, a_vec, k, points, a00, a0i, ai0, aii, aA00, c, d):
-        dims = monad_dims(r, a_vec, k)
+    def __post_init__(self):
+        for name, value in (("r", int(self.r)), ("a_vec", tuple(int(x) for x in self.a_vec)),
+                            ("k", int(self.k)), ("a0i", tuple(self.a0i)),
+                            ("ai0", tuple(self.ai0)), ("aii", tuple(self.aii)),
+                            ("aA00", (self.aA00[0], self.aA00[1]))):
+            object.__setattr__(self, name, value)
+        dims = monad_dims(self.r, self.a_vec, self.k)
+        object.__setattr__(self, "dims", dims)
         n = dims.n
-        if points.n != n:
+        if self.points.n != n:
             raise DimensionMismatchError(
-                f"{points.n} blow-up points for {n} exceptional classes"
+                f"{self.points.n} blow-up points for {n} exceptional classes"
             )
+        if not len(self.a0i) == len(self.ai0) == len(self.aii) == n:
+            raise DimensionMismatchError("off-arrow block lists must have length n")
         kd, ld = dims.dim_k, dims.dim_l
         shapes = [
-            ("a00", a00, (ld[0], kd[0])),
-            ("c", c, (r, kd[0])),
-            ("d", d, (ld[0], r)),
-            ("aA00[0]", aA00[0], (ld[0], kd[0])),
-            ("aA00[1]", aA00[1], (ld[0], kd[0])),
+            ("a00", self.a00, (ld[0], kd[0])),
+            ("c", self.c, (self.r, kd[0])),
+            ("d", self.d, (ld[0], self.r)),
+            ("aA00[0]", self.aA00[0], (ld[0], kd[0])),
+            ("aA00[1]", self.aA00[1], (ld[0], kd[0])),
         ]
-        a0i = tuple(a0i)
-        ai0 = tuple(ai0)
-        aii = tuple(aii)
-        if not len(a0i) == len(ai0) == len(aii) == n:
-            raise DimensionMismatchError("off-arrow block lists must have length n")
         for i in range(n):
-            shapes.append((f"a0i[{i}]", a0i[i], (ld[0], kd[i + 1])))
-            shapes.append((f"ai0[{i}]", ai0[i], (ld[i + 1], kd[0])))
-            shapes.append((f"aii[{i}]", aii[i], (ld[i + 1], kd[i + 1])))
+            shapes.append((f"a0i[{i}]", self.a0i[i], (ld[0], kd[i + 1])))
+            shapes.append((f"ai0[{i}]", self.ai0[i], (ld[i + 1], kd[0])))
+            shapes.append((f"aii[{i}]", self.aii[i], (ld[i + 1], kd[i + 1])))
         for name, mat, want in shapes:
             if mat.shape != want:
                 raise DimensionMismatchError(f"{name} is {mat.shape}, expected {want}")
-        object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "a_vec", tuple(int(x) for x in a_vec))
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "a00", a00)
-        object.__setattr__(self, "a0i", a0i)
-        object.__setattr__(self, "ai0", ai0)
-        object.__setattr__(self, "aii", aii)
-        object.__setattr__(self, "aA00", (aA00[0], aA00[1]))
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
 
     @property
     def n(self) -> int:
         return self.dims.n
 
     def replace(self, **changes) -> AdhmConfig:
-        kwargs = {
-            "r": self.r, "a_vec": self.a_vec, "k": self.k, "points": self.points,
-            "a00": self.a00, "a0i": self.a0i, "ai0": self.ai0, "aii": self.aii,
-            "aA00": self.aA00, "c": self.c, "d": self.d,
-        }
-        kwargs.update(changes)
-        new = AdhmConfig(**kwargs)
+        new = dataclasses.replace(self, **changes)
         if "_a_inverse" in self.__dict__ and not changes.keys() & _ARROW_BLOCKS:
             new.__dict__["_a_inverse"] = self._a_inverse  # the same a
         return new
@@ -172,6 +158,8 @@ class AdhmConfig:
         """``a^{-1} [q^0_{., K0} | q^1_{., K0} | -d on L_0]``, kept like the strips.
 
         The ``K_0`` columns of ``a^{-1} q^A``, then ``-(a^{-1})_{., L0} d``.
+        Their first ``k0`` rows are the corners ``P_A`` that the chart scan
+        reads (see :func:`.monad.build_monad`).
         """
         l0, k0, r = self.dims.dim_l[0], self.dims.dim_k[0], self.r
         rest = self.dims.total_l - l0
@@ -188,21 +176,6 @@ class AdhmConfig:
 
     def is_normalized(self) -> bool:
         return all(m == Matrix.identity(m.nrows) for m in self.ai0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdhmConfig):
-            return NotImplemented
-        return (
-            (self.r, self.a_vec, self.k) == (other.r, other.a_vec, other.k)
-            and self.points == other.points
-            and self.a00 == other.a00
-            and self.a0i == other.a0i
-            and self.ai0 == other.ai0
-            and self.aii == other.aii
-            and self.aA00 == other.aA00
-            and self.c == other.c
-            and self.d == other.d
-        )
 
 
 def assemble_a(cfg: AdhmConfig) -> Matrix:

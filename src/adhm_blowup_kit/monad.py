@@ -21,12 +21,17 @@ validity is carried entirely by the L_0 row.
 Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps;
 ``singular_scan`` locates the finite set where alpha drops rank.  In the chart
 ``z2 = 1`` the drop points are the joint eigenvalues of ``T_A = a^{-1} q^A``
-on the largest subspace S of the framing kernel that both leave invariant: the
-rational ones are the roots of the integer characteristic polynomials, found
-p-adically (:func:`.linalg.rational_eigenvalues`), and are verified by exact
-ranks.  On a monad the ``T_A`` commute on S (the blow-up form of the
-ADHM identity ``[B_1, B_2] + ij = 0``), so every eigenvalue of ``T_A|S`` is
-a coordinate of a drop point, and an irrational one makes the scan
+on the largest subspace S of the framing kernel that both leave invariant.
+Each ``K_i`` is the joint eigenspace of its centre, so the scan works on
+``K_0`` alone: with ``P_A`` the ``K_0 x K_0`` corners of ``T_A``, kept by
+``build_monad`` from the configuration's ``a^{-1} q^A`` columns, it reads
+the ``P_A`` on ``S_0``, the largest subspace of ker ``c`` both leave
+invariant.  The rational eigenvalues are the roots of the integer
+characteristic polynomials, found p-adically
+(:func:`.linalg.rational_eigenvalues`), and are verified by exact ranks.  On
+a monad the ``P_A`` commute on ``S_0`` (the blow-up form of the ADHM
+identity ``[B_1, B_2] + ij = 0``), so every eigenvalue of ``P_A|S_0`` is a
+coordinate of a drop point, and an irrational one makes the scan
 incomplete.  On each exceptional line alpha is constant columns beside a
 pencil in ``(w0 : w1)``, and the drop points are the eigenvalues of one
 rational matrix on the largest subspace of a kernel that it preserves; full
@@ -194,7 +199,9 @@ class MonadRep:
     ``sum(dim L)`` rows and ``rank W`` columns.  ``w_slots`` labels each row
     of ``alpha`` (equivalently column of ``beta``) by its summand: (i, A, m)
     for row m of the A-th copy of ``L_i``, or ("C", m) for the framing
-    summand.  ``a_inverse`` is the configuration's kept ``a^{-1}``.
+    summand.  ``chart`` is ``(P_0, P_1, c)``: the ``K_0 x K_0`` corners
+    ``P_A`` of ``T_A = a^{-1} q^A`` and the framing row ``c``, which are all
+    the chart scan reads (see :func:`_scan_chart`).
     """
 
     alpha: Pencil
@@ -202,7 +209,7 @@ class MonadRep:
     dims: MonadDims
     ctx: BlowupPoints
     w_slots: tuple[tuple, ...]
-    a_inverse: Matrix
+    chart: tuple[Matrix, Matrix, Matrix]
 
     def alpha_at(self, x: SurfacePoint) -> Matrix:
         return self.alpha.at(x, self.ctx)
@@ -269,6 +276,8 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
             for mat, row in zip(beta, rows):
                 mat.append(row)
     row_twist = [i for i in range(n + 1) for _ in range(ld[i])]
+    # the first k0 rows of the kept K_0 columns of a^{-1} q^A
+    p0, p1 = (cfg._aq_cols.submatrix(0, kd[0], A * kd[0], (A + 1) * kd[0]) for A in (0, 1))
 
     return MonadRep(
         alpha=Pencil.from_ints(alpha, a_den, [0] * dims.rank_w, col_twist),
@@ -276,7 +285,7 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
         dims=dims,
         ctx=cfg.points,
         w_slots=tuple(w_slots),
-        a_inverse=cfg._a_inverse,
+        chart=(p0, p1, cfg.c),
     )
 
 
@@ -355,46 +364,34 @@ def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
     return [v.solve(t * v) for t in ops]
 
 
-def _chart_operators(m: MonadRep) -> tuple[list[Matrix], Matrix]:
-    """``T_A = a^{-1} q^A`` and the framing rows ``C = [c 0]``.
-
-    Read off alpha's pencil (see :func:`build_monad`): ``q^0`` is ``-M_2``
-    on copy 1 of the ``L_i``, ``q^1`` is ``M_2`` on copy 0, and ``C`` is
-    ``M_2`` on the framing rows.  At ``(x0, x1, 1)`` the ``L`` rows of
-    ``alpha v`` vanish iff ``T_A v = x_A v``, and then the framing rows are
-    ``C v``.
-    """
-    summand = ["C" if s[0] == "C" else s[1] for s in m.w_slots]  # copy 0, copy 1 or C^r
-    m2 = m.alpha.mats[2]
-
-    def rows(kind, sign=1):
-        return Matrix.from_ints([[sign * x for x in row] for row, s in zip(m2, summand) if s == kind],
-                                m.alpha.den, m.dims.total_k)
-
-    return [m.a_inverse * rows(1, -1), m.a_inverse * rows(0)], rows("C")
-
-
 def _scan_chart(m: MonadRep) -> tuple[list[SurfacePoint], bool]:
     """Rank-drop points in the chart z2 = 1 (minus blow-up centres), and completeness.
 
-    ``alpha(x0, x1, 1) v = 0`` iff ``T_A v = x_A v`` and ``C v = 0``, so the
-    drop points are the joint eigenvalues of the ``T_A`` on S, the largest
-    subspace of ker ``C`` invariant under both.  With ``a`` invertible there
-    are finitely many, and each ``K_i`` is a joint eigenspace for its centre.
-    Every pair of rational eigenvalues of ``T_0|S`` and ``T_1|S`` off the
-    centres is verified by an exact rank.
+    ``alpha(x0, x1, 1) v = 0`` iff ``T_A v = x_A v`` and ``C v = 0``, for
+    ``T_A = a^{-1} q^A`` and the framing rows ``C = [c 0]``.  The ``K_i``
+    columns of ``q^A`` are ``p_i^A`` times those of ``a``, so in the order
+    ``(K_0, K_1 .. K_n)`` each ``T_A`` is ``[[P_A, 0], [R_A, diag(p_i^A)]]``.
+    Hence the largest subspace S of ker ``C`` invariant under both ``T_A`` is
+    the preimage of ``S_0``, the largest subspace of ker ``c`` invariant
+    under both ``P_A``, and the characteristic polynomial of ``T_A|S`` is that
+    of ``P_A|S_0`` times the centres' linear factors.  A drop point off the
+    centres has a kernel vector whose ``K_0`` part is nonzero, and that part
+    is a joint eigenvector of the ``P_A`` in ker ``c``.  So the scan reads
+    ``m.chart = (P_0, P_1, c)`` alone: every pair of rational eigenvalues of
+    ``P_0|S_0`` and ``P_1|S_0`` off the centres is verified by an exact rank.
 
     On a monad the ``T_A`` commute on S: ``a [T_1, T_0] = q^1 a^{-1} q^0 -
     q^0 a^{-1} q^1`` vanishes outside its ``(L_0, K_0)`` corner, where it is
-    the compact residual minus ``dc``, and ``C`` kills S.  Commuting operators
-    share an eigenvector on every invariant subspace, so each eigenvalue of
-    either ``T_A|S`` is a coordinate of a joint eigenvalue, and the scan is
+    the compact residual minus ``dc``, and ``C`` kills S.  The ``P_A|S_0``,
+    their quotient by ``(+) K_i``, commute too.  Commuting operators share an
+    eigenvector on every invariant subspace, so each eigenvalue of either
+    ``P_A|S_0`` is a coordinate of a joint eigenvalue, and the scan is
     complete exactly when all of them are rational.  Off the monad condition
     an irrational eigenvalue may pair with none, and the scan still says
     incomplete: less precise, never a false certificate.
     """
-    ops, c = _chart_operators(m)
-    (roots0, rest0), (roots1, rest1) = map(rational_eigenvalues, _restrict(c, ops))
+    p0, p1, c = m.chart
+    (roots0, rest0), (roots1, rest1) = map(rational_eigenvalues, _restrict(c, [p0, p1]))
     centres = set(m.ctx.points)
     candidates = [SurfacePoint.generic(x0, x1, 1) for x0 in roots0 for x1 in roots1
                   if (x0, x1) not in centres]
@@ -480,18 +477,19 @@ def singular_scan(m: MonadRep) -> ScanResult:
     alpha has full rank, because its L rows there are ``x0 a`` and ``-x1 a``
     and ``build_monad`` requires ``a`` invertible.  In the chart the drop
     points are the joint eigenvalues of ``T_A = a^{-1} q^A`` on the largest
-    subspace of the framing kernel they preserve (see :func:`_scan_chart`).
-    On each exceptional line, alpha is the constant columns beside a pencil
-    in ``(w0 : w1)``, and the drop points are the eigenvalues of one matrix
-    on the largest subspace of one kernel it preserves (see
-    :func:`_scan_divisor`); a drop along the line raises
-    :class:`NotInPError`.  Every reported point is re-verified by an exact
-    rank computation.  Nothing is drawn at random, so the result is a
+    subspace of the framing kernel they preserve, read off their ``K_0``
+    corners ``P_A`` on the largest subspace ``S_0`` of ker ``c`` that those
+    preserve (see :func:`_scan_chart`).  On each exceptional line, alpha is
+    the constant columns beside a pencil in ``(w0 : w1)``, and the drop
+    points are the eigenvalues of one matrix on the largest subspace of one
+    kernel it preserves (see :func:`_scan_divisor`); a drop along the line
+    raises :class:`NotInPError`.  Every reported point is re-verified by an
+    exact rank computation.  Nothing is drawn at random, so the result is a
     function of ``m`` alone.
 
-    ``complete`` is True exactly when every eigenvalue read, of ``T_0`` and
-    ``T_1`` on the chart's subspace and of each line's matrix on its own, is
-    rational.  On a monad the ``T_A`` commute there, so this certifies that
+    ``complete`` is True exactly when every eigenvalue read, of ``P_0`` and
+    ``P_1`` on ``S_0`` and of each line's matrix on its own, is rational.
+    On a monad the ``P_A`` commute on ``S_0``, so this certifies that
     no drop point has an irrational coordinate.  Off the monad condition an
     irrational eigenvalue still gives False, though it may mark no drop
     point.  False means further drop points could not be ruled out; the

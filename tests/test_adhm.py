@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import itertools
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +27,7 @@ from adhm_blowup_kit.adhm import (
     verify_equivalence,
 )
 from adhm_blowup_kit.errors import (
+    DimensionMismatchError,
     FramingViolationError,
     InfeasibleParametersError,
     NonGenericStratumError,
@@ -33,7 +36,6 @@ from adhm_blowup_kit.errors import (
 from adhm_blowup_kit.lattice import monad_dims
 from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.monad import (
-    _chart_operators,
     _restrict,
     build_monad,
     framing_verdicts,
@@ -118,6 +120,23 @@ def test_derive_bA_singular_raises():
     for read in (derive_bA, derive_bA, constraint_residual):
         with pytest.raises(FramingViolationError):
             read(cfg)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda cfg: {"c": Matrix.zeros(cfg.r + 1, cfg.dims.dim_k[0])}, "c is (3, 2), expected (2, 2)"),
+    (lambda cfg: {"points": BlowupPoints(())}, "0 blow-up points for 1 exceptional classes"),
+    (lambda cfg: {"aii": ()}, "off-arrow block lists must have length n"),
+], ids=["block shape", "points", "off-arrow lengths"])
+def test_malformed_config_raises(change, message):
+    # config_io rejects malformed files first, so only code builds these
+    cfg = sample_config(2, [1], 1, seed=5)
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.init}
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+        AdhmConfig(**{**fields, **change(cfg)})
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+        cfg.replace(**change(cfg))
+    copy = cfg.replace()
+    assert copy == cfg and hash(copy) == hash(cfg) and copy.dims == cfg.dims
 
 
 def test_assemble_qA_corner_n0():
@@ -357,15 +376,16 @@ def test_sample_every_grid_set_validates():
         # validate_config reads the framing from a invertible, which forces
         # the fibre criterion on the framing line
         assert framing_verdicts(cfg, monad) == (True, True), (r, a, k)
-        # on a monad the chart operators commute on S, so the scan's
-        # completeness rests on their eigenvalues alone
-        ops, c = _chart_operators(monad)
-        assert _commutator(*_restrict(c, ops)).is_zero(), (r, a, k)
+        # on a monad the K_0 corners of the chart operators commute on S_0,
+        # so the scan's completeness rests on their eigenvalues alone
+        p0, p1, c = monad.chart
+        assert _commutator(*_restrict(c, [p0, p1])).is_zero(), (r, a, k)
 
 
 def test_qA_and_bA_match_the_block_reference():
     # assemble_qA reads its L_0 rows from the kept strips, and b^A is minus
-    # the kept L_0 rows of q^A a^{-1}
+    # the kept L_0 rows of q^A a^{-1}.  T_A = a^{-1} q^A is p_i^A times the
+    # identity on each K_i, so the chart scan keeps only its K_0 corners P_A
     for r, a, k in GRID:
         cfg = sample_config(r, a, k, seed=0)
         q = reference_qA(cfg)
@@ -373,6 +393,17 @@ def test_qA_and_bA_match_the_block_reference():
         ainv, l0 = assemble_a(cfg).inverse(), cfg.dims.dim_l[0]
         assert derive_bA(cfg) == tuple(
             -(m * ainv).submatrix(0, l0, 0, ainv.ncols) for m in q), (r, a, k)
+        kd, total = cfg.dims.dim_k, cfg.dims.total_k
+        owner = [None] * kd[0] + [i for i in range(1, cfg.n + 1) for _ in range(kd[i])]
+        chart = build_monad(cfg).chart
+        for A in (0, 1):
+            t = ainv * q[A]
+            for j, i in enumerate(owner):
+                if i is not None:
+                    unit = Matrix.column([int(row == j) for row in range(total)])
+                    assert t.submatrix(0, total, j, j + 1) == unit.scale(
+                        cfg.point_coord(i, A)), (r, a, k, A, j)
+            assert t.submatrix(0, kd[0], 0, kd[0]) == chart[A], (r, a, k, A)
 
 
 @pytest.mark.parametrize("r, a, k", [
@@ -568,16 +599,16 @@ def test_replaced_config_rebuilds_q_strips(monkeypatch):
     assert moved._aq_cols.submatrix(0, ainv.nrows, k0, 2 * k0) == ainv * moved._strips[1][1]
 
 
-@pytest.mark.parametrize("argv", [
-    ["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"],
-    ["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"],
+@pytest.mark.parametrize("argv, bound", [
+    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 5),
+    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 3),
 ], ids=["tangent", "report"])
-def test_products_with_a_inverse_formed_once(monkeypatch, argv):
+def test_products_with_a_inverse_formed_once(monkeypatch, argv, bound):
     # tangent: the sampler's system on the draw forms the L_0 rows of
     # q^A a^{-1}; on the sample the isotropy system forms the K_0 columns of
-    # a^{-1} q^A and the residual the rows again.  report: the rows, the
-    # columns, and the scan's two chart operators; b^A and the Jacobian read
-    # the kept products
+    # a^{-1} q^A and the residual the rows again.  report: the rows and the
+    # columns; b^A, the scan's chart corners and the Jacobian read the kept
+    # products
     kept, products = [], []
     inversion = AdhmConfig.__dict__["_a_inverse"]
     real_inverse, real_mul = inversion.func, Matrix.__mul__
@@ -596,7 +627,7 @@ def test_products_with_a_inverse_formed_once(monkeypatch, argv):
     with redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0
     assert '"dim_ker_jacobian": 13' in out.getvalue()
-    assert len(products) <= 5
+    assert len(products) <= bound
 
 
 def test_report_inverts_a_once(monkeypatch):

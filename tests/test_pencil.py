@@ -30,10 +30,11 @@ from adhm_blowup_kit.errors import (
     NotInPError,
 )
 from adhm_blowup_kit.lattice import monad_dims
-from adhm_blowup_kit.linalg import Matrix
+from adhm_blowup_kit.linalg import Matrix, rational_eigenvalues
 from adhm_blowup_kit.monad import (
     SurfacePoint,
     _line_drops,
+    _restrict,
     _scan_chart,
     _scan_divisor,
     build_monad,
@@ -48,6 +49,7 @@ from util import (
     _all_minors,
     line_zeros,
     rand_config,
+    reference_chart_operators,
     reference_framing_fiber,
     reference_scan_chart,
     reference_scan_divisor,
@@ -152,6 +154,29 @@ def test_chart_eigen_route_matches_elimination(cfg):
         assert complete == ref_complete
     else:
         assert ref_complete or not complete
+
+
+def _full_chart_scan(m, cfg):
+    """The chart scan on the full ``T_A``: joint eigenvalues on S, off the centres, verified."""
+    ops, c = reference_chart_operators(m, cfg)
+    (roots0, rest0), (roots1, rest1) = map(rational_eigenvalues, _restrict(c, ops))
+    candidates = [SurfacePoint.generic(x0, x1, 1) for x0 in roots0 for x1 in roots1
+                  if (x0, x1) not in m.ctx.points]
+    return ([pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < m.dims.total_k],
+            rest0 == rest1 == [1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cfg=configs())
+def test_chart_scan_on_K0_matches_the_full_operators(cfg):
+    # T_A is p_i^A times the identity on each K_i, so S is the preimage of
+    # S_0 and the characteristic polynomials differ by the centres' linear
+    # factors: the points and the verdict agree, on and off the monad
+    m = build_monad(cfg)
+    points, complete = _scan_chart(m)
+    full_points, full_complete = _full_chart_scan(m, cfg)
+    assert sorted(p.coords for p in points) == sorted(p.coords for p in full_points)
+    assert complete == full_complete
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

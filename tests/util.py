@@ -2,7 +2,8 @@
 
 Besides random data of every flavour, this holds the references that the
 package's direct routes are checked against: the block-product derivatives,
-the monad as matrices of sections, and the singular scan by elimination.
+the monad as matrices of sections, the full chart operators ``T_A``, and the
+singular scan by elimination.
 """
 
 from __future__ import annotations
@@ -597,6 +598,26 @@ def common_zeros_2d(polys: list) -> tuple[list[tuple[Fraction, Fraction]], bool,
         complete = complete and rational1
         candidates += [(r0, r1) for r1 in roots1]
     return candidates, False, complete
+
+
+def reference_chart_operators(m, cfg: AdhmConfig) -> tuple[list[Matrix], Matrix]:
+    """The full ``T_A = a^{-1} q^A`` and the framing rows ``C = [c 0]`` of ``m = build_monad(cfg)``.
+
+    Read off alpha's pencil (see ``monad.build_monad``): ``q^0`` is ``-M_2``
+    on copy 1 of the ``L_i``, ``q^1`` is ``M_2`` on copy 0, and ``C`` is
+    ``M_2`` on the framing rows.  At ``(x0, x1, 1)`` the ``L`` rows of
+    ``alpha v`` vanish iff ``T_A v = x_A v``, and then the framing rows are
+    ``C v``.  A reference for the ``K_0`` corners that ``m.chart`` keeps.
+    """
+    summand = ["C" if s[0] == "C" else s[1] for s in m.w_slots]  # copy 0, copy 1 or C^r
+    m2 = m.alpha.mats[2]
+
+    def rows(kind, sign=1):
+        return Matrix.from_ints([[sign * x for x in row] for row, s in zip(m2, summand) if s == kind],
+                                m.alpha.den, m.dims.total_k)
+
+    ainv = cfg._a_inverse
+    return [ainv * rows(1, -1), ainv * rows(0)], rows("C")
 
 
 def reference_scan_chart(m, rng: Random, use_all_minors: bool):

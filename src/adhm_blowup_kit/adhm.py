@@ -20,7 +20,10 @@ strips of ``q^A`` and their products with ``a^{-1}`` once each.
 
 Gauge normalisation sets ``ai0 = Id``; the residual symmetry group and its
 action on normalised configurations, the tangent computation, and the
-deterministic sampler of valid configurations all live here.
+deterministic sampler of valid configurations all live here.  The Jacobian,
+the isotropy system and the sampler's system are term lists for one
+assembler, :func:`_linearise`, so the sampler's columns are the Jacobian's
+``(aA00[1], c)`` columns by construction.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, product
 from math import lcm
+from operator import add
 from random import Random
 from typing import Sequence
 
@@ -180,16 +185,10 @@ class AdhmConfig:
 
 def assemble_a(cfg: AdhmConfig) -> Matrix:
     """The arrowhead matrix ``a``: row 0 and column 0 full, diagonal, zeros elsewhere."""
-    n = cfg.n
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    blocks: list[list[Matrix]] = []
-    row0 = [cfg.a00] + [cfg.a0i[j] for j in range(n)]
-    blocks.append(row0)
-    for i in range(n):
-        row = [cfg.ai0[i]]
-        for j in range(n):
-            row.append(cfg.aii[i] if i == j else Matrix.zeros(ld[i + 1], kd[j + 1]))
-        blocks.append(row)
+    blocks = [[cfg.a00, *cfg.a0i]] + [
+        [cfg.ai0[i]] + [cfg.aii[i] if i == j else Matrix.zeros(ld[i + 1], kd[j + 1])
+                        for j in range(cfg.n)] for i in range(cfg.n)]
     return block_matrix(blocks, list(ld), list(kd))
 
 
@@ -349,12 +348,7 @@ class GroupElement:
 def dim_group(dims: MonadDims) -> int:
     """Dimension of the residual symmetry group in this parametrisation."""
     kd, ld = dims.dim_k, dims.dim_l
-    return (
-        ld[0] ** 2
-        + kd[0] ** 2
-        + sum(ld[0] * ld[i + 1] for i in range(dims.n))
-        + sum(kd[i + 1] ** 2 for i in range(dims.n))
-    )
+    return ld[0] ** 2 + kd[0] ** 2 + sum(ld[0] * h + w * w for h, w in zip(ld[1:], kd[1:]))
 
 
 def act(el: GroupElement, cfg: AdhmConfig) -> AdhmConfig:
@@ -407,13 +401,50 @@ def verify_equivalence(c1: AdhmConfig, c2: AdhmConfig, witness: GroupElement) ->
     return act(witness, c1) == c2
 
 
-def _from_columns(columns: list[list[int]], den: int) -> Matrix:
-    return Matrix.from_ints([list(row) for row in zip(*columns)], den, len(columns))
-
-
 def _point_matrix(cfg: AdhmConfig) -> Matrix:
     """The blow-up centres as the rows of an ``n x 2`` matrix."""
     return Matrix([list(p) for p in cfg.points.points], ncols=2)
+
+
+def _linearise(outputs: Sequence[tuple[int, int]], unknowns: Sequence[tuple]) -> Matrix:
+    """The matrix of ``E -> sum X E Y`` in the unit directions ``E_PQ`` of blocks of unknowns.
+
+    Each unknown ``(m, w, terms)`` is an ``m x w`` block; a term ``(o, X,
+    Y)`` adds ``X E Y`` to output block ``o``, with None for an identity in
+    at most one factor.  Rows are the entries of the output blocks, of shapes
+    ``outputs``; columns are the ``E_PQ``, unknown after unknown; each block
+    row by row.  As ``X E_PQ Y = X[:, P] Y[Q, :]``, a term adds an integer
+    outer product over the lcm of the terms' denominators, or writes row
+    ``Q`` of ``Y`` (column ``P`` of ``X``) into place when ``X`` (``Y``) is
+    the identity.  No other function knows this column layout.
+    """
+    starts = list(accumulate((h * w for h, w in outputs), initial=0))
+    dens = [[(1 if x is None else x.den) * (1 if y is None else y.den) for _o, x, y in terms]
+            for _m, _w, terms in unknowns]
+    den = lcm(1, *(d for ds in dens for d in ds))
+    columns: list[list[int]] = []
+    for (m, w, terms), ds in zip(unknowns, dens):
+        placed, seen = [], set()
+        for (o, x, y), d in zip(terms, ds):
+            f, (h, ow) = den // d, outputs[o]
+            xs = None if x is None else [[f * row[P] for row in x.num] for P in range(m)]
+            ys = None if y is None else y.num if x is not None else [[f * v for v in row]
+                                                                     for row in y.num]
+            placed.append((starts[o], h * ow, ow, xs, ys, o not in seen))
+            seen.add(o)
+        for P, Q in product(range(m), range(w)):
+            col = [0] * starts[-1]
+            for start, size, ow, xs, ys, fresh in placed:
+                if xs is None:  # E_PQ Y: row Q of Y in row P
+                    span, vec = slice(start + P * ow, start + (P + 1) * ow), ys[Q]
+                elif ys is None:  # X E_PQ: column P of X in column Q
+                    span, vec = slice(start + Q, start + size, ow), xs[P]
+                else:
+                    span, vec = slice(start, start + size), [a * b for a in xs[P] for b in ys[Q]]
+                col[span] = vec if fresh else map(add, col[span], vec)
+            columns.append(col)
+    rows = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(starts[-1])]
+    return Matrix.from_ints(rows, den, len(columns))
 
 
 def _isotropy_system(cfg: AdhmConfig) -> Matrix:
@@ -422,53 +453,27 @@ def _isotropy_system(cfg: AdhmConfig) -> Matrix:
     On normalised data the action on ``a`` is ``a -> G a H``, with ``G``
     block upper triangular (``g00``, ``g0i`` and ``g_ii = h00^{-1}``) and
     ``H = diag(h00, hii...)``.  At first order, with ``h = diag(h0, hi...)``
-    and ``a`` invertible, the a00 and a0i equations say exactly
-    ``[g0 | gam] = -[a00 h0 | a0i hi] a^{-1} = -a_{0.} h a^{-1}``, and
-    substituting that in the others leaves the system here: one row per
-    entry of ``a_{0.} h (a^{-1} q^A)_{., K0} + aA00[A] h0`` (A = 0, 1) and
-    ``-a_{0.} h (a^{-1})_{., L0} d``, interleaved row by row, then of
-    ``c h0`` and of ``-h0 aii + aii hi``; its nullity is the isotropy
-    dimension.  Columns are the unit directions ``E_PQ`` of ``h00``,
-    ``hii``..., each block row by row.  As ``X E_PQ Y = X[:, P] Y[Q, :]``, a
-    unit direction gives column ``P`` of ``a_{0.}`` times row ``Q`` of
-    ``W = a^{-1} [q^0_{., K0} | q^1_{., K0} | -d on L_0]`` (kept as
-    ``AdhmConfig._aq_cols``), plus the ``aA00``, ``c`` and ``aii`` terms, over
-    ``den dw``.  Raises :class:`FramingViolationError` when ``a`` is singular.
+    and ``a`` invertible, the a00 and a0i equations say exactly ``[g0 | gam]
+    = -a_{0.} h a^{-1}``; substituting that in the others leaves the blocks
+    ``a_{0.} h W_A + aA00[A] h0`` (A = 0, 1), ``a_{0.} h W_d``, ``c h0`` and
+    ``-h0 aii + aii hi``, with ``[W_0 | W_1 | W_d]`` the kept ``_aq_cols``.
+    Its nullity is the isotropy dimension.  Raises
+    :class:`FramingViolationError` when ``a`` is singular.
     """
-    n, r = cfg.n, cfg.r
-    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    l0, k0 = ld[0], kd[0]
-    dw, (w,) = clear_denoms(cfg._aq_cols)
-    den, (a0, aA0, aA1, c, *aii) = clear_denoms(
-        block_matrix([[cfg.a00, *cfg.a0i]], [l0], list(kd)), *cfg.aA00, cfg.c, *cfg.aii)
-    aA0, aA1, c, *aii = ([[dw * x for x in row] for row in m] for m in (aA0, aA1, c, *aii))
-    width = 2 * k0 + r
-    top = l0 * width
-    offsets = [top + r * k0]  # where the rows of each aii begin, then the end
-    for h, wd in zip(ld[1:], kd[1:]):
-        offsets.append(offsets[-1] + h * wd)
-    col_off = [sum(kd[:i]) for i in range(n + 1)]
-    columns: list[list[int]] = []
-    for b in range(n + 1):
-        for P in range(kd[b]):
-            u = [row[col_off[b] + P] for row in a0]
-            for Q in range(kd[b]):
-                col = [x * y for x in u for y in w[col_off[b] + Q]] + [0] * (offsets[-1] - top)
-                if b == 0:
-                    for i in range(l0):  # aA00[A] E_PQ
-                        col[i * width + Q] += aA0[i][P]
-                        col[i * width + k0 + Q] += aA1[i][P]
-                    for m in range(r):  # c E_PQ
-                        col[top + m * k0 + Q] = c[m][P]
-                    for j, blk in enumerate(aii):  # -E_PQ aii
-                        start = offsets[j] + P * kd[j + 1]
-                        col[start:start + kd[j + 1]] = [-x for x in blk[Q]]
-                else:  # aii E_PQ
-                    wd = kd[b]
-                    for i, row in enumerate(aii[b - 1]):
-                        col[offsets[b - 1] + i * wd + Q] = row[P]
-                columns.append(col)
-    return _from_columns(columns, den * dw)
+    kd, ld, r = cfg.dims.dim_k, cfg.dims.dim_l, cfg.r
+    k0, ko = kd[0], list(accumulate(kd, initial=0))
+    w = cfg._aq_cols
+
+    def moved(b: int, x: Matrix) -> list:  # a_{0.} h W with h on K_b, x = a_{0.} on K_b
+        return [(j, x, w.submatrix(ko[b], ko[b + 1], c0, c1))
+                for j, (c0, c1) in enumerate(((0, k0), (k0, 2 * k0), (2 * k0, 2 * k0 + r)))]
+
+    h00 = moved(0, cfg.a00) + [(0, cfg.aA00[0], None), (1, cfg.aA00[1], None), (3, cfg.c, None)]
+    h00 += [(4 + i, None, -m) for i, m in enumerate(cfg.aii)]
+    unknowns = [(k0, k0, h00)] + [(kd[i + 1], kd[i + 1], moved(i + 1, a0i) + [(4 + i, aii, None)])
+                                  for i, (a0i, aii) in enumerate(zip(cfg.a0i, cfg.aii))]
+    return _linearise([(ld[0], k0), (ld[0], k0), (ld[0], r), (r, k0), *zip(ld[1:], kd[1:])],
+                      unknowns)
 
 
 def stabilizer_dim(cfg: AdhmConfig) -> int:
@@ -497,66 +502,32 @@ class TangentReport:
 
 
 def _jacobian(cfg: AdhmConfig) -> Matrix:
-    """Jacobian of the compact constraint, one column per free entry.
+    """Jacobian of the compact constraint in the free entries a00, a0i..., aii..., aA00, c and d.
 
-    Rows are the entries of the ``(L_0, K_0)`` block, row by row; columns are
-    the unit directions ``E_PQ`` of a00, a0i..., aii..., aA00[0], aA00[1], c
-    and d, each block row by row.  A direction moves the arrow by ``t E_PQ``
-    (or not) and ``q^A`` by ``t s_A E_PQ``; since ``X E_PQ Y = X[:, P] Y[Q, :]``,
-    the six products of the derivative of ``q^A a^{-1} q_A`` reduce to an outer product of
-    a column of ``q^A a^{-1}`` with a row of ``a^{-1} q^A``, plus ``s_A``-scaled
-    rows of ``a^{-1} q^A`` and columns of ``q^A a^{-1}``.
-
-    With ``q^A a^{-1}`` over ``du``, ``a^{-1} q^A`` over ``dv`` and the points
-    over ``dp``, each term is an integer over ``du dv dp``, then over ``den``
-    with ``c`` and ``d``.
+    A direction ``E`` moves the arrow by ``t E`` (or not) and ``q^A`` by ``t
+    s_A E``, so the compact block moves by ``U_0 E V_1 - U_1 E V_0 + E (s_1
+    V_0 - s_0 V_1) + (s_0 U_1 - s_1 U_0) E``: ``U_A`` are the kept ``L_0``
+    rows of ``q^A a^{-1}`` and ``V_A`` the kept ``K_0`` columns of ``a^{-1}
+    q^A``, restricted to ``E``'s block.  The ``aA00[1]`` and ``c`` columns
+    are :func:`_framing_unknowns`, which the sampler's system shares.
     """
-    n = cfg.n
-    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    l0, k0 = ld[0], kd[0]
-    # the kept L_0 rows of q^A a^{-1} and K_0 columns of a^{-1} q^A
-    du, qa = clear_denoms(*cfg._qa_rows)
-    dv, (w,) = clear_denoms(cfg._aq_cols)
-    aq = [(row[:k0], row[k0:2 * k0]) for row in w]
-    dp, (p,) = clear_denoms(_point_matrix(cfg))
-    den = lcm(du * dv * dp, cfg.c.den, cfg.d.den)
-    f = den // (du * dv * dp)
-    fp, fu, fv = f * dp, f * du, f * dv
-    row_off = [sum(ld[:i]) for i in range(n + 1)]
-    col_off = [sum(kd[:i]) for i in range(n + 1)]
-    # (first row, first column, height, width, moves the arrow, dp s_0, dp s_1)
-    blocks = [(0, 0, l0, k0, True, 0, 0)]
-    blocks += [(0, col_off[i + 1], l0, kd[i + 1], True, *p[i]) for i in range(n)]
-    blocks += [(row_off[i + 1], col_off[i + 1], ld[i + 1], kd[i + 1], True, *p[i])
-               for i in range(n)]
-    blocks += [(0, 0, l0, k0, False, -dp, 0), (0, 0, l0, k0, False, 0, -dp)]
-    columns: list[list[int]] = []
-    for row0, col0, height, width, moves, s0, s1 in blocks:
-        for P in range(row0, row0 + height):
-            u0 = [qa[0][i][P] for i in range(l0)]
-            u1 = [qa[1][i][P] for i in range(l0)]
-            for Q in range(col0, col0 + width):
-                v0, v1 = aq[Q]
-                if moves:
-                    ds = [[fp * (x0 * y1 - x1 * y0) for y0, y1 in zip(v0, v1)]
-                          for x0, x1 in zip(u0, u1)]
-                else:
-                    ds = [[0] * k0 for _ in range(l0)]
-                if P < l0 and (s0 or s1):
-                    ds[P] = [x + fu * (s1 * y0 - s0 * y1) for x, y0, y1 in zip(ds[P], v0, v1)]
-                if Q < k0 and (s0 or s1):
-                    for i in range(l0):
-                        ds[i][Q] += fv * (s0 * u1[i] - s1 * u0[i])
-                columns.append([x for row in ds for x in row])
-    # d E_PQ and E_PQ c
-    c, d = ([[x * (den // m.den) for x in row] for row in m.num] for m in (cfg.c, cfg.d))
-    for P in range(cfg.r):
-        for Q in range(k0):
-            columns.append([row[P] if j == Q else 0 for row in d for j in range(k0)])
-    for P in range(l0):
-        for Q in range(cfg.r):
-            columns.append([x if i == P else 0 for i in range(l0) for x in c[Q]])
-    return _from_columns(columns, den)
+    n, l0, k0 = cfg.n, cfg.dims.dim_l[0], cfg.dims.dim_k[0]
+    lo, ko = (list(accumulate(dims, initial=0)) for dims in (cfg.dims.dim_l, cfg.dims.dim_k))
+    u = [[m.submatrix(0, l0, lo[b], lo[b + 1]) for b in range(n + 1)] for m in cfg._qa_rows]
+    v = [[cfg._aq_cols.submatrix(ko[b], ko[b + 1], A * k0, (A + 1) * k0) for b in range(n + 1)]
+         for A in (0, 1)]
+
+    def moves(b: int, c: int) -> list:  # the arrow's block (L_b, K_c) moves
+        return [(0, u[0][b], v[1][c]), (0, -u[1][b], v[0][c])]
+
+    unknowns = [(l0, k0, moves(0, 0))]
+    unknowns += [(l0, kd, moves(0, i) + [(0, None, v[0][i].scale(p1) - v[1][i].scale(p0))])
+                 for i, (kd, (p0, p1)) in enumerate(zip(cfg.dims.dim_k[1:], cfg.points.points), 1)]
+    unknowns += [(cfg.dims.dim_l[i], cfg.dims.dim_k[i], moves(i, i)) for i in range(1, n + 1)]
+    unknowns.append((l0, k0, [(0, None, v[1][0]), (0, -u[1][0], None)]))  # aA00[0]: s_0 = -1
+    unknowns += _framing_unknowns(cfg, u[0][0], v[0][0])
+    unknowns.append((l0, cfg.r, [(0, None, cfg.c)]))  # d
+    return _linearise([(l0, k0)], unknowns)
 
 
 def tangent_dims(cfg: AdhmConfig) -> TangentReport:
@@ -572,10 +543,8 @@ def tangent_dims(cfg: AdhmConfig) -> TangentReport:
     """
     if not cfg.is_normalized():
         raise ValueError("tangent data is computed on gauge-normalised configurations")
-    kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
-    l0, k0 = ld[0], kd[0]
-    # a00, aA00[0], aA00[1], a0i..., aii..., c and d
-    free = 3 * l0 * k0 + sum((l0 + h) * w for h, w in zip(ld[1:], kd[1:])) + cfg.r * (k0 + l0)
+    # the Jacobian's columns: the entries of every block but the ai0
+    free = sum(m.nrows * m.ncols for m in (cfg.a00, *cfg.a0i, *cfg.aii, *cfg.aA00, cfg.c, cfg.d))
     dim_ker = free - cfg._jacobian_rank
     dg = dim_group(cfg.dims)
     stab = stabilizer_dim(cfg)
@@ -632,43 +601,36 @@ def _draw(r: int, a_vec: tuple[int, ...], k: int, rng: Random) -> AdhmConfig:
     )
 
 
+def _framing_unknowns(cfg: AdhmConfig, q: Matrix, p: Matrix) -> list:
+    """The ``aA00[1]`` and ``c`` unknowns of the compact block, for :func:`_linearise`.
+
+    ``X = aA00[1]`` is the corner ``-X`` of ``q^1``, so ``X`` moves the block
+    by ``q X - X p``, with ``q`` and ``p`` the ``(L_0, L_0)`` corner of ``q^0
+    a^{-1}`` and the ``(K_0, K_0)`` corner of ``a^{-1} q^0``; ``c`` moves it
+    by ``d c``.
+    """
+    return [(q.nrows, p.nrows, [(0, q, None), (0, None, -p)]),
+            (cfg.r, p.nrows, [(0, cfg.d, None)])]
+
+
 def _sylvester_system(cfg: AdhmConfig) -> tuple[list[list[int]], int]:
     """The monad condition as a linear system in ``(X, c)``, ``X = aA00[1]``.
 
-    ``X`` enters ``q^1`` alone, as its corner ``-X``, so the compact block
-    is affine in it: ``compact(X) = compact(0) + Q X - X P``, with ``Q`` the
-    ``(L_0, L_0)`` corner of ``q^0 a^{-1}`` and ``P`` the ``(K_0, K_0)``
-    corner of ``a^{-1} q^0``.  The residual vanishes iff
-    ``Q X - X P + d c = -compact(0)``.  Returns the integer rows of
-    ``[system | rhs]`` over one denominator: one row per entry of the
-    ``(L_0, K_0)`` block, and one column per entry of ``X`` and then of
-    ``c``, each row by row, as in :func:`_jacobian`.  ``cfg`` has ``X = 0``
-    (compact(0) is its compact block).  ``P`` needs only the first ``k0``
-    rows of ``a^{-1}``.  Raises :class:`FramingViolationError` when ``a`` is
+    ``cfg`` has ``X = 0`` and ``c = 0``, and the compact block is affine in
+    them (:func:`_framing_unknowns`), so the residual vanishes iff ``q X - X
+    p + d c = -compact(cfg)``.  Returns the integer rows of ``[system |
+    rhs]`` over one denominator; the system is the Jacobian's ``(aA00[1],
+    c)`` columns by construction, but ``p`` needs only the first ``k0`` rows
+    of ``a^{-1}``.  Raises :class:`FramingViolationError` when ``a`` is
     singular.
     """
     l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
     ainv = cfg._a_inverse
-    den, (q, p, d, compact) = clear_denoms(
-        cfg._qa_rows[0].submatrix(0, l0, 0, l0),
-        ainv.submatrix(0, k0, 0, ainv.ncols) * cfg._strips[1][0],
-        cfg.d,
-        _compact_block(cfg),
-    )
-    nx = l0 * k0
-    system = []
-    for i in range(l0):
-        for j in range(k0):
-            row = [0] * (nx + cfg.r * k0 + 1)
-            for m in range(l0):  # (Q X)_ij = sum_m Q_im X_mj
-                row[m * k0 + j] += q[i][m]
-            for m in range(k0):  # (X P)_ij = sum_m X_im P_mj
-                row[i * k0 + m] -= p[m][j]
-            for m in range(cfg.r):  # (d c)_ij = sum_m d_im c_mj
-                row[nx + m * k0 + j] = d[i][m]
-            row[-1] = -compact[i][j]
-            system.append(row)
-    return system, den
+    system = _linearise([(l0, k0)], _framing_unknowns(
+        cfg, cfg._qa_rows[0].submatrix(0, l0, 0, l0),
+        ainv.submatrix(0, k0, 0, ainv.ncols) * cfg._strips[1][0]))
+    den, (lhs, compact) = clear_denoms(system, _compact_block(cfg))
+    return [row + [-x] for row, x in zip(lhs, (x for line in compact for x in line))], den
 
 
 def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:

@@ -134,11 +134,16 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(args) -> int:
-    cfg, _seed = _load_config(args.path)
-    # the scan certifies completeness only on a monad (see monad._scan_chart)
+def _require_monad(cfg):
+    """``cfg``, or :class:`NotInPError` (exit 2) if its compact residual is nonzero."""
     if not adhm.constraint_residual(cfg).is_zero():
         raise NotInPError("configuration does not satisfy the monad condition")
+    return cfg
+
+
+def _cmd_scan(args) -> int:
+    # the scan certifies completeness only on a monad (see monad._scan_chart)
+    cfg = _require_monad(_load_config(args.path)[0])
     try:
         scan = monad.singular_scan(monad.build_monad(cfg))
     except NotInPError as exc:
@@ -185,11 +190,7 @@ def _tangent_doc(cfg) -> dict:
 
 def _tangent_config(args):
     if args.path is not None:
-        cfg, _seed = _load_config(args.path)
-        cfg = adhm.gauge_fix(cfg)
-        if not adhm.constraint_residual(cfg).is_zero():
-            raise NotInPError("configuration does not satisfy the monad condition")
-        return cfg
+        return _require_monad(adhm.gauge_fix(_load_config(args.path)[0]))
     if args.r is None or args.k is None:
         raise ConfigFormatError("tangent needs a config file or -r and -k")
     return adhm.sample_config(args.r, _parse_int_csv(args.a), args.k,

@@ -127,24 +127,23 @@ class FiberData:
     fiber_dim: int
 
 
-def _terms(x: SurfacePoint, ctx: BlowupPoints, integer: bool = False) -> tuple:
-    """``(i, plain, twisted)``: what :meth:`Pencil.combine` weighs its matrices by at ``x``.
+def _terms(x: SurfacePoint, ctx: BlowupPoints) -> tuple:
+    """``(den, (i, plain, twisted))``: what :meth:`Pencil.combine` weighs its matrices by at ``x``.
 
     In the chart ``i`` is None and ``plain`` is the chosen representative
     ``(z0, z1, z2)``.  On ``E_i``, ``plain = (p_i^0, p_i^1, 1)`` gives an
     untwisted entry its value at the centre and ``twisted = (w0, w1)`` gives
     an entry twisted by ``-E_i`` its restriction: the ``lambda``-frame of
-    :mod:`.sections`.  ``integer`` scales all of them by one common
-    denominator, which scales every entry by the same nonzero constant.
+    :mod:`.sections`.  All of them are integers over the common denominator
+    ``den``, which scales every entry by the same nonzero constant.
     """
     i = x.exceptional_index
     ctx.check_point(x.coords, i)
     nums = ((*ctx.points[i - 1], Fraction(1), *x.coords) if x.is_exceptional
             else x.coords + x.coords[:2])
-    if integer:
-        den = math.lcm(*(x.denominator for x in nums))
-        nums = [x.numerator * (den // x.denominator) for x in nums]
-    return i, tuple(nums[:3]), tuple(nums[3:])
+    den = math.lcm(*(x.denominator for x in nums))
+    nums = [x.numerator * (den // x.denominator) for x in nums]
+    return den, (i, tuple(nums[:3]), tuple(nums[3:]))
 
 
 @dataclass(frozen=True)
@@ -183,12 +182,11 @@ class Pencil:
 
     def at(self, x: SurfacePoint, ctx: BlowupPoints) -> Matrix:
         """Exact values at ``x``, in the frame its coordinates fix."""
-        return Matrix(self.combine(_terms(x, ctx)),
-                      ncols=len(self.col_twist)).scale(Fraction(1, self.den))
+        den, terms = _terms(x, ctx)
+        return Matrix.from_ints(self.combine(terms), den * self.den, len(self.col_twist))
 
     def rank_at(self, x: SurfacePoint, ctx: BlowupPoints) -> int:
-        rows = self.combine(_terms(x, ctx, integer=True))
-        return Matrix.from_ints(rows, 1, len(self.col_twist)).rank()
+        return Matrix.from_ints(self.combine(_terms(x, ctx)[1]), 1, len(self.col_twist)).rank()
 
 
 @dataclass(frozen=True)
@@ -457,7 +455,7 @@ def _scan_divisor(m: MonadRep, i: int) -> tuple[list[SurfacePoint], bool]:
     rank_w = m.dims.rank_w
     # the columns of alpha at (1 : 0) and (0 : 1), both scaled by the integer
     # that clears the denominators of p_i
-    at = [list(zip(*m.alpha.combine(_terms(SurfacePoint.exceptional(i, *w), m.ctx, True))))
+    at = [list(zip(*m.alpha.combine(_terms(SurfacePoint.exceptional(i, *w), m.ctx)[1])))
           for w in ((1, 0), (0, 1))]
     twisted = [t == i for t in m.alpha.col_twist]
     found = _drops_beside(*(
@@ -720,9 +718,7 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
                 spots.append(SpotCheck(pt, None, None, None, False, False))
                 failures.append(f"beta not surjective at {pt}")
                 continue
-            expected_min = cfg.r + 1 if pt in singular_set else cfg.r
-            ok = (fd.fiber_dim >= expected_min if pt in singular_set
-                  else fd.fiber_dim == cfg.r)
+            ok = fd.fiber_dim > cfg.r if pt in singular_set else fd.fiber_dim == cfg.r
             if not ok:
                 failures.append(f"unexpected fibre dimension {fd.fiber_dim} at {pt}")
             spots.append(SpotCheck(pt, fd.rank_alpha, fd.dim_ker_beta,

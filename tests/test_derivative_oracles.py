@@ -18,7 +18,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhm_blowup_kit.adhm import _isotropy_system, _jacobian, sample_config
+from adhm_blowup_kit.adhm import _isotropy_system, _jacobian, _linearise, sample_config
 from adhm_blowup_kit.linalg import Matrix
 from util import (
     action_derivative,
@@ -226,3 +226,45 @@ def test_isotropy_nullity_matches_full_system(r, a_vec, k, zero, seed):
     if "d" in zero:
         cfg = cfg.replace(d=Matrix.zeros(*cfg.d.shape))
     assert _isotropy_system(cfg).nullity() == _reference_stabilizer(cfg).nullity()
+
+
+def _linearise_reference(outputs, unknowns):
+    """``sum X E Y`` by ``Matrix.__mul__``, one column per unit ``E`` of each unknown."""
+    columns = []
+    for m, w, terms in unknowns:
+        for unit in _units(m, w):
+            blocks = [Matrix.zeros(h, ow) for h, ow in outputs]
+            for o, x, y in terms:
+                x = Matrix.identity(m) if x is None else x
+                y = Matrix.identity(w) if y is None else y
+                blocks[o] = blocks[o] + x * unit * y
+            columns.append(_flat(blocks))
+    return _from_columns(columns, sum(h * ow for h, ow in outputs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_linearise_matches_block_products(data):
+    # identity factors, several output blocks, and blocks of size 0
+    rng = Random(data.draw(st.integers(0, 2 ** 16)))
+
+    def rand(m, n):  # denominators 1, 2 and 3, so the terms' lcm is exercised
+        return Matrix.from_function(m, n, lambda i, j: Fraction(rng.randint(-3, 3),
+                                                                 rng.choice((1, 2, 3))))
+
+    dim = st.integers(0, 3)
+    outputs = data.draw(st.lists(st.tuples(dim, dim), min_size=1, max_size=3))
+    unknowns = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        m, w = data.draw(dim), data.draw(dim)
+        terms = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            o = data.draw(st.integers(0, len(outputs) - 1))
+            h, ow = outputs[o]
+            factors = data.draw(st.sampled_from(["XY"] + ["Y"] * (h == m) + ["X"] * (ow == w)))
+            terms.append((o, rand(h, m) if "X" in factors else None,
+                          rand(w, ow) if "Y" in factors else None))
+        unknowns.append((m, w, terms))
+    got = _linearise(outputs, unknowns)
+    assert got.shape == (sum(h * ow for h, ow in outputs), sum(m * w for m, w, _ in unknowns))
+    assert got == _linearise_reference(outputs, unknowns)

@@ -208,7 +208,7 @@ def reference_qA(cfg: AdhmConfig) -> tuple[Matrix, Matrix]:
 
 # -- the derivative references ---------------------------------------------------
 #
-# The first-order changes that ``adhm._jacobian`` and ``adhm._stabilizer_system``
+# The first-order changes that ``adhm._jacobian`` and ``adhm._isotropy_system``
 # assemble column by column, computed here by block products instead.
 
 

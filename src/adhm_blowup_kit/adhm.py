@@ -46,7 +46,7 @@ from .errors import (
     SamplingFailureError,
 )
 from .lattice import MonadDims, monad_dims
-from .linalg import Matrix, _gauss_jordan, _primitive, block_matrix, clear_denoms
+from .linalg import Matrix, _gauss_jordan, _inner_inverse, _primitive, block_matrix, clear_denoms
 from .sections import BlowupPoints
 
 MatrixPair = tuple[Matrix, Matrix]
@@ -118,7 +118,8 @@ class AdhmConfig:
         """Nullity of the isotropy system, kept on the instance once computed.
 
         Not a field: equality, ``replace`` and ``act`` ignore it, and every new
-        instance starts without it.
+        instance starts without it.  :func:`_stabilizer_uncertified` sets it
+        to 0 where it certifies that.
         """
         return _isotropy_system(self).nullity()
 
@@ -156,7 +157,16 @@ class AdhmConfig:
     @cached_property
     def _qa_rows(self) -> MatrixPair:
         """The ``L_0`` rows of ``q^A a^{-1}``, kept like the strips."""
-        return tuple(m * self._a_inverse for m in self._strips[0])
+        return self._q0a_rows, self._strips[0][1] * self._a_inverse
+
+    @cached_property
+    def _q0a_rows(self) -> Matrix:
+        """The ``L_0`` rows of ``q^0 a^{-1}``, kept like the strips.
+
+        ``q^0`` depends on neither ``aA00[1]`` nor ``c``, so :func:`_solve_draw`
+        hands its draw's on to the sample.
+        """
+        return self._strips[0][0] * self._a_inverse
 
     @cached_property
     def _aq_cols(self) -> Matrix:
@@ -447,8 +457,18 @@ def _linearise(outputs: Sequence[tuple[int, int]], unknowns: Sequence[tuple]) ->
     return Matrix.from_ints(rows, den, len(columns))
 
 
+def _unknown_blocks(x: Sequence, shapes: Sequence[tuple]) -> list[list[list]]:
+    """A vector over the columns of :func:`_linearise` as the rows of each unknown block.
+
+    ``shapes`` starts each item with ``(m, w)``, as the unknowns do.
+    """
+    starts = list(accumulate((m * w for m, w, *_ in shapes), initial=0))
+    return [[list(x[s + P * w:s + (P + 1) * w]) for P in range(m)]
+            for s, (m, w, *_) in zip(starts, shapes)]
+
+
 def _isotropy_system(cfg: AdhmConfig) -> Matrix:
-    """Linearised fixed-point equations at the identity, in the ``h`` unknowns alone.
+    """Linearised fixed-point equations at the identity, in ``h0`` and the kernels of ``aii``.
 
     On normalised data the action on ``a`` is ``a -> G a H``, with ``G``
     block upper triangular (``g00``, ``g0i`` and ``g_ii = h00^{-1}``) and
@@ -456,24 +476,45 @@ def _isotropy_system(cfg: AdhmConfig) -> Matrix:
     and ``a`` invertible, the a00 and a0i equations say exactly ``[g0 | gam]
     = -a_{0.} h a^{-1}``; substituting that in the others leaves the blocks
     ``a_{0.} h W_A + aA00[A] h0`` (A = 0, 1), ``a_{0.} h W_d``, ``c h0`` and
-    ``-h0 aii + aii hi``, with ``[W_0 | W_1 | W_d]`` the kept ``_aq_cols``.
-    Its nullity is the isotropy dimension.  Raises
+    ``aii hi - h0 aii``, with ``W = [W_0 | W_1 | W_d]`` the kept
+    ``_aq_cols`` and ``W^b`` its ``K_b`` rows.
+
+    The ``L_i`` rows of ``a W = [q^0_{., K0} | q^1_{., K0} | -d on L_0]``
+    read ``W^0 + aii W^i = [p_i^0 I | p_i^1 I | 0]``.  With ``aii L_i aii =
+    aii``, ``N_i`` a kernel basis and ``M_i`` a left-kernel basis of ``aii``
+    (:func:`.linalg._inner_inverse`), ``aii hi = h0 aii`` holds iff ``M_i h0
+    aii = 0`` and ``hi = L_i h0 aii + N_i Z_i``.  Substituted, the other
+    blocks become ``X h0 W_A^0 + X_A h0 + sum a0i N_i Z_i W_A^i``, ``X h0
+    W_d^0 + sum a0i N_i Z_i W_d^i`` and ``c h0``, with ``X = a00 - sum a0i
+    L_i`` and ``X_A = aA00[A] + sum p_i^A a0i L_i``.  The substitution maps
+    the unknowns ``(h0, Z_i)`` isomorphically onto the solutions of the
+    ``K_i`` blocks, so the nullity is still the isotropy dimension, over
+    ``k0^2 + sum dim ker(aii) dim K_i`` columns.  Raises
     :class:`FramingViolationError` when ``a`` is singular.
     """
     kd, ld, r = cfg.dims.dim_k, cfg.dims.dim_l, cfg.r
     k0, ko = kd[0], list(accumulate(kd, initial=0))
     w = cfg._aq_cols
 
-    def moved(b: int, x: Matrix) -> list:  # a_{0.} h W with h on K_b, x = a_{0.} on K_b
+    def moved(b: int, x: Matrix) -> list:  # x h W^b, h on K_b
         return [(j, x, w.submatrix(ko[b], ko[b + 1], c0, c1))
                 for j, (c0, c1) in enumerate(((0, k0), (k0, 2 * k0), (2 * k0, 2 * k0 + r)))]
 
-    h00 = moved(0, cfg.a00) + [(0, cfg.aA00[0], None), (1, cfg.aA00[1], None), (3, cfg.c, None)]
-    h00 += [(4 + i, None, -m) for i, m in enumerate(cfg.aii)]
-    unknowns = [(k0, k0, h00)] + [(kd[i + 1], kd[i + 1], moved(i + 1, a0i) + [(4 + i, aii, None)])
-                                  for i, (a0i, aii) in enumerate(zip(cfg.a0i, cfg.aii))]
-    return _linearise([(ld[0], k0), (ld[0], k0), (ld[0], r), (r, k0), *zip(ld[1:], kd[1:])],
-                      unknowns)
+    x, xa = cfg.a00, list(cfg.aA00)
+    outputs = [(ld[0], k0), (ld[0], k0), (ld[0], r), (r, k0)]
+    h0, kernels = [], []
+    for i, (a0i, aii, p) in enumerate(zip(cfg.a0i, cfg.aii, cfg.points.points), 1):
+        inner, kernel, left = _inner_inverse(aii)
+        moves = a0i * inner
+        x = x - moves
+        xa = [m + moves.scale(pa) for m, pa in zip(xa, p)]
+        if left.nrows and kd[i]:
+            h0.append((len(outputs), left, aii))
+            outputs.append((left.nrows, kd[i]))
+        if kernel.ncols:
+            kernels.append((kernel.ncols, kd[i], moved(i, a0i * kernel)))
+    h0 += moved(0, x) + [(0, xa[0], None), (1, xa[1], None), (3, cfg.c, None)]
+    return _linearise(outputs, [(k0, k0, h0)] + kernels)
 
 
 def stabilizer_dim(cfg: AdhmConfig) -> int:
@@ -487,6 +528,20 @@ def stabilizer_dim(cfg: AdhmConfig) -> int:
     if not cfg.is_normalized():
         raise ValueError("stabilizer is computed on gauge-normalised configurations")
     return cfg._stabilizer_nullity
+
+
+def _stabilizer_uncertified(cfg: AdhmConfig) -> bool:
+    """False iff :func:`_isotropy_system` has full column rank modulo a prime.
+
+    That certifies a zero stabilizer (:meth:`.Matrix.certified_rank`), which
+    is then kept on ``cfg``.  True proves nothing: the stabilizer is
+    positive, or the prime is unlucky.  No exact elimination runs.
+    """
+    system = _isotropy_system(cfg)
+    if system.certified_rank() != system.ncols:
+        return True
+    cfg.__dict__["_stabilizer_nullity"] = 0
+    return False
 
 
 # -- tangent computation ----------------------------------------------------------
@@ -644,7 +699,8 @@ def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
     lack it, and ``d = 0`` at ``dim L_0 = dim K_0 = r = 1`` another.  The
     system's columns are the Jacobian's ``(aA00[1], c)`` columns, which
     depend on neither ``aA00[1]`` nor ``c``, so the Jacobian of the sample
-    has rank ``dim L_0 dim K_0`` too; the sample keeps that rank.
+    has rank ``dim L_0 dim K_0`` too; the sample keeps that rank, and the
+    draw's ``L_0`` rows of ``q^0 a^{-1}``.
     """
     system, _den = _sylvester_system(cfg)
     l0, k0, r = cfg.dims.dim_l[0], cfg.dims.dim_k[0], cfg.r
@@ -659,10 +715,11 @@ def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
     x = [pivot * free.get(j, 0) for j in range(nu)]
     for row, pc in zip(system, pivots):
         x[pc] = row[nu] - sum(row[j] * t for j, t in free.items())
-    aA1 = Matrix.from_ints([x[i * k0:(i + 1) * k0] for i in range(l0)], pivot, k0)
-    c = Matrix.from_ints([x[(l0 + i) * k0:(l0 + i + 1) * k0] for i in range(r)], pivot, k0)
+    aA1, c = (Matrix.from_ints(rows, pivot, k0)
+              for rows in _unknown_blocks(x, [(l0, k0), (r, k0)]))
     sample = cfg.replace(aA00=(cfg.aA00[0], aA1), c=c)
     sample.__dict__["_jacobian_rank"] = len(system)
+    sample.__dict__["_q0a_rows"] = cfg._q0a_rows
     return sample
 
 
@@ -679,10 +736,13 @@ def sample_config(r: int, a_vec: Sequence[int], k: int, seed: int) -> AdhmConfig
     condition holds (:func:`_sylvester_system`).  At n = 0 that condition is
     the ADHM equation ``[B, X] + dc = 0``, whose solutions for generic ``d``
     are stable (Nakajima, *Lectures on Hilbert Schemes of Points on
-    Surfaces*, Prop. 2.8).  A draw is accepted when its stabilizer is 0.
+    Surfaces*, Prop. 2.8).  A draw is accepted on the modular certificate
+    of a zero stabilizer (:func:`_stabilizer_uncertified`), so every sample
+    carries a certified stabilizer of 0 and no draw is eliminated exactly.
     After ``_SAMPLE_ATTEMPTS`` rejected draws it raises
     :class:`SamplingFailureError`, which counts them by reason: singular
-    ``a``, a system not of full rank, positive stabilizer.
+    ``a``, a system not of full rank, positive stabilizer (one the
+    certificate does not rule out).
     """
     a_vec = tuple(int(x) for x in a_vec)
     monad_dims(r, a_vec, k)  # validates feasibility
@@ -696,7 +756,7 @@ def sample_config(r: int, a_vec: Sequence[int], k: int, seed: int) -> AdhmConfig
             continue
         if cfg is None:
             rejected["system not of full rank"] += 1
-        elif stabilizer_dim(cfg) != 0:
+        elif _stabilizer_uncertified(cfg):
             rejected["positive stabilizer"] += 1
         elif not constraint_residual(cfg).is_zero():
             raise InternalConsistencyError("sampler produced an invalid configuration")

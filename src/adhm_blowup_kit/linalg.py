@@ -9,7 +9,8 @@ over the entries.  Entries go in as ints or ``fractions.Fraction``s, and
 ``rows`` and indexing give ``Fraction``s back.
 
 ``rank`` first eliminates modulo one prime and returns that rank only when
-it is full, which certifies it.  Exact elimination first divides each row by
+it is full, which certifies it (``certified_rank`` is that half alone).
+Exact elimination first divides each row by
 its content, the gcd of its entries (sympy's ``clear_denoms_rowwise``), so
 that no row carries a factor that only another row's denominator put there.
 Then one of two integer kernels runs: Bareiss elimination for ``rank`` and
@@ -129,23 +130,26 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int, int]:
+def _gauss_jordan(rows: list[list[int]], width: int | None = None) -> tuple[list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination on integer rows, in place.
 
-    Finds the pivot columns left to right and returns ``(pivots, sign,
-    pivot)``: those columns, the sign of the row swaps and the last pivot (1
-    if there is none).  Row ``i < len(pivots)`` then ends as ``pivot`` times
-    row ``i`` of the reduced row echelon form, and the rows below as zero,
-    in every column but the pivot columns, which are not written back.  A
-    square matrix has determinant ``sign * pivot`` if every column is a pivot
-    column, and 0 otherwise.  Every entry is a minor of the input, so each
-    division by the previous pivot is exact (Nakos, Turner and Williams,
-    SIGSAM Bull. 31, 1997).
+    Finds the pivot columns left to right, among the first ``width`` columns
+    when it is given, and returns ``(pivots, sign, pivot)``: those columns,
+    the sign of the row swaps and the last pivot (1 if there is none).  Row
+    ``i < len(pivots)`` then ends as ``pivot`` times row ``i`` of the reduced
+    row echelon form, and the rows below as zero, in every column but the
+    pivot columns, which are not written back.  Columns past ``width`` are
+    eliminated but never pivoted on, so the rows below keep what is left
+    there.  A square matrix has
+    determinant ``sign * pivot`` if every column is a pivot column, and 0
+    otherwise.  Every entry is a minor of the input, so each division by the
+    previous pivot is exact (Nakos, Turner and Williams, SIGSAM Bull. 31,
+    1997).
     """
     pivots: list[int] = []
     free: list[int] = []
     sign, prev, m = 1, 1, len(rows)
-    for c in range(len(rows[0]) if rows else 0):
+    for c in range(width if width is not None else len(rows[0]) if rows else 0):
         r = len(pivots)
         p = next((i for i in range(r, m) if rows[i][c]), None)
         if p is None:
@@ -171,6 +175,47 @@ def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int, int]:
         if r + 1 == m:
             break
     return pivots, sign, prev
+
+
+def _kernel(rows: list[list[int]], pivots: list[int], pivot: int, width: int) -> list[list[int]]:
+    """A kernel basis of the first ``width`` columns of ``rows``, reduced by :func:`_gauss_jordan`.
+
+    One integer vector per free column, with ``pivot``, the last pivot, in
+    that column.
+    """
+    basis = []
+    for fc in sorted(set(range(width)) - set(pivots)):
+        v = [0] * width
+        v[fc] = pivot
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def _inner_inverse(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """``(L, N, M)``: ``m L m = m``, a kernel basis ``N`` and a left-kernel basis ``M``.
+
+    One fraction-free Gauss-Jordan pass on ``[num | I]`` that pivots in the
+    ``num`` columns alone leaves ``E num`` in reduced row echelon form, with
+    ``E`` the identity part over the last pivot.  With ``pc_j`` the pivot
+    columns, ``L / den`` has row ``j`` of ``E`` in row ``pc_j`` and zeros
+    elsewhere, so that ``num L num = den num``.  The kernel is read off the
+    echelon rows (:func:`_kernel`), and the rows of ``E`` below the rank
+    span the left kernel.  ``N`` holds its vectors in columns and ``M`` in
+    rows, each an integer vector divided by its content.
+    """
+    h, w = m.shape
+    rows = [row + [int(i == j) for j in range(h)] for i, row in enumerate(m.num)]
+    pivots, _sign, pivot = _gauss_jordan(rows, w)
+    inner = [[0] * h for _ in range(w)]
+    for row, pc in zip(rows, pivots):
+        inner[pc] = [m.den * x for x in row[w:]]
+    kernel = [_primitive(v) for v in _kernel(rows, pivots, pivot, w)]
+    left = [_primitive(row[w:]) for row in rows[len(pivots):]]
+    return (Matrix.from_ints(inner, pivot, h),
+            Matrix.from_ints([[v[i] for v in kernel] for i in range(w)], 1, len(kernel)),
+            Matrix.from_ints(left, 1, h))
 
 
 def clear_denoms(*mats: Matrix) -> tuple[int, list[list[list[int]]]]:
@@ -326,33 +371,36 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rank(self) -> int:
-        """Rank: a certificate modulo a prime when it is full, else exact elimination.
+    def certified_rank(self) -> int | None:
+        """The rank when a certificate modulo a prime proves it full, else None.
 
         The vectors of the shorter side of the nonzero rows are eliminated
         modulo ``_P``.  When they are independent there, the rank is their
         number: a minor that is nonzero modulo ``_P`` is a nonzero integer.
-        Otherwise the rank is the fraction-free Bareiss rank of the primitive
-        rows, which is exact whatever the prime.
+        None says only that the rank is below that number or the prime
+        unlucky.
         """
         rows = [row for row in self.num if any(row)]
         vectors = rows if len(rows) <= self.ncols else list(zip(*rows))
-        if vectors and _independent_mod_p(vectors):
-            return len(vectors)
-        return _bareiss_rank([_primitive(row) for row in rows])
+        return len(vectors) if not vectors or _independent_mod_p(vectors) else None
+
+    def rank(self) -> int:
+        """Rank: :meth:`certified_rank` when it is full, else exact elimination.
+
+        Without a certificate the rank is the fraction-free Bareiss rank of
+        the primitive rows, which is exact whatever the prime.
+        """
+        certified = self.certified_rank()
+        if certified is not None:
+            return certified
+        return _bareiss_rank([_primitive(row) for row in self.num if any(row)])
 
     def nullspace(self) -> list[Matrix]:
         """Basis of the right kernel, as column matrices, read off the reduced rows."""
         rows = [_primitive(row) for row in self.num if any(row)]
         pivots, _sign, pivot = _gauss_jordan(rows)
-        basis = []
-        for fc in sorted(set(range(self.ncols)) - set(pivots)):
-            v = [0] * self.ncols
-            v[fc] = pivot
-            for row, pc in zip(rows, pivots):
-                v[pc] = -row[fc]
-            basis.append(Matrix.from_ints([[x] for x in v], pivot, 1))
-        return basis
+        return [Matrix.from_ints([[x] for x in v], pivot, 1)
+                for v in _kernel(rows, pivots, pivot, self.ncols)]
 
     def nullity(self) -> int:
         return self.ncols - self.rank()

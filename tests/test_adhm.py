@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from adhm_blowup_kit import adhm, cli
+from adhm_blowup_kit import adhm, cli, linalg
 from adhm_blowup_kit.adhm import (
     AdhmConfig,
     GroupElement,
@@ -351,9 +351,9 @@ def test_sample_infeasible_raises():
 
 def test_sample_failure_is_reported(monkeypatch):
     # every draw of (1, (-1), 2) at seed 0 has an invertible a and a system of
-    # full rank, so with each stabilizer read as positive, every rejection
-    # has that reason
-    monkeypatch.setattr(adhm, "stabilizer_dim", lambda cfg: 1)
+    # full rank, so with no stabilizer certified zero, every rejection has
+    # that reason
+    monkeypatch.setattr(adhm, "_stabilizer_uncertified", lambda cfg: 1)
     with pytest.raises(SamplingFailureError) as info:
         sample_config(1, [-1], 2, seed=0)
     assert info.value.rejections == {
@@ -364,6 +364,49 @@ def test_sample_failure_is_reported(monkeypatch):
 #: The moduli-sweep grid: r <= 3, n <= 2, a_i in {-1, 0, 1}, k <= 2.
 GRID = [(r, a, k) for r in (1, 2, 3) for n in (0, 1, 2)
         for a in itertools.product((-1, 0, 1), repeat=n) for k in (0, 1, 2)]
+
+
+def test_sampler_certifies_without_exact_elimination(monkeypatch):
+    # a draw is accepted or rejected on the modular certificate of its
+    # isotropy system alone, and an accepted draw keeps its zero stabilizer
+    def bareiss(rows):
+        raise AssertionError("exact elimination in the sampler")
+
+    monkeypatch.setattr(linalg, "_bareiss_rank", bareiss)
+    cfg = sample_config(2, [1], 1, seed=5)
+    assert cfg.__dict__["_stabilizer_nullity"] == 0
+    # every draw of (1, (2), 0) that solves has a positive stabilizer
+    with pytest.raises(SamplingFailureError) as info:
+        sample_config(1, [2], 0, seed=0)
+    assert info.value.rejections["positive stabilizer"] == 52
+
+
+def test_isotropy_columns_are_h0_and_the_kernels_of_aii():
+    # h0, then one free block Z_i per kernel of aii, dim ker(aii) x dim K_i
+    total = 0
+    for r, a, k in GRID:
+        cfg = sample_config(r, a, k, seed=0)
+        kd = cfg.dims.dim_k
+        want = kd[0] ** 2 + sum((m.ncols - m.rank()) * m.ncols for m in cfg.aii)
+        assert adhm._isotropy_system(cfg).ncols == want, (r, a, k)
+        total += want
+    assert total == 552
+
+
+@pytest.mark.parametrize("a", [(3,), (-3,)], ids=["a=3", "a=-3"])
+def test_stabilizer_of_the_first_solved_draw_beyond_the_rank(a):
+    # with |a_1| > r the first solved draw from Random(0) has a stabilizer of
+    # |a_1| (|a_1| - r) = 3, which the sampler's certificate cannot rule out
+    rng = Random(0)
+    while True:
+        try:
+            cfg = adhm._solve_draw(adhm._draw(2, a, 1, rng), rng)
+        except FramingViolationError:
+            continue
+        if cfg is not None:
+            break
+    assert adhm._stabilizer_uncertified(cfg)
+    assert stabilizer_dim(cfg) == 3
 
 
 def test_sample_every_grid_set_validates():
@@ -600,13 +643,14 @@ def test_replaced_config_rebuilds_q_strips(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 5),
+    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 4),
     (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 3),
 ], ids=["tangent", "report"])
 def test_products_with_a_inverse_formed_once(monkeypatch, argv, bound):
     # tangent: the sampler's system on the draw forms the L_0 rows of
     # q^A a^{-1}; on the sample the isotropy system forms the K_0 columns of
-    # a^{-1} q^A and the residual the rows again.  report: the rows and the
+    # a^{-1} q^A and the residual the q^1 rows again, as the sample keeps the
+    # draw's q^0 rows.  report: the rows and the
     # columns; b^A, the scan's chart corners and the Jacobian read the kept
     # products
     kept, products = [], []
@@ -685,7 +729,7 @@ def test_sample_inverts_each_attempt_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "inverse", inverse)
     monkeypatch.setattr(adhm, "_rand_points", points)
-    monkeypatch.setattr(adhm, "stabilizer_dim", lambda cfg: len(attempts) < 3)
+    monkeypatch.setattr(adhm, "_stabilizer_uncertified", lambda cfg: len(attempts) < 3)
     cfg = sample_config(2, [1], 1, seed=5)
     assert len(attempts) == 3 and len(inverted) == len(attempts)
     # a change to a block of a drops the kept inverse

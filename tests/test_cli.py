@@ -136,9 +136,9 @@ def test_sample_deterministic_bytes(capsys):
 
 
 def test_sample_failure_exit_code(capsys, monkeypatch):
-    # every stabilizer read as positive: each draw is rejected, and the
-    # message counts the rejections by reason
-    monkeypatch.setattr(adhm, "stabilizer_dim", lambda cfg: 1)
+    # no stabilizer certified zero: each draw is rejected, and the message
+    # counts the rejections by reason
+    monkeypatch.setattr(adhm, "_stabilizer_uncertified", lambda cfg: 1)
     code, out, err = run_cli(capsys, "sample", "-r", "1", "-a", "-1", "-k", "2",
                              "--seed", "0")
     assert code == 3 and out == ""

@@ -6,8 +6,9 @@ differentiation with sympy (building the perturbed data in Q[t], inverting,
 and taking d/dt at t = 0) and compared entry by entry.  The Jacobian that
 ``tangent_dims`` assembles directly must equal, entry by entry, the columns
 of ``compact_derivative`` over every unit direction.  The isotropy system is
-assembled in the ``h`` unknowns alone, with ``g`` eliminated, so it must
-have the nullity of the full system of ``action_derivative`` columns.
+assembled in ``h0`` and one free block per kernel of ``aii``, with ``g``
+and the rest of each ``hi`` eliminated, so it must have the nullity of the
+full system of ``action_derivative`` columns.
 """
 
 from fractions import Fraction
@@ -15,10 +16,17 @@ from random import Random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from adhm_blowup_kit.adhm import _isotropy_system, _jacobian, _linearise, sample_config
+from adhm_blowup_kit.adhm import (
+    _isotropy_system,
+    _jacobian,
+    _linearise,
+    _unknown_blocks,
+    assemble_a,
+    sample_config,
+)
 from adhm_blowup_kit.linalg import Matrix
 from util import (
     action_derivative,
@@ -179,14 +187,16 @@ def _reference_stabilizer(cfg):
 
 
 # sampled data (c = 0 or d = 0 for some) and random normalised data, where
-# both the c and the d directions have nonzero columns
+# both the c and the d directions have nonzero columns; in the last two, the
+# isotropy system's nullity rests on the left kernels of two tall aii
 ASSEMBLY_CASES = [
     ("sample", (2, (), 2, 0)), ("sample", (1, (), 3, 1)),
     ("sample", (2, (1,), 1, 5)), ("sample", (1, (-1,), 0, 0)),
     ("sample", (2, (1, 0), 1, 0)), ("sample", (3, (0, 0), 2, 0)),
     ("random", (2, (), 2, 1)), ("random", (2, (1,), 1, 2)),
     ("random", (1, (0,), 2, 3)), ("random", (3, (-1, 0), 2, 4)),
-    ("random", (2, (1, -1), 1, 5)),
+    ("random", (2, (1, -1), 1, 5)), ("random", (1, (2, 1), 0, 0)),
+    ("random", (1, (1, 1), 1, 5)),
 ]
 
 
@@ -213,14 +223,52 @@ def test_assembled_systems_match_references(source, params):
     assert jac.rank() == len(echelon(jac)[1])
 
 
-@settings(max_examples=40, deadline=None)
-@given(r=st.integers(1, 3), a_vec=st.lists(st.integers(-1, 1), max_size=2),
-       k=st.integers(0, 2), zero=st.sampled_from(["c", "d", "cd"]),
-       seed=st.integers(0, 2 ** 16))
-def test_isotropy_nullity_matches_full_system(r, a_vec, k, zero, seed):
-    # without c or d the group often fixes the data, so both zero and
-    # positive isotropy occur
-    cfg = rand_config(Random(seed), r, a_vec, k)
+#: How ``aii[0]`` gets each pair (kernel, left kernel): ``a_1`` makes it
+#: square, wide or tall, and a zeroed row or column drops its rank. In
+#: "no point" there is no ``a_1``, so ``n`` is 0 or 1 and ``aii`` is drawn
+#: as it comes.
+KERNEL_CASES = [
+    ("both", 0, "row"), ("both", 0, "column"), ("both", -1, "row"), ("both", -2, "row"),
+    ("both", 1, "column"), ("both", 2, "column"), ("kernel", -1, None), ("kernel", -2, None),
+    ("left kernel", 1, None), ("left kernel", 2, None), ("neither", 0, None),
+    ("no point", None, None),
+]
+
+
+def _kernels(m: Matrix) -> str:
+    rank = m.rank()
+    return {(False, False): "neither", (True, False): "kernel",
+            (False, True): "left kernel", (True, True): "both"}[(m.ncols > rank, m.nrows > rank)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(KERNEL_CASES), r=st.integers(1, 3),
+       rest=st.lists(st.integers(-2, 2), max_size=1), k=st.integers(0, 2),
+       zero=st.sampled_from(["", "c", "d", "cd"]), seed=st.integers(0, 2 ** 16))
+@example(case=("both", 0, "row"), r=2, rest=[], k=2, zero="cd", seed=0)
+@example(case=("kernel", -1, None), r=1, rest=[1], k=1, zero="cd", seed=0)
+@example(case=("left kernel", 2, None), r=2, rest=[], k=0, zero="c", seed=0)
+@example(case=("neither", 0, None), r=3, rest=[-1], k=2, zero="cd", seed=0)
+@example(case=("no point", None, None), r=2, rest=[], k=2, zero="cd", seed=0)
+def test_isotropy_nullity_matches_full_system(case, r, rest, k, zero, seed):
+    # the isotropy system solves each K_i block through an inner inverse,
+    # kernel and left kernel of aii, so every combination of the two meets
+    # the full system, as does n = 0, where the system is h0 alone; without
+    # c or d the group often fixes the data, so both zero and positive
+    # isotropy occur, and each example below has a positive one
+    kernels, a1, deficient = case
+    if a1 is None:
+        cfg = rand_config(Random(seed), r, rest, k)
+        assume(assemble_a(cfg).det() != 0)
+    else:
+        cfg = rand_config(Random(seed), r, [a1, *rest], k)
+        aii = cfg.aii[0].rows
+        for i, row in enumerate(aii):
+            for j in range(len(row)):
+                if (deficient, 0) in (("row", i), ("column", j)):
+                    row[j] = 0
+        cfg = cfg.replace(aii=(Matrix(aii, ncols=cfg.aii[0].ncols), *cfg.aii[1:]))
+        assume(_kernels(cfg.aii[0]) == kernels and assemble_a(cfg).det() != 0)
     if "c" in zero:
         cfg = cfg.replace(c=Matrix.zeros(*cfg.c.shape))
     if "d" in zero:
@@ -242,10 +290,8 @@ def _linearise_reference(outputs, unknowns):
     return _from_columns(columns, sum(h * ow for h, ow in outputs))
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_linearise_matches_block_products(data):
-    # identity factors, several output blocks, and blocks of size 0
+def _linear_map(data):
+    """Output shapes, unknowns of :func:`_linearise` and the ``Random`` that drew their factors."""
     rng = Random(data.draw(st.integers(0, 2 ** 16)))
 
     def rand(m, n):  # denominators 1, 2 and 3, so the terms' lcm is exercised
@@ -265,6 +311,31 @@ def test_linearise_matches_block_products(data):
             terms.append((o, rand(h, m) if "X" in factors else None,
                           rand(w, ow) if "Y" in factors else None))
         unknowns.append((m, w, terms))
+    return outputs, unknowns, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_linearise_matches_block_products(data):
+    # identity factors, several output blocks, and blocks of size 0
+    outputs, unknowns, _rng = _linear_map(data)
     got = _linearise(outputs, unknowns)
     assert got.shape == (sum(h * ow for h, ow in outputs), sum(m * w for m, w, _ in unknowns))
     assert got == _linearise_reference(outputs, unknowns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unknown_blocks_follow_linearise_columns(data):
+    # _solve_draw reads its solution through _unknown_blocks, so the blocks
+    # it reads must be those on which the matrix acts as sum X E Y
+    outputs, unknowns, rng = _linear_map(data)
+    x = [rng.randint(-3, 3) for m, w, _ in unknowns for _ in range(m * w)]
+    want = [Matrix.zeros(h, ow) for h, ow in outputs]
+    for (m, w, terms), rows in zip(unknowns, _unknown_blocks(x, unknowns)):
+        block = Matrix.from_ints(rows, 1, w)
+        for o, x_, y in terms:
+            x_ = Matrix.identity(m) if x_ is None else x_
+            y = Matrix.identity(w) if y is None else y
+            want[o] = want[o] + x_ * block * y
+    assert _linearise(outputs, unknowns) * Matrix.column(x) == Matrix.column(_flat(want))

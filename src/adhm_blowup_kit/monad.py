@@ -4,45 +4,42 @@
 
     alpha : (+) K_j (-1, E_j)  ->  W,        beta : W  ->  (+) L_i (1, -E_i)
 
-with the middle term trivial of rank ``2 sum(dim L) + r`` in the ordered basis
-(L_0 pair, ..., L_n pair, C^r).  Every entry of either map is a linear form in
-the plane coordinates, so each map is an integer linear pencil
-``(z0 M_0 + z1 M_1 + z2 M_2) / L``: three integer matrices over one common
-denominator.  An entry twisted by ``-E_i`` (a ``K_i`` column of alpha, an
-``L_i`` row of beta) vanishes at the centre ``p_i``; on ``E_i`` it restricts
-to ``w0 M_0 + w1 M_1`` and every other entry to its value at ``p_i``.  A value
-at a point is one integer combination of the three matrices, and rank-only
-callers take those integer rows straight to Bareiss elimination.
-``check_monad_condition`` composes the pencils: the coefficient of ``z_a z_b``
-in ``beta . alpha`` is ``B_a A_b + B_b A_a``.  It vanishes identically in rows
-i >= 1 for any configuration (the ``w^A w_A = 0`` mechanism kills them), so
-validity is carried entirely by the L_0 row.
+with the middle term trivial of rank ``2 sum(dim L) + r``, ordered ``(L, L,
+C^r)``.  Each map is an integer linear pencil ``(z0 M_0 + z1 M_1 + z2 M_2) /
+L``, read off three products:
+
+    alpha = z0 [0; a; 0] + z1 [-a; 0; 0] + z2 [q^1; -q^0; [c 0]],
+    beta  = [z0 - z2 S^0 | z1 - z2 S^1 | z2 [d; 0]],   S^A = q^A a^{-1},
+
+so ``beta . alpha = z2^2 (q^1 a^{-1} q^0 - q^0 a^{-1} q^1 + [d; 0] [c 0])``.
+``S^A`` is ``-b^A`` on ``L_0`` and ``p_i^A`` on ``L_i``, whose rows of
+``q^A`` are ``p_i^A`` times those of ``a``, so the composite vanishes outside
+its ``(L_0, K_0)`` block, the compact residual.  An entry twisted by ``-E_i``
+(a ``K_i`` column of alpha, an ``L_i`` row of beta) vanishes at the centre
+``p_i``; on ``E_i`` it restricts to ``w0 M_0 + w1 M_1`` and every other entry
+to its value at ``p_i``.  A value at a point is one integer combination of the
+three matrices, and rank-only callers take those integer rows straight to
+Bareiss elimination.  ``check_monad_condition`` composes the pencils.
 
 Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps;
-``singular_scan`` locates the finite set where alpha drops rank.  In the chart
-``z2 = 1`` the drop points are the joint eigenvalues of ``T_A = a^{-1} q^A``
-on the largest subspace S of the framing kernel that both leave invariant.
-Each ``K_i`` is the joint eigenspace of its centre, so the scan works on
-``K_0`` alone: with ``P_A`` the ``K_0 x K_0`` corners of ``T_A``, kept by
-``build_monad`` from the configuration's ``a^{-1} q^A`` columns, it reads
-the ``P_A`` on ``S_0``, the largest subspace of ker ``c`` both leave
-invariant.  The rational eigenvalues are the roots of the integer
-characteristic polynomials, found p-adically
-(:func:`.linalg.rational_eigenvalues`), and are verified by exact ranks.  On
-a monad the ``P_A`` commute on ``S_0`` (the blow-up form of the ADHM
-identity ``[B_1, B_2] + ij = 0``), so every eigenvalue of ``P_A|S_0`` is a
-coordinate of a drop point, and an irrational one makes the scan
-incomplete.  On each exceptional line alpha is constant columns beside a
-pencil in ``(w0 : w1)``, and the drop points are the eigenvalues of one
-rational matrix on the largest subspace of a kernel that it preserves; full
-rank at one of ``dim K_i + 1`` points rules out a drop along the line.  A
-scan is complete when every characteristic polynomial it reads splits over
-Q.  Nothing in the scan is drawn at random, and none of it imports sympy.
-The framing holds on every monad: ``build_monad`` needs ``a`` invertible, and
-that forces the fibre criterion at every point of the framing line ``z2 = 0``
-(:func:`framing_verdicts`, which checks it as one more line for the
-exceptional-line routine).  ``validate_config`` bundles everything into one
-report; its seed picks only the spot-check points.
+``singular_scan`` locates the finite set where alpha drops rank, and reads
+both of its parts from the ``K_0`` columns ``W_A`` of ``T_A = a^{-1} q^A``
+that the configuration keeps.  In the chart ``z2 = 1`` the drop points are
+the joint eigenvalues of the ``T_A`` on the largest subspace of the framing
+kernel both preserve.  Each ``K_i`` is the joint eigenspace of its centre, so
+the scan reads the ``K_0`` rows ``P_A`` of ``W_A`` on ``S_0``, the largest
+subspace of ker ``c`` both preserve.  On a monad the ``P_A`` commute on
+``S_0`` (the blow-up form of the ADHM identity ``[B_1, B_2] + ij = 0``), so
+every eigenvalue of ``P_A|S_0`` is a coordinate of a drop point.  On ``E_i``
+alpha drops where the pencil ``w0 R_1^i - w1 R_0^i`` of the ``K_i`` rows of
+``W_A`` does on a subspace ``V_i`` of ``K_0``.  The rational eigenvalues are
+found p-adically (:func:`.linalg.rational_eigenvalues`) and verified by exact
+ranks, and a scan is complete when every characteristic polynomial it reads
+splits over Q.  Nothing in the scan is drawn at random, and none of it
+imports sympy.  The framing holds on every monad: ``build_monad`` needs ``a``
+invertible, and that forces the fibre criterion at every point of the framing
+line ``z2 = 0`` (:func:`framing_verdicts`).  ``validate_config`` bundles
+everything into one report; its seed picks only the spot-check points.
 """
 
 from __future__ import annotations
@@ -191,22 +188,20 @@ class Pencil:
 
 @dataclass(frozen=True)
 class MonadRep:
-    """The two monad maps as integer pencils, plus block metadata.
+    """The two monad maps as integer pencils, plus what the scans read.
 
     ``alpha`` has ``rank W`` rows and ``sum(dim K)`` columns; ``beta`` has
-    ``sum(dim L)`` rows and ``rank W`` columns.  ``w_slots`` labels each row
-    of ``alpha`` (equivalently column of ``beta``) by its summand: (i, A, m)
-    for row m of the A-th copy of ``L_i``, or ("C", m) for the framing
-    summand.  ``chart`` is ``(P_0, P_1, c)``: the ``K_0 x K_0`` corners
-    ``P_A`` of ``T_A = a^{-1} q^A`` and the framing row ``c``, which are all
-    the chart scan reads (see :func:`_scan_chart`).
+    ``sum(dim L)`` rows and ``rank W`` columns, with ``W`` ordered ``(L, L,
+    C^r)`` (see :func:`build_monad`).  ``chart`` is ``(W_0, W_1, c)``: the
+    full-height ``K_0`` columns ``W_A`` of ``T_A = a^{-1} q^A`` and the
+    framing row ``c``, which are all the singular scan reads besides the
+    centres (see :func:`_scan_chart` and :func:`_scan_divisor`).
     """
 
     alpha: Pencil
     beta: Pencil
     dims: MonadDims
     ctx: BlowupPoints
-    w_slots: tuple[tuple, ...]
     chart: tuple[Matrix, Matrix, Matrix]
 
     def alpha_at(self, x: SurfacePoint) -> Matrix:
@@ -222,68 +217,40 @@ def _offsets(sizes) -> list[int]:
 
 
 def build_monad(cfg: AdhmConfig) -> MonadRep:
-    """Assemble the monad pencils from a configuration (``b^A`` is derived).
+    """The monad pencils, read off ``a``, ``q^A`` and ``q^A a^{-1}`` (see the module docstring).
 
-    On the two copies of ``L_i``, alpha is ``-(z1 a - z2 q^1)`` and
-    ``z0 a - z2 q^0`` (rows of the assembled ``a`` and ``q^A``), and on the
-    framing summand ``[z2 c | 0]``.  Row ``L_0`` of beta is
-    ``[z0 + z2 b^0 | z1 + z2 b^1 | z2 d]`` and row ``L_i`` is
-    ``w_i^A = z^A - p_i^A z2`` on the matching copies of ``L_i``.
+    ``W`` is copy 0 of every ``L_i``, then copy 1, then ``C^r``.  The ``L_0``
+    rows of ``S^A`` are read through :func:`derive_bA`, and ``chart`` keeps
+    the configuration's ``K_0`` columns of ``a^{-1} q^A`` for the scans.
     """
-    dims = cfg.dims
-    n, r = cfg.n, cfg.r
-    kd, ld = dims.dim_k, dims.dim_l
-    l_off = _offsets(ld)
-    col_twist = [j for j in range(n + 1) for _ in range(kd[j])]
+    dims, n = cfg.dims, cfg.n
+    k0, tk, tl, rank_w = dims.dim_k[0], dims.total_k, dims.total_l, dims.rank_w
+    col_twist = [j for j in range(n + 1) for _ in range(dims.dim_k[j])]
+    row_twist = [i for i in range(n + 1) for _ in range(dims.dim_l[i])]
     # alpha: a, q^A and c over one denominator
     a_den, (a, q0, q1, c) = clear_denoms(assemble_a(cfg), *assemble_qA(cfg), cfg.c)
-    zero_k = [0] * dims.total_k
-
-    w_slots: list[tuple] = []
-    alpha: tuple[list, list, list] = ([], [], [])
-    for i in range(n + 1):
-        block = range(l_off[i], l_off[i + 1])
-        w_slots += [(i, a_idx, m) for a_idx in (0, 1) for m in range(ld[i])]
-        for row in block:
-            alpha[0].append(zero_k)
-            alpha[1].append([-x for x in a[row]])
-            alpha[2].append(q1[row])
-        for row in block:
-            alpha[0].append(a[row])
-            alpha[1].append(zero_k)
-            alpha[2].append([-x for x in q0[row]])
-    w_slots += [("C", m) for m in range(r)]
-    alpha[0].extend([zero_k] * r)
-    alpha[1].extend([zero_k] * r)
-    alpha[2].extend(row + zero_k[kd[0]:] for row in c)
-
-    # beta: 1, the centres, d and b^A over one denominator
-    b_den, (pts, d, *bA) = clear_denoms(_point_matrix(cfg), cfg.d, *derive_bA(cfg))
-    slot = {s: col for col, s in enumerate(w_slots)}
+    zeros = [[0] * tk] * (tl + cfg.r)
+    alpha = (zeros[:tl] + a + zeros[tl:], [[-x for x in row] for row in a] + zeros,
+             q1 + [[-x for x in row] for row in q0] + [row + [0] * (tk - k0) for row in c])
+    # beta: the identity, the centres, d and b^A over one denominator
+    b_den, (pts, d, b0, b1) = clear_denoms(_point_matrix(cfg), cfg.d, *derive_bA(cfg))
     beta: tuple[list, list, list] = ([], [], [])
-    for i in range(n + 1):
-        for m in range(ld[i]):
-            rows = [[0] * dims.rank_w for _ in range(3)]
-            for a_idx in (0, 1):
-                rows[a_idx][slot[i, a_idx, m]] = b_den
-                if i:
-                    rows[2][slot[i, a_idx, m]] = -pts[i - 1][a_idx]
-            if i == 0:
-                rows[2] = [d[m][s[1]] if s[0] == "C" else bA[s[1]][m][l_off[s[0]] + s[2]]
-                           for s in w_slots]
-            for mat, row in zip(beta, rows):
-                mat.append(row)
-    row_twist = [i for i in range(n + 1) for _ in range(ld[i])]
-    # the first k0 rows of the kept K_0 columns of a^{-1} q^A
-    p0, p1 = (cfg._aq_cols.submatrix(0, kd[0], A * kd[0], (A + 1) * kd[0]) for A in (0, 1))
-
+    for m, i in enumerate(row_twist):
+        rows = [[0] * rank_w for _ in range(3)]
+        for A in (0, 1):
+            rows[A][A * tl + m] = b_den
+            if i:
+                rows[2][A * tl + m] = -pts[i - 1][A]
+        if not i:
+            rows[2] = b0[m] + b1[m] + d[m]
+        for mat, row in zip(beta, rows):
+            mat.append(row)
     return MonadRep(
-        alpha=Pencil.from_ints(alpha, a_den, [0] * dims.rank_w, col_twist),
-        beta=Pencil.from_ints(beta, b_den, row_twist, [0] * dims.rank_w),
+        alpha=Pencil.from_ints(alpha, a_den, [0] * rank_w, col_twist),
+        beta=Pencil.from_ints(beta, b_den, row_twist, [0] * rank_w),
         dims=dims,
         ctx=cfg.points,
-        w_slots=tuple(w_slots),
-        chart=(p0, p1, cfg.c),
+        chart=(*(cfg._aq_cols.submatrix(0, tk, A * k0, (A + 1) * k0) for A in (0, 1)), cfg.c),
     )
 
 
@@ -375,8 +342,9 @@ def _scan_chart(m: MonadRep) -> tuple[list[SurfacePoint], bool]:
     of ``P_A|S_0`` times the centres' linear factors.  A drop point off the
     centres has a kernel vector whose ``K_0`` part is nonzero, and that part
     is a joint eigenvector of the ``P_A`` in ker ``c``.  So the scan reads
-    ``m.chart = (P_0, P_1, c)`` alone: every pair of rational eigenvalues of
-    ``P_0|S_0`` and ``P_1|S_0`` off the centres is verified by an exact rank.
+    the ``K_0`` rows ``P_A`` of the kept columns ``m.chart = (W_0, W_1, c)``
+    alone: every pair of rational eigenvalues of ``P_0|S_0`` and
+    ``P_1|S_0`` off the centres is verified by an exact rank.
 
     On a monad the ``T_A`` commute on S: ``a [T_1, T_0] = q^1 a^{-1} q^0 -
     q^0 a^{-1} q^1`` vanishes outside its ``(L_0, K_0)`` corner, where it is
@@ -388,7 +356,9 @@ def _scan_chart(m: MonadRep) -> tuple[list[SurfacePoint], bool]:
     an irrational eigenvalue may pair with none, and the scan still says
     incomplete: less precise, never a false certificate.
     """
-    p0, p1, c = m.chart
+    w0, w1, c = m.chart
+    k0 = c.ncols
+    p0, p1 = (w.submatrix(0, k0, 0, k0) for w in (w0, w1))
     (roots0, rest0), (roots1, rest1) = map(rational_eigenvalues, _restrict(c, [p0, p1]))
     centres = set(m.ctx.points)
     candidates = [SurfacePoint.generic(x0, x1, 1) for x0 in roots0 for x1 in roots1
@@ -436,7 +406,8 @@ def _drops_beside(u: Matrix, p0: Matrix,
     With ``N`` the left kernel of the constant columns ``u``, its rank is
     ``rank u + rank N (w0 p0 + w1 p1)``: it drops everywhere if ``u`` does not
     have full column rank, and otherwise where the pencil
-    ``w0 N p0 + w1 N p1`` does.
+    ``w0 N p0 + w1 N p1`` does.  :func:`framing_verdicts` reads the framing
+    line through it.
     """
     kernel = u.transpose().nullspace()
     if len(kernel) != u.nrows - u.ncols:
@@ -448,23 +419,40 @@ def _drops_beside(u: Matrix, p0: Matrix,
 def _scan_divisor(m: MonadRep, i: int) -> tuple[list[SurfacePoint], bool]:
     """Rank-drop points on the exceptional line E_i, and completeness.
 
-    There alpha is ``[U | w0 P_0 + w1 P_1]``: the untwisted columns valued at
-    ``p_i``, and the ``K_i`` columns, linear in ``w`` (see
-    :func:`_drops_beside`).  Every point found is verified by an exact rank.
+    Read off the kept columns ``m.chart = (W_0, W_1, c)`` of ``T_A = a^{-1}
+    q^A``: their ``K_0`` rows ``P_A`` and their ``K_j`` rows ``R_A^j``.  At
+    ``p_i + lambda w`` alpha kills ``v`` iff ``T_A v = x_A v`` and ``c v_0 =
+    0``, and the ``K_i`` part of a kernel vector scales as ``1 / lambda``.
+    On ``E_i``, the limit, the ``K_0`` rows read ``P_A v_0 = p_i^A v_0``, the
+    ``K_j`` rows ``(p_i^A - p_j^A) v_j = R_A^j v_0`` and the ``K_i`` rows
+    ``w_A v_i = R_A^i v_0``.  As ``p_j != p_i``, the ``K_j`` rows have a
+    solution ``v_j`` iff ``(p_i^1 - p_j^1) R_0^j v_0 = (p_i^0 - p_j^0) R_1^j
+    v_0``, and a nonzero kernel vector has ``v_0 != 0``.  So alpha drops at
+    ``w`` iff ``w0 R_1^i - w1 R_0^i`` drops rank on ``V_i``, the kernel of
+    ``[P_0 - p_i^0; P_1 - p_i^1; c; (p_i^1 - p_j^1) R_0^j - (p_i^0 - p_j^0)
+    R_1^j for j != i]``: the pencil of :func:`_line_drops` on a basis of
+    ``V_i``.  A drop along the whole line raises :class:`NotInPError`, and
+    every point found is verified by an exact rank.
     """
-    rank_w = m.dims.rank_w
-    # the columns of alpha at (1 : 0) and (0 : 1), both scaled by the integer
-    # that clears the denominators of p_i
-    at = [list(zip(*m.alpha.combine(_terms(SurfacePoint.exceptional(i, *w), m.ctx)[1])))
-          for w in ((1, 0), (0, 1))]
-    twisted = [t == i for t in m.alpha.col_twist]
-    found = _drops_beside(*(
-        Matrix([col for col, t in zip(cols, twisted) if t == kind], ncols=rank_w).transpose()
-        for cols, kind in ((at[0], False), (at[0], True), (at[1], True))))
+    w0, w1, c = m.chart
+    ko, p = _offsets(m.dims.dim_k), m.ctx.points
+    k0, pi = ko[1], p[i - 1]
+
+    def block(A: int, j: int) -> Matrix:  # R_A^j, or P_A at j = 0
+        return (w0, w1)[A].submatrix(ko[j], ko[j + 1], 0, k0)
+
+    rows = [block(A, 0) - Matrix.identity(k0).scale(pi[A]) for A in (0, 1)] + [c]
+    rows += [block(0, j).scale(pi[1] - p[j - 1][1]) - block(1, j).scale(pi[0] - p[j - 1][0])
+             for j in range(1, m.dims.n + 1) if j != i]
+    basis = block_matrix([[x] for x in rows], [x.nrows for x in rows], [k0]).nullspace()
+    if not basis:
+        return [], True
+    v = block_matrix([basis], [k0], [1] * len(basis))
+    found = _line_drops(block(1, i) * v, -(block(0, i) * v))
     if found is None:
         raise NotInPError(f"alpha drops rank along the exceptional line E_{i}")
     full_rank = m.dims.total_k
-    candidates = (SurfacePoint.exceptional(i, *w) for w in found[0])
+    candidates = (SurfacePoint.exceptional(i, *x) for x in found[0])
     return [pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank], found[1]
 
 
@@ -477,13 +465,13 @@ def singular_scan(m: MonadRep) -> ScanResult:
     points are the joint eigenvalues of ``T_A = a^{-1} q^A`` on the largest
     subspace of the framing kernel they preserve, read off their ``K_0``
     corners ``P_A`` on the largest subspace ``S_0`` of ker ``c`` that those
-    preserve (see :func:`_scan_chart`).  On each exceptional line, alpha is
-    the constant columns beside a pencil in ``(w0 : w1)``, and the drop
-    points are the eigenvalues of one matrix on the largest subspace of one
-    kernel it preserves (see :func:`_scan_divisor`); a drop along the line
-    raises :class:`NotInPError`.  Every reported point is re-verified by an
-    exact rank computation.  Nothing is drawn at random, so the result is a
-    function of ``m`` alone.
+    preserve (see :func:`_scan_chart`).  On each exceptional line ``E_i``
+    alpha drops where a pencil in the ``K_i`` rows of the same kept columns
+    does, and the drop points are the eigenvalues of one matrix on the
+    largest subspace of one kernel it preserves (see :func:`_scan_divisor`);
+    a drop along the line raises :class:`NotInPError`.  Every reported point
+    is re-verified by an exact rank computation.  Nothing is drawn at
+    random, so the result is a function of ``m`` alone.
 
     ``complete`` is True exactly when every eigenvalue read, of ``P_0`` and
     ``P_1`` on ``S_0`` and of each line's matrix on its own, is rational.

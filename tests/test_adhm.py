@@ -421,14 +421,16 @@ def test_sample_every_grid_set_validates():
         assert framing_verdicts(cfg, monad) == (True, True), (r, a, k)
         # on a monad the K_0 corners of the chart operators commute on S_0,
         # so the scan's completeness rests on their eigenvalues alone
-        p0, p1, c = monad.chart
+        w0, w1, c = monad.chart
+        k0 = c.ncols
+        p0, p1 = (w.submatrix(0, k0, 0, k0) for w in (w0, w1))
         assert _commutator(*_restrict(c, [p0, p1])).is_zero(), (r, a, k)
 
 
 def test_qA_and_bA_match_the_block_reference():
     # assemble_qA reads its L_0 rows from the kept strips, and b^A is minus
     # the kept L_0 rows of q^A a^{-1}.  T_A = a^{-1} q^A is p_i^A times the
-    # identity on each K_i, so the chart scan keeps only its K_0 corners P_A
+    # identity on each K_i, so the scans keep only its K_0 columns
     for r, a, k in GRID:
         cfg = sample_config(r, a, k, seed=0)
         q = reference_qA(cfg)
@@ -446,7 +448,7 @@ def test_qA_and_bA_match_the_block_reference():
                     unit = Matrix.column([int(row == j) for row in range(total)])
                     assert t.submatrix(0, total, j, j + 1) == unit.scale(
                         cfg.point_coord(i, A)), (r, a, k, A, j)
-            assert t.submatrix(0, kd[0], 0, kd[0]) == chart[A], (r, a, k, A)
+            assert t.submatrix(0, total, 0, kd[0]) == chart[A], (r, a, k, A)
 
 
 @pytest.mark.parametrize("r, a, k", [

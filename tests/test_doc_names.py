@@ -1,10 +1,10 @@
-"""Private names that docstrings and comments cite must exist.
+"""Private names that docstrings, comments and the README cite must exist.
 
 A docstring or comment that names a private helper in backticks, as
 ``_name`` or ``module._name``, goes stale silently when the helper is
 renamed or deleted.  This scans the docstrings and comments of the package
-and of ``tests/util.py`` for such names and looks each one up among the
-names that ``src/`` and ``tests/`` define.
+and of ``tests/util.py``, and README.md, for such names and looks each one
+up among the names that ``src/`` and ``tests/`` define.
 """
 
 import ast
@@ -54,6 +54,14 @@ def test_cited_private_names_are_defined():
                       for path in SOURCES for doc in _prose(path)
                       for name in CITED.findall(doc) if name not in defined})
     assert missing == []
+
+
+def test_readme_private_names_are_defined():
+    defined = set().union(*map(_defined, DEFINING))
+    cited = set(CITED.findall((ROOT / "README.md").read_text(encoding="utf-8")))
+    # README cites adhm._framing_unknowns, _linearise and _unknown_blocks
+    assert {"_framing_unknowns", "_linearise", "_unknown_blocks"} <= cited
+    assert sorted(cited - defined) == []
 
 
 def test_the_scan_reads_docstrings_and_comments():

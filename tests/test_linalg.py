@@ -137,6 +137,18 @@ def test_rank_matches_bareiss(m):
     assert m.rank() == exact == m.transpose().rank()
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=planted_rank_matrices())
+def test_inner_inverse_is_an_inner_inverse_with_both_kernels(m):
+    inner, kernel, left = linalg._inner_inverse(m)
+    rank = len(echelon(m)[1])
+    assert m * inner * m == m
+    assert (m * kernel).is_zero() and (left * m).is_zero()
+    assert kernel.shape == (m.ncols, m.ncols - rank)
+    assert left.shape == (m.nrows - rank, m.nrows)
+    assert len(echelon(kernel)[1]) == kernel.ncols and len(echelon(left)[1]) == left.nrows
+
+
 def test_rank_certificate_falls_back_on_an_unlucky_prime(monkeypatch):
     p = linalg._P
     fallbacks = []

@@ -9,8 +9,10 @@ chart operators need not commute, so an irrational eigenvalue there may mark
 no drop point; the chart scan then says incomplete where the reference, which
 finds the drop points themselves, may certify.
 Such data almost never drop rank on an exceptional line, so the line route is
-also checked on planted pencils ``X D(w) Y`` whose drop points are known, and
-the framing-line verdict on monads with a planted drop.
+also checked on configurations with a planted drop on ``E_1`` (a rational
+point, an irrational pair, the whole line), on planted pencils ``X D(w) Y``
+whose drop points are known, and the framing-line verdict on monads with a
+planted drop.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adhm_blowup_kit.adhm import assemble_a, constraint_residual, sample_config
@@ -198,6 +200,10 @@ def _line_scan_or_none(scan, m, i):
         return None
 
 
+def _sorted_scan(found):
+    return found and (sorted(found[0], key=SurfacePoint.sort_key), found[1])
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(cfg=configs().filter(lambda cfg: cfg.n >= 1))
 def test_line_eigen_route_matches_elimination(cfg):
@@ -207,6 +213,113 @@ def test_line_eigen_route_matches_elimination(cfg):
         want = _line_scan_or_none(
             lambda m, i: reference_scan_divisor(m, i, Random(0), use_all_minors=True), m, i)
         assert got == want
+
+
+def _plant_on_E1(cfg, rng, z, decoy=False):
+    """``cfg`` with alpha on ``E_1`` dropping where ``w0 Z_1 - w1 Z_0`` does, or None.
+
+    With ``s x s`` matrices ``z = (Z_0, Z_1)``, ``a11`` gets an
+    ``s``-dimensional kernel ``U`` and ``K_0`` a rank-``s`` block ``V``
+    (``-a22 V_2`` at n = 2, where ``a20 = Id``).  A rank-``s`` update sets
+    ``aA00[A] V = -p_1^A a00 V - (p_1^A - p_2^A) a02 V_2 - a01 U Z_A``, and
+    another ``c V = 0``.  On ``E_1`` the ``L`` rows of ``alpha (V x, V_2 x,
+    U y)`` then read ``a01 U (w_A y - Z_A x)``, and ``L_1``, ``L_2`` and the
+    framing rows vanish: alpha drops at ``w`` iff ``w0 Z_1 x = w1 Z_0 x``
+    for some ``x != 0``.  None when ``U`` or ``V`` falls short of rank
+    ``s`` or ``a`` turns singular.
+
+    A ``decoy`` adds a kernel vector of ``a22`` to the ``V_2`` of ``A = 1``.
+    Then ``P_A V = p_1^A V`` and ``c V = 0`` still hold, but the ``K_2``
+    rows of ``T_A`` are ``(p_1^A - p_2^A) V_2`` and ``(p_1^A - p_2^A) (V_2 +
+    N)``, which rule ``V`` out where ``p_1 - p_2`` has no zero coordinate.
+    """
+    s, kd = len(z[0]), cfg.dims.dim_k
+    u = _rand_int_matrix(rng, kd[1], s)
+    v2 = _rand_int_matrix(rng, kd[2], s) if cfg.n == 2 else None
+    v = _rand_int_matrix(rng, kd[0], s) if v2 is None else -(cfg.aii[1] * v2)
+    ut, vt = u.transpose(), v.transpose()
+    if (ut * u).det() == 0 or (vt * v).det() == 0:
+        return None
+    off_v = (vt * v).inverse() * vt
+    p = cfg.points.points
+    v2s = [v2, v2 + rng.choice(cfg.aii[1].nullspace()) if decoy else v2]
+    aA = []
+    for A in (0, 1):
+        want = -(cfg.a00 * v).scale(p[0][A]) - cfg.a0i[0] * u * Matrix(z[A], ncols=s)
+        if v2 is not None:
+            want = want - (cfg.a0i[1] * v2s[A]).scale(p[0][A] - p[1][A])
+        aA.append(cfg.aA00[A] + (want - cfg.aA00[A] * v) * off_v)
+    a11 = cfg.aii[0] - cfg.aii[0] * u * (ut * u).inverse() * ut
+    planted = cfg.replace(aii=(a11, *cfg.aii[1:]), aA00=tuple(aA), c=cfg.c - cfg.c * v * off_v)
+    return planted if assemble_a(planted).det() != 0 else None
+
+
+#: ``(Z_0, Z_1)`` of :func:`_plant_on_E1` for each kind of planted drop:
+#: one point ``(t0 : t1)``; the two points ``w1 = +-sqrt(c) w0`` of
+#: ``det(w0 Z_1 - w1 Z_0) = w1^2 - c w0^2``, never rational; the whole
+#: line, which a decoy hides, so that a scan that skips the ``K_2`` rows
+#: reports it.
+LINE_PLANTS = {
+    "rational": lambda t: ([[t[0]]], [[t[1]]]),
+    "irrational": lambda c: ([[1, 0], [0, 1]], [[0, c], [1, 0]]),
+    "whole line": lambda _: ([[0]], [[0]]),
+    "decoy": lambda _: ([[0]], [[0]]),
+}
+#: Shapes with room for each plant, at n = 1 and n = 2: ``dim K_1 >= s``;
+#: for the pair ``dim K_0 >= 2`` and ``dim L_0 >= 2``, since ``a01 U`` has
+#: rank ``s`` when ``a`` is invertible; for a decoy (n = 2 only) ``dim K_2 >
+#: dim L_2 = dim K_0``, so that ``a22`` has a kernel.
+PLANT_SHAPES = {
+    1: [(1, (-1,), 1), (1, (0,), 1), (2, (1,), 1), (1, (0,), 2), (1, (-1,), 2)],
+    2: [(1, (-1, 0), 1), (1, (0, 0), 1), (2, (1, 0), 1), (1, (0, 0), 2), (1, (-1, 1), 1),
+        (1, (0, -1), 1), (1, (1, -1), 1)],
+}
+
+
+def _has_room(shape, kind):
+    kd, ld = monad_dims(*shape).dim_k, monad_dims(*shape).dim_l
+    s = 2 if kind == "irrational" else 1
+    return (kd[0] >= s <= kd[1] and (kind != "irrational" or ld[0] >= 2)
+            and (kind != "decoy" or len(kd) == 3 and kd[2] > kd[0]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(LINE_PLANTS)), n=st.sampled_from((1, 2)),
+       t=st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+       c=st.sampled_from((2, 3, 5, -1, -3)), seed=st.integers(0, 2 ** 32 - 1))
+@example(kind="rational", n=1, t=(2, -3), c=2, seed=0)
+@example(kind="rational", n=2, t=(0, 1), c=2, seed=1)
+@example(kind="irrational", n=1, t=(1, 1), c=2, seed=2)
+@example(kind="irrational", n=2, t=(1, 1), c=-3, seed=3)
+@example(kind="whole line", n=1, t=(1, 1), c=2, seed=4)
+@example(kind="whole line", n=2, t=(1, 1), c=2, seed=5)
+@example(kind="decoy", n=2, t=(1, 1), c=2, seed=6)
+def test_line_route_finds_planted_drops_on_E1(kind, n, t, c, seed):
+    rng = Random(seed)
+    n = 2 if kind == "decoy" else n
+    z = LINE_PLANTS[kind](c if kind == "irrational" else t)
+    shapes = [sh for sh in PLANT_SHAPES[n] if _has_room(sh, kind)]
+    cfg = None
+    while cfg is None:
+        cfg = _plant_on_E1(rand_config(rng, *rng.choice(shapes)), rng, z, kind == "decoy")
+    m = build_monad(cfg)
+    use_all_minors = m.dims.total_k <= 4
+    for i in range(1, n + 1):
+        got = _line_scan_or_none(_scan_divisor, m, i)
+        want = _line_scan_or_none(
+            lambda m, i: reference_scan_divisor(m, i, Random(0), use_all_minors), m, i)
+        assert _sorted_scan(got) == _sorted_scan(want)
+    got = _line_scan_or_none(_scan_divisor, m, 1)
+    if kind == "whole line":
+        assert got is None
+    elif kind == "irrational":
+        assert got == ([], False)
+    elif kind == "decoy":
+        p1, p2 = cfg.points.points
+        assert got == ([], True) or p1[0] == p2[0] or p1[1] == p2[1]
+    else:
+        w = (1, Fraction(t[1], t[0])) if t[0] else (0, 1)
+        assert SurfacePoint.exceptional(1, *w) in got[0] and got[1]
 
 
 #: Blocks of a planted pencil ``D(w)``: (the rows of ``D_0``, those of ``D_1``).
@@ -342,7 +455,7 @@ def _framing_plants(m):
     u = m.beta.mats[0][0]
     not_onto = _planted(_planted(m, "beta", 0, _set_row(0, [7 * x for x in u])),
                         "beta", 1, _set_row(0, [-11 * x for x in u]))
-    framing_col = next(c for c, s in enumerate(m.w_slots) if s[0] == "C")
+    framing_col = 2 * m.dims.total_l  # W is (L, L, C^r)
     beta = _planted(m, "beta", 0, _set_column(framing_col, [1] * m.dims.total_l))
     return {"rational": rational, "irrational": pair, "beta not onto": not_onto,
             "beta framing column": beta}

@@ -330,7 +330,8 @@ def section_maps(cfg: AdhmConfig):
     def zero_entry(j: int):
         return zero_section(ctx, _col_bidegree(n, j))
 
-    w_slots = [(i, a_idx, m) for i in range(n + 1) for a_idx in (0, 1) for m in range(ld[i])]
+    # W is (L, L, C^r): copy 0 of every L_i, then copy 1, then the framing summand
+    w_slots = [(i, a_idx, m) for a_idx in (0, 1) for i in range(n + 1) for m in range(ld[i])]
     w_slots += [("C", m) for m in range(r)]
 
     alpha_rows = []
@@ -604,12 +605,13 @@ def reference_chart_operators(m, cfg: AdhmConfig) -> tuple[list[Matrix], Matrix]
     """The full ``T_A = a^{-1} q^A`` and the framing rows ``C = [c 0]`` of ``m = build_monad(cfg)``.
 
     Read off alpha's pencil (see ``monad.build_monad``): ``q^0`` is ``-M_2``
-    on copy 1 of the ``L_i``, ``q^1`` is ``M_2`` on copy 0, and ``C`` is
-    ``M_2`` on the framing rows.  At ``(x0, x1, 1)`` the ``L`` rows of
-    ``alpha v`` vanish iff ``T_A v = x_A v``, and then the framing rows are
-    ``C v``.  A reference for the ``K_0`` corners that ``m.chart`` keeps.
+    on copy 1 of ``L``, ``q^1`` is ``M_2`` on copy 0, and ``C`` is ``M_2`` on
+    the framing rows.  At ``(x0, x1, 1)`` the ``L`` rows of ``alpha v``
+    vanish iff ``T_A v = x_A v``, and then the framing rows are ``C v``.  A
+    reference for the ``K_0`` columns that ``m.chart`` keeps.
     """
-    summand = ["C" if s[0] == "C" else s[1] for s in m.w_slots]  # copy 0, copy 1 or C^r
+    total_l = m.dims.total_l
+    summand = [0] * total_l + [1] * total_l + ["C"] * m.dims.rank  # W is (L, L, C^r)
     m2 = m.alpha.mats[2]
 
     def rows(kind, sign=1):
@@ -739,8 +741,9 @@ def reference_framing_fiber(m, rng: Random) -> bool:
     pts = [SurfacePoint.generic(1, 0, 0), SurfacePoint.generic(0, 1, 0)]
     pts += [SurfacePoint.generic(1, Fraction(rng.randint(-24, 24), rng.randint(1, 5)), 0)
             for _ in range(8)]
-    framing = [s[0] == "C" for s in m.w_slots]
-    unit = Matrix([[int(s == ("C", j)) for j in range(dims.rank)] for s in m.w_slots],
+    first = 2 * dims.total_l  # W is (L, L, C^r)
+    framing = [s >= first for s in range(dims.rank_w)]
+    unit = Matrix([[int(s == first + j) for j in range(dims.rank)] for s in range(dims.rank_w)],
                   ncols=dims.rank)
     for x in pts:
         alpha, beta = m.alpha_at(x), m.beta_at(x)

@@ -5,7 +5,6 @@ from .adhm import (
     GroupElement,
     act,
     assemble_a,
-    assemble_qA,
     constraint_residual,
     derive_bA,
     dim_group,

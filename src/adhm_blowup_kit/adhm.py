@@ -202,20 +202,6 @@ def assemble_a(cfg: AdhmConfig) -> Matrix:
     return block_matrix(blocks, list(ld), list(kd))
 
 
-def assemble_qA(cfg: AdhmConfig) -> MatrixPair:
-    """The pair ``q^A``: the row strips of :func:`_q_strips`, then ``p_i^A`` times ``a`` on ``L_i``."""
-    l0 = cfg.dims.dim_l[0]
-    a = assemble_a(cfg)
-    dp, (p,) = clear_denoms(_point_matrix(cfg))
-    owner = [i for i, h in enumerate(cfg.dims.dim_l[1:]) for _ in range(h)]  # the L_i of a row
-    rows, _cols = cfg._strips
-    return tuple(
-        block_matrix([[rows[A]], [Matrix.from_ints(
-            [[p[i][A] * x for x in row] for i, row in zip(owner, a.num[l0:])],
-            a.den * dp, a.ncols)]], [l0, a.nrows - l0], [a.ncols])
-        for A in (0, 1))
-
-
 def derive_bA(cfg: AdhmConfig) -> MatrixPair:
     """Solve ``b^A a + a_{0.} p^A = a^A`` for the full rows ``b^A``.
 

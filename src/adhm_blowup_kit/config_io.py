@@ -206,16 +206,14 @@ def _spot_to_json(s: SpotCheck) -> dict:
 
 
 def report_to_json(rep: ValidationReport) -> dict:
+    """Schema 1: ``a_invertible`` under four keys, ``monad_condition`` under three."""
     return {
         "schema": SCHEMA_VERSION,
         "valid": rep.valid,
-        "det_a_nonzero": rep.det_a_nonzero,
-        "raw_residual_zero": rep.raw_residual_zero,
-        "compact_residual_zero": rep.compact_residual_zero,
-        "monad_identity_zero": rep.monad_identity_zero,
-        "framing": rep.framing,
-        "framing_det": rep.framing_det,
-        "framing_fiber": rep.framing_fiber,
+        **dict.fromkeys(("det_a_nonzero", "framing", "framing_det", "framing_fiber"),
+                        rep.a_invertible),
+        **dict.fromkeys(("raw_residual_zero", "compact_residual_zero", "monad_identity_zero"),
+                        rep.monad_condition),
         "finite_rank_drop": rep.finite_rank_drop,
         "singular_points": [point_to_json(p) for p in rep.singular_points],
         "scan_complete": rep.scan_complete,

@@ -16,7 +16,6 @@ from adhm_blowup_kit.adhm import (
     AdhmConfig,
     act,
     assemble_a,
-    assemble_qA,
     constraint_residual,
     sample_config,
     stabilizer_dim,
@@ -37,7 +36,6 @@ from adhm_blowup_kit.monad import (
     build_monad,
     check_monad_condition,
     cohomology_ch_check,
-    composite_is_zero,
     fiber_data,
     framing_verdicts,
     singular_scan,
@@ -45,9 +43,11 @@ from adhm_blowup_kit.monad import (
 from adhm_blowup_kit.sections import BlowupPoints
 from util import (
     coefficient_block,
+    composite_is_zero,
     rand_config,
     rand_group_element,
     rand_matrix,
+    reference_qA,
     section_composite,
     section_maps,
 )
@@ -182,7 +182,7 @@ def test_criterion_4_compact_constraint_calibration():
                    for row in coeff.rows for x in row if x != 0) == in_block
         # global sign: compact form computed with sigma = +1 from q^A
         ainv = assemble_a(cfg).inverse()
-        q = assemble_qA(cfg)
+        q = reference_qA(cfg)
         s = q[1] * ainv * q[0] - q[0] * ainv * q[1]
         l0, k0 = dims.dim_l[0], dims.dim_k[0]
         assert res == s.submatrix(0, l0, 0, k0) + cfg.d * cfg.c

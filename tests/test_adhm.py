@@ -9,14 +9,13 @@ from random import Random
 
 import pytest
 
-from adhm_blowup_kit import adhm, cli, linalg
+from adhm_blowup_kit import adhm, cli, linalg, monad
 from adhm_blowup_kit.adhm import (
     AdhmConfig,
     GroupElement,
     _compact_block,
     act,
     assemble_a,
-    assemble_qA,
     constraint_residual,
     derive_bA,
     dim_group,
@@ -34,16 +33,26 @@ from adhm_blowup_kit.errors import (
     SamplingFailureError,
 )
 from adhm_blowup_kit.lattice import monad_dims
-from adhm_blowup_kit.linalg import Matrix
+from adhm_blowup_kit.linalg import Matrix, block_matrix
 from adhm_blowup_kit.monad import (
+    SurfacePoint,
     _restrict,
+    _spotcheck_points,
     build_monad,
+    check_monad_condition,
     framing_verdicts,
     singular_scan,
     validate_config,
 )
 from adhm_blowup_kit.sections import BlowupPoints
-from util import rand_config, rand_group_element, rand_invertible, rand_matrix, reference_qA
+from util import (
+    composite_is_zero,
+    rand_config,
+    rand_group_element,
+    rand_invertible,
+    rand_matrix,
+    reference_qA,
+)
 
 
 def _commutator(x, y):
@@ -139,22 +148,28 @@ def test_malformed_config_raises(change, message):
     assert copy == cfg and hash(copy) == hash(cfg) and copy.dims == cfg.dims
 
 
-def test_assemble_qA_corner_n0():
+def _alpha_qA(cfg):
+    """``q^A`` read off alpha's ``z2`` matrix, whose ``L`` rows are ``q^1`` and then ``-q^0``."""
+    m = build_monad(cfg)
+    tl, tk = cfg.dims.total_l, cfg.dims.total_k
+    q1, q0 = (Matrix.from_ints([list(row) for row in m.alpha.mats[2][s:s + tl]], m.alpha.den, tk)
+              for s in (0, tl))
+    return -q0, q1
+
+
+def test_alpha_qA_corner_n0():
     rng = Random(4)
     cfg = rand_config(rng, 1, [], 2)
-    q = assemble_qA(cfg)
+    q = _alpha_qA(cfg)
     assert q[0] == -cfg.aA00[0]
     assert q[1] == -cfg.aA00[1]
 
 
-def test_assemble_qA_zero_point_shape():
+def test_alpha_qA_zero_point_shape():
     # with the single centre at the origin every p-scaled block dies
     rng = Random(5)
-    while True:
-        cfg = rand_config(rng, 1, [0], 1)
-        break
-    cfg = cfg.replace(points=BlowupPoints([(0, 0)]))
-    q = assemble_qA(cfg)
+    cfg = rand_config(rng, 1, [0], 1).replace(points=BlowupPoints([(0, 0)]))
+    q = _alpha_qA(cfg)
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
     for a_idx in (0, 1):
         assert q[a_idx].submatrix(0, ld[0], 0, kd[0]) == -cfg.aA00[a_idx]
@@ -428,13 +443,13 @@ def test_sample_every_grid_set_validates():
 
 
 def test_qA_and_bA_match_the_block_reference():
-    # assemble_qA reads its L_0 rows from the kept strips, and b^A is minus
-    # the kept L_0 rows of q^A a^{-1}.  T_A = a^{-1} q^A is p_i^A times the
+    # alpha's z2 rows read q^A off the kept L_0 strips and p_i^A a on L_i,
+    # and b^A is minus the kept L_0 rows of q^A a^{-1}.  T_A = a^{-1} q^A is p_i^A times the
     # identity on each K_i, so the scans keep only its K_0 columns
     for r, a, k in GRID:
         cfg = sample_config(r, a, k, seed=0)
         q = reference_qA(cfg)
-        assert assemble_qA(cfg) == q, (r, a, k)
+        assert _alpha_qA(cfg) == q, (r, a, k)
         ainv, l0 = assemble_a(cfg).inverse(), cfg.dims.dim_l[0]
         assert derive_bA(cfg) == tuple(
             -(m * ainv).submatrix(0, l0, 0, ainv.ncols) for m in q), (r, a, k)
@@ -449,6 +464,74 @@ def test_qA_and_bA_match_the_block_reference():
                     assert t.submatrix(0, total, j, j + 1) == unit.scale(
                         cfg.point_coord(i, A)), (r, a, k, A, j)
             assert t.submatrix(0, total, 0, kd[0]) == chart[A], (r, a, k, A)
+
+
+def _check_composite_is_the_residual(cfg):
+    """The pencils' ``beta . alpha`` is zero but for the compact residual, and validate says so.
+
+    The residual is read through ``monad``, as :func:`validate_config` reads
+    it: it must be the ``z2^2`` coefficient on ``(L_0, K_0)``, every other
+    entry of every coefficient must vanish, and the report's monad condition
+    must be whether the whole composite does.
+    """
+    dims = cfg.dims
+    l0, k0, tl, tk = dims.dim_l[0], dims.dim_k[0], dims.total_l, dims.total_k
+    zeros = Matrix.zeros
+    corner = block_matrix([[monad.constraint_residual(cfg), zeros(l0, tk - k0)],
+                           [zeros(tl - l0, k0), zeros(tl - l0, tk - k0)]],
+                          [l0, tl - l0], [k0, tk - k0])
+    comp = check_monad_condition(build_monad(cfg))
+    assert comp == {mono: corner if mono == (0, 0, 2) else zeros(tl, tk) for mono in comp}
+    assert validate_config(cfg).monad_condition is composite_is_zero(comp)
+    return comp
+
+
+def test_composite_is_the_residual_on_every_grid_set():
+    # validate_config reads the monad condition from the compact residual
+    # alone; the composite of the pencils is the reference it must match,
+    # on every sample and on a copy with a perturbed d
+    rng, broken_sets = Random(0), 0
+    for r, a, k in GRID:
+        cfg = sample_config(r, a, k, seed=0)
+        assert composite_is_zero(_check_composite_is_the_residual(cfg)), (r, a, k)
+        broken = cfg.replace(d=cfg.d + rand_matrix(rng, *cfg.d.shape))
+        broken_sets += not composite_is_zero(_check_composite_is_the_residual(broken))
+    assert broken_sets >= 60
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+def test_composite_check_catches_a_planted_residual(monkeypatch, valid):
+    cfg = sample_config(2, [1], 1, seed=5)
+    if not valid:
+        cfg = cfg.replace(d=cfg.d + rand_matrix(Random(6), *cfg.d.shape))
+    assert composite_is_zero(_check_composite_is_the_residual(cfg)) is valid
+    real = monad.constraint_residual
+
+    def planted(c):
+        res = real(c)
+        return res + Matrix.from_function(*res.shape, lambda i, j: int(i == j == 0))
+
+    monkeypatch.setattr(monad, "constraint_residual", planted)
+    with pytest.raises(AssertionError):
+        _check_composite_is_the_residual(cfg)
+
+
+def test_spot_checks_keep_both_points_of_every_line_and_a_chart_point():
+    # twelve points up to n = 5, as ever; beyond, every line keeps its two
+    for n in range(8):
+        m = build_monad(rand_config(Random(n), 1, (0,) * n, 1))
+        pts = _spotcheck_points(m, Random(1))
+        assert pts[0] == SurfacePoint.generic(1, 0, 0)
+        for i in range(1, n + 1):
+            on_line = [pt for pt in pts if pt.exceptional_index == i]
+            assert len(on_line) == 2 and SurfacePoint.exceptional(i, 0, 1) in on_line
+        chart = pts[1 + 2 * n:]
+        assert chart and all(not pt.is_exceptional and pt.coords[2] == 1 for pt in chart)
+        assert len(pts) == max(12, 2 * n + 2), n
+    rep = validate_config(sample_config(2, (1,) * 6, 3, seed=0), seed=0)
+    spots = [s.point for s in rep.fiber_spotchecks]
+    assert rep.valid and len(spots) == 14
+    assert SurfacePoint.exceptional(6, 0, 1) in spots and not spots[-1].is_exceptional
 
 
 @pytest.mark.parametrize("r, a, k", [
@@ -532,7 +615,7 @@ def test_compact_block_matches_full_products(a_vec):
         cfg = rand_config(rng, r, a_vec, k)
         l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
         ainv = assemble_a(cfg).inverse()
-        q = assemble_qA(cfg)
+        q = reference_qA(cfg)
         full = q[1] * ainv * q[0] - q[0] * ainv * q[1]
         block = _compact_block(cfg)
         assert block == full.submatrix(0, l0, 0, k0)
@@ -543,16 +626,16 @@ def test_compact_block_matches_full_products(a_vec):
     assert nonzero >= 2
 
 
-def _count_builds(monkeypatch, name: str) -> list:
-    """The configurations that ``adhm.<name>`` is called on from now on."""
+def _count_builds(monkeypatch, name: str, module=adhm) -> list:
+    """The arguments that ``<module>.<name>`` is called on from now on."""
     built = []
-    real = getattr(adhm, name)
+    real = getattr(module, name)
 
     def counted(cfg):
         built.append(cfg)
         return real(cfg)
 
-    monkeypatch.setattr(adhm, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return built
 
 
@@ -571,6 +654,17 @@ def test_stabilizer_system_built_once_per_config(monkeypatch, argv):
         assert cli.main(argv) == 0
     assert '"stabilizer_dim": 0' in out.getvalue()
     assert built and sum(cfg is built[-1] for cfg in built) == 1
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_CONFIGS.glob("*.json")))
+def test_report_builds_the_monad_once_and_never_composes_it(monkeypatch, name):
+    # validate_config reads the monad condition from the compact residual
+    builds = _count_builds(monkeypatch, "build_monad", monad)
+    composites = _count_builds(monkeypatch, "check_monad_condition", monad)
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["report", str(GOLDEN_CONFIGS / name), "--json"]) == 0
+    assert '"monad_identity_zero": true' in out.getvalue()
+    assert len(builds) == 1 and composites == []
 
 
 def test_replaced_config_recomputes_stabilizer(monkeypatch):

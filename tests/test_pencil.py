@@ -41,7 +41,6 @@ from adhm_blowup_kit.monad import (
     _scan_divisor,
     build_monad,
     check_monad_condition,
-    composite_is_zero,
     framing_check,
     framing_verdicts,
 )
@@ -49,6 +48,7 @@ from util import (
     W0,
     W1,
     _all_minors,
+    composite_is_zero,
     line_zeros,
     rand_config,
     reference_chart_operators,

@@ -181,8 +181,9 @@ def rand_group_element(rng: Random, dims) -> GroupElement:
 def reference_qA(cfg: AdhmConfig) -> tuple[Matrix, Matrix]:
     """The pair ``q^A``, block by block: corner ``-a^A_00`` and ``p_i^A``-scaled arrow blocks.
 
-    A reference for ``adhm.assemble_qA``, which reads its ``L_0`` rows from
-    the configuration's kept strips.
+    A reference for the ``z2`` matrix of alpha, whose rows ``build_monad``
+    reads off the configuration's kept ``L_0`` strips and ``p_i^A a`` on
+    each ``L_i``.
     """
     n = cfg.n
     kd, ld = cfg.dims.dim_k, cfg.dims.dim_l
@@ -204,6 +205,28 @@ def reference_qA(cfg: AdhmConfig) -> tuple[Matrix, Matrix]:
             blocks.append(row)
         out.append(block_matrix(blocks, list(ld), list(kd)))
     return (out[0], out[1])
+
+
+def affine_image(cfg: AdhmConfig, m: Matrix, t: Sequence) -> AdhmConfig:
+    """``cfg`` moved by the affine map ``x -> M x + t`` of the plane, ``M`` invertible.
+
+    The centres go to ``M p_i + t``, ``aA00[A]`` to ``sum_B M_AB aA00[B] -
+    t_A a00`` and ``c`` to ``det(M) c``; every other block stays.  Then
+    ``q^A`` goes to ``sum_B M_AB q^B + t_A a``, the compact residual scales
+    by ``det M``, and the sheaf moves with the plane: a drop point ``x`` of
+    the chart goes to ``M x + t`` and one ``w`` on ``E_i`` to ``M w``.
+    """
+    (m0, m1), t = m.rows, [Fraction(x) for x in t]
+    points = [(m0[0] * p0 + m0[1] * p1 + t[0], m1[0] * p0 + m1[1] * p1 + t[1])
+              for p0, p1 in cfg.points.points]
+    aA00 = tuple(cfg.aA00[0].scale(row[0]) + cfg.aA00[1].scale(row[1]) - cfg.a00.scale(tA)
+                 for row, tA in zip((m0, m1), t))
+    return cfg.replace(points=BlowupPoints(points), aA00=aA00, c=cfg.c.scale(m.det()))
+
+
+def composite_is_zero(comp) -> bool:
+    """Whether every coefficient of ``monad.check_monad_condition`` vanishes."""
+    return all(mat.is_zero() for mat in comp.values())
 
 
 # -- the derivative references ---------------------------------------------------

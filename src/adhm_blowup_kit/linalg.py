@@ -13,10 +13,10 @@ it is full, which certifies it (``certified_rank`` is that half alone).
 Exact elimination first divides each row by
 its content, the gcd of its entries (sympy's ``clear_denoms_rowwise``), so
 that no row carries a factor that only another row's denominator put there.
-Then one of two integer kernels runs: Bareiss elimination for ``rank`` and
-``nullity`` when the certificate fails, and one fraction-free Gauss-Jordan
-reduction for ``det``, ``inverse``, ``solve`` and ``nullspace``.  Every
-operation is exact; nothing here ever touches floating point.  Zero-sized
+Then one integer kernel runs, a fraction-free Gauss-Jordan reduction, for
+``rank`` and ``nullity`` when the certificate fails and for ``det``,
+``inverse``, ``solve`` and ``nullspace``.  Every operation is exact; nothing
+here ever touches floating point.  Zero-sized
 matrices are first-class citizens because several block dimensions in this
 project are legitimately zero (``det`` of a 0x0 matrix is 1, the kernel of a
 0xn matrix is all of Q^n, and so on).
@@ -108,28 +108,6 @@ def _independent_mod_p(vectors: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by Bareiss elimination.
-
-    Each step drops the leading column and the pivot row.  The entries left
-    are then minors of the input, so the division by the previous pivot is
-    exact and they stay integers (Bareiss, Math. Comp. 22, 1968).
-    """
-    rank, prev = 0, 1
-    while rows and rows[0]:
-        pivot_row = next((i for i, row in enumerate(rows) if row[0]), None)
-        if pivot_row is None:
-            rows = [row[1:] for row in rows]
-            continue
-        prow = rows.pop(pivot_row)
-        p, tail = prow[0], prow[1:]
-        rows = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
-                for row in rows]
-        prev = p
-        rank += 1
-    return rank
-
-
 def _gauss_jordan(rows: list[list[int]], width: int | None = None) -> tuple[list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination on integer rows, in place.
 
@@ -196,24 +174,29 @@ def _kernel(rows: list[list[int]], pivots: list[int], pivot: int, width: int) ->
 def _inner_inverse(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """``(L, N, M)``: ``m L m = m``, a kernel basis ``N`` and a left-kernel basis ``M``.
 
-    One fraction-free Gauss-Jordan pass on ``[num | I]`` that pivots in the
-    ``num`` columns alone leaves ``E num`` in reduced row echelon form, with
-    ``E`` the identity part over the last pivot.  With ``pc_j`` the pivot
-    columns, ``L / den`` has row ``j`` of ``E`` in row ``pc_j`` and zeros
-    elsewhere, so that ``num L num = den num``.  The kernel is read off the
-    echelon rows (:func:`_kernel`), and the rows of ``E`` below the rank
-    span the left kernel.  ``N`` holds its vectors in columns and ``M`` in
-    rows, each an integer vector divided by its content.
+    With ``num = C P``, ``C`` the diagonal of the row contents, one
+    fraction-free Gauss-Jordan pass on ``[P | I]`` that pivots in the ``P``
+    columns alone leaves ``E P`` in reduced row echelon form, with ``E`` the
+    identity part over the last pivot.  With ``pc_j`` the pivot columns,
+    ``L_P`` with row ``j`` of ``E`` in row ``pc_j`` and zeros elsewhere has
+    ``P L_P P = P``, so ``L = den L_P C^-1``.  The kernel is read off the
+    echelon rows (:func:`_kernel`), and the rows of ``E C^-1`` below the
+    rank span the left kernel.  ``N`` holds its vectors in columns and ``M``
+    in rows, each an integer vector divided by its content.
     """
     h, w = m.shape
-    rows = [row + [int(i == j) for j in range(h)] for i, row in enumerate(m.num)]
+    contents = [gcd(*row) or 1 for row in m.num]
+    rows = [[x // c for x in row] + [int(i == j) for j in range(h)]
+            for i, (row, c) in enumerate(zip(m.num, contents))]
     pivots, _sign, pivot = _gauss_jordan(rows, w)
+    den = lcm(1, *contents)
+    scales = [m.den * (den // c) for c in contents]
     inner = [[0] * h for _ in range(w)]
     for row, pc in zip(rows, pivots):
-        inner[pc] = [m.den * x for x in row[w:]]
+        inner[pc] = [x * s for x, s in zip(row[w:], scales)]
     kernel = [_primitive(v) for v in _kernel(rows, pivots, pivot, w)]
-    left = [_primitive(row[w:]) for row in rows[len(pivots):]]
-    return (Matrix.from_ints(inner, pivot, h),
+    left = [_primitive([x * s for x, s in zip(row[w:], scales)]) for row in rows[len(pivots):]]
+    return (Matrix.from_ints(inner, den * pivot, h),
             Matrix.from_ints([[v[i] for v in kernel] for i in range(w)], 1, len(kernel)),
             Matrix.from_ints(left, 1, h))
 
@@ -316,9 +299,11 @@ class Matrix:
         return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other: object) -> bool:
+        """Same shape and entries, whether ``num`` holds its rows as lists or tuples."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self.den == other.den and self.num == other.num
+        return (self.shape == other.shape and self.den == other.den
+                and all(a == b or tuple(a) == tuple(b) for a, b in zip(self.num, other.num)))
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, self.den, tuple(map(tuple, self.num))))
@@ -387,13 +372,14 @@ class Matrix:
     def rank(self) -> int:
         """Rank: :meth:`certified_rank` when it is full, else exact elimination.
 
-        Without a certificate the rank is the fraction-free Bareiss rank of
-        the primitive rows, which is exact whatever the prime.
+        Without a certificate the rank is the number of pivots that
+        :func:`_gauss_jordan` finds in the primitive rows, which is exact
+        whatever the prime.
         """
         certified = self.certified_rank()
         if certified is not None:
             return certified
-        return _bareiss_rank([_primitive(row) for row in self.num if any(row)])
+        return len(_gauss_jordan([_primitive(row) for row in self.num if any(row)])[0])
 
     def nullspace(self) -> list[Matrix]:
         """Basis of the right kernel, as column matrices, read off the reduced rows."""
@@ -420,27 +406,16 @@ class Matrix:
         return Fraction(sign * pivot * prod(contents), self.den ** self.nrows)
 
     def inverse(self) -> Matrix:
-        """Inverse by fraction-free Gauss-Jordan on the primitive rows.
+        """Inverse: the inner inverse of :func:`_inner_inverse`, the only one when the kernel is 0.
 
-        With ``C`` the row contents, ``self = C P / den``.  Reducing ``[P | I]``
-        gives ``P^-1 = X / pivot``, so ``self^-1 = den X C^-1 / pivot``.
         Raises ``ZeroDivisionError`` if singular.
         """
         if self.nrows != self.ncols:
             raise DimensionMismatchError("inverse of non-square matrix")
-        n = self.nrows
-        contents, rows = [], []
-        for i, row in enumerate(self.num):
-            c = gcd(*row) or 1
-            contents.append(c)
-            rows.append([x // c for x in row] + [int(i == j) for j in range(n)])
-        pivots, _sign, pivot = _gauss_jordan(rows)
-        if pivots and pivots[-1] >= n:
+        inner, kernel, _left = _inner_inverse(self)
+        if kernel.ncols:
             raise ZeroDivisionError("matrix is singular")
-        den = lcm(1, *contents)
-        scales = [self.den * (den // c) for c in contents]
-        return Matrix.from_ints([[x * s for x, s in zip(row[n:], scales)] for row in rows],
-                                den * pivot, n)
+        return inner
 
     def solve(self, rhs: Matrix) -> Matrix | None:
         """One solution X of self @ X = rhs, or None if inconsistent.

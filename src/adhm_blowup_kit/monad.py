@@ -18,8 +18,8 @@ its ``(L_0, K_0)`` block, the compact residual.  An entry twisted by ``-E_i``
 (a ``K_i`` column of alpha, an ``L_i`` row of beta) vanishes at the centre
 ``p_i``; on ``E_i`` it restricts to ``w0 M_0 + w1 M_1`` and every other entry
 to its value at ``p_i``.  A value at a point is one integer combination of the
-three matrices, and rank-only callers take those integer rows straight to
-Bareiss elimination.  ``check_monad_condition`` composes the pencils; the tests
+three matrices, and rank-only callers rank those integer rows as they are,
+over no denominator.  ``check_monad_condition`` composes the pencils; the tests
 compare it with the compact residual, the verdict of :func:`validate_config`.
 
 Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps;
@@ -69,7 +69,7 @@ from .errors import (
     NotInPError,
 )
 from .lattice import ChernCharacter, DivisorClass, MonadDims, _frac
-from .linalg import Matrix, block_matrix, clear_denoms, rational_eigenvalues
+from .linalg import Matrix, _inner_inverse, block_matrix, clear_denoms, rational_eigenvalues
 from .sections import BlowupPoints
 
 Rational = Fraction | int
@@ -378,9 +378,11 @@ def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]]
     as ``(1, w1/w0)`` or ``(0, 1)``, and whether they are all of them.  Every
     d x d minor is a form of degree d in ``w``, so full rank at one of the
     d + 1 points ``(mu : 1)``, ``0 <= mu <= d``, rules out a drop everywhere.
-    With ``B = mu a0 + a1`` of full rank, ``T = -(B^T B)^{-1} B^T a0`` and
-    ``C = a0 + B T``, whose columns are orthogonal to those of ``B``, the
-    pencil at ``(1 + mu tau : tau)`` is ``B (tau - T) + C``.  It kills ``v``
+    With ``B = mu a0 + a1`` of full rank, its inner inverse ``L``
+    (:func:`.linalg._inner_inverse`) is a left inverse; put ``T = -L a0``
+    and ``C = a0 + B T``.  ``C v = 0`` iff ``a0 v = -B u`` for some ``u``,
+    and then ``T v = u``, whatever the left inverse.  The pencil at ``(1 +
+    mu tau : tau)`` is ``B (tau - T) + C``.  It kills ``v``
     iff ``T v = tau v`` and ``C v = 0``, so the drop points other than
     ``(mu : 1)``, which is none, are the eigenvalues of ``T`` on the largest
     ``T``-invariant subspace of ker ``C``.  Each rational eigenvalue there is
@@ -391,8 +393,7 @@ def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]]
     if mu is None:
         return None
     b = a0.scale(mu) + a1
-    bt = b.transpose()
-    t = -(bt * b).solve(bt * a0)
+    t = -(_inner_inverse(b)[0] * a0)
     [g] = _restrict(a0 + b * t, [t])
     taus, rest = rational_eigenvalues(g)
     points = []
@@ -400,23 +401,6 @@ def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]]
         w0 = 1 + mu * tau
         points.append((Fraction(1), tau / w0) if w0 else (Fraction(0), Fraction(1)))
     return points, rest == [1]
-
-
-def _drops_beside(u: Matrix, p0: Matrix,
-                  p1: Matrix) -> tuple[list[tuple[Fraction, Fraction]], bool] | None:
-    """Where ``[u | w0 p0 + w1 p1]`` drops below full column rank, as :func:`_line_drops`.
-
-    With ``N`` the left kernel of the constant columns ``u``, its rank is
-    ``rank u + rank N (w0 p0 + w1 p1)``: it drops everywhere if ``u`` does not
-    have full column rank, and otherwise where the pencil
-    ``w0 N p0 + w1 N p1`` does.  :func:`framing_verdicts` reads the framing
-    line through it.
-    """
-    kernel = u.transpose().nullspace()
-    if len(kernel) != u.nrows - u.ncols:
-        return None
-    n = block_matrix([kernel], [u.nrows], [1] * len(kernel)).transpose()
-    return _line_drops(n * p0, n * p1)
 
 
 def _scan_divisor(m: MonadRep, i: int) -> tuple[list[SurfacePoint], bool]:
@@ -524,8 +508,10 @@ def framing_verdicts(cfg: AdhmConfig, m: MonadRep | None = None) -> tuple[bool, 
     not given, and is False when ``a`` is singular and there is no monad.
     On the line both maps are ``x0 M_0 + x1 M_1``, and ``C^r`` injects into
     every fibre iff beta's framing columns vanish, ``[alpha | C^r]`` never
-    drops rank and beta is onto (its transpose, beside no constant columns,
-    never drops rank); both pencils go through :func:`_drops_beside`.
+    drops rank and beta is onto (its transpose never drops rank).  Both
+    go through :func:`_line_drops`: ``[alpha | C^r]`` drops where the first
+    ``rank W - r`` rows of alpha do, since the columns of ``C^r`` are unit
+    columns in the last ``r``.
 
     On a monad of :func:`build_monad` both verdicts are True, so
     :func:`validate_config` reads the framing from ``a`` alone.  At
@@ -544,12 +530,10 @@ def framing_verdicts(cfg: AdhmConfig, m: MonadRep | None = None) -> tuple[bool, 
     first = dims.rank_w - dims.rank  # the framing summand is the last block of W
     if any(x for mat in m.beta.mats[:2] for row in mat for x in row[first:]):
         return det_ok, False
-    unit = Matrix.identity(dims.rank_w).submatrix(0, dims.rank_w, first, dims.rank_w)
-    injects = _drops_beside(unit, *(Matrix.from_ints(a, 1, dims.total_k)
-                                    for a in m.alpha.mats[:2]))
-    onto = _drops_beside(Matrix.zeros(dims.rank_w, 0),
-                         *(Matrix.from_ints(b, 1, dims.rank_w).transpose()
-                           for b in m.beta.mats[:2]))
+    injects = _line_drops(*(Matrix.from_ints(a[:first], 1, dims.total_k)
+                            for a in m.alpha.mats[:2]))
+    onto = _line_drops(*(Matrix.from_ints(b, 1, dims.rank_w).transpose()
+                         for b in m.beta.mats[:2]))
     return det_ok, injects == onto == ([], True)
 
 

@@ -384,10 +384,10 @@ GRID = [(r, a, k) for r in (1, 2, 3) for n in (0, 1, 2)
 def test_sampler_certifies_without_exact_elimination(monkeypatch):
     # a draw is accepted or rejected on the modular certificate of its
     # isotropy system alone, and an accepted draw keeps its zero stabilizer
-    def bareiss(rows):
+    def rank(self):
         raise AssertionError("exact elimination in the sampler")
 
-    monkeypatch.setattr(linalg, "_bareiss_rank", bareiss)
+    monkeypatch.setattr(Matrix, "rank", rank)
     cfg = sample_config(2, [1], 1, seed=5)
     assert cfg.__dict__["_stabilizer_nullity"] == 0
     # every draw of (1, (2), 0) that solves has a positive stabilizer

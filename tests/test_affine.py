@@ -1,4 +1,4 @@
-"""The plane's affine group as an oracle for the monad's verdicts.
+"""The plane's affine group, and relabelling the centres, as oracles for the monad's verdicts.
 
 An affine change of coordinates ``x -> M x + t`` moves the configuration
 (:func:`util.affine_image`) and the sheaf with it, so every verdict must
@@ -13,8 +13,13 @@ Off the monad condition the chart operators need not commute, so the
 chart's completeness, which reads the eigenvalues of each operator on its
 own, is compared on monads only; its drop points and the lines' verdicts
 move with the plane on any data.
+
+Renumbering the centres (:func:`util.relabel`) moves nothing in the plane:
+the residual, the chart's points and completeness and every verdict stay,
+and the points of ``E_i``, or its whole-line drop, move to ``E_perm(i)``.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +35,7 @@ from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.monad import _scan_chart, _scan_divisor, build_monad, validate_config
 from test_adhm import GRID
 from test_pencil import LINE_PLANTS, PLANT_SHAPES, _has_room, _plant_on_E1
-from util import affine_image, rand_config
+from util import affine_image, rand_config, relabel
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
 
@@ -127,4 +132,32 @@ def test_verdicts_follow_an_affine_change_of_coordinates(source, index, m, t):
         assert chart_complete == chart_image_complete
     assert lines_image == [line and ({_moved(key, m, t) for key in line[0]}, line[1])
                            for line in lines]
+    assert _verdicts(image) == _verdicts(cfg)
+
+
+def _relabelled(line, perm):
+    """A line's scan from :func:`_scans` once its centre ``i`` is renumbered ``perm[i - 1] + 1``."""
+    return line and ({(perm[i - 1] + 1, w0, w1) for i, w0, w1 in line[0]}, line[1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(source=st.sampled_from(sorted(SOURCES)), index=st.integers(0, 10 ** 6),
+       turn=st.integers(0, 10 ** 6))
+# the first fixture drops at (1 : 0) on E_1; planted index 1 has an
+# irrational pair on E_1, index 3 a drop along E_1, and index 4 a decoy
+# there that the K_2 rows rule out
+@example(source="fixture", index=0, turn=1)
+@example(source="planted", index=1, turn=1)
+@example(source="planted", index=3, turn=1)
+@example(source="planted", index=4, turn=1)
+def test_verdicts_follow_a_relabelling_of_the_centres(source, index, turn):
+    cfg = SOURCES[source](index)
+    perms = list(itertools.permutations(range(cfg.n)))
+    perm = perms[turn % len(perms)]
+    image = relabel(cfg, perm)
+    assert constraint_residual(image) == constraint_residual(cfg)
+    chart, chart_complete, lines = _scans(cfg)
+    chart_image, chart_image_complete, lines_image = _scans(image)
+    assert (chart_image, chart_image_complete) == (chart, chart_complete)
+    assert [lines_image[j] for j in perm] == [_relabelled(line, perm) for line in lines]
     assert _verdicts(image) == _verdicts(cfg)

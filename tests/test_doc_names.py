@@ -1,10 +1,10 @@
 """Private names that docstrings, comments and the README cite must exist.
 
-A docstring or comment that names a private helper in backticks, as
-``_name`` or ``module._name``, goes stale silently when the helper is
-renamed or deleted.  This scans the docstrings and comments of the package
-and of ``tests/util.py``, and README.md, for such names and looks each one
-up among the names that ``src/`` and ``tests/`` define.
+A docstring or comment that names a private helper in backticks, bare or
+after a module and a dot, goes stale silently when the helper is renamed or
+deleted.  This scans the docstrings and comments of the package and of every
+test file, and README.md, for such names and looks each one up among the
+names that ``src/`` and ``tests/`` define.  Dunders are not private names.
 """
 
 import ast
@@ -14,11 +14,10 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + [ROOT / "tests" / "util.py"]
 DEFINING = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 
-#: A backticked name whose last dotted part is private: `_name`, ``mod._name``.
-CITED = re.compile(r"`(?:[A-Za-z_]\w*\.)*(_\w+)`")
+#: A backticked name, maybe dotted, whose last part has one leading underscore.
+CITED = re.compile(r"`(?:[A-Za-z_]\w*\.)*(_[^\W_]\w*)`")
 
 
 def _prose(path: Path) -> list[str]:
@@ -51,7 +50,7 @@ def _defined(path: Path) -> set[str]:
 def test_cited_private_names_are_defined():
     defined = set().union(*map(_defined, DEFINING))
     missing = sorted({f"{path.relative_to(ROOT)}: {name}"
-                      for path in SOURCES for doc in _prose(path)
+                      for path in DEFINING for doc in _prose(path)
                       for name in CITED.findall(doc) if name not in defined})
     assert missing == []
 

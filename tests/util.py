@@ -224,6 +224,24 @@ def affine_image(cfg: AdhmConfig, m: Matrix, t: Sequence) -> AdhmConfig:
     return cfg.replace(points=BlowupPoints(points), aA00=aA00, c=cfg.c.scale(m.det()))
 
 
+def relabel(cfg: AdhmConfig, perm: Sequence[int]) -> AdhmConfig:
+    """``cfg`` with its blow-up centres renumbered: centre ``i`` becomes centre ``perm[i]``, 0-based.
+
+    Each centre takes its ``a_i``, ``a0i``, ``ai0`` and ``aii`` along, so
+    ``a`` and ``q^A`` change by one permutation of the ``K_i`` and of the
+    ``L_i`` for ``i >= 1``, and their ``(L_0, K_0)`` blocks stay.  The
+    sheaf is the same: the compact residual, the chart and every verdict
+    stay, and a drop point on ``E_(i+1)`` moves to ``E_(perm[i]+1)``.
+    """
+    order = sorted(range(cfg.n), key=perm.__getitem__)  # the old index of each new one
+
+    def moved(blocks):
+        return tuple(blocks[i] for i in order)
+
+    return cfg.replace(points=BlowupPoints(moved(cfg.points.points)), a_vec=moved(cfg.a_vec),
+                       a0i=moved(cfg.a0i), ai0=moved(cfg.ai0), aii=moved(cfg.aii))
+
+
 def composite_is_zero(comp) -> bool:
     """Whether every coefficient of ``monad.check_monad_condition`` vanishes."""
     return all(mat.is_zero() for mat in comp.values())

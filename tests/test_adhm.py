@@ -429,7 +429,8 @@ def test_sample_every_grid_set_validates():
     for r, a, k in GRID:
         cfg = sample_config(r, a, k, seed=0)
         assert stabilizer_dim(cfg) == 0
-        assert validate_config(cfg, seed=0).valid, (r, a, k)
+        rep = validate_config(cfg, seed=0)
+        assert rep.valid and rep.failures == (), (r, a, k)
         monad = build_monad(cfg)
         # validate_config reads the framing from a invertible, which forces
         # the fibre criterion on the framing line

@@ -18,6 +18,22 @@ unchanged.  After a deliberate output change, rewrite the goldens with
 Every golden report must also pass the benchmark's own output checks
 (``perfbench/checks.py``), so a report change that would break the benchmark
 fails here first.
+
+``invalid/`` pins ``report --json`` and the text of ``validate`` on one input
+per path of ``validate_config`` that exits 2.  The configurations in
+``invalid/configs/`` are fixed inputs, written once:
+
+- ``singular_a``: ``a00`` and ``a0i`` zeroed on ``sample_config(2, [1], 1,
+  seed=0)``;
+- ``nonzero_residual``: ``d`` scaled by 2 on that same sample;
+- ``line_drop``: ``sample_config(1, [1, 1], 1, seed=2)``, where alpha drops
+  along all of ``E_1``;
+- ``positive_stabilizer``: ``adhm._solve_draw(adhm._draw(2, (3,), 1, rng),
+  rng)`` with ``rng = Random(0)``, whose stabilizer has dimension 3.
+
+``beta_not_onto`` is the fixture ``r1_k2_seed0.json`` at ``--seed 47``, whose
+spot points include (4 : -2 : 1), where beta drops.  These reports are not
+expected to pass the benchmark's checks.
 """
 
 from __future__ import annotations
@@ -30,7 +46,9 @@ from pathlib import Path
 
 import pytest
 
+from adhm_blowup_kit import config_io
 from adhm_blowup_kit.cli import main
+from adhm_blowup_kit.monad import validate_config
 from util import perfbench_module
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -43,15 +61,24 @@ TANGENT_CONFIGS = {p.stem: p for p in sorted((GOLDEN / "configs" / "tangent").gl
 COMMANDS = ("scan", "report", "tangent")
 CASES = [(name, command) for name in sorted(CONFIGS) for command in COMMANDS] + [
     (name, "tangent") for name in sorted(TANGENT_CONFIGS)]
+INVALID = GOLDEN / "invalid"
+#: One input per invalid path of ``validate_config``, with its extra flags.
+INVALID_CASES = {
+    **{p.stem: (p, []) for p in sorted((INVALID / "configs").glob("*.json"))},
+    "beta_not_onto": (Path(__file__).parent / "fixtures" / "r1_k2_seed0.json",
+                      ["--seed", "47"]),
+}
+#: The golden's suffix and the flags of each command pinned on them.
+INVALID_COMMANDS = {"report": ("report.json", ["--json"]), "validate": ("validate.txt", [])}
 #: ``sample --seed 0`` output, byte for byte, on the parameters it holds.
 SAMPLED = {p.name.removesuffix(".sample.json"): p for p in sorted(GOLDEN.glob("*.sample.json"))}
 
 
-def _capture(argv: list[str]) -> str:
+def _capture(argv: list[str], code: int = 0) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
-    assert code == 0
+        got = main(argv)
+    assert got == code
     return out.getvalue()
 
 
@@ -70,6 +97,35 @@ def _sample(params: dict) -> str:
 def test_cli_output_matches_golden(name, command):
     expected = (GOLDEN / f"{name}.{command}.json").read_text(encoding="utf-8")
     assert _run(command, {**CONFIGS, **TANGENT_CONFIGS}[name]) == expected
+
+
+def _run_invalid(name: str, command: str) -> str:
+    path, flags = INVALID_CASES[name]
+    return _capture([command, str(path), *flags, *INVALID_COMMANDS[command][1]], code=2)
+
+
+def _invalid_golden(name: str, command: str) -> Path:
+    return INVALID / f"{name}.{INVALID_COMMANDS[command][0]}"
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CASES))
+@pytest.mark.parametrize("command", sorted(INVALID_COMMANDS))
+def test_invalid_output_matches_golden(name, command):
+    expected = _invalid_golden(name, command).read_text(encoding="utf-8")
+    assert _run_invalid(name, command) == expected
+
+
+def test_report_is_valid_iff_nothing_failed():
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+    inputs = [(p, None) for p in [*CONFIGS.values(), *TANGENT_CONFIGS.values(), *fixtures]]
+    inputs += [(p, int(flags[1]) if flags else None) for p, flags in INVALID_CASES.values()]
+    verdicts = []
+    for path, seed in inputs:
+        cfg, file_seed = config_io.config_from_json(json.loads(path.read_text(encoding="utf-8")))
+        rep = validate_config(cfg, seed=seed if seed is not None else file_seed or 0)
+        assert rep.valid == (not rep.failures), path
+        verdicts.append(rep.valid)
+    assert verdicts.count(False) == len(INVALID_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(p.name.removesuffix(".report.json")
@@ -96,3 +152,7 @@ if __name__ == "__main__":
     for name, command in CASES:
         (GOLDEN / f"{name}.{command}.json").write_text(
             _run(command, paths[name]), encoding="utf-8")
+    for name in INVALID_CASES:
+        for command in INVALID_COMMANDS:
+            _invalid_golden(name, command).write_text(
+                _run_invalid(name, command), encoding="utf-8")

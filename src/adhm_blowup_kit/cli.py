@@ -79,9 +79,8 @@ def _cmd_validate(args) -> int:
         "det_a_nonzero", "raw_residual_zero", "compact_residual_zero",
         "monad_identity_zero", "framing", "finite_rank_drop", "ch_check",
         "stabilizer_dim", "scan_complete")]
-    lines.append(f"  singular_points: {len(rep.singular_points)}")
-    for p in rep.singular_points:
-        lines.append(f"    {config_io.point_to_json(p)}")
+    lines.append(f"  singular_points: {len(doc['singular_points'])}")
+    lines += [f"    {p}" for p in doc["singular_points"]]
     if rep.failures:
         lines.append("  failures:")
         lines += [f"    - {msg}" for msg in rep.failures]

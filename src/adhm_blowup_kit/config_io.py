@@ -197,16 +197,21 @@ def point_to_json(pt: SurfacePoint) -> dict:
 def _spot_to_json(s: SpotCheck) -> dict:
     return {
         "point": point_to_json(s.point),
-        "rank_alpha": s.rank_alpha,
-        "dim_ker_beta": s.dim_ker_beta,
-        "fiber_dim": s.fiber_dim,
-        "beta_surjective": s.beta_surjective,
+        **{key: getattr(s.fiber, key, None)
+           for key in ("rank_alpha", "dim_ker_beta", "fiber_dim")},
+        "beta_surjective": s.fiber is not None,
         "ok": s.ok,
     }
 
 
 def report_to_json(rep: ValidationReport) -> dict:
-    """Schema 1: ``a_invertible`` under four keys, ``monad_condition`` under three."""
+    """Schema 1, the one place that spells it out.
+
+    ``a_invertible`` goes under four keys, ``monad_condition`` under three and
+    ``scan`` under three; ``ch_check`` is always true, since
+    :func:`.lattice.monad_dims` fixes the end terms from the Chern character.
+    """
+    scan = rep.scan
     return {
         "schema": SCHEMA_VERSION,
         "valid": rep.valid,
@@ -214,11 +219,11 @@ def report_to_json(rep: ValidationReport) -> dict:
                         rep.a_invertible),
         **dict.fromkeys(("raw_residual_zero", "compact_residual_zero", "monad_identity_zero"),
                         rep.monad_condition),
-        "finite_rank_drop": rep.finite_rank_drop,
-        "singular_points": [point_to_json(p) for p in rep.singular_points],
-        "scan_complete": rep.scan_complete,
+        "finite_rank_drop": scan is not None if rep.a_invertible else None,
+        "singular_points": [point_to_json(p) for p in scan.points] if scan else [],
+        "scan_complete": scan.complete if scan else None,
         "fiber_spotchecks": [_spot_to_json(s) for s in rep.fiber_spotchecks],
-        "ch_check": rep.ch_check,
+        "ch_check": True,
         "stabilizer_dim": rep.stabilizer_dim,
         "normalizable": rep.normalizable,
         "failures": list(rep.failures),

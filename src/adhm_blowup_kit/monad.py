@@ -588,11 +588,10 @@ def cohomology_ch_check(dims: MonadDims) -> ChernCharacter:
 
 @dataclass(frozen=True)
 class SpotCheck:
+    """The fibre at one spot point; ``fiber`` is None where beta is not onto."""
+
     point: SurfacePoint
-    rank_alpha: int | None
-    dim_ker_beta: int | None
-    fiber_dim: int | None
-    beta_surjective: bool
+    fiber: FiberData | None
     ok: bool
 
 
@@ -601,25 +600,27 @@ class ValidationReport:
     """The verdicts of :func:`validate_config`, each stored once.
 
     Schema 1 (:func:`.config_io.report_to_json`) writes ``a_invertible`` as
-    ``det_a_nonzero``, ``framing``, ``framing_det`` and ``framing_fiber``, and
+    ``det_a_nonzero``, ``framing``, ``framing_det`` and ``framing_fiber``,
     ``monad_condition`` as ``raw_residual_zero``, ``compact_residual_zero``
-    and ``monad_identity_zero``.  With ``a`` singular there is no monad, and
-    the fields that need one keep their defaults.
+    and ``monad_identity_zero``, and ``scan`` as ``finite_rank_drop``,
+    ``singular_points`` and ``scan_complete``.  ``scan`` is None when there is
+    no monad (``a`` singular; every field that needs one keeps its default) or
+    when alpha drops along a whole line.
     """
 
     a_invertible: bool
     monad_condition: bool | None = None
-    finite_rank_drop: bool | None = None
-    singular_points: tuple[SurfacePoint, ...] = ()
-    scan_complete: bool | None = None
+    scan: ScanResult | None = None
     fiber_spotchecks: tuple[SpotCheck, ...] = ()
-    ch_check: bool
     stabilizer_dim: int | None = None
     normalizable: bool
-    valid: bool
-    failures: tuple[str, ...] = ()
+    failures: tuple[str, ...]
     #: The gauge-fixed configuration, if any; not part of the report's value.
     normalized: AdhmConfig | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def valid(self) -> bool:
+        return not self.failures
 
 
 def _spotcheck_points(m: MonadRep, rng: Random) -> list[SurfacePoint]:
@@ -637,80 +638,63 @@ def _spotcheck_points(m: MonadRep, rng: Random) -> list[SurfacePoint]:
 
 
 def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
-    """Run every finite check on a configuration and aggregate the verdicts.
+    """Run every check the construction does not prove and aggregate the verdicts.
 
     The monad condition is read from the compact residual alone: with ``b^A``
     derived it is the one coefficient of ``beta . alpha`` that can be nonzero
     (the tests compare it with :func:`check_monad_condition`).  The framing
     is read from ``a`` being invertible, which forces the fibre criterion on
-    the framing line (see :func:`framing_verdicts`).
+    the framing line (see :func:`framing_verdicts`).  The Chern character
+    needs no check here: :func:`.lattice.monad_dims` fixes the end terms from
+    it (:func:`cohomology_ch_check` is its test oracle).  The report is valid
+    exactly when nothing failed.
     """
-    failures: list[str] = []
-    try:
-        ch_check = cohomology_ch_check(cfg.dims) is not None
-    except InternalConsistencyError:
-        ch_check = False
-        failures.append("chern character bookkeeping")
-
     try:
         normalized = cfg if cfg.is_normalized() else gauge_fix(cfg)
     except NonGenericStratumError:
         # a singular ai0 block: not normalisable, though possibly still valid
         normalized = None
+    if not _a_invertible(cfg):
+        return ValidationReport(a_invertible=False, normalizable=normalized is not None,
+                                failures=("assembled matrix a is singular",),
+                                normalized=normalized)
 
-    det_ok = _a_invertible(cfg)
-    found: dict = {}
-    valid = False
-    if not det_ok:
-        failures.append("assembled matrix a is singular")
-    else:
-        residual_zero = constraint_residual(cfg).is_zero()
-        if not residual_zero:
-            failures.append("monad condition residual is nonzero")
-        monad = build_monad(cfg)
+    failures: list[str] = []
+    residual_zero = constraint_residual(cfg).is_zero()
+    if not residual_zero:
+        failures.append("monad condition residual is nonzero")
+    monad = build_monad(cfg)
+    try:
+        scan = singular_scan(monad)
+    except NotInPError as exc:
+        scan = None
+        failures.append(str(exc))
 
+    rng = Random(seed + 1)
+    spots: list[SpotCheck] = []
+    singular_set = set(scan.points if scan else ())
+    for pt in _spotcheck_points(monad, rng):
         try:
-            scan = singular_scan(monad)
-        except NotInPError as exc:
-            scan = None
-            failures.append(str(exc))
+            fd = fiber_data(monad, pt)
+        except MonadDegeneracyError:
+            spots.append(SpotCheck(pt, None, False))
+            failures.append(f"beta not surjective at {pt}")
+            continue
+        ok = fd.fiber_dim > cfg.r if pt in singular_set else fd.fiber_dim == cfg.r
+        if not ok:
+            failures.append(f"unexpected fibre dimension {fd.fiber_dim} at {pt}")
+        spots.append(SpotCheck(pt, fd, ok))
 
-        rng = Random(seed + 1)
-        spots: list[SpotCheck] = []
-        singular_set = set(scan.points if scan else ())
-        for pt in _spotcheck_points(monad, rng):
-            try:
-                fd = fiber_data(monad, pt)
-            except MonadDegeneracyError:
-                spots.append(SpotCheck(pt, None, None, None, False, False))
-                failures.append(f"beta not surjective at {pt}")
-                continue
-            ok = fd.fiber_dim > cfg.r if pt in singular_set else fd.fiber_dim == cfg.r
-            if not ok:
-                failures.append(f"unexpected fibre dimension {fd.fiber_dim} at {pt}")
-            spots.append(SpotCheck(pt, fd.rank_alpha, fd.dim_ker_beta,
-                                   fd.fiber_dim, True, ok))
-
-        stab = None if normalized is None else _stabilizer_dim(normalized)
-        if stab:
-            failures.append(f"positive-dimensional stabilizer ({stab})")
-
-        found = dict(
-            monad_condition=residual_zero,
-            finite_rank_drop=scan is not None,
-            singular_points=scan.points if scan else (),
-            scan_complete=scan.complete if scan else None,
-            fiber_spotchecks=tuple(spots),
-            stabilizer_dim=stab,
-        )
-        valid = (residual_zero and scan is not None and ch_check
-                 and not stab and all(s.ok for s in spots))
+    stab = None if normalized is None else _stabilizer_dim(normalized)
+    if stab:
+        failures.append(f"positive-dimensional stabilizer ({stab})")
     return ValidationReport(
-        a_invertible=det_ok,
-        ch_check=ch_check,
+        a_invertible=True,
+        monad_condition=residual_zero,
+        scan=scan,
+        fiber_spotchecks=tuple(spots),
+        stabilizer_dim=stab,
         normalizable=normalized is not None,
-        valid=valid,
         failures=tuple(failures),
         normalized=normalized,
-        **found,
     )

@@ -6,13 +6,13 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
 from adhm_blowup_kit import config_io
-
+from adhm_blowup_kit import monad as monad_mod
 from adhm_blowup_kit.adhm import (
     AdhmConfig,
     assemble_a,
@@ -20,14 +20,17 @@ from adhm_blowup_kit.adhm import (
     derive_bA,
     sample_config,
 )
+from adhm_blowup_kit.cli import main
 from adhm_blowup_kit.errors import (
     AmbiguousPointError,
+    InfeasibleParametersError,
     MonadDegeneracyError,
     NotInPError,
 )
 from adhm_blowup_kit.lattice import ChernCharacter, DivisorClass, monad_dims
 from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.monad import (
+    ScanResult,
     SurfacePoint,
     build_monad,
     check_monad_condition,
@@ -467,7 +470,6 @@ def test_cohomology_ch_check_values():
 
 def test_cohomology_ch_check_grid():
     from itertools import product
-    from adhm_blowup_kit.errors import InfeasibleParametersError
     count = 0
     for r in (1, 2, 3):
         for n in range(4):
@@ -483,6 +485,27 @@ def test_cohomology_ch_check_grid():
     assert count > 1000
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(-6, 6), max_size=6), st.integers(0, 12))
+def test_cohomology_ch_check_wide(r, a_vec, k):
+    # validate_config no longer runs the check: monad_dims fixes the end terms
+    # from the character, and this oracle holds it to that on a wide range
+    try:
+        dims = monad_dims(r, a_vec, k)
+    except InfeasibleParametersError:
+        assume(False)
+    assert cohomology_ch_check(dims) == ChernCharacter.of_sheaf(r, a_vec, k)
+
+
+def test_report_never_runs_the_chern_check(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(monad_mod, "cohomology_ch_check", lambda dims: calls.append(dims))
+    path = Path(__file__).parent / "golden" / "configs" / "r2_a1_k1.json"
+    assert main(["report", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ch_check"] is True
+    assert calls == []
+
+
 def test_validate_irrational_singularities_flagged_incomplete():
     # drop points at +-sqrt(2) in both coordinates, or in one while the other
     # is rational: genuine finite drop locus, but with no rational points to
@@ -494,8 +517,7 @@ def test_validate_irrational_singularities_flagged_incomplete():
                          aA00=aA00, c=Matrix.zeros(1, 2), d=Matrix([[1], [1]]))
         rep = validate_config(cfg, seed=0)
         assert rep.valid
-        assert rep.singular_points == ()
-        assert rep.scan_complete is False
+        assert rep.scan == ScanResult((), False)
 
 
 def test_validate_non_normalized_input():
@@ -515,7 +537,7 @@ def test_validate_config_valid_and_invalid():
     good = hilbert_k2_config()
     rep = validate_config(good, seed=0)
     assert rep.valid
-    assert len(rep.singular_points) == 2
+    assert len(rep.scan.points) == 2
     bad = good.replace(c=Matrix([[1, 1]]))
     assert not constraint_residual(bad).is_zero()
     rep2 = validate_config(bad, seed=0)
@@ -671,7 +693,7 @@ def test_scan_points_have_fraction_coordinates():
     for path in sorted(golden.glob("*.json")):
         cfg, seed = config_io.config_from_json(json.loads(path.read_text()))
         rep = validate_config(cfg, seed=seed or 0)
-        assert all(type(c) is Fraction for p in rep.singular_points for c in p.coords)
+        assert all(type(c) is Fraction for p in rep.scan.points for c in p.coords)
     # the drop on E_1 comes from the line scan's linear factor
     scan = singular_scan(build_monad(pinned_sample("r1_a1_0_k1_seed0.json")))
     assert any(p.exceptional_index == 1 for p in scan.points)

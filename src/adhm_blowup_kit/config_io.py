@@ -72,6 +72,20 @@ def _check_keys(obj: Mapping, allowed: set[str], required: set[str], where: str)
         raise ConfigFormatError(f"{where}: missing fields {sorted(missing)}")
 
 
+def _check_schema(doc: Mapping) -> None:
+    schema = doc.get("schema", SCHEMA_VERSION)
+    if not _is_int(schema) or schema != SCHEMA_VERSION:
+        raise ConfigFormatError(f"unsupported schema {schema!r}")
+
+
+def _block_list(data: Any, shapes: list[tuple[int, int]], name: str) -> list[Matrix]:
+    """One matrix per entry of ``shapes``, each of that shape."""
+    if not isinstance(data, list) or len(data) != len(shapes):
+        raise ConfigFormatError(f"{name}: expected {len(shapes)} matrices")
+    return [matrix_from_json(d, m, n, f"{name}[{i}]")
+            for i, (d, (m, n)) in enumerate(zip(data, shapes))]
+
+
 def config_to_json(cfg: AdhmConfig, seed: int | None = None) -> dict:
     doc: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
@@ -95,9 +109,7 @@ def config_to_json(cfg: AdhmConfig, seed: int | None = None) -> dict:
 def config_from_json(doc: Any) -> tuple[AdhmConfig, int | None]:
     _check_keys(doc, {"schema", "params", "points", "blocks", "seed"},
                 {"params", "points", "blocks"}, "configuration")
-    schema = doc.get("schema", SCHEMA_VERSION)
-    if not _is_int(schema) or schema != SCHEMA_VERSION:
-        raise ConfigFormatError(f"unsupported schema {schema!r}")
+    _check_schema(doc)
     params = doc["params"]
     _check_keys(params, {"r", "a", "k"}, {"r", "a", "k"}, "params")
     r, a_vec, k = params["r"], params["a"], params["k"]
@@ -124,21 +136,11 @@ def config_from_json(doc: Any) -> tuple[AdhmConfig, int | None]:
     _check_keys(blocks, {"a00", "a0i", "ai0", "aii", "aA00", "c", "d"},
                 {"a00", "a0i", "ai0", "aii", "aA00", "c", "d"}, "blocks")
     kd, ld = dims.dim_k, dims.dim_l
-
-    def block_list(key: str, shapes: list[tuple[int, int]]) -> list[Matrix]:
-        data = blocks[key]
-        if not isinstance(data, list) or len(data) != len(shapes):
-            raise ConfigFormatError(f"blocks.{key}: expected {len(shapes)} matrices")
-        return [
-            matrix_from_json(d, m_, n_, f"blocks.{key}[{i}]")
-            for i, (d, (m_, n_)) in enumerate(zip(data, shapes))
-        ]
-
     a00 = matrix_from_json(blocks["a00"], ld[0], kd[0], "blocks.a00")
-    a0i = block_list("a0i", [(ld[0], kd[i + 1]) for i in range(n)])
-    ai0 = block_list("ai0", [(ld[i + 1], kd[0]) for i in range(n)])
-    aii = block_list("aii", [(ld[i + 1], kd[i + 1]) for i in range(n)])
-    aA = block_list("aA00", [(ld[0], kd[0]), (ld[0], kd[0])])
+    a0i = _block_list(blocks["a0i"], [(ld[0], x) for x in kd[1:]], "blocks.a0i")
+    ai0 = _block_list(blocks["ai0"], [(x, kd[0]) for x in ld[1:]], "blocks.ai0")
+    aii = _block_list(blocks["aii"], list(zip(ld[1:], kd[1:])), "blocks.aii")
+    aA = _block_list(blocks["aA00"], [(ld[0], kd[0])] * 2, "blocks.aA00")
     c = matrix_from_json(blocks["c"], r, kd[0], "blocks.c")
     d = matrix_from_json(blocks["d"], ld[0], r, "blocks.d")
     cfg = AdhmConfig(r, a_vec, k, points, a00, tuple(a0i), tuple(ai0), tuple(aii),
@@ -163,24 +165,13 @@ def group_element_to_json(el: GroupElement) -> dict:
 def group_element_from_json(doc: Any, dims: MonadDims) -> GroupElement:
     _check_keys(doc, {"schema", "g00", "g0i", "h00", "hii"},
                 {"g00", "g0i", "h00", "hii"}, "witness")
-    n = dims.n
+    _check_schema(doc)
     kd, ld = dims.dim_k, dims.dim_l
-    g0i_doc, hii_doc = doc["g0i"], doc["hii"]
-    if not isinstance(g0i_doc, list) or len(g0i_doc) != n:
-        raise ConfigFormatError(f"witness.g0i: expected {n} matrices")
-    if not isinstance(hii_doc, list) or len(hii_doc) != n:
-        raise ConfigFormatError(f"witness.hii: expected {n} matrices")
     return GroupElement(
         g00=matrix_from_json(doc["g00"], ld[0], ld[0], "witness.g00"),
-        g0i=tuple(
-            matrix_from_json(g0i_doc[i], ld[0], ld[i + 1], f"witness.g0i[{i}]")
-            for i in range(n)
-        ),
+        g0i=tuple(_block_list(doc["g0i"], [(ld[0], x) for x in ld[1:]], "witness.g0i")),
         h00=matrix_from_json(doc["h00"], kd[0], kd[0], "witness.h00"),
-        hii=tuple(
-            matrix_from_json(hii_doc[i], kd[i + 1], kd[i + 1], f"witness.hii[{i}]")
-            for i in range(n)
-        ),
+        hii=tuple(_block_list(doc["hii"], [(x, x) for x in kd[1:]], "witness.hii")),
     )
 
 

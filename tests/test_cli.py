@@ -217,6 +217,18 @@ def test_orbit_of_different_parameters_is_a_format_error(capsys, tmp_path):
     assert err == "error: configurations have different parameters\n"
 
 
+@pytest.mark.parametrize("schema", [99, "x"])
+def test_orbit_rejects_an_unsupported_witness_schema(capsys, tmp_path, schema):
+    cfg = adhm.sample_config(2, [1], 1, seed=5)
+    p1, pw = tmp_path / "c1.json", tmp_path / "w.json"
+    p1.write_text(config_io.dump_canonical(config_io.config_to_json(cfg)))
+    witness = config_io.group_element_to_json(adhm.GroupElement.identity(cfg.dims))
+    pw.write_text(json.dumps({**witness, "schema": schema}))
+    code, out, err = run_cli(capsys, "orbit", "--witness", str(pw), str(p1), str(p1))
+    assert code == 1 and out == ""
+    assert err == f"error: unsupported schema {schema!r}\n"
+
+
 def test_report_command(capsys):
     code, out, _ = run_cli(capsys, "report", _data_path("hilbert_k2.json"),
                            "--json")

@@ -52,6 +52,7 @@ from adhm_blowup_kit.monad import validate_config
 from util import perfbench_module
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
 CONFIGS = {
     "line_bundle": resources.files("adhm_blowup_kit") / "data" / "line_bundle.json",
     "hilbert_k2": resources.files("adhm_blowup_kit") / "data" / "hilbert_k2.json",
@@ -65,8 +66,7 @@ INVALID = GOLDEN / "invalid"
 #: One input per invalid path of ``validate_config``, with its extra flags.
 INVALID_CASES = {
     **{p.stem: (p, []) for p in sorted((INVALID / "configs").glob("*.json"))},
-    "beta_not_onto": (Path(__file__).parent / "fixtures" / "r1_k2_seed0.json",
-                      ["--seed", "47"]),
+    "beta_not_onto": (FIXTURES / "r1_k2_seed0.json", ["--seed", "47"]),
 }
 #: The golden's suffix and the flags of each command pinned on them.
 INVALID_COMMANDS = {"report": ("report.json", ["--json"]), "validate": ("validate.txt", [])}
@@ -116,7 +116,7 @@ def test_invalid_output_matches_golden(name, command):
 
 
 def test_report_is_valid_iff_nothing_failed():
-    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+    fixtures = sorted(FIXTURES.glob("*.json"))
     inputs = [(p, None) for p in [*CONFIGS.values(), *TANGENT_CONFIGS.values(), *fixtures]]
     inputs += [(p, int(flags[1]) if flags else None) for p, flags in INVALID_CASES.values()]
     verdicts = []

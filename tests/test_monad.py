@@ -488,8 +488,8 @@ def test_cohomology_ch_check_grid():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6), st.lists(st.integers(-6, 6), max_size=6), st.integers(0, 12))
 def test_cohomology_ch_check_wide(r, a_vec, k):
-    # validate_config no longer runs the check: monad_dims fixes the end terms
-    # from the character, and this oracle holds it to that on a wide range
+    # validate_config does not run the check, since monad_dims fixes the end
+    # terms from the character; this oracle holds it to that on a wide range
     try:
         dims = monad_dims(r, a_vec, k)
     except InfeasibleParametersError:

@@ -2,9 +2,10 @@
 
 Subcommands: ``validate``, ``dims``, ``chi``, ``sample``, ``scan``,
 ``tangent``, ``orbit``, ``report``.  All output is deterministic given the
-flags and the seed; JSON reports are emitted with sorted keys and rationals
-as exact ``num/den`` strings.  Exit codes: 0 success/valid, 1 usage or I/O
-error, 2 mathematical invalidity, 3 sampling failure.
+flags and the input; only ``sample`` and ``tangent -r -k`` take a seed.  JSON
+reports are emitted with sorted keys and rationals as exact ``num/den``
+strings.  Exit codes: 0 success/valid, 1 usage or I/O error, 2 mathematical
+invalidity, 3 sampling failure.
 """
 
 from __future__ import annotations
@@ -53,13 +54,8 @@ def _load_json(path: str):
 
 
 def _load_config(path: str):
-    return config_io.config_from_json(_load_json(path))
-
-
-def _load_config_and_seed(args):
-    """The configuration at ``args.path`` and the seed: ``--seed``, the file's, or 0."""
-    cfg, file_seed = _load_config(args.path)
-    return cfg, args.seed if args.seed is not None else (file_seed or 0)
+    """The configuration at ``path``; a ``seed`` the file records is not used."""
+    return config_io.config_from_json(_load_json(path))[0]
 
 
 def _emit(doc, as_json: bool, text_lines) -> None:
@@ -71,8 +67,7 @@ def _emit(doc, as_json: bool, text_lines) -> None:
 
 
 def _cmd_validate(args) -> int:
-    cfg, seed = _load_config_and_seed(args)
-    rep = monad.validate_config(cfg, seed=seed)
+    rep = monad.validate_config(_load_config(args.path))
     doc = config_io.report_to_json(rep)
     lines = [f"valid: {rep.valid}"]
     lines += [f"  {k}: {doc[k]}" for k in (
@@ -142,7 +137,7 @@ def _require_monad(cfg):
 
 def _cmd_scan(args) -> int:
     # the scan certifies completeness only on a monad (see monad._scan_chart)
-    cfg = _require_monad(_load_config(args.path)[0])
+    cfg = _require_monad(_load_config(args.path))
     try:
         scan = monad.singular_scan(monad.build_monad(cfg))
     except NotInPError as exc:
@@ -189,7 +184,7 @@ def _tangent_doc(cfg) -> dict:
 
 def _tangent_config(args):
     if args.path is not None:
-        return _require_monad(adhm.gauge_fix(_load_config(args.path)[0]))
+        return _require_monad(adhm.gauge_fix(_load_config(args.path)))
     if args.r is None or args.k is None:
         raise ConfigFormatError("tangent needs a config file or -r and -k")
     return adhm.sample_config(args.r, _parse_int_csv(args.a), args.k,
@@ -215,8 +210,7 @@ def _cmd_tangent(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    cfg1, _ = _load_config(args.config1)
-    cfg2, _ = _load_config(args.config2)
+    cfg1, cfg2 = _load_config(args.config1), _load_config(args.config2)
     if (cfg1.r, cfg1.a_vec, cfg1.k) != (cfg2.r, cfg2.a_vec, cfg2.k):
         raise ConfigFormatError("configurations have different parameters")
     witness = config_io.group_element_from_json(_load_json(args.witness), cfg1.dims)
@@ -230,8 +224,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg, seed = _load_config_and_seed(args)
-    rep = monad.validate_config(cfg, seed=seed)
+    rep = monad.validate_config(_load_config(args.path))
     doc = config_io.report_to_json(rep)
     if rep.valid and rep.normalizable:
         doc["tangent"] = _tangent_doc(rep.normalized)
@@ -252,13 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--json", action="store_true")
-
     p = sub.add_parser("validate", help="run all checks on a configuration file")
     p.add_argument("path")
-    add_common(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("dims", help="monad end-term dimensions for (r, a, k)")
@@ -308,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="validate plus tangent data, one document")
     p.add_argument("path")
-    add_common(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_report)
 
     return parser
@@ -320,7 +309,10 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage error, or the help
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ConfigFormatError as exc:

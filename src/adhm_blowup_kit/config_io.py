@@ -17,7 +17,7 @@ from .adhm import AdhmConfig, GroupElement
 from .errors import ConfigFormatError
 from .lattice import MonadDims, monad_dims
 from .linalg import Matrix
-from .monad import SpotCheck, SurfacePoint, ValidationReport
+from .monad import SurfacePoint, ValidationReport
 from .sections import BlowupPoints
 
 SCHEMA_VERSION = 1
@@ -185,22 +185,14 @@ def point_to_json(pt: SurfacePoint) -> dict:
     return {"kind": "generic", "z": [frac_to_str(c) for c in pt.coords]}
 
 
-def _spot_to_json(s: SpotCheck) -> dict:
-    return {
-        "point": point_to_json(s.point),
-        **{key: getattr(s.fiber, key, None)
-           for key in ("rank_alpha", "dim_ker_beta", "fiber_dim")},
-        "beta_surjective": s.fiber is not None,
-        "ok": s.ok,
-    }
-
-
 def report_to_json(rep: ValidationReport) -> dict:
     """Schema 1, the one place that spells it out.
 
     ``a_invertible`` goes under four keys, ``monad_condition`` under three and
     ``scan`` under three; ``ch_check`` is always true, since
-    :func:`.lattice.monad_dims` fixes the end terms from the Chern character.
+    :func:`.lattice.monad_dims` fixes the end terms from the Chern character,
+    and ``fiber_spotchecks`` is always empty, since no point is sampled:
+    :func:`.monad.validate_config` certifies beta everywhere.
     """
     scan = rep.scan
     return {
@@ -213,7 +205,7 @@ def report_to_json(rep: ValidationReport) -> dict:
         "finite_rank_drop": scan is not None if rep.a_invertible else None,
         "singular_points": [point_to_json(p) for p in scan.points] if scan else [],
         "scan_complete": scan.complete if scan else None,
-        "fiber_spotchecks": [_spot_to_json(s) for s in rep.fiber_spotchecks],
+        "fiber_spotchecks": [],
         "ch_check": True,
         "stabilizer_dim": rep.stabilizer_dim,
         "normalizable": rep.normalizable,

@@ -36,11 +36,13 @@ alpha drops where the pencil ``w0 R_1^i - w1 R_0^i`` of the ``K_i`` rows of
 ``W_A`` does on a subspace ``V_i`` of ``K_0``.  The rational eigenvalues are
 found p-adically (:func:`.linalg.rational_eigenvalues`) and verified by exact
 ranks, and a scan is complete when every characteristic polynomial it reads
-splits over Q.  Nothing in the scan is drawn at random, and none of it
-imports sympy.  The framing holds on every monad: ``build_monad`` needs ``a``
-invertible, and that forces the fibre criterion at every point of the framing
-line ``z2 = 0`` (:func:`framing_verdicts`).  ``validate_config`` bundles
-everything into one report; its seed picks only the spot-check points.
+splits over Q.  Beta is not onto where the same scan, run on the transposed
+``L_0`` rows of ``S^A`` and ``d``, finds a drop.  Nothing in the scans is
+drawn at random, and none of it imports sympy.  The framing holds on every
+monad: ``build_monad`` needs ``a`` invertible, and that forces the fibre
+criterion at every point of the framing line ``z2 = 0``
+(:func:`framing_verdicts`).  ``validate_config`` bundles everything into one
+report, a function of the configuration alone.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from random import Random
+from typing import NamedTuple
 
 from .adhm import (
     AdhmConfig,
@@ -112,6 +114,11 @@ class SurfacePoint:
         if self.is_exceptional:
             return (1, self.exceptional_index) + self.coords
         return (0, 0) + self.coords
+
+    def __str__(self) -> str:
+        """``(4 : -2 : 1)`` in the plane, ``(1 : -16/5) on E_1`` on a line."""
+        text = f"({' : '.join(map(str, self.coords))})"
+        return f"{text} on E_{self.exceptional_index}" if self.is_exceptional else text
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,21 @@ class Pencil:
         return Matrix.from_ints(self.combine(_terms(x, ctx)[1]), 1, len(self.col_twist)).rank()
 
 
+class ScanSide(NamedTuple):
+    """What the scans read for one map: its name, kept triple, block sizes and pencil.
+
+    The map drops rank at a point iff the triple's operators have a joint
+    eigenvector there in the kernel of its third matrix (see
+    :func:`_scan_chart`); off its drop points it has full rank
+    ``sum(sizes)``.
+    """
+
+    name: str
+    chart: tuple[Matrix, Matrix, Matrix]
+    sizes: tuple[int, ...]
+    pencil: Pencil
+
+
 @dataclass(frozen=True)
 class MonadRep:
     """The two monad maps as integer pencils, plus what the scans read.
@@ -194,8 +216,10 @@ class MonadRep:
     ``sum(dim L)`` rows and ``rank W`` columns, with ``W`` ordered ``(L, L,
     C^r)`` (see :func:`build_monad`).  ``chart`` is ``(W_0, W_1, c)``: the
     full-height ``K_0`` columns ``W_A`` of ``T_A = a^{-1} q^A`` and the
-    framing row ``c``, which are all the singular scan reads besides the
-    centres (see :func:`_scan_chart` and :func:`_scan_divisor`).
+    framing row ``c``.  ``cochart`` is ``(Q_0^T, Q_1^T, d^T)``: the
+    transposed ``L_0`` rows ``Q_A`` of ``S^A = q^A a^{-1}`` and framing
+    column ``d``.  They are all the scans of alpha and of beta read besides
+    the centres (see :func:`_scan_chart` and :func:`_scan_divisor`).
     """
 
     alpha: Pencil
@@ -203,6 +227,15 @@ class MonadRep:
     dims: MonadDims
     ctx: BlowupPoints
     chart: tuple[Matrix, Matrix, Matrix]
+    cochart: tuple[Matrix, Matrix, Matrix]
+
+    @property
+    def alpha_side(self) -> ScanSide:
+        return ScanSide("alpha", self.chart, self.dims.dim_k, self.alpha)
+
+    @property
+    def beta_side(self) -> ScanSide:
+        return ScanSide("beta", self.cochart, self.dims.dim_l, self.beta)
 
     def alpha_at(self, x: SurfacePoint) -> Matrix:
         return self.alpha.at(x, self.ctx)
@@ -220,8 +253,9 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
     """The monad pencils, read off ``a``, ``q^A`` and ``q^A a^{-1}`` (see the module docstring).
 
     ``W`` is copy 0 of every ``L_i``, then copy 1, then ``C^r``.  The ``L_0``
-    rows of ``S^A`` are read through :func:`derive_bA`, and ``chart`` keeps
-    the configuration's ``K_0`` columns of ``a^{-1} q^A`` for the scans.
+    rows of ``S^A`` are read through :func:`derive_bA`.  For the scans
+    ``chart`` keeps the configuration's ``K_0`` columns of ``a^{-1} q^A``,
+    and ``cochart`` its ``L_0`` rows of ``q^A a^{-1}``, transposed.
     """
     dims, n = cfg.dims, cfg.n
     k0, l0, tk = dims.dim_k[0], dims.dim_l[0], dims.total_k
@@ -258,6 +292,7 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
         dims=dims,
         ctx=cfg.points,
         chart=(*(cfg._aq_cols.submatrix(0, tk, A * k0, (A + 1) * k0) for A in (0, 1)), cfg.c),
+        cochart=(*(m.transpose() for m in cfg._qa_rows), cfg.d.transpose()),
     )
 
 
@@ -332,8 +367,8 @@ def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
     return [v.solve(t * v) for t in ops]
 
 
-def _scan_chart(m: MonadRep) -> tuple[list[SurfacePoint], bool]:
-    """Rank-drop points in the chart z2 = 1 (minus blow-up centres), and completeness.
+def _scan_chart(m: MonadRep, side: ScanSide) -> tuple[list[SurfacePoint], bool]:
+    """Rank-drop points of one map in the chart z2 = 1 (minus blow-up centres), and completeness.
 
     ``alpha(x0, x1, 1) v = 0`` iff ``T_A v = x_A v`` and ``C v = 0``, for
     ``T_A = a^{-1} q^A`` and the framing rows ``C = [c 0]``.  The ``K_i``
@@ -345,29 +380,38 @@ def _scan_chart(m: MonadRep) -> tuple[list[SurfacePoint], bool]:
     of ``P_A|S_0`` times the centres' linear factors.  A drop point off the
     centres has a kernel vector whose ``K_0`` part is nonzero, and that part
     is a joint eigenvector of the ``P_A`` in ker ``c``.  So the scan reads
-    the ``K_0`` rows ``P_A`` of the kept columns ``m.chart = (W_0, W_1, c)``
-    alone: every pair of rational eigenvalues of ``P_0|S_0`` and
+    the ``K_0`` rows ``P_A`` of the kept columns ``side.chart = (W_0, W_1,
+    c)`` alone: every pair of rational eigenvalues of ``P_0|S_0`` and
     ``P_1|S_0`` off the centres is verified by an exact rank.
+
+    Beta is the same scan on the transposed data ``m.cochart``.  A row ``y``
+    has ``y beta(x0, x1, 1) = 0`` iff ``y S^A = x_A y`` and ``y_0 d = 0``,
+    for ``S^A = q^A a^{-1}`` and the ``L_0`` part ``y_0``.  The ``L_i`` rows
+    of ``S^A`` are ``p_i^A`` times the identity, so in the order ``(L_0, L_1
+    .. L_n)`` each ``S^A`` transposed has the shape of ``T_A``, with the
+    ``L_0`` corner ``Q_A^T`` for ``P_A`` and ``d^T`` for ``c``.
 
     On a monad the ``T_A`` commute on S: ``a [T_1, T_0] = q^1 a^{-1} q^0 -
     q^0 a^{-1} q^1`` vanishes outside its ``(L_0, K_0)`` corner, where it is
     the compact residual minus ``dc``, and ``C`` kills S.  The ``P_A|S_0``,
-    their quotient by ``(+) K_i``, commute too.  Commuting operators share an
-    eigenvector on every invariant subspace, so each eigenvalue of either
-    ``P_A|S_0`` is a coordinate of a joint eigenvalue, and the scan is
-    complete exactly when all of them are rational.  Off the monad condition
-    an irrational eigenvalue may pair with none, and the scan still says
-    incomplete: less precise, never a false certificate.
+    their quotient by ``(+) K_i``, commute too.  The same product is ``[S^1,
+    S^0] a``, so the ``Q_A^T`` commute on their subspace of ker ``d^T``.
+    Commuting operators share an eigenvector on every invariant subspace, so
+    each eigenvalue of either ``P_A|S_0`` is a coordinate of a joint
+    eigenvalue, and the scan is complete exactly when all of them are
+    rational.  Off the monad condition an irrational eigenvalue may pair with
+    none, and the scan still says incomplete: less precise, never a false
+    certificate.
     """
-    w0, w1, c = m.chart
+    w0, w1, c = side.chart
     k0 = c.ncols
     p0, p1 = (w.submatrix(0, k0, 0, k0) for w in (w0, w1))
     (roots0, rest0), (roots1, rest1) = map(rational_eigenvalues, _restrict(c, [p0, p1]))
     centres = set(m.ctx.points)
     candidates = [SurfacePoint.generic(x0, x1, 1) for x0 in roots0 for x1 in roots1
                   if (x0, x1) not in centres]
-    full_rank = m.dims.total_k
-    return ([pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank],
+    full_rank = sum(side.sizes)
+    return ([pt for pt in candidates if side.pencil.rank_at(pt, m.ctx) < full_rank],
             rest0 == rest1 == [1])
 
 
@@ -403,26 +447,29 @@ def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]]
     return points, rest == [1]
 
 
-def _scan_divisor(m: MonadRep, i: int) -> tuple[list[SurfacePoint], bool]:
-    """Rank-drop points on the exceptional line E_i, and completeness.
+def _scan_divisor(m: MonadRep, side: ScanSide, i: int) -> tuple[list[SurfacePoint], bool]:
+    """Rank-drop points of one map on the exceptional line E_i, and completeness.
 
-    Read off the kept columns ``m.chart = (W_0, W_1, c)`` of ``T_A = a^{-1}
-    q^A``: their ``K_0`` rows ``P_A`` and their ``K_j`` rows ``R_A^j``.  At
-    ``p_i + lambda w`` alpha kills ``v`` iff ``T_A v = x_A v`` and ``c v_0 =
-    0``, and the ``K_i`` part of a kernel vector scales as ``1 / lambda``.
-    On ``E_i``, the limit, the ``K_0`` rows read ``P_A v_0 = p_i^A v_0``, the
-    ``K_j`` rows ``(p_i^A - p_j^A) v_j = R_A^j v_0`` and the ``K_i`` rows
-    ``w_A v_i = R_A^i v_0``.  As ``p_j != p_i``, the ``K_j`` rows have a
-    solution ``v_j`` iff ``(p_i^1 - p_j^1) R_0^j v_0 = (p_i^0 - p_j^0) R_1^j
-    v_0``, and a nonzero kernel vector has ``v_0 != 0``.  So alpha drops at
-    ``w`` iff ``w0 R_1^i - w1 R_0^i`` drops rank on ``V_i``, the kernel of
-    ``[P_0 - p_i^0; P_1 - p_i^1; c; (p_i^1 - p_j^1) R_0^j - (p_i^0 - p_j^0)
-    R_1^j for j != i]``: the pencil of :func:`_line_drops` on a basis of
-    ``V_i``.  A drop along the whole line raises :class:`NotInPError`, and
-    every point found is verified by an exact rank.
+    Read off the kept columns ``side.chart = (W_0, W_1, c)``, for alpha of
+    ``T_A = a^{-1} q^A``: their ``K_0`` rows ``P_A`` and their ``K_j`` rows
+    ``R_A^j``.  At ``p_i + lambda w`` alpha kills ``v`` iff ``T_A v = x_A
+    v`` and ``c v_0 = 0``, and the ``K_i`` part of a kernel vector scales as
+    ``1 / lambda``.  On ``E_i``, the limit, the ``K_0`` rows read ``P_A v_0
+    = p_i^A v_0``, the ``K_j`` rows ``(p_i^A - p_j^A) v_j = R_A^j v_0`` and
+    the ``K_i`` rows ``w_A v_i = R_A^i v_0``.  As ``p_j != p_i``, the ``K_j``
+    rows have a solution ``v_j`` iff ``(p_i^1 - p_j^1) R_0^j v_0 = (p_i^0 -
+    p_j^0) R_1^j v_0``, and a nonzero kernel vector has ``v_0 != 0``.  So
+    alpha drops at ``w`` iff ``w0 R_1^i - w1 R_0^i`` drops rank on ``V_i``,
+    the kernel of ``[P_0 - p_i^0; P_1 - p_i^1; c; (p_i^1 - p_j^1) R_0^j -
+    (p_i^0 - p_j^0) R_1^j for j != i]``: the pencil of :func:`_line_drops`
+    on a basis of ``V_i``.  Beta's ``L_i`` rows are twisted as alpha's
+    ``K_i`` columns are, so the same reading of the transposed ``m.cochart``,
+    in blocks ``dim L``, finds where beta is not onto (see
+    :func:`_scan_chart`).  A drop along the whole line raises
+    :class:`NotInPError`, and every point found is verified by an exact rank.
     """
-    w0, w1, c = m.chart
-    ko, p = _offsets(m.dims.dim_k), m.ctx.points
+    w0, w1, c = side.chart
+    ko, p = _offsets(side.sizes), m.ctx.points
     k0, pi = ko[1], p[i - 1]
 
     def block(A: int, j: int) -> Matrix:  # R_A^j, or P_A at j = 0
@@ -437,10 +484,24 @@ def _scan_divisor(m: MonadRep, i: int) -> tuple[list[SurfacePoint], bool]:
     v = block_matrix([basis], [k0], [1] * len(basis))
     found = _line_drops(block(1, i) * v, -(block(0, i) * v))
     if found is None:
-        raise NotInPError(f"alpha drops rank along the exceptional line E_{i}")
-    full_rank = m.dims.total_k
+        raise NotInPError(f"{side.name} drops rank along the exceptional line E_{i}")
+    full_rank = sum(side.sizes)
     candidates = (SurfacePoint.exceptional(i, *x) for x in found[0])
-    return [pt for pt in candidates if m.alpha.rank_at(pt, m.ctx) < full_rank], found[1]
+    return ([pt for pt in candidates if side.pencil.rank_at(pt, m.ctx) < full_rank],
+            found[1])
+
+
+def _scan(m: MonadRep, side: ScanSide) -> ScanResult:
+    """Every point where one map drops rank: the chart, then each exceptional line."""
+    if not sum(side.sizes):
+        return ScanResult(points=(), complete=True)
+    drops, complete = _scan_chart(m, side)
+    for i in range(1, m.dims.n + 1):
+        d_i, c_i = _scan_divisor(m, side, i)
+        drops.extend(d_i)
+        complete = complete and c_i
+    unique = sorted(set(drops), key=SurfacePoint.sort_key)
+    return ScanResult(points=tuple(unique), complete=complete)
 
 
 def singular_scan(m: MonadRep) -> ScanResult:
@@ -466,28 +527,10 @@ def singular_scan(m: MonadRep) -> ScanResult:
     no drop point has an irrational coordinate.  Off the monad condition an
     irrational eigenvalue still gives False, though it may mark no drop
     point.  False means further drop points could not be ruled out; the
-    reported points are still genuine.
+    reported points are still genuine.  :func:`validate_config` runs the
+    same scan on beta.
     """
-    if m.dims.total_k == 0:
-        return ScanResult(points=(), complete=True)
-    drops, complete = _scan_chart(m)
-    for i in range(1, m.dims.n + 1):
-        d_i, c_i = _scan_divisor(m, i)
-        drops.extend(d_i)
-        complete = complete and c_i
-    unique = sorted(set(drops), key=SurfacePoint.sort_key)
-    return ScanResult(points=tuple(unique), complete=complete)
-
-
-def _rand_frac(rng: Random) -> Fraction:
-    return Fraction(rng.randint(-24, 24), rng.randint(1, 5))
-
-
-def _rand_chart_point(rng: Random, ctx: BlowupPoints) -> SurfacePoint:
-    while True:
-        x0, x1 = _rand_frac(rng), _rand_frac(rng)
-        if (x0, x1) not in ctx.points:
-            return SurfacePoint.generic(x0, x1, 1)
+    return _scan(m, m.alpha_side)
 
 
 # -- framing ------------------------------------------------------------------------
@@ -586,15 +629,6 @@ def cohomology_ch_check(dims: MonadDims) -> ChernCharacter:
 # -- full validation -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpotCheck:
-    """The fibre at one spot point; ``fiber`` is None where beta is not onto."""
-
-    point: SurfacePoint
-    fiber: FiberData | None
-    ok: bool
-
-
 @dataclass(frozen=True, kw_only=True)
 class ValidationReport:
     """The verdicts of :func:`validate_config`, each stored once.
@@ -611,7 +645,6 @@ class ValidationReport:
     a_invertible: bool
     monad_condition: bool | None = None
     scan: ScanResult | None = None
-    fiber_spotchecks: tuple[SpotCheck, ...] = ()
     stabilizer_dim: int | None = None
     normalizable: bool
     failures: tuple[str, ...]
@@ -623,31 +656,24 @@ class ValidationReport:
         return not self.failures
 
 
-def _spotcheck_points(m: MonadRep, rng: Random) -> list[SurfacePoint]:
-    """(1:0:0), two points on each exceptional line, then chart points.
-
-    The chart points make twelve in all, and there is at least one.
-    """
-    pts = [SurfacePoint.generic(1, 0, 0)]
-    for i in range(1, m.dims.n + 1):
-        pts.append(SurfacePoint.exceptional(i, 1, _rand_frac(rng)))
-        pts.append(SurfacePoint.exceptional(i, 0, 1))
-    for _ in range(max(1, 12 - len(pts))):
-        pts.append(_rand_chart_point(rng, m.ctx))
-    return pts
-
-
-def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
+def validate_config(cfg: AdhmConfig) -> ValidationReport:
     """Run every check the construction does not prove and aggregate the verdicts.
 
     The monad condition is read from the compact residual alone: with ``b^A``
     derived it is the one coefficient of ``beta . alpha`` that can be nonzero
     (the tests compare it with :func:`check_monad_condition`).  The framing
     is read from ``a`` being invertible, which forces the fibre criterion on
-    the framing line (see :func:`framing_verdicts`).  The Chern character
-    needs no check here: :func:`.lattice.monad_dims` fixes the end terms from
-    it (:func:`cohomology_ch_check` is its test oracle).  The report is valid
-    exactly when nothing failed.
+    the framing line (see :func:`framing_verdicts`).  Beta must be onto
+    everywhere: the scan of :func:`singular_scan` runs on beta's side, and
+    each rational point it finds, a drop along a whole exceptional line and
+    an incomplete scan are failures.  On a monad beta's operators commute
+    (see :func:`_scan_chart`), so an incomplete beta scan is an irrational
+    point where beta is not onto.  Where beta is onto, the fibre has
+    dimension ``r`` off alpha's drop points, as the end terms fix it.  The
+    Chern character needs no check here: :func:`.lattice.monad_dims` fixes
+    the end terms from it (:func:`cohomology_ch_check` is its test oracle).
+    Nothing is drawn at random, and the report is valid exactly when nothing
+    failed.
     """
     try:
         normalized = cfg if cfg.is_normalized() else gauge_fix(cfg)
@@ -669,21 +695,14 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
     except NotInPError as exc:
         scan = None
         failures.append(str(exc))
-
-    rng = Random(seed + 1)
-    spots: list[SpotCheck] = []
-    singular_set = set(scan.points if scan else ())
-    for pt in _spotcheck_points(monad, rng):
-        try:
-            fd = fiber_data(monad, pt)
-        except MonadDegeneracyError:
-            spots.append(SpotCheck(pt, None, False))
-            failures.append(f"beta not surjective at {pt}")
-            continue
-        ok = fd.fiber_dim > cfg.r if pt in singular_set else fd.fiber_dim == cfg.r
-        if not ok:
-            failures.append(f"unexpected fibre dimension {fd.fiber_dim} at {pt}")
-        spots.append(SpotCheck(pt, fd, ok))
+    try:
+        onto = _scan(monad, monad.beta_side)
+    except NotInPError as exc:
+        failures.append(str(exc))
+    else:
+        failures += [f"beta not onto at {pt}" for pt in onto.points]
+        if not onto.complete:
+            failures.append("beta scan incomplete: irrational eigenvalues")
 
     stab = None if normalized is None else _stabilizer_dim(normalized)
     if stab:
@@ -692,7 +711,6 @@ def validate_config(cfg: AdhmConfig, seed: int = 0) -> ValidationReport:
         a_invertible=True,
         monad_condition=residual_zero,
         scan=scan,
-        fiber_spotchecks=tuple(spots),
         stabilizer_dim=stab,
         normalizable=normalized is not None,
         failures=tuple(failures),

@@ -93,16 +93,16 @@ def _scans(cfg):
     lines = []
     for i in range(1, cfg.n + 1):
         try:
-            points, complete = _scan_divisor(monad, i)
+            points, complete = _scan_divisor(monad, monad.alpha_side, i)
             lines.append(({_normal(pt) for pt in points}, complete))
         except NotInPError:
             lines.append(None)
-    points, complete = _scan_chart(monad)
+    points, complete = _scan_chart(monad, monad.alpha_side)
     return {_normal(pt) for pt in points}, complete, lines
 
 
 def _verdicts(cfg):
-    rep = validate_config(cfg, seed=0)
+    rep = validate_config(cfg)
     tangent = None if rep.normalized is None else tangent_dims(rep.normalized)
     return rep.a_invertible, rep.monad_condition, rep.valid, rep.stabilizer_dim, tangent
 

@@ -31,9 +31,9 @@ per path of ``validate_config`` that exits 2.  The configurations in
 - ``positive_stabilizer``: ``adhm._solve_draw(adhm._draw(2, (3,), 1, rng),
   rng)`` with ``rng = Random(0)``, whose stabilizer has dimension 3.
 
-``beta_not_onto`` is the fixture ``r1_k2_seed0.json`` at ``--seed 47``, whose
-spot points include (4 : -2 : 1), where beta drops.  These reports are not
-expected to pass the benchmark's checks.
+``beta_not_onto`` is the fixture ``r1_k2_seed0.json``, where beta drops at
+(-2 : -4 : 1) and (4 : -2 : 1).  These reports are not expected to pass the
+benchmark's checks.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ COMMANDS = ("scan", "report", "tangent")
 CASES = [(name, command) for name in sorted(CONFIGS) for command in COMMANDS] + [
     (name, "tangent") for name in sorted(TANGENT_CONFIGS)]
 INVALID = GOLDEN / "invalid"
-#: One input per invalid path of ``validate_config``, with its extra flags.
+#: One input per invalid path of ``validate_config``.
 INVALID_CASES = {
-    **{p.stem: (p, []) for p in sorted((INVALID / "configs").glob("*.json"))},
-    "beta_not_onto": (FIXTURES / "r1_k2_seed0.json", ["--seed", "47"]),
+    **{p.stem: p for p in sorted((INVALID / "configs").glob("*.json"))},
+    "beta_not_onto": FIXTURES / "r1_k2_seed0.json",
 }
 #: The golden's suffix and the flags of each command pinned on them.
 INVALID_COMMANDS = {"report": ("report.json", ["--json"]), "validate": ("validate.txt", [])}
@@ -100,8 +100,7 @@ def test_cli_output_matches_golden(name, command):
 
 
 def _run_invalid(name: str, command: str) -> str:
-    path, flags = INVALID_CASES[name]
-    return _capture([command, str(path), *flags, *INVALID_COMMANDS[command][1]], code=2)
+    return _capture([command, str(INVALID_CASES[name]), *INVALID_COMMANDS[command][1]], code=2)
 
 
 def _invalid_golden(name: str, command: str) -> Path:
@@ -116,16 +115,17 @@ def test_invalid_output_matches_golden(name, command):
 
 
 def test_report_is_valid_iff_nothing_failed():
+    # every input: the invalid ones, and among the fixtures beta_not_onto's
+    # again, so one more than there are invalid cases
     fixtures = sorted(FIXTURES.glob("*.json"))
-    inputs = [(p, None) for p in [*CONFIGS.values(), *TANGENT_CONFIGS.values(), *fixtures]]
-    inputs += [(p, int(flags[1]) if flags else None) for p, flags in INVALID_CASES.values()]
+    inputs = [*CONFIGS.values(), *TANGENT_CONFIGS.values(), *fixtures, *INVALID_CASES.values()]
     verdicts = []
-    for path, seed in inputs:
-        cfg, file_seed = config_io.config_from_json(json.loads(path.read_text(encoding="utf-8")))
-        rep = validate_config(cfg, seed=seed if seed is not None else file_seed or 0)
+    for path in inputs:
+        cfg, _seed = config_io.config_from_json(json.loads(path.read_text(encoding="utf-8")))
+        rep = validate_config(cfg)
         assert rep.valid == (not rep.failures), path
         verdicts.append(rep.valid)
-    assert verdicts.count(False) == len(INVALID_CASES)
+    assert verdicts.count(False) == len(INVALID_CASES) + 1
 
 
 @pytest.mark.parametrize("name", sorted(p.name.removesuffix(".report.json")

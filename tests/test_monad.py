@@ -378,7 +378,7 @@ def test_scan_not_in_p_for_curve_drop():
                      c=Matrix.zeros(1, 1), d=Matrix.zeros(1, 1))
     assert assemble_a(cfg).det() != 0
     m = build_monad(cfg)
-    for scan in (singular_scan, lambda m: _scan_divisor(m, 1),
+    for scan in (singular_scan, lambda m: _scan_divisor(m, m.alpha_side, 1),
                  lambda m: reference_scan_divisor(m, 1, Random(1), use_all_minors=True)):
         with pytest.raises(NotInPError):
             scan(m)
@@ -390,7 +390,7 @@ def test_scan_compressed_agrees_with_exact():
         m = build_monad(cfg)
         exact_pts, _ = reference_scan_chart(m, Random(1), use_all_minors=True)
         comp_pts, _ = reference_scan_chart(m, Random(2), use_all_minors=False)
-        eigen_pts, _ = _scan_chart(m)
+        eigen_pts, _ = _scan_chart(m, m.alpha_side)
         assert sorted(p.coords for p in exact_pts) == \
             sorted(p.coords for p in comp_pts) == sorted(p.coords for p in eigen_pts)
     # on the exceptional lines, the reference elimination against the
@@ -401,7 +401,7 @@ def test_scan_compressed_agrees_with_exact():
         for i in range(1, cfg.n + 1):
             exact = reference_scan_divisor(m, i, Random(1), use_all_minors=True)
             comp = reference_scan_divisor(m, i, Random(2), use_all_minors=False)
-            assert exact == comp == _scan_divisor(m, i)
+            assert exact == comp == _scan_divisor(m, m.alpha_side, i)
             assert exact[1] is True
         assert singular_scan(m).points
 
@@ -419,7 +419,7 @@ def test_scan_routes_match_diagonal_oracle(pairs):
     expected = sorted((-lam, -mu, Fraction(1)) for lam, mu in pairs)
     routes = [reference_scan_chart(m, Random(0), use_all_minors)
               for use_all_minors in (False, True)]
-    for points, complete in routes + [_scan_chart(m)]:
+    for points, complete in routes + [_scan_chart(m, m.alpha_side)]:
         assert sorted(p.coords for p in points) == expected
         assert complete
 
@@ -436,7 +436,7 @@ def test_exact_chart_scan_finds_drop_with_x1_free_minors():
     expected = [(Fraction(1, 2), Fraction(2, 3), Fraction(1))]
     routes = [reference_scan_chart(m, Random(1), use_all_minors)
               for use_all_minors in (False, True)]
-    for points, complete in routes + [_scan_chart(m)]:
+    for points, complete in routes + [_scan_chart(m, m.alpha_side)]:
         assert [p.coords for p in points] == expected
         assert complete
 
@@ -515,7 +515,7 @@ def test_validate_irrational_singularities_flagged_incomplete():
         cfg = AdhmConfig(1, [], 2, BlowupPoints(()),
                          a00=Matrix.identity(2), a0i=(), ai0=(), aii=(),
                          aA00=aA00, c=Matrix.zeros(1, 2), d=Matrix([[1], [1]]))
-        rep = validate_config(cfg, seed=0)
+        rep = validate_config(cfg)
         assert rep.valid
         assert rep.scan == ScanResult((), False)
 
@@ -527,7 +527,7 @@ def test_validate_non_normalized_input():
     from util import rand_invertible
     m_blk = rand_invertible(rng, base.dims.dim_l[1])
     pre = base.replace(ai0=(m_blk,), aii=(m_blk * base.aii[0],))
-    rep = validate_config(pre, seed=0)
+    rep = validate_config(pre)
     assert rep.valid
     assert rep.normalizable is True
     assert rep.stabilizer_dim == 0  # computed on the gauge-fixed companion
@@ -535,12 +535,12 @@ def test_validate_non_normalized_input():
 
 def test_validate_config_valid_and_invalid():
     good = hilbert_k2_config()
-    rep = validate_config(good, seed=0)
+    rep = validate_config(good)
     assert rep.valid
     assert len(rep.scan.points) == 2
     bad = good.replace(c=Matrix([[1, 1]]))
     assert not constraint_residual(bad).is_zero()
-    rep2 = validate_config(bad, seed=0)
+    rep2 = validate_config(bad)
     assert not rep2.valid
     assert rep2.monad_condition is False
 
@@ -691,8 +691,8 @@ def test_common_zeros_non_monic_roots_are_exact_fractions():
 def test_scan_points_have_fraction_coordinates():
     golden = Path(__file__).parent / "golden" / "configs"
     for path in sorted(golden.glob("*.json")):
-        cfg, seed = config_io.config_from_json(json.loads(path.read_text()))
-        rep = validate_config(cfg, seed=seed or 0)
+        cfg, _seed = config_io.config_from_json(json.loads(path.read_text()))
+        rep = validate_config(cfg)
         assert all(type(c) is Fraction for p in rep.scan.points for c in p.coords)
     # the drop on E_1 comes from the line scan's linear factor
     scan = singular_scan(build_monad(pinned_sample("r1_a1_0_k1_seed0.json")))

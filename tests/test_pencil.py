@@ -146,7 +146,7 @@ def test_pencil_monad_condition_matches_section_composite(cfg):
 @given(cfg=configs())
 def test_chart_eigen_route_matches_elimination(cfg):
     m = build_monad(cfg)
-    points, complete = _scan_chart(m)
+    points, complete = _scan_chart(m, m.alpha_side)
     ref_points, ref_complete = reference_scan_chart(m, Random(0), m.dims.total_k <= 2)
     assert sorted(p.coords for p in points) == sorted(p.coords for p in ref_points)
     # on a monad the T_A commute on S, so an irrational eigenvalue is an
@@ -175,7 +175,7 @@ def test_chart_scan_on_K0_matches_the_full_operators(cfg):
     # S_0 and the characteristic polynomials differ by the centres' linear
     # factors: the points and the verdict agree, on and off the monad
     m = build_monad(cfg)
-    points, complete = _scan_chart(m)
+    points, complete = _scan_chart(m, m.alpha_side)
     full_points, full_complete = _full_chart_scan(m, cfg)
     assert sorted(p.coords for p in points) == sorted(p.coords for p in full_points)
     assert complete == full_complete
@@ -191,6 +191,10 @@ def test_alpha_has_full_rank_on_the_framing_line(cfg, t):
     for pt in (SurfacePoint.generic(1, 0, 0), SurfacePoint.generic(0, 1, 0),
                SurfacePoint.generic(1, t, 0)):
         assert m.alpha.rank_at(pt, m.ctx) == m.dims.total_k
+
+
+def _alpha_line(m, i):
+    return _scan_divisor(m, m.alpha_side, i)
 
 
 def _line_scan_or_none(scan, m, i):
@@ -209,7 +213,7 @@ def _sorted_scan(found):
 def test_line_eigen_route_matches_elimination(cfg):
     m = build_monad(cfg)
     for i in range(1, cfg.n + 1):
-        got = _line_scan_or_none(_scan_divisor, m, i)
+        got = _line_scan_or_none(_alpha_line, m, i)
         want = _line_scan_or_none(
             lambda m, i: reference_scan_divisor(m, i, Random(0), use_all_minors=True), m, i)
         assert got == want
@@ -305,11 +309,11 @@ def test_line_route_finds_planted_drops_on_E1(kind, n, t, c, seed):
     m = build_monad(cfg)
     use_all_minors = m.dims.total_k <= 4
     for i in range(1, n + 1):
-        got = _line_scan_or_none(_scan_divisor, m, i)
+        got = _line_scan_or_none(_alpha_line, m, i)
         want = _line_scan_or_none(
             lambda m, i: reference_scan_divisor(m, i, Random(0), use_all_minors), m, i)
         assert _sorted_scan(got) == _sorted_scan(want)
-    got = _line_scan_or_none(_scan_divisor, m, 1)
+    got = _line_scan_or_none(_alpha_line, m, 1)
     if kind == "whole line":
         assert got is None
     elif kind == "irrational":

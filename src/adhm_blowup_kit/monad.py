@@ -22,27 +22,22 @@ three matrices, and rank-only callers rank those integer rows as they are,
 over no denominator.  ``check_monad_condition`` composes the pencils; the tests
 compare it with the compact residual, the verdict of :func:`validate_config`.
 
-Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps;
-``singular_scan`` locates the finite set where alpha drops rank, and reads
-both of its parts from the ``K_0`` columns ``W_A`` of ``T_A = a^{-1} q^A``
-that the configuration keeps.  In the chart ``z2 = 1`` the drop points are
-the joint eigenvalues of the ``T_A`` on the largest subspace of the framing
-kernel both preserve.  Each ``K_i`` is the joint eigenspace of its centre, so
-the scan reads the ``K_0`` rows ``P_A`` of ``W_A`` on ``S_0``, the largest
-subspace of ker ``c`` both preserve.  On a monad the ``P_A`` commute on
-``S_0`` (the blow-up form of the ADHM identity ``[B_1, B_2] + ij = 0``), so
-every eigenvalue of ``P_A|S_0`` is a coordinate of a drop point.  On ``E_i``
-alpha drops where the pencil ``w0 R_1^i - w1 R_0^i`` of the ``K_i`` rows of
-``W_A`` does on a subspace ``V_i`` of ``K_0``.  The rational eigenvalues are
-found p-adically (:func:`.linalg.rational_eigenvalues`) and verified by exact
-ranks, and a scan is complete when every characteristic polynomial it reads
-splits over Q.  Beta is not onto where the same scan, run on the transposed
-``L_0`` rows of ``S^A`` and ``d``, finds a drop.  Nothing in the scans is
-drawn at random, and none of it imports sympy.  The framing holds on every
-monad: ``build_monad`` needs ``a`` invertible, and that forces the fibre
-criterion at every point of the framing line ``z2 = 0``
-(:func:`framing_verdicts`).  ``validate_config`` bundles everything into one
-report, a function of the configuration alone.
+Pointwise, ``fiber_data`` computes exact ranks of the evaluated maps.
+``singular_scan`` locates the finite set where alpha drops rank from the
+``K_0`` columns of ``T_A = a^{-1} q^A`` that the configuration keeps: in the
+chart ``z2 = 1`` as joint eigenvalues of their ``K_0`` corners ``P_A`` on the
+largest subspace of ker ``c`` both preserve, where they commute on a monad
+(the blow-up form of the ADHM identity ``[B_1, B_2] + ij = 0``), and on
+``E_i`` as the drops of one pencil on a subspace of ``K_0``.  The same code,
+on the transposed ``L_0`` rows of ``S^A`` and ``d``, finds where beta is not
+onto.  Rational eigenvalues are found p-adically
+(:func:`.linalg.rational_eigenvalues`) and verified by exact ranks, and a scan
+is complete when every characteristic polynomial it reads splits over Q.
+Nothing is drawn at random, and none of it imports sympy.  The framing holds
+on every monad: ``build_monad`` needs ``a`` invertible, and that forces the
+fibre criterion on the framing line ``z2 = 0`` (:func:`framing_verdicts`).
+``validate_config`` bundles everything into one report, a function of the
+configuration alone.
 """
 
 from __future__ import annotations
@@ -194,11 +189,13 @@ class Pencil:
 
 
 class ScanSide(NamedTuple):
-    """What the scans read for one map: its name, kept triple, block sizes and pencil.
+    """What the scans read of one map besides the centres: name, kept triple, blocks and pencil.
 
-    The map drops rank at a point iff the triple's operators have a joint
-    eigenvector there in the kernel of its third matrix (see
-    :func:`_scan_chart`); off its drop points it has full rank
+    Alpha's ``chart`` is ``(W_0, W_1, c)``: the full-height ``K_0`` columns
+    ``W_A`` of ``T_A = a^{-1} q^A`` and the framing row, in blocks ``dim
+    K``.  Beta's is ``(Q_0^T, Q_1^T, d^T)``: the transposed ``L_0`` rows
+    ``Q_A`` of ``S^A = q^A a^{-1}`` and framing column, in blocks ``dim L``
+    (see :func:`_scan_chart`).  Off its drop points the map has full rank
     ``sum(sizes)``.
     """
 
@@ -214,28 +211,15 @@ class MonadRep:
 
     ``alpha`` has ``rank W`` rows and ``sum(dim K)`` columns; ``beta`` has
     ``sum(dim L)`` rows and ``rank W`` columns, with ``W`` ordered ``(L, L,
-    C^r)`` (see :func:`build_monad`).  ``chart`` is ``(W_0, W_1, c)``: the
-    full-height ``K_0`` columns ``W_A`` of ``T_A = a^{-1} q^A`` and the
-    framing row ``c``.  ``cochart`` is ``(Q_0^T, Q_1^T, d^T)``: the
-    transposed ``L_0`` rows ``Q_A`` of ``S^A = q^A a^{-1}`` and framing
-    column ``d``.  They are all the scans of alpha and of beta read besides
-    the centres (see :func:`_scan_chart` and :func:`_scan_divisor`).
+    C^r)`` (see :func:`build_monad`).
     """
 
     alpha: Pencil
     beta: Pencil
     dims: MonadDims
     ctx: BlowupPoints
-    chart: tuple[Matrix, Matrix, Matrix]
-    cochart: tuple[Matrix, Matrix, Matrix]
-
-    @property
-    def alpha_side(self) -> ScanSide:
-        return ScanSide("alpha", self.chart, self.dims.dim_k, self.alpha)
-
-    @property
-    def beta_side(self) -> ScanSide:
-        return ScanSide("beta", self.cochart, self.dims.dim_l, self.beta)
+    alpha_side: ScanSide
+    beta_side: ScanSide
 
     def alpha_at(self, x: SurfacePoint) -> Matrix:
         return self.alpha.at(x, self.ctx)
@@ -253,9 +237,9 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
     """The monad pencils, read off ``a``, ``q^A`` and ``q^A a^{-1}`` (see the module docstring).
 
     ``W`` is copy 0 of every ``L_i``, then copy 1, then ``C^r``.  The ``L_0``
-    rows of ``S^A`` are read through :func:`derive_bA`.  For the scans
-    ``chart`` keeps the configuration's ``K_0`` columns of ``a^{-1} q^A``,
-    and ``cochart`` its ``L_0`` rows of ``q^A a^{-1}``, transposed.
+    rows of ``S^A`` are read through :func:`derive_bA`.  The scans read the
+    configuration's ``K_0`` columns of ``a^{-1} q^A`` and its ``L_0`` rows of
+    ``q^A a^{-1}``.
     """
     dims, n = cfg.dims, cfg.n
     k0, l0, tk = dims.dim_k[0], dims.dim_l[0], dims.total_k
@@ -286,14 +270,12 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
             rows[2] = b0[m] + b1[m] + d[m]
         for mat, row in zip(beta, rows):
             mat.append(row)
-    return MonadRep(
-        alpha=Pencil.from_ints(alpha, a_den * dp, [0] * rank_w, col_twist),
-        beta=Pencil.from_ints(beta, b_den, row_twist, [0] * rank_w),
-        dims=dims,
-        ctx=cfg.points,
-        chart=(*(cfg._aq_cols.submatrix(0, tk, A * k0, (A + 1) * k0) for A in (0, 1)), cfg.c),
-        cochart=(*(m.transpose() for m in cfg._qa_rows), cfg.d.transpose()),
-    )
+    alpha = Pencil.from_ints(alpha, a_den * dp, [0] * rank_w, col_twist)
+    beta = Pencil.from_ints(beta, b_den, row_twist, [0] * rank_w)
+    chart = (*(cfg._aq_cols.submatrix(0, tk, A * k0, (A + 1) * k0) for A in (0, 1)), cfg.c)
+    cochart = (*(q.transpose() for q in cfg._qa_rows), cfg.d.transpose())
+    return MonadRep(alpha, beta, dims, cfg.points, ScanSide("alpha", chart, dims.dim_k, alpha),
+                    ScanSide("beta", cochart, dims.dim_l, beta))
 
 
 def check_monad_condition(m: MonadRep) -> dict[tuple[int, int, int], Matrix]:
@@ -384,7 +366,7 @@ def _scan_chart(m: MonadRep, side: ScanSide) -> tuple[list[SurfacePoint], bool]:
     c)`` alone: every pair of rational eigenvalues of ``P_0|S_0`` and
     ``P_1|S_0`` off the centres is verified by an exact rank.
 
-    Beta is the same scan on the transposed data ``m.cochart``.  A row ``y``
+    Beta is the same scan on its transposed data ``side.chart``.  A row ``y``
     has ``y beta(x0, x1, 1) = 0`` iff ``y S^A = x_A y`` and ``y_0 d = 0``,
     for ``S^A = q^A a^{-1}`` and the ``L_0`` part ``y_0``.  The ``L_i`` rows
     of ``S^A`` are ``p_i^A`` times the identity, so in the order ``(L_0, L_1
@@ -463,8 +445,8 @@ def _scan_divisor(m: MonadRep, side: ScanSide, i: int) -> tuple[list[SurfacePoin
     the kernel of ``[P_0 - p_i^0; P_1 - p_i^1; c; (p_i^1 - p_j^1) R_0^j -
     (p_i^0 - p_j^0) R_1^j for j != i]``: the pencil of :func:`_line_drops`
     on a basis of ``V_i``.  Beta's ``L_i`` rows are twisted as alpha's
-    ``K_i`` columns are, so the same reading of the transposed ``m.cochart``,
-    in blocks ``dim L``, finds where beta is not onto (see
+    ``K_i`` columns are, so the same reading of beta's transposed data, in
+    blocks ``dim L``, finds where beta is not onto (see
     :func:`_scan_chart`).  A drop along the whole line raises
     :class:`NotInPError`, and every point found is verified by an exact rank.
     """
@@ -505,30 +487,16 @@ def _scan(m: MonadRep, side: ScanSide) -> ScanResult:
 
 
 def singular_scan(m: MonadRep) -> ScanResult:
-    """All points where ``alpha`` drops below full column rank.
+    """All points where ``alpha`` drops below full column rank: the chart, then each line.
 
-    Covers the affine chart and every exceptional line; on the framing line
+    See :func:`_scan_chart` and :func:`_scan_divisor`.  On the framing line
     alpha has full rank, because its L rows there are ``x0 a`` and ``-x1 a``
-    and ``build_monad`` requires ``a`` invertible.  In the chart the drop
-    points are the joint eigenvalues of ``T_A = a^{-1} q^A`` on the largest
-    subspace of the framing kernel they preserve, read off their ``K_0``
-    corners ``P_A`` on the largest subspace ``S_0`` of ker ``c`` that those
-    preserve (see :func:`_scan_chart`).  On each exceptional line ``E_i``
-    alpha drops where a pencil in the ``K_i`` rows of the same kept columns
-    does, and the drop points are the eigenvalues of one matrix on the
-    largest subspace of one kernel it preserves (see :func:`_scan_divisor`);
-    a drop along the line raises :class:`NotInPError`.  Every reported point
-    is re-verified by an exact rank computation.  Nothing is drawn at
-    random, so the result is a function of ``m`` alone.
-
-    ``complete`` is True exactly when every eigenvalue read, of ``P_0`` and
-    ``P_1`` on ``S_0`` and of each line's matrix on its own, is rational.
-    On a monad the ``P_A`` commute on ``S_0``, so this certifies that
-    no drop point has an irrational coordinate.  Off the monad condition an
-    irrational eigenvalue still gives False, though it may mark no drop
-    point.  False means further drop points could not be ruled out; the
-    reported points are still genuine.  :func:`validate_config` runs the
-    same scan on beta.
+    and ``build_monad`` requires ``a`` invertible.  A drop along a whole line
+    raises :class:`NotInPError`.  Every reported point is verified by an
+    exact rank, and nothing is drawn at random.  ``complete`` is True exactly
+    when every eigenvalue read is rational, which on a monad certifies that
+    no drop point has an irrational coordinate; False means further drop
+    points could not be ruled out, and the reported points are still genuine.
     """
     return _scan(m, m.alpha_side)
 
@@ -664,16 +632,13 @@ def validate_config(cfg: AdhmConfig) -> ValidationReport:
     (the tests compare it with :func:`check_monad_condition`).  The framing
     is read from ``a`` being invertible, which forces the fibre criterion on
     the framing line (see :func:`framing_verdicts`).  Beta must be onto
-    everywhere: the scan of :func:`singular_scan` runs on beta's side, and
-    each rational point it finds, a drop along a whole exceptional line and
-    an incomplete scan are failures.  On a monad beta's operators commute
-    (see :func:`_scan_chart`), so an incomplete beta scan is an irrational
-    point where beta is not onto.  Where beta is onto, the fibre has
-    dimension ``r`` off alpha's drop points, as the end terms fix it.  The
-    Chern character needs no check here: :func:`.lattice.monad_dims` fixes
-    the end terms from it (:func:`cohomology_ch_check` is its test oracle).
-    Nothing is drawn at random, and the report is valid exactly when nothing
-    failed.
+    everywhere: the alpha scan's code runs on beta, and each rational point it
+    finds, a drop along a whole line and an incomplete scan (on a monad, an
+    irrational point; see :func:`_scan_chart`) fail.  Where beta is onto, the
+    end terms fix the fibre at ``r`` off alpha's drop points.  The Chern
+    character needs no check: :func:`.lattice.monad_dims` fixes the end terms
+    from it (:func:`cohomology_ch_check` is its test oracle).  The report is
+    valid exactly when nothing failed.
     """
     try:
         normalized = cfg if cfg.is_normalized() else gauge_fix(cfg)

@@ -35,7 +35,6 @@ from adhm_blowup_kit.errors import (
 from adhm_blowup_kit.lattice import monad_dims
 from adhm_blowup_kit.linalg import Matrix, block_matrix
 from adhm_blowup_kit.monad import (
-    SurfacePoint,
     _restrict,
     build_monad,
     check_monad_condition,
@@ -436,7 +435,7 @@ def test_sample_every_grid_set_validates():
         assert framing_verdicts(cfg, monad) == (True, True), (r, a, k)
         # on a monad the K_0 corners of the chart operators commute on S_0,
         # so the scan's completeness rests on their eigenvalues alone
-        w0, w1, c = monad.chart
+        w0, w1, c = monad.alpha_side.chart
         k0 = c.ncols
         p0, p1 = (w.submatrix(0, k0, 0, k0) for w in (w0, w1))
         assert _commutator(*_restrict(c, [p0, p1])).is_zero(), (r, a, k)
@@ -455,7 +454,7 @@ def test_qA_and_bA_match_the_block_reference():
             -(m * ainv).submatrix(0, l0, 0, ainv.ncols) for m in q), (r, a, k)
         kd, total = cfg.dims.dim_k, cfg.dims.total_k
         owner = [None] * kd[0] + [i for i in range(1, cfg.n + 1) for _ in range(kd[i])]
-        chart = build_monad(cfg).chart
+        chart = build_monad(cfg).alpha_side.chart
         for A in (0, 1):
             t = ainv * q[A]
             for j, i in enumerate(owner):

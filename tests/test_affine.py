@@ -5,9 +5,11 @@ An affine change of coordinates ``x -> M x + t`` moves the configuration
 follow: the compact residual scales by ``det M``, a drop point ``x`` of the
 chart moves to ``M x + t`` and one ``w`` on ``E_i`` to ``M w``, and
 completeness, a drop along a whole line, validity, the stabilizer and the
-tangent dimensions stay.  None of this shares the scans' algebra.  It runs on
-grid samples, on the pinned fixtures and on configurations with a planted
-drop on ``E_1``, which samples almost never have.
+tangent dimensions stay.  The points where beta is not onto move the same
+way.  None of this shares the scans' algebra.  It runs on grid samples, on
+the pinned fixtures (one of which has two points where beta is not onto) and
+on configurations with a planted drop of alpha, or of beta, on ``E_1``,
+which samples almost never have.
 
 Off the monad condition the chart operators need not commute, so the
 chart's completeness, which reads the eigenvalues of each operator on its
@@ -35,7 +37,7 @@ from adhm_blowup_kit.linalg import Matrix
 from adhm_blowup_kit.monad import _scan_chart, _scan_divisor, build_monad, validate_config
 from test_adhm import GRID
 from test_pencil import LINE_PLANTS, PLANT_SHAPES, _has_room, _plant_on_E1
-from util import affine_image, rand_config, relabel
+from util import affine_image, plant_beta_drop, rand_config, relabel
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
 
@@ -57,10 +59,21 @@ def _planted(kind: str, seed: int):
     return cfg
 
 
+def _planted_beta(seed: int):
+    """A random configuration where beta drops on ``E_1``: at one point, or along it at (1,(0),1)."""
+    rng = Random(seed)
+    shape = ((1, (1,), 1), (1, (1, 0), 1), (1, (0,), 1), (1, (2,), 0))[seed % 4]
+    cfg = None
+    while cfg is None:
+        cfg = plant_beta_drop(rand_config(rng, *shape), (1 + seed % 3, 2 - seed % 5))
+    return cfg
+
+
 SOURCES = {
     "grid": lambda i: sample_config(*GRID[i % len(GRID)], seed=0),
     "fixture": lambda i: _fixture(FIXTURES[i % len(FIXTURES)].name),
     "planted": lambda i: _planted(sorted(LINE_PLANTS)[i % len(LINE_PLANTS)], i),
+    "planted beta": _planted_beta,
 }
 
 entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
@@ -88,17 +101,23 @@ def _moved(key: tuple, m: Matrix, t) -> tuple:
 
 
 def _scans(cfg):
-    """The chart's drop points and completeness, and each line's, None for a whole-line drop."""
+    """Alpha's and beta's scans: the chart's drop points and completeness, and each line's.
+
+    A line's is None for a drop along the whole line.
+    """
     monad = build_monad(cfg)
-    lines = []
-    for i in range(1, cfg.n + 1):
-        try:
-            points, complete = _scan_divisor(monad, monad.alpha_side, i)
-            lines.append(({_normal(pt) for pt in points}, complete))
-        except NotInPError:
-            lines.append(None)
-    points, complete = _scan_chart(monad, monad.alpha_side)
-    return {_normal(pt) for pt in points}, complete, lines
+    out = []
+    for side in (monad.alpha_side, monad.beta_side):
+        lines = []
+        for i in range(1, cfg.n + 1):
+            try:
+                points, complete = _scan_divisor(monad, side, i)
+                lines.append(({_normal(pt) for pt in points}, complete))
+            except NotInPError:
+                lines.append(None)
+        points, complete = _scan_chart(monad, side)
+        out.append(({_normal(pt) for pt in points}, complete, lines))
+    return out
 
 
 def _verdicts(cfg):
@@ -120,18 +139,23 @@ def _verdicts(cfg):
 @example(source="planted", index=1, m=Matrix([[3, 0], [1, 1]]), t=(0, 0))
 @example(source="planted", index=2, m=Matrix([[-1, 2], [1, 1]]), t=(1, 1))
 @example(source="planted", index=3, m=Matrix([[2, 1], [3, 2]]), t=(-1, 2))
+# beta drops at (-2, -4) and (4, -2) in the chart of the third fixture, at
+# (2 : 1) on E_1 of planted beta 1 and along E_1 of planted beta 2
+@example(source="fixture", index=2, m=Matrix([[1, 3], [0, -2]]), t=(-3, 2))
+@example(source="planted beta", index=1, m=Matrix([[1, -1], [2, 3]]), t=(2, 1))
+@example(source="planted beta", index=2, m=Matrix([[3, 0], [1, 1]]), t=(0, 0))
 def test_verdicts_follow_an_affine_change_of_coordinates(source, index, m, t):
     cfg = SOURCES[source](index)
     image = affine_image(cfg, m, t)
     residual = constraint_residual(cfg)
     assert constraint_residual(image) == residual.scale(m.det())
-    chart, chart_complete, lines = _scans(cfg)
-    chart_image, chart_image_complete, lines_image = _scans(image)
-    assert {_moved(key, m, t) for key in chart} == chart_image
-    if residual.is_zero():
-        assert chart_complete == chart_image_complete
-    assert lines_image == [line and ({_moved(key, m, t) for key in line[0]}, line[1])
-                           for line in lines]
+    for (chart, chart_complete, lines), (chart_image, chart_image_complete, lines_image) in zip(
+            _scans(cfg), _scans(image)):
+        assert {_moved(key, m, t) for key in chart} == chart_image
+        if residual.is_zero():
+            assert chart_complete == chart_image_complete
+        assert lines_image == [line and ({_moved(key, m, t) for key in line[0]}, line[1])
+                               for line in lines]
     assert _verdicts(image) == _verdicts(cfg)
 
 
@@ -145,19 +169,21 @@ def _relabelled(line, perm):
        turn=st.integers(0, 10 ** 6))
 # the first fixture drops at (1 : 0) on E_1; planted index 1 has an
 # irrational pair on E_1, index 3 a drop along E_1, and index 4 a decoy
-# there that the K_2 rows rule out
+# there that the K_2 rows rule out; beta drops on E_1 of planted beta 1,
+# which has two centres
 @example(source="fixture", index=0, turn=1)
 @example(source="planted", index=1, turn=1)
 @example(source="planted", index=3, turn=1)
 @example(source="planted", index=4, turn=1)
+@example(source="planted beta", index=1, turn=1)
 def test_verdicts_follow_a_relabelling_of_the_centres(source, index, turn):
     cfg = SOURCES[source](index)
     perms = list(itertools.permutations(range(cfg.n)))
     perm = perms[turn % len(perms)]
     image = relabel(cfg, perm)
     assert constraint_residual(image) == constraint_residual(cfg)
-    chart, chart_complete, lines = _scans(cfg)
-    chart_image, chart_image_complete, lines_image = _scans(image)
-    assert (chart_image, chart_image_complete) == (chart, chart_complete)
-    assert [lines_image[j] for j in perm] == [_relabelled(line, perm) for line in lines]
+    for (chart, chart_complete, lines), (chart_image, chart_image_complete, lines_image) in zip(
+            _scans(cfg), _scans(image)):
+        assert (chart_image, chart_image_complete) == (chart, chart_complete)
+        assert [lines_image[j] for j in perm] == [_relabelled(line, perm) for line in lines]
     assert _verdicts(image) == _verdicts(cfg)

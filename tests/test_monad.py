@@ -6,7 +6,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
@@ -60,6 +60,7 @@ from util import (
     composite_is_zero,
     line_entries,
     pencil_sections,
+    plant_beta_drop,
     rand_config,
     rand_matrix,
     reference_scan_chart,
@@ -271,6 +272,108 @@ def test_beta_degenerate_flagged():
     m = build_monad(cfg)
     with pytest.raises(MonadDegeneracyError):
         fiber_data(m, SurfacePoint.generic(2, 3, 1))
+    assert "beta not onto at (2 : 3 : 1)" in validate_config(cfg).failures
+
+
+# -- beta is onto everywhere: the alpha scan's code on the transposed data ------------
+
+
+def _beta_scan(m):
+    return monad_mod._scan(m, m.beta_side)
+
+
+def _on_line(i: int, w) -> SurfacePoint:
+    """``(w0 : w1)`` on ``E_i``, scaled as the line scan reports it."""
+    return (SurfacePoint.exceptional(i, 1, Fraction(w[1]) / w[0]) if w[0]
+            else SurfacePoint.exceptional(i, 0, 1))
+
+
+def test_beta_scan_names_both_points_of_the_fixture():
+    # random spot points found (4 : -2 : 1) at some seeds only; the scan
+    # certifies that these two are all, and validate names both
+    cfg = pinned_sample("r1_k2_seed0.json")
+    m = build_monad(cfg)
+    points = (SurfacePoint.generic(-2, -4, 1), SurfacePoint.generic(4, -2, 1))
+    assert _beta_scan(m) == ScanResult(points, True)
+    assert validate_config(cfg).failures == (
+        "beta not onto at (-2 : -4 : 1)", "beta not onto at (4 : -2 : 1)")
+    for pt in points:
+        with pytest.raises(MonadDegeneracyError):
+            fiber_data(m, pt)
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(1, (1,), 1), (2, (1,), 1), (1, (2,), 0), (1, (1, 0), 1)]),
+       z=st.tuples(small_fractions, small_fractions).filter(any),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(1, (1,), 1), z=(Fraction(0), Fraction(1)), seed=0)
+@example(shape=(1, (1, 0), 1), z=(Fraction(1), Fraction(0)), seed=1)
+def test_beta_scan_finds_a_planted_drop_on_E1(shape, z, seed):
+    rng, cfg = Random(seed), None
+    while cfg is None:
+        cfg = plant_beta_drop(rand_config(rng, *shape), z)
+    m = build_monad(cfg)
+    drop = _on_line(1, z)
+    assert _scan_divisor(m, m.beta_side, 1) == ([drop], True)
+    assert f"beta not onto at {drop}" in validate_config(cfg).failures
+    # and nowhere else on a grid of E_1
+    for w in [(0, 1)] + [(1, Fraction(t, 2)) for t in range(-6, 7)]:
+        pt = SurfacePoint.exceptional(1, *w)
+        assert (m.beta.rank_at(pt, m.ctx) < m.dims.total_l) == (_on_line(1, w) == drop), w
+
+
+def test_beta_drops_along_E1_when_a11_is_invertible():
+    # at (1, (0,), 1) a11 is 1 x 1, so the planted row N is zero and beta's
+    # L_0 row vanishes on all of E_1
+    message = "beta drops rank along the exceptional line E_1"
+    for seed in range(4):
+        cfg = plant_beta_drop(rand_config(Random(seed), 1, (0,), 1), (1, 2))
+        m = build_monad(cfg)
+        with pytest.raises(NotInPError, match=message):
+            _scan_divisor(m, m.beta_side, 1)
+        assert message in validate_config(cfg).failures
+        for w in ((0, 1), (1, 0), (1, Fraction(-7, 3))):
+            with pytest.raises(MonadDegeneracyError):
+                fiber_data(m, SurfacePoint.exceptional(1, *w))
+
+
+def _grid_sample_or_fixture(index: int) -> AdhmConfig:
+    from test_adhm import GRID
+    fixtures = sorted(FIXTURES.glob("*.json"))
+    if index % 8 == 0:
+        return pinned_sample(fixtures[index // 8 % len(fixtures)].name)
+    return sample_config(*GRID[index % len(GRID)], seed=0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(index=st.integers(0, 10 ** 6), z=st.tuples(small_fractions, small_fractions),
+       w=st.tuples(small_fractions, small_fractions).filter(any))
+@example(index=0, z=(Fraction(1, 2), Fraction(2, 3)), w=(Fraction(1), Fraction(0)))
+@example(index=16, z=(Fraction(4), Fraction(-2)), w=(Fraction(0), Fraction(1)))
+def test_fiber_data_agrees_with_the_certified_verdicts(index, z, w):
+    # where the fibre is computed pointwise: beta is onto iff its scan did
+    # not find the point, and then the fibre has dimension r off alpha's
+    # drop points and more on them.  Random points, a point of the framing
+    # line and every point either scan found.  Each scan finds every
+    # rational drop point, complete or not; beta's is complete here.
+    cfg = _grid_sample_or_fixture(index)
+    m = build_monad(cfg)
+    alpha, beta = singular_scan(m), _beta_scan(m)
+    assert beta.complete
+    points = [*alpha.points, *beta.points, SurfacePoint.generic(*w, 0)]
+    points += [_on_line(i, w) for i in range(1, cfg.n + 1)]
+    if z not in cfg.points.points:
+        points.append(SurfacePoint.generic(*z, 1))
+    for pt in points:
+        if pt in beta.points:
+            with pytest.raises(MonadDegeneracyError):
+                fiber_data(m, pt)
+            continue
+        fibre = fiber_data(m, pt).fiber_dim
+        assert (fibre > cfg.r) if pt in alpha.points else (fibre == cfg.r), pt
 
 
 def test_beta_restriction_to_divisor_has_constant_corank():

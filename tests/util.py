@@ -242,6 +242,29 @@ def relabel(cfg: AdhmConfig, perm: Sequence[int]) -> AdhmConfig:
                        a0i=moved(cfg.a0i), ai0=moved(cfg.ai0), aii=moved(cfg.aii))
 
 
+def plant_beta_drop(cfg: AdhmConfig, z: Sequence) -> AdhmConfig | None:
+    """``cfg`` with beta dropping on ``E_1`` at ``(z0 : z1)``, or along all of it if ``N z = 0``.
+
+    For ``dim L_0 = 1`` and every ``ai0 = Id``.  Take a row ``N`` with ``N
+    a11 = 0`` (zero when ``a11`` is invertible) and set ``d = 0``, ``a0i =
+    0`` for ``i >= 2`` and ``aA00[A] = -(p_1^A a00 + z_A N)``.  The ``L_0``
+    row of ``q^A`` is then ``p_1^A [a00 | a01 | 0] + [z_A N | 0 | 0]``, and
+    that of ``S^A = q^A a^{-1}`` is ``[p_1^A | z_A N | 0]``, since ``N
+    (a^{-1})_{K_0}`` is ``[0 | N | 0]`` when ``N a10 = N`` and ``N a11 =
+    0``.  On ``E_1`` the row ``(1, u, 0)`` of beta vanishes at ``w`` iff
+    ``z_A N = w_A u``: at ``w = z``, with ``u = N``.  None if ``a`` turns
+    singular.
+    """
+    left_kernel = cfg.aii[0].transpose().nullspace()
+    n_row = left_kernel[0].transpose() if left_kernel else Matrix.zeros(1, cfg.aii[0].nrows)
+    p = cfg.points.points[0]
+    planted = cfg.replace(
+        a0i=(cfg.a0i[0], *(Matrix.zeros(*m.shape) for m in cfg.a0i[1:])),
+        aA00=tuple(-(cfg.a00.scale(p[A]) + n_row.scale(Fraction(z[A]))) for A in (0, 1)),
+        d=Matrix.zeros(*cfg.d.shape))
+    return planted if assemble_a(planted).det() != 0 else None
+
+
 def composite_is_zero(comp) -> bool:
     """Whether every coefficient of ``monad.check_monad_condition`` vanishes."""
     return all(mat.is_zero() for mat in comp.values())
@@ -649,7 +672,7 @@ def reference_chart_operators(m, cfg: AdhmConfig) -> tuple[list[Matrix], Matrix]
     on copy 1 of ``L``, ``q^1`` is ``M_2`` on copy 0, and ``C`` is ``M_2`` on
     the framing rows.  At ``(x0, x1, 1)`` the ``L`` rows of ``alpha v``
     vanish iff ``T_A v = x_A v``, and then the framing rows are ``C v``.  A
-    reference for the ``K_0`` columns that ``m.chart`` keeps.
+    reference for the ``K_0`` columns that ``m.alpha_side.chart`` keeps.
     """
     total_l = m.dims.total_l
     summand = [0] * total_l + [1] * total_l + ["C"] * m.dims.rank  # W is (L, L, C^r)

@@ -116,7 +116,8 @@ def test_invalid_output_matches_golden(name, command):
 
 def test_report_is_valid_iff_nothing_failed():
     # every input: the invalid ones, and among the fixtures beta_not_onto's
-    # again, so one more than there are invalid cases
+    # again, so one more than there are invalid cases.  Failures name points
+    # as (4 : -2 : 1) or (1 : -16/5) on E_1, never by a Python repr.
     fixtures = sorted(FIXTURES.glob("*.json"))
     inputs = [*CONFIGS.values(), *TANGENT_CONFIGS.values(), *fixtures, *INVALID_CASES.values()]
     verdicts = []
@@ -124,8 +125,12 @@ def test_report_is_valid_iff_nothing_failed():
         cfg, _seed = config_io.config_from_json(json.loads(path.read_text(encoding="utf-8")))
         rep = validate_config(cfg)
         assert rep.valid == (not rep.failures), path
+        assert not [f for f in rep.failures if "SurfacePoint(" in f or "Fraction(" in f], path
         verdicts.append(rep.valid)
     assert verdicts.count(False) == len(INVALID_CASES) + 1
+    for path in [*GOLDEN.glob("*.report.json"), *INVALID.glob("*.*")]:
+        text = path.read_text(encoding="utf-8")
+        assert "SurfacePoint(" not in text and "Fraction(" not in text, path
 
 
 @pytest.mark.parametrize("name", sorted(p.name.removesuffix(".report.json")

@@ -302,6 +302,11 @@ def test_beta_scan_names_both_points_of_the_fixture():
             fiber_data(m, pt)
 
 
+def test_surface_points_print_in_the_report_format():
+    assert str(SurfacePoint.generic(4, -2, 1)) == "(4 : -2 : 1)"
+    assert str(SurfacePoint.exceptional(1, 1, Fraction(-16, 5))) == "(1 : -16/5) on E_1"
+
+
 small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
 
@@ -621,6 +626,11 @@ def test_validate_irrational_singularities_flagged_incomplete():
         rep = validate_config(cfg)
         assert rep.valid
         assert rep.scan == ScanResult((), False)
+        # with d = 0 beta's rows have the same joint eigenvalues, so beta is
+        # not onto at those irrational points: on a monad that fails
+        no_d = cfg.replace(d=Matrix.zeros(2, 1))
+        assert constraint_residual(no_d).is_zero()
+        assert "beta scan incomplete: irrational eigenvalues" in validate_config(no_d).failures
 
 
 def test_validate_non_normalized_input():

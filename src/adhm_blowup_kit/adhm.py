@@ -23,7 +23,9 @@ action on normalised configurations, the tangent computation, and the
 deterministic sampler of valid configurations all live here.  The Jacobian,
 the isotropy system and the sampler's system are term lists for one
 assembler, :func:`_linearise`, so the sampler's columns are the Jacobian's
-``(aA00[1], c)`` columns by construction.
+``(aA00[1], c)`` columns by construction.  Where those columns have full
+row rank, as on every sample, they certify the Jacobian's rank without the
+rest of it.
 """
 
 from __future__ import annotations
@@ -128,8 +130,17 @@ class AdhmConfig:
         """Rank of :func:`_jacobian`, kept on the instance like the nullity above.
 
         :func:`_solve_draw` sets it on the sample it returns, where its solve
-        has proved it, so only data from elsewhere build the Jacobian.
+        has proved it.  Data from elsewhere first rank the Jacobian's
+        ``(aA00[1], c)`` columns (:func:`_framing_unknowns`) modulo a prime:
+        full row rank ``dim L_0 dim K_0`` there is the Jacobian's rank, as
+        the sampler's system shows it.  Only when that certificate fails is
+        the whole Jacobian built and ranked.
         """
+        l0, k0 = self.dims.dim_l[0], self.dims.dim_k[0]
+        framing = _linearise([(l0, k0)], _framing_unknowns(
+            self, self._qa_rows[0].submatrix(0, l0, 0, l0), self._aq_cols.submatrix(0, k0, 0, k0)))
+        if framing.certified_rank() == l0 * k0:
+            return l0 * k0
         return _jacobian(self).rank()
 
     @cached_property
@@ -577,8 +588,10 @@ def tangent_dims(cfg: AdhmConfig) -> TangentReport:
     The Jacobian is that of the full residual system with respect to the free
     entries; with ``b^A`` derived, only the quadratic block contributes.  Its
     kernel is the number of free entries less its rank, which a sample
-    carries from the sampler's solve, and which is computed from
-    :func:`_jacobian` otherwise.  The orbit dimension is the group dimension
+    carries from the sampler's solve.  Data from elsewhere certify it on the
+    Jacobian's ``(aA00[1], c)`` columns, the sampler's system, and build
+    :func:`_jacobian` only when that certificate fails
+    (``AdhmConfig._jacobian_rank``).  The orbit dimension is the group dimension
     minus the isotropy dimension, and the empirical moduli dimension is
     their difference.
     """
@@ -648,7 +661,8 @@ def _framing_unknowns(cfg: AdhmConfig, q: Matrix, p: Matrix) -> list:
     ``X = aA00[1]`` is the corner ``-X`` of ``q^1``, so ``X`` moves the block
     by ``q X - X p``, with ``q`` and ``p`` the ``(L_0, L_0)`` corner of ``q^0
     a^{-1}`` and the ``(K_0, K_0)`` corner of ``a^{-1} q^0``; ``c`` moves it
-    by ``d c``.
+    by ``d c``.  The sampler's system, the certificate of the Jacobian's
+    rank (``AdhmConfig._jacobian_rank``) and the Jacobian share them.
     """
     return [(q.nrows, p.nrows, [(0, q, None), (0, None, -p)]),
             (cfg.r, p.nrows, [(0, cfg.d, None)])]

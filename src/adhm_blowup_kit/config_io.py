@@ -21,7 +21,7 @@ from .monad import SurfacePoint, ValidationReport
 from .sections import BlowupPoints
 
 SCHEMA_VERSION = 1
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -36,9 +36,11 @@ def frac_from_str(s: Any) -> Fraction:
     """A rational from an integer or a string ``"num/den"`` or ``"num"``."""
     if _is_int(s):
         return Fraction(s)
-    if isinstance(s, str) and _RATIONAL.fullmatch(s):
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if match:
+        num, den = match.groups()
         try:
-            return Fraction(s)
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ConfigFormatError(f"bad rational {s!r}: zero denominator") from None
         except ValueError as exc:  # past Python's digit limit

@@ -31,13 +31,17 @@ largest subspace of ker ``c`` both preserve, where they commute on a monad
 ``E_i`` as the drops of one pencil on a subspace of ``K_0``.  The same code,
 on the transposed ``L_0`` rows of ``S^A`` and ``d``, finds where beta is not
 onto.  Rational eigenvalues are found p-adically
-(:func:`.linalg.rational_eigenvalues`) and verified by exact ranks, and a scan
-is complete when every characteristic polynomial it reads splits over Q.
-Nothing is drawn at random, and none of it imports sympy.  The framing holds
-on every monad: ``build_monad`` needs ``a`` invertible, and that forces the
-fibre criterion on the framing line ``z2 = 0`` (:func:`framing_verdicts`).
-``validate_config`` bundles everything into one report, a function of the
-configuration alone.
+(:func:`.linalg.rational_eigenvalues`) and each candidate is verified by an
+exact rank of a matrix ``dim K_0`` (or ``dim L_0``) wide, read off the same
+kept columns (:func:`_drops_at`), and a scan is complete when every
+characteristic polynomial it reads splits over Q.  Nothing is drawn at
+random, and none of it imports sympy.  The scans read no pencil, so
+``build_monad`` builds each pencil only when ``fiber_data``,
+``check_monad_condition`` or ``framing_verdicts`` first asks for it.  The
+framing holds on every monad: ``build_monad`` needs ``a`` invertible, and
+that forces the fibre criterion on the framing line ``z2 = 0``
+(:func:`framing_verdicts`).  ``validate_config`` bundles everything into one
+report, a function of the configuration alone, and builds no pencil.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -66,7 +71,14 @@ from .errors import (
     NotInPError,
 )
 from .lattice import ChernCharacter, DivisorClass, MonadDims, _frac
-from .linalg import Matrix, _inner_inverse, block_matrix, clear_denoms, rational_eigenvalues
+from .linalg import (
+    Matrix,
+    _inner_inverse,
+    _primitive,
+    block_matrix,
+    clear_denoms,
+    rational_eigenvalues,
+)
 from .sections import BlowupPoints
 
 Rational = Fraction | int
@@ -189,7 +201,7 @@ class Pencil:
 
 
 class ScanSide(NamedTuple):
-    """What the scans read of one map besides the centres: name, kept triple, blocks and pencil.
+    """What the scans read of one map besides the centres: its name, kept triple and blocks.
 
     Alpha's ``chart`` is ``(W_0, W_1, c)``: the full-height ``K_0`` columns
     ``W_A`` of ``T_A = a^{-1} q^A`` and the framing row, in blocks ``dim
@@ -202,24 +214,38 @@ class ScanSide(NamedTuple):
     name: str
     chart: tuple[Matrix, Matrix, Matrix]
     sizes: tuple[int, ...]
-    pencil: Pencil
 
 
 @dataclass(frozen=True)
 class MonadRep:
-    """The two monad maps as integer pencils, plus what the scans read.
+    """The monad of one configuration: what the scans read, and the two maps as integer pencils.
 
     ``alpha`` has ``rank W`` rows and ``sum(dim K)`` columns; ``beta`` has
     ``sum(dim L)`` rows and ``rank W`` columns, with ``W`` ordered ``(L, L,
-    C^r)`` (see :func:`build_monad`).
+    C^r)`` (see :func:`build_monad`).  Each pencil is built on first use and
+    then kept, like the products an :class:`.adhm.AdhmConfig` keeps; the
+    scans read only the sides.
     """
 
-    alpha: Pencil
-    beta: Pencil
-    dims: MonadDims
-    ctx: BlowupPoints
+    cfg: AdhmConfig
     alpha_side: ScanSide
     beta_side: ScanSide
+
+    @property
+    def dims(self) -> MonadDims:
+        return self.cfg.dims
+
+    @property
+    def ctx(self) -> BlowupPoints:
+        return self.cfg.points
+
+    @cached_property
+    def alpha(self) -> Pencil:
+        return _alpha_pencil(self.cfg)
+
+    @cached_property
+    def beta(self) -> Pencil:
+        return _beta_pencil(self.cfg)
 
     def alpha_at(self, x: SurfacePoint) -> Matrix:
         return self.alpha.at(x, self.ctx)
@@ -234,20 +260,29 @@ def _offsets(sizes) -> list[int]:
 
 
 def build_monad(cfg: AdhmConfig) -> MonadRep:
-    """The monad pencils, read off ``a``, ``q^A`` and ``q^A a^{-1}`` (see the module docstring).
+    """The monad of ``cfg``: the scans' kept blocks now, the pencils on first use.
 
-    ``W`` is copy 0 of every ``L_i``, then copy 1, then ``C^r``.  The ``L_0``
-    rows of ``S^A`` are read through :func:`derive_bA`.  The scans read the
-    configuration's ``K_0`` columns of ``a^{-1} q^A`` and its ``L_0`` rows of
-    ``q^A a^{-1}``.
+    The scans read the configuration's ``K_0`` columns of ``a^{-1} q^A`` and
+    its ``L_0`` rows of ``q^A a^{-1}``; the pencils are read off ``a``,
+    ``q^A`` and ``q^A a^{-1}`` (see the module docstring).  Raises
+    :class:`FramingViolationError` when ``a`` is singular.
+    """
+    k0, tk = cfg.dims.dim_k[0], cfg.dims.total_k
+    chart = (*(cfg._aq_cols.submatrix(0, tk, A * k0, (A + 1) * k0) for A in (0, 1)), cfg.c)
+    cochart = (*(q.transpose() for q in cfg._qa_rows), cfg.d.transpose())
+    return MonadRep(cfg, ScanSide("alpha", chart, cfg.dims.dim_k),
+                    ScanSide("beta", cochart, cfg.dims.dim_l))
+
+
+def _alpha_pencil(cfg: AdhmConfig) -> Pencil:
+    """``z0 [0; a; 0] + z1 [-a; 0; 0] + z2 [q^1; -q^0; [c 0]]``, ``W`` ordered ``(L, L, C^r)``.
+
+    ``q^A`` is its kept ``L_0`` strip, then ``p_i^A a`` on each ``L_i``.
     """
     dims, n = cfg.dims, cfg.n
-    k0, l0, tk = dims.dim_k[0], dims.dim_l[0], dims.total_k
-    tl, rank_w = dims.total_l, dims.rank_w
-    col_twist = [j for j in range(n + 1) for _ in range(dims.dim_k[j])]
+    k0, l0, tk, tl = dims.dim_k[0], dims.dim_l[0], dims.total_k, dims.total_l
     row_twist = [i for i in range(n + 1) for _ in range(dims.dim_l[i])]
-    # alpha: a, c and q^A over one denominator.  q^A is its kept L_0 strip,
-    # then p_i^A a on each L_i: the centres over dp, the rest over a_den
+    # a, c and q^A over one denominator: the centres over dp, the rest over a_den
     dp, (p,) = clear_denoms(_point_matrix(cfg))
     a_den, (a, *strips, c) = clear_denoms(assemble_a(cfg), *cfg._strips[0], cfg.c)
     q0, q1 = ([[dp * x for x in row] for row in strips[A]]
@@ -255,9 +290,22 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
               for A in (0, 1))
     a, c = ([[dp * x for x in row] for row in m] for m in (a, c))
     zeros = [[0] * tk] * (tl + cfg.r)
-    alpha = (zeros[:tl] + a + zeros[tl:], [[-x for x in row] for row in a] + zeros,
-             q1 + [[-x for x in row] for row in q0] + [row + [0] * (tk - k0) for row in c])
-    # beta: the identity, the centres, d and b^A over one denominator
+    return Pencil.from_ints(
+        (zeros[:tl] + a + zeros[tl:], [[-x for x in row] for row in a] + zeros,
+         q1 + [[-x for x in row] for row in q0] + [row + [0] * (tk - k0) for row in c]),
+        a_den * dp, [0] * dims.rank_w, [j for j in range(n + 1) for _ in range(dims.dim_k[j])])
+
+
+def _beta_pencil(cfg: AdhmConfig) -> Pencil:
+    """``[z0 - z2 S^0 | z1 - z2 S^1 | z2 [d; 0]]``, ``S^A`` read as ``-b^A`` on ``L_0``.
+
+    The ``L_0`` rows of ``S^A`` are read through :func:`derive_bA`, and its
+    ``L_i`` rows are ``p_i^A`` times the identity.
+    """
+    dims = cfg.dims
+    tl, rank_w = dims.total_l, dims.rank_w
+    row_twist = [i for i in range(cfg.n + 1) for _ in range(dims.dim_l[i])]
+    # the identity, the centres, d and b^A over one denominator
     b_den, (pts, d, b0, b1) = clear_denoms(_point_matrix(cfg), cfg.d, *derive_bA(cfg))
     beta: tuple[list, list, list] = ([], [], [])
     for m, i in enumerate(row_twist):
@@ -270,12 +318,7 @@ def build_monad(cfg: AdhmConfig) -> MonadRep:
             rows[2] = b0[m] + b1[m] + d[m]
         for mat, row in zip(beta, rows):
             mat.append(row)
-    alpha = Pencil.from_ints(alpha, a_den * dp, [0] * rank_w, col_twist)
-    beta = Pencil.from_ints(beta, b_den, row_twist, [0] * rank_w)
-    chart = (*(cfg._aq_cols.submatrix(0, tk, A * k0, (A + 1) * k0) for A in (0, 1)), cfg.c)
-    cochart = (*(q.transpose() for q in cfg._qa_rows), cfg.d.transpose())
-    return MonadRep(alpha, beta, dims, cfg.points, ScanSide("alpha", chart, dims.dim_k, alpha),
-                    ScanSide("beta", cochart, dims.dim_l, beta))
+    return Pencil.from_ints(beta, b_den, row_twist, [0] * rank_w)
 
 
 def check_monad_condition(m: MonadRep) -> dict[tuple[int, int, int], Matrix]:
@@ -331,16 +374,27 @@ def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
     c T T'; ...]`` over all words in the ops (the unobservable subspace; W.
     M. Wonham, *Linear Multivariable Control*).  Its rows are collected
     breadth-first, each kept only if it raises the rank, so there are at
-    most ``dim`` of them.  Returns each op in a basis of the kernel.
+    most ``dim`` of them.  The rank is read off one exact integer echelon of
+    the kept rows, which grows with them: a row raises the rank iff
+    something is left of it once reduced against the echelon.  Returns each
+    op in a basis of the kernel.
     """
     n = c.ncols
     # rows only matter up to scale here, so they are kept as integer rows
     kept: list[list[int]] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, a row zero at earlier pivots)
     frontier = c.num
-    while frontier:
+    while frontier and len(kept) < n:
         new = []
         for row in frontier:
-            if any(row) and Matrix.from_ints(kept + [row], 1, n).rank() > len(kept):
+            left = row
+            for pc, e in echelon:
+                if left[pc]:
+                    f, g = e[pc], left[pc]
+                    left = _primitive([f * x - g * y for x, y in zip(left, e)])
+            pc = next((j for j, x in enumerate(left) if x), None)
+            if pc is not None:
+                echelon.append((pc, left))
                 kept.append(row)
                 new.append(row)
         frontier = [row for t in ops for row in (Matrix.from_ints(new, 1, n) * t).num] if new else []
@@ -363,8 +417,14 @@ def _scan_chart(m: MonadRep, side: ScanSide) -> tuple[list[SurfacePoint], bool]:
     centres has a kernel vector whose ``K_0`` part is nonzero, and that part
     is a joint eigenvector of the ``P_A`` in ker ``c``.  So the scan reads
     the ``K_0`` rows ``P_A`` of the kept columns ``side.chart = (W_0, W_1,
-    c)`` alone: every pair of rational eigenvalues of ``P_0|S_0`` and
-    ``P_1|S_0`` off the centres is verified by an exact rank.
+    c)`` alone, and every pair of rational eigenvalues of ``P_0|S_0`` and
+    ``P_1|S_0`` off the centres is verified on the same columns
+    (:func:`_k0_system`): the ``K_j`` rows of ``T_A v = x_A v`` read ``(x_A
+    - p_j^A) v_j = R_A^j v_0``, with ``R_A^j`` the ``K_j`` rows of ``W_A``,
+    and as ``x != p_j`` they fix ``v_j`` from ``v_0`` iff ``(x1 - p_j^1)
+    R_0^j v_0 = (x0 - p_j^0) R_1^j v_0``.  So ``x`` is a drop point iff
+    ``[P_0 - x0; P_1 - x1; c; (x1 - p_j^1) R_0^j - (x0 - p_j^0) R_1^j for
+    every j]`` has rank below ``dim K_0``.
 
     Beta is the same scan on its transposed data ``side.chart``.  A row ``y``
     has ``y beta(x0, x1, 1) = 0`` iff ``y S^A = x_A y`` and ``y_0 d = 0``,
@@ -392,9 +452,27 @@ def _scan_chart(m: MonadRep, side: ScanSide) -> tuple[list[SurfacePoint], bool]:
     centres = set(m.ctx.points)
     candidates = [SurfacePoint.generic(x0, x1, 1) for x0 in roots0 for x1 in roots1
                   if (x0, x1) not in centres]
-    full_rank = sum(side.sizes)
-    return ([pt for pt in candidates if side.pencil.rank_at(pt, m.ctx) < full_rank],
-            rest0 == rest1 == [1])
+    return [pt for pt in candidates if _drops_at(side, m.ctx, pt)], rest0 == rest1 == [1]
+
+
+def _k0_system(side: ScanSide, ctx: BlowupPoints, x, skip: int = 0) -> Matrix:
+    """``[P_0 - x0; P_1 - x1; c; (x1 - p_j^1) R_0^j - (x0 - p_j^0) R_1^j for j != skip]``.
+
+    Read off ``side.chart = (W_0, W_1, c)``: ``P_A`` and ``R_A^j`` are the
+    ``K_0`` and ``K_j`` rows of ``W_A``, in blocks ``side.sizes``.  At a
+    chart point ``x`` off the centres its kernel is the ``K_0`` part of the
+    map's kernel (:func:`_scan_chart`); at ``x = p_i``, skipping ``j = i``,
+    it is the ``V_i`` of :func:`_scan_divisor`.
+    """
+    w0, w1, c = side.chart
+    ko = _offsets(side.sizes)
+    k0 = ko[1]
+    rows = [w.submatrix(0, k0, 0, k0) - Matrix.identity(k0).scale(xa) for w, xa in zip((w0, w1), x)]
+    rows.append(c)
+    rows += [w0.submatrix(ko[j], ko[j + 1], 0, k0).scale(x[1] - p[1])
+             - w1.submatrix(ko[j], ko[j + 1], 0, k0).scale(x[0] - p[0])
+             for j, p in enumerate(ctx.points, 1) if j != skip]
+    return block_matrix([[r] for r in rows], [r.nrows for r in rows], [k0])
 
 
 def _line_drops(a0: Matrix, a1: Matrix) -> tuple[list[tuple[Fraction, Fraction]], bool] | None:
@@ -443,34 +521,57 @@ def _scan_divisor(m: MonadRep, side: ScanSide, i: int) -> tuple[list[SurfacePoin
     p_j^0) R_1^j v_0``, and a nonzero kernel vector has ``v_0 != 0``.  So
     alpha drops at ``w`` iff ``w0 R_1^i - w1 R_0^i`` drops rank on ``V_i``,
     the kernel of ``[P_0 - p_i^0; P_1 - p_i^1; c; (p_i^1 - p_j^1) R_0^j -
-    (p_i^0 - p_j^0) R_1^j for j != i]``: the pencil of :func:`_line_drops`
-    on a basis of ``V_i``.  Beta's ``L_i`` rows are twisted as alpha's
+    (p_i^0 - p_j^0) R_1^j for j != i]`` (:func:`_k0_system` at ``p_i``):
+    the pencil of :func:`_line_drops` on a basis of ``V_i``
+    (:func:`_line_pencil`).  Beta's ``L_i`` rows are twisted as alpha's
     ``K_i`` columns are, so the same reading of beta's transposed data, in
     blocks ``dim L``, finds where beta is not onto (see
     :func:`_scan_chart`).  A drop along the whole line raises
-    :class:`NotInPError`, and every point found is verified by an exact rank.
+    :class:`NotInPError`, and every point found is verified by an exact rank
+    of that pencil.
     """
-    w0, w1, c = side.chart
-    ko, p = _offsets(side.sizes), m.ctx.points
-    k0, pi = ko[1], p[i - 1]
-
-    def block(A: int, j: int) -> Matrix:  # R_A^j, or P_A at j = 0
-        return (w0, w1)[A].submatrix(ko[j], ko[j + 1], 0, k0)
-
-    rows = [block(A, 0) - Matrix.identity(k0).scale(pi[A]) for A in (0, 1)] + [c]
-    rows += [block(0, j).scale(pi[1] - p[j - 1][1]) - block(1, j).scale(pi[0] - p[j - 1][0])
-             for j in range(1, m.dims.n + 1) if j != i]
-    basis = block_matrix([[x] for x in rows], [x.nrows for x in rows], [k0]).nullspace()
-    if not basis:
+    pencil = _line_pencil(side, m.ctx, i)
+    if pencil is None:
         return [], True
-    v = block_matrix([basis], [k0], [1] * len(basis))
-    found = _line_drops(block(1, i) * v, -(block(0, i) * v))
+    found = _line_drops(*pencil)
     if found is None:
         raise NotInPError(f"{side.name} drops rank along the exceptional line E_{i}")
-    full_rank = sum(side.sizes)
-    candidates = (SurfacePoint.exceptional(i, *x) for x in found[0])
-    return ([pt for pt in candidates if side.pencil.rank_at(pt, m.ctx) < full_rank],
+    return ([SurfacePoint.exceptional(i, *w) for w in found[0] if _pencil_drops(pencil, w)],
             found[1])
+
+
+def _line_pencil(side: ScanSide, ctx: BlowupPoints, i: int) -> tuple[Matrix, Matrix] | None:
+    """``(R_1^i V, -R_0^i V)`` for a basis ``V`` of ``V_i`` (:func:`_scan_divisor`), None if 0."""
+    basis = _k0_system(side, ctx, ctx.points[i - 1], skip=i).nullspace()
+    if not basis:
+        return None
+    ko = _offsets(side.sizes)
+    v = block_matrix([basis], [ko[1]], [1] * len(basis))
+    w0, w1, _c = side.chart
+    return (w1.submatrix(ko[i], ko[i + 1], 0, ko[1]) * v,
+            -(w0.submatrix(ko[i], ko[i + 1], 0, ko[1]) * v))
+
+
+def _pencil_drops(pencil: tuple[Matrix, Matrix], w) -> bool:
+    """Whether ``w0 a0 + w1 a1`` drops below full column rank at ``w = (w0, w1)``."""
+    a0, a1 = pencil
+    return (a0.scale(w[0]) + a1.scale(w[1])).rank() < a0.ncols
+
+
+def _drops_at(side: ScanSide, ctx: BlowupPoints, x: SurfacePoint) -> bool:
+    """Whether the map of ``side`` drops rank at ``x``, read off the kept blocks alone.
+
+    In the chart by :func:`_k0_system` (see :func:`_scan_chart`), on ``E_i``
+    by :func:`_line_pencil` (see :func:`_scan_divisor`).  On the framing
+    line neither map drops, as ``a`` is invertible (:func:`framing_verdicts`).
+    """
+    i = x.exceptional_index
+    ctx.check_point(x.coords, i)
+    if i is not None:
+        pencil = _line_pencil(side, ctx, i)
+        return pencil is not None and _pencil_drops(pencil, x.coords)
+    z0, z1, z2 = x.coords
+    return bool(z2) and _k0_system(side, ctx, (z0 / z2, z1 / z2)).rank() < side.sizes[0]
 
 
 def _scan(m: MonadRep, side: ScanSide) -> ScanResult:

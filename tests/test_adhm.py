@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from adhm_blowup_kit import adhm, cli, linalg, monad
+from adhm_blowup_kit import adhm, cli, config_io, linalg, monad
 from adhm_blowup_kit.adhm import (
     AdhmConfig,
     GroupElement,
@@ -573,6 +573,27 @@ def test_sampled_jacobian_rank_is_its_rank():
             assert cfg._jacobian_rank == adhm._jacobian(cfg).rank(), (r, a, k, seed)
 
 
+def test_jacobian_rank_of_data_read_back_is_its_rank(monkeypatch):
+    # read back from JSON, a sample keeps no rank: it is certified on the
+    # framing columns.  Without c and d that certificate fails on most of
+    # the grid, and the Jacobian is built
+    built = _count_builds(monkeypatch, "_jacobian")
+    fallbacks = 0
+    for r, a, k in GRID:
+        sample = sample_config(r, a, k, seed=0)
+        cfg = config_io.config_from_json(config_io.config_to_json(sample))[0]
+        framing_free = cfg.replace(c=Matrix.zeros(*cfg.c.shape), d=Matrix.zeros(*cfg.d.shape))
+        for point in (cfg, framing_free):
+            assert "_jacobian_rank" not in point.__dict__
+            before = len(built)
+            rank = point._jacobian_rank
+            fallbacks += len(built) > before
+            assert rank == adhm._jacobian(point).rank(), (r, a, k, point is cfg)
+            if point is cfg:
+                assert built[before:] == [cfg], (r, a, k)  # certified: only the check built one
+    assert 60 <= fallbacks < len(GRID)
+
+
 def test_tangent_examples():
     assert tangent_dims(sample_config(1, [], 1, seed=2)).empirical_moduli_dim == 2
     rep = tangent_dims(sample_config(2, [], 1, seed=2))
@@ -613,9 +634,9 @@ def _count_builds(monkeypatch, name: str, module=adhm) -> list:
     built = []
     real = getattr(module, name)
 
-    def counted(cfg):
+    def counted(cfg, *args):
         built.append(cfg)
-        return real(cfg)
+        return real(cfg, *args)
 
     monkeypatch.setattr(module, name, counted)
     return built
@@ -640,13 +661,28 @@ def test_stabilizer_system_built_once_per_config(monkeypatch, argv):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_CONFIGS.glob("*.json")))
 def test_report_builds_the_monad_once_and_never_composes_it(monkeypatch, name):
-    # validate_config reads the monad condition from the compact residual
+    # validate_config reads the monad condition from the compact residual,
+    # and its scans verify their candidates on the kept blocks, so no pencil
+    # is built; tangent_dims certifies the Jacobian's rank on its framing
+    # columns, so no Jacobian either
     builds = _count_builds(monkeypatch, "build_monad", monad)
     composites = _count_builds(monkeypatch, "check_monad_condition", monad)
+    jacobians = _count_builds(monkeypatch, "_jacobian")
+    pencils = []
+    real_init = monad.Pencil.__init__
+
+    def pencil_init(self, *args, **kwargs):
+        pencils.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(monad.Pencil, "__init__", pencil_init)
     with redirect_stdout(io.StringIO()) as out:
         assert cli.main(["report", str(GOLDEN_CONFIGS / name), "--json"]) == 0
     assert '"monad_identity_zero": true' in out.getvalue()
-    assert len(builds) == 1 and composites == []
+    assert len(builds) == 1 and composites == [] and pencils == [] and jacobians == []
+    # each pencil is built on first use, and once
+    m = monad.build_monad(builds[0])
+    assert pencils == [] and m.alpha is m.alpha and m.beta is m.beta and len(pencils) == 2
 
 
 def test_replaced_config_recomputes_stabilizer(monkeypatch):
@@ -664,11 +700,14 @@ def test_replaced_config_recomputes_stabilizer(monkeypatch):
 
 @pytest.mark.parametrize("argv, built", [
     (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 0),
-    (["tangent", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 1),
-    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 1),
+    (["tangent", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 0),
+    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 0),
 ], ids=["sample", "file", "report"])
 def test_jacobian_built_only_for_data_from_files(monkeypatch, argv, built):
-    # a sample carries its Jacobian rank from the sampler's solve
+    # a sample carries its Jacobian rank from the sampler's solve, and data
+    # from a file certify it on the framing columns; only data where that
+    # certificate fails build the Jacobian
+    # (test_replaced_sample_recomputes_jacobian_rank)
     jacobians = _count_builds(monkeypatch, "_jacobian")
     with redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0
@@ -681,11 +720,15 @@ def test_replaced_sample_recomputes_jacobian_rank(monkeypatch):
     built = _count_builds(monkeypatch, "_jacobian")
     rep = tangent_dims(cfg)
     assert built == []
+    # the copy does not keep the sample's rank: it certifies it again on the
+    # framing columns
     same = cfg.replace()
-    assert tangent_dims(same) == rep and built == [same]
+    assert "_jacobian_rank" not in same.__dict__
+    assert tangent_dims(same) == rep and built == []
+    # without c and d that certificate fails, and the Jacobian is built
     framing_free = cfg.replace(c=Matrix.zeros(*cfg.c.shape), d=Matrix.zeros(*cfg.d.shape))
     assert framing_free._jacobian_rank == adhm._jacobian(framing_free).rank()
-    assert built[1:] == [framing_free, framing_free]
+    assert built == [framing_free, framing_free]
 
 
 @pytest.mark.parametrize("argv, built", [
@@ -772,11 +815,11 @@ def test_report_inverts_a_once(monkeypatch):
 
 @pytest.mark.parametrize("argv, derived", [
     (["sample", "-r", "2", "-a", "1", "-k", "1", "--seed", "5"], 0),
-    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 1),
+    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 0),
 ], ids=["sample", "report"])
 def test_bA_derived_once_per_config(monkeypatch, argv, derived):
-    # build_monad reads b^A, kept on the configuration object; the residual
-    # needs none, so the sampler, which builds no monad, derives none
+    # only beta's pencil reads b^A, kept on the configuration object; report
+    # builds no pencil and the residual needs none, so neither derives any
     built = []
     derivation = AdhmConfig.__dict__["_bA"]
     real = derivation.func
@@ -789,6 +832,9 @@ def test_bA_derived_once_per_config(monkeypatch, argv, derived):
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert len(built) == derived
+    cfg = sample_config(2, [1], 1, seed=5)
+    assert monad.build_monad(cfg).beta == monad.build_monad(cfg).beta
+    assert built[derived:] == [cfg]
 
 
 def test_sample_inverts_each_attempt_once(monkeypatch):

@@ -16,14 +16,17 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adhm_blowup_kit import config_io
 from adhm_blowup_kit.adhm import GroupElement, sample_config
 from adhm_blowup_kit.cli import main
+from adhm_blowup_kit.errors import ConfigFormatError
 from adhm_blowup_kit.lattice import monad_dims
 from test_adhm import GRID
 from util import rand_group_element
@@ -60,6 +63,30 @@ def test_group_element_round_trip(i, seed):
     el = rand_group_element(Random(seed), dims)
     text = config_io.dump_canonical(config_io.group_element_to_json(el))
     assert config_io.group_element_from_json(json.loads(text), dims) == el
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-4/6", Fraction(-2, 3)), ("007/14", Fraction(1, 2)), ("-0/5", Fraction(0)),
+    (7, Fraction(7)),
+])
+def test_rationals_parse_exactly(text, value):
+    assert config_io.frac_from_str(text) == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "bad rational '1/0': zero denominator"),
+    ("-12/000", "bad rational '-12/000': zero denominator"),
+    ("1" * 5000, "bad rational '11111111111111111111'...: Exceeds the limit (4300 digits) for "
+     "integer string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+     "increase the limit"),
+    ("1/" + "2" * 5000, "bad rational '1/222222222222222222'...: Exceeds the limit (4300 "
+     "digits) for integer string conversion: value has 5000 digits; use "
+     "sys.set_int_max_str_digits() to increase the limit"),
+])
+def test_bad_rational_messages(text, message):
+    with pytest.raises(ConfigFormatError) as info:
+        config_io.frac_from_str(text)
+    assert str(info.value) == message
 
 
 def _places(doc, path=()):

@@ -28,7 +28,7 @@ from adhm_blowup_kit.errors import (
     NotInPError,
 )
 from adhm_blowup_kit.lattice import ChernCharacter, DivisorClass, monad_dims
-from adhm_blowup_kit.linalg import Matrix
+from adhm_blowup_kit.linalg import Matrix, rational_eigenvalues
 from adhm_blowup_kit.monad import (
     ScanResult,
     SurfacePoint,
@@ -49,6 +49,9 @@ from adhm_blowup_kit.sections import (
     w_section,
     z_section,
 )
+from test_adhm import GRID
+from test_affine import _planted, _planted_beta
+from test_pencil import LINE_PLANTS, SHAPES
 from util import (
     X0,
     X1,
@@ -62,6 +65,7 @@ from util import (
     pencil_sections,
     plant_beta_drop,
     rand_config,
+    rand_frac,
     rand_matrix,
     reference_scan_chart,
     reference_scan_divisor,
@@ -346,7 +350,6 @@ def test_beta_drops_along_E1_when_a11_is_invertible():
 
 
 def _grid_sample_or_fixture(index: int) -> AdhmConfig:
-    from test_adhm import GRID
     fixtures = sorted(FIXTURES.glob("*.json"))
     if index % 8 == 0:
         return pinned_sample(fixtures[index // 8 % len(fixtures)].name)
@@ -379,6 +382,72 @@ def test_fiber_data_agrees_with_the_certified_verdicts(index, z, w):
             continue
         fibre = fiber_data(m, pt).fiber_dim
         assert (fibre > cfg.r) if pt in alpha.points else (fibre == cfg.r), pt
+
+
+def _verdict_source(source: str, index: int) -> AdhmConfig:
+    if source == "grid":
+        return sample_config(*GRID[index % len(GRID)], seed=index // len(GRID) % 3)
+    if source == "fixture":
+        return pinned_sample(sorted(FIXTURES.glob("*.json"))[index % 3].name)
+    if source == "planted alpha":
+        return _planted(sorted(LINE_PLANTS)[index % len(LINE_PLANTS)], index)
+    if source == "planted beta":
+        return _planted_beta(index)
+    # off the monad condition, with c = 0 and, half the time, aA00[0] = aA00[1],
+    # which give the chart operators joint eigenvectors that may not lift
+    rng = Random(index)
+    cfg = rand_config(rng, *rng.choice(SHAPES))
+    cfg = cfg.replace(c=Matrix.zeros(*cfg.c.shape))
+    return cfg.replace(aA00=(cfg.aA00[0], cfg.aA00[index % 2])) if index % 2 else cfg
+
+
+def _chart_candidates(m, side) -> list[SurfacePoint]:
+    """Every pair of rational eigenvalues the chart scan reads off the centres, drop or not."""
+    w0, w1, c = side.chart
+    k0 = c.ncols
+    corners = [w.submatrix(0, k0, 0, k0) for w in (w0, w1)]
+    (roots0, _), (roots1, _) = map(rational_eigenvalues, monad_mod._restrict(c, corners))
+    return [SurfacePoint.generic(x0, x1, 1) for x0 in roots0 for x1 in roots1
+            if (x0, x1) not in m.ctx.points]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(source=st.sampled_from(["grid", "fixture", "planted alpha", "planted beta", "random"]),
+       index=st.integers(0, 10 ** 6))
+@example(source="fixture", index=0)
+@example(source="fixture", index=1)
+@example(source="fixture", index=2)
+@example(source="planted alpha", index=0)
+@example(source="planted beta", index=1)
+def test_kept_block_verdict_matches_the_pencil_rank(source, index):
+    # the scans verify a candidate on the kept blocks alone: at every chart
+    # candidate and line drop point of either scan, at a random chart point,
+    # at points sharing one coordinate with a centre, on the framing line
+    # and on each E_i, that verdict is the pencil's rank, for both maps
+    rng = Random(index)
+    z = (rand_frac(rng), rand_frac(rng))
+    w = next(w for w in iter(lambda: (rand_frac(rng), rand_frac(rng)), None) if any(w))
+    cfg = _verdict_source(source, index)
+    m = build_monad(cfg)
+    sides = ((m.alpha_side, m.alpha, m.dims.total_k), (m.beta_side, m.beta, m.dims.total_l))
+    centres = cfg.points.points
+    points = []
+    for side, _pencil, _full in sides:
+        points += _chart_candidates(m, side)
+        for i in range(1, cfg.n + 1):
+            try:
+                points += _scan_divisor(m, side, i)[0]
+            except NotInPError:  # a drop along the whole line: checked at the points below
+                pass
+    chart = [z] + [(p[0], z[1]) for p in centres] + [(z[0], p[1]) for p in centres]
+    points += [SurfacePoint.generic(*x, 1) for x in chart if x not in centres]
+    points.append(SurfacePoint.generic(*w, 0))
+    for i in range(1, cfg.n + 1):
+        points += [_on_line(i, w), _on_line(i, (0, 1)), _on_line(i, (1, 0))]
+    for pt in points:
+        for side, pencil, full in sides:
+            assert monad_mod._drops_at(side, m.ctx, pt) == (pencil.rank_at(pt, m.ctx) < full), \
+                (side.name, str(pt))
 
 
 def test_beta_restriction_to_divisor_has_constant_corank():

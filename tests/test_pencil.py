@@ -15,6 +15,7 @@ whose drop points are known, and the framing-line verdict on monads with a
 planted drop.
 """
 
+import copy
 import dataclasses
 from fractions import Fraction
 from itertools import product
@@ -44,6 +45,7 @@ from adhm_blowup_kit.monad import (
     framing_check,
     framing_verdicts,
 )
+from test_adhm import GRID
 from util import (
     W0,
     W1,
@@ -51,8 +53,11 @@ from util import (
     composite_is_zero,
     line_zeros,
     rand_config,
+    rand_invertible,
+    rand_matrix,
     reference_chart_operators,
     reference_framing_fiber,
+    reference_restrict,
     reference_scan_chart,
     reference_scan_divisor,
     section_coefficients,
@@ -179,6 +184,51 @@ def test_chart_scan_on_K0_matches_the_full_operators(cfg):
     full_points, full_complete = _full_chart_scan(m, cfg)
     assert sorted(p.coords for p in points) == sorted(p.coords for p in full_points)
     assert complete == full_complete
+
+
+@st.composite
+def planted_invariant(draw):
+    """``(c, ops, s)``: ops preserving an ``s``-dimensional subspace of ker ``c``, in a random basis.
+
+    In the basis ``B`` each op is block upper triangular and ``c`` vanishes
+    on the first ``s`` vectors, so their span is preserved and in ker ``c``.
+    Twice the first row of ``c`` follows its last, so one row is never kept.
+    """
+    rng = Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n, count, height = draw(st.integers(1, 5)), draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    s = draw(st.integers(0, n))
+    b = rand_invertible(rng, n)
+    b_inv = b.inverse()
+
+    def upper(m: Matrix) -> Matrix:
+        return Matrix([[0 if i >= s > j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(m.rows)], ncols=n)
+
+    ops = [b * upper(rand_matrix(rng, n, n)) * b_inv for _ in range(count)]
+    rows = [[0] * s + row[s:] for row in rand_matrix(rng, height, n).rows]
+    c = Matrix(rows + [[2 * x for x in row] for row in rows[:1]], ncols=n) * b_inv  # one repeated
+    return c, ops, s
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(planted=planted_invariant())
+def test_restrict_echelon_keeps_the_rows_of_the_rank_loop(planted):
+    # the incremental echelon keeps the rows the old loop kept, which ranked
+    # every kept set again, so it returns the same matrices
+    c, ops, s = planted
+    got = _restrict(c, ops)
+    assert got == reference_restrict(c, ops) and got[0].nrows >= s
+
+
+def test_restrict_echelon_matches_the_rank_loop_on_the_scans():
+    # both scans' chart corners, on the grid samples at seeds 0-2
+    for seed, (r, a, k) in product(range(3), GRID):
+        m = build_monad(sample_config(r, a, k, seed=seed))
+        for side in (m.alpha_side, m.beta_side):
+            w0, w1, c = side.chart
+            k0 = c.ncols
+            ops = [w.submatrix(0, k0, 0, k0) for w in (w0, w1)]
+            assert _restrict(c, ops) == reference_restrict(c, ops), (r, a, k, seed, side.name)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -420,12 +470,18 @@ def test_framing_line_verdict_matches_sampled_fibres(cfg, seed):
 
 
 def _planted(m, which, a_idx, edit):
-    """``m`` with ``edit(rows)`` applied to matrix ``a_idx`` of its ``which`` pencil."""
+    """``m`` with ``edit(rows)`` applied to matrix ``a_idx`` of its ``which`` pencil.
+
+    The copy keeps ``m``'s built pencils, and the edited one in place of its
+    own, as ``MonadRep`` keeps a pencil once built.
+    """
     pencil = getattr(m, which)
     mats = [[list(row) for row in mat] for mat in pencil.mats]
     edit(mats[a_idx])
     mats = tuple(tuple(tuple(row) for row in mat) for mat in mats)
-    return dataclasses.replace(m, **{which: dataclasses.replace(pencil, mats=mats)})
+    planted = copy.copy(m)
+    planted.__dict__[which] = dataclasses.replace(pencil, mats=mats)
+    return planted
 
 
 def _set_column(j, values):

@@ -129,6 +129,27 @@ def reference_rational_eigenvalues(g: Matrix) -> tuple[list[Fraction], bool]:
     return roots, complete
 
 
+def reference_restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
+    """``monad._restrict`` as it ranked every kept row set again: a reference for its echelon.
+
+    The observability rows ``c``, then their images under the ops breadth
+    first, each kept iff ``Matrix.rank`` of the kept rows with it rises.
+    """
+    n = c.ncols
+    kept: list[list[int]] = []
+    frontier = c.num
+    while frontier:
+        new = []
+        for row in frontier:
+            if any(row) and Matrix.from_ints(kept + [row], 1, n).rank() > len(kept):
+                kept.append(row)
+                new.append(row)
+        frontier = [row for t in ops for row in (Matrix.from_ints(new, 1, n) * t).num] if new else []
+    basis = Matrix.from_ints(kept, 1, n).nullspace()
+    v = block_matrix([basis], [n], [1] * len(basis))
+    return [v.solve(t * v) for t in ops]
+
+
 def rand_points(rng: Random, n: int) -> BlowupPoints:
     pts: list[tuple[Fraction, Fraction]] = []
     while len(pts) < n:

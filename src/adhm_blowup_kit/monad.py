@@ -455,7 +455,8 @@ def _scan_chart(m: MonadRep, side: ScanSide) -> tuple[list[SurfacePoint], bool]:
     return [pt for pt in candidates if _drops_at(side, m.ctx, pt)], rest0 == rest1 == [1]
 
 
-def _k0_system(side: ScanSide, ctx: BlowupPoints, x, skip: int = 0) -> Matrix:
+def _k0_system(side: ScanSide, ctx: BlowupPoints, x: tuple[Fraction, Fraction],
+               skip: int = 0) -> Matrix:
     """``[P_0 - x0; P_1 - x1; c; (x1 - p_j^1) R_0^j - (x0 - p_j^0) R_1^j for j != skip]``.
 
     Read off ``side.chart = (W_0, W_1, c)``: ``P_A`` and ``R_A^j`` are the
@@ -552,7 +553,7 @@ def _line_pencil(side: ScanSide, ctx: BlowupPoints, i: int) -> tuple[Matrix, Mat
             -(w0.submatrix(ko[i], ko[i + 1], 0, ko[1]) * v))
 
 
-def _pencil_drops(pencil: tuple[Matrix, Matrix], w) -> bool:
+def _pencil_drops(pencil: tuple[Matrix, Matrix], w: tuple[Fraction, Fraction]) -> bool:
     """Whether ``w0 a0 + w1 a1`` drops below full column rank at ``w = (w0, w1)``."""
     a0, a1 = pencil
     return (a0.scale(w[0]) + a1.scale(w[1])).rank() < a0.ncols

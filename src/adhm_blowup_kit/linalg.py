@@ -194,18 +194,12 @@ def _inner_inverse(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     inner = [[0] * h for _ in range(w)]
     for row, pc in zip(rows, pivots):
         inner[pc] = [x * s for x, s in zip(row[w:], scales)]
-    inner = Matrix.from_ints(inner, den * pivot, h)
-    if len(pivots) == w:  # no kernel
-        kernel = Matrix._reduced([[] for _ in range(w)], 1, 0)
-    else:
-        vectors = [_primitive(v) for v in _kernel(rows, pivots, pivot, w)]
-        kernel = Matrix.from_ints([[v[i] for v in vectors] for i in range(w)], 1, len(vectors))
-    if len(pivots) == h:  # no left kernel
-        left = Matrix._reduced([], 1, h)
-    else:
-        left = Matrix.from_ints([_primitive([x * s for x, s in zip(row[w:], scales)])
-                                 for row in rows[len(pivots):]], 1, h)
-    return inner, kernel, left
+    kernel = [_primitive(v) for v in _kernel(rows, pivots, pivot, w)] if len(pivots) < w else []
+    left = ([_primitive([x * s for x, s in zip(row[w:], scales)]) for row in rows[len(pivots):]]
+            if len(pivots) < h else [])
+    return (Matrix.from_ints(inner, den * pivot, h),
+            Matrix.from_ints([[v[i] for v in kernel] for i in range(w)], 1, len(kernel)),
+            Matrix.from_ints(left, 1, h))
 
 
 def clear_denoms(*mats: Matrix) -> tuple[int, list[list[list[int]]]]:

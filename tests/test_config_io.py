@@ -15,8 +15,8 @@ import functools
 import io
 import json
 import tempfile
-from pathlib import Path
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest

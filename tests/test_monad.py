@@ -398,7 +398,7 @@ def _verdict_source(source: str, index: int) -> AdhmConfig:
     rng = Random(index)
     cfg = rand_config(rng, *rng.choice(SHAPES))
     cfg = cfg.replace(c=Matrix.zeros(*cfg.c.shape))
-    return cfg.replace(aA00=(cfg.aA00[0], cfg.aA00[index % 2])) if index % 2 else cfg
+    return cfg.replace(aA00=(cfg.aA00[0], cfg.aA00[0])) if index % 2 else cfg
 
 
 def _chart_candidates(m, side) -> list[SurfacePoint]:

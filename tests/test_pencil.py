@@ -192,7 +192,7 @@ def planted_invariant(draw):
 
     In the basis ``B`` each op is block upper triangular and ``c`` vanishes
     on the first ``s`` vectors, so their span is preserved and in ker ``c``.
-    Twice the first row of ``c`` follows its last, so one row is never kept.
+    Twice the first row of ``c``, if any, follows its last: a row never kept.
     """
     rng = Random(draw(st.integers(0, 2 ** 32 - 1)))
     n, count, height = draw(st.integers(1, 5)), draw(st.integers(1, 2)), draw(st.integers(0, 3))

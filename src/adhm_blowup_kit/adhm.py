@@ -21,11 +21,11 @@ strips of ``q^A`` and their products with ``a^{-1}`` once each.
 Gauge normalisation sets ``ai0 = Id``; the residual symmetry group and its
 action on normalised configurations, the tangent computation, and the
 deterministic sampler of valid configurations all live here.  The Jacobian,
-the isotropy system and the sampler's system are term lists for one
-assembler, :func:`_linearise`, so the sampler's columns are the Jacobian's
-``(aA00[1], c)`` columns by construction.  Where those columns have full
-row rank, as on every sample, they certify the Jacobian's rank without the
-rest of it.
+the isotropy system and the sampler's system are term lists for one row
+generator, :func:`_linearise`, so the sampler's columns are the Jacobian's
+``(aA00[1], c)`` columns by construction.  The zero stabilizer and the
+Jacobian's rank (full on those columns) are certified from the rows modulo
+a prime, which stops at full rank; a matrix is built only where that fails.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from itertools import accumulate, product
 from math import lcm
 from operator import add
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -48,7 +48,8 @@ from .errors import (
     SamplingFailureError,
 )
 from .lattice import MonadDims, monad_dims
-from .linalg import Matrix, _gauss_jordan, _inner_inverse, _primitive, block_matrix, clear_denoms
+from .linalg import Matrix, _gauss_jordan, _inner_inverse, _primitive, _reaches_rank_mod_p
+from .linalg import block_matrix, clear_denoms
 from .sections import BlowupPoints
 
 MatrixPair = tuple[Matrix, Matrix]
@@ -120,26 +121,29 @@ class AdhmConfig:
         """Nullity of the isotropy system, kept on the instance once computed.
 
         Not a field: equality, ``replace`` and ``act`` ignore it, and every new
-        instance starts without it.  :func:`_stabilizer_uncertified` sets it
-        to 0 where it certifies that.
+        instance starts without it.  It is 0 where :func:`_stabilizer_uncertified`
+        certifies that; only otherwise is the isotropy system assembled.
         """
-        return _isotropy_system(self).nullity()
+        if not _stabilizer_uncertified(self):
+            return 0
+        den, ncols, rows = _isotropy_system(self)
+        return Matrix.from_ints(list(rows), den, ncols).nullity()
 
     @cached_property
     def _jacobian_rank(self) -> int:
         """Rank of :func:`_jacobian`, kept on the instance like the nullity above.
 
         :func:`_solve_draw` sets it on the sample it returns, where its solve
-        has proved it.  Data from elsewhere first rank the Jacobian's
+        has proved it.  Data from elsewhere certify the rows of the Jacobian's
         ``(aA00[1], c)`` columns (:func:`_framing_unknowns`) modulo a prime:
         full row rank ``dim L_0 dim K_0`` there is the Jacobian's rank, as
-        the sampler's system shows it.  Only when that certificate fails is
+        the sampler's system shows it.  Only when those rows fall short is
         the whole Jacobian built and ranked.
         """
         l0, k0 = self.dims.dim_l[0], self.dims.dim_k[0]
-        framing = _linearise([(l0, k0)], _framing_unknowns(
+        _den, ncols, rows = _linearise([(l0, k0)], _framing_unknowns(
             self, self._qa_rows[0].submatrix(0, l0, 0, l0), self._aq_cols.submatrix(0, k0, 0, k0)))
-        if framing.certified_rank() == l0 * k0:
+        if _reaches_rank_mod_p(rows, ncols, l0 * k0):
             return l0 * k0
         return _jacobian(self).rank()
 
@@ -158,24 +162,24 @@ class AdhmConfig:
 
     @cached_property
     def _strips(self) -> tuple[MatrixPair, MatrixPair]:
-        """The strips of ``q^A`` (:func:`_q_strips`), kept on the instance like the nullity above.
+        """The strips of ``q^0`` and ``q^1`` (:func:`_q_strips`), kept like the nullity above.
 
         They and the products below depend on ``aA00``, which the sampler's
         solve replaces, so ``replace`` hands none of them on.
         """
-        return _q_strips(self)
+        return _q_strips(self, 0), _q_strips(self, 1)
 
     @cached_property
     def _qa_rows(self) -> MatrixPair:
         """The ``L_0`` rows of ``q^A a^{-1}``, kept like the strips."""
-        return self._q0a_rows, self._strips[0][1] * self._a_inverse
+        return self._q0a_rows, self._strips[1][0] * self._a_inverse
 
     @cached_property
     def _q0a_rows(self) -> Matrix:
         """The ``L_0`` rows of ``q^0 a^{-1}``, kept like the strips.
 
         ``q^0`` depends on neither ``aA00[1]`` nor ``c``, so :func:`_solve_draw`
-        hands its draw's on to the sample.
+        hands its draw's on to the sample, with the strips of ``q^0``.
         """
         return self._strips[0][0] * self._a_inverse
 
@@ -190,7 +194,8 @@ class AdhmConfig:
         l0, k0, r = self.dims.dim_l[0], self.dims.dim_k[0], self.r
         rest = self.dims.total_l - l0
         neg_d = block_matrix([[-self.d], [Matrix.zeros(rest, r)]], [l0, rest], [r])
-        return self._a_inverse * block_matrix([[*self._strips[1], neg_d]], [l0 + rest], [k0, k0, r])
+        (_rows0, cols0), (_rows1, cols1) = self._strips
+        return self._a_inverse * block_matrix([[cols0, cols1, neg_d]], [l0 + rest], [k0, k0, r])
 
     @cached_property
     def _bA(self) -> MatrixPair:
@@ -224,26 +229,23 @@ def derive_bA(cfg: AdhmConfig) -> MatrixPair:
     return cfg._bA
 
 
-def _q_strips(cfg: AdhmConfig) -> tuple[MatrixPair, MatrixPair]:
-    """The first ``l0`` rows and the first ``k0`` columns of each ``q^A``.
+def _q_strips(cfg: AdhmConfig, a: int) -> MatrixPair:
+    """The first ``l0`` rows and the first ``k0`` columns of ``q^a``.
 
-    Corner ``-a^A_00``, then the ``a0i`` (rows) or the ``ai0`` (columns)
-    scaled by ``p_i^A``: the blocks over one denominator ``den``, the point
+    Corner ``-a^a_00``, then the ``a0i`` (rows) or the ``ai0`` (columns)
+    scaled by ``p_i^a``: the blocks over one denominator ``den``, the point
     coordinates over ``dp``, and each strip over ``dp den``.
     """
     dp, (p,) = clear_denoms(_point_matrix(cfg))
-    rows, cols = [], []
-    for a in (0, 1):
-        den, (corner, *blocks) = clear_denoms(cfg.aA00[a], *cfg.a0i, *cfg.ai0)
-        a0i, ai0 = blocks[:cfg.n], blocks[cfg.n:]
-        corner = [[-dp * x for x in row] for row in corner]
-        rows.append(Matrix.from_ints(
-            [row + [p[i][a] * x for i, blk in enumerate(a0i) for x in blk[r]]
-             for r, row in enumerate(corner)], dp * den, cfg.dims.total_k))
-        cols.append(Matrix.from_ints(
-            corner + [[p[i][a] * x for x in row] for i, blk in enumerate(ai0) for row in blk],
-            dp * den, cfg.dims.dim_k[0]))
-    return (rows[0], rows[1]), (cols[0], cols[1])
+    den, (corner, *blocks) = clear_denoms(cfg.aA00[a], *cfg.a0i, *cfg.ai0)
+    a0i, ai0 = blocks[:cfg.n], blocks[cfg.n:]
+    corner = [[-dp * x for x in row] for row in corner]
+    rows = Matrix.from_ints([row + [p[i][a] * x for i, blk in enumerate(a0i) for x in blk[r]]
+                             for r, row in enumerate(corner)], dp * den, cfg.dims.total_k)
+    cols = Matrix.from_ints(
+        corner + [[p[i][a] * x for x in row] for i, blk in enumerate(ai0) for row in blk],
+        dp * den, cfg.dims.dim_k[0])
+    return rows, cols
 
 
 def _compact_block(cfg: AdhmConfig) -> Matrix:
@@ -252,8 +254,8 @@ def _compact_block(cfg: AdhmConfig) -> Matrix:
     Only the ``(L_0, K_0)`` block is kept, so only the kept ``L_0`` rows of
     ``q^A a^{-1}`` and the first ``k0`` columns of ``q_A`` enter the products.
     """
-    qa, (_rows, cols) = cfg._qa_rows, cfg._strips
-    return qa[1] * cols[0] - qa[0] * cols[1]
+    qa, ((_rows0, cols0), (_rows1, cols1)) = cfg._qa_rows, cfg._strips
+    return qa[1] * cols0 - qa[0] * cols1
 
 
 def constraint_residual(cfg: AdhmConfig) -> Matrix:
@@ -413,45 +415,52 @@ def _point_matrix(cfg: AdhmConfig) -> Matrix:
     return Matrix([list(p) for p in cfg.points.points], ncols=2)
 
 
-def _linearise(outputs: Sequence[tuple[int, int]], unknowns: Sequence[tuple]) -> Matrix:
-    """The matrix of ``E -> sum X E Y`` in the unit directions ``E_PQ`` of blocks of unknowns.
+def _linearise(outputs: Sequence[tuple[int, int]],
+               unknowns: Sequence[tuple]) -> tuple[int, int, Iterator[list[int]]]:
+    """``(den, ncols, rows)`` of ``E -> sum X E Y`` in the unit directions ``E_PQ`` of unknowns.
 
     Each unknown ``(m, w, terms)`` is an ``m x w`` block; a term ``(o, X,
     Y)`` adds ``X E Y`` to output block ``o``, with None for an identity in
-    at most one factor.  Rows are the entries of the output blocks, of shapes
-    ``outputs``; columns are the ``E_PQ``, unknown after unknown; each block
-    row by row.  As ``X E_PQ Y = X[:, P] Y[Q, :]``, a term adds an integer
-    outer product over the lcm of the terms' denominators, or writes row
-    ``Q`` of ``Y`` (column ``P`` of ``X``) into place when ``X`` (``Y``) is
-    the identity.  No other function knows this column layout.
+    at most one factor.  Columns are the ``E_PQ``, unknown after unknown,
+    each block row by row.  ``rows`` yields the integer rows over ``den``, the
+    lcm of the terms' denominators, one at a time: the entries of the output
+    blocks, block after block in the order of ``outputs``.  As ``X E_PQ Y =
+    X[:, P] Y[Q, :]``, row ``(i, j)`` holds the outer product of row ``i`` of
+    ``X`` and column ``j`` of ``Y``, or that column (row) at ``P = i`` (``Q =
+    j``) when ``X`` (``Y``) is the identity.  No other function knows this
+    column layout.
     """
-    starts = list(accumulate((h * w for h, w in outputs), initial=0))
     dens = [[(1 if x is None else x.den) * (1 if y is None else y.den) for _o, x, y in terms]
             for _m, _w, terms in unknowns]
     den = lcm(1, *(d for ds in dens for d in ds))
-    columns: list[list[int]] = []
-    for (m, w, terms), ds in zip(unknowns, dens):
-        placed, seen = [], set()
+    starts = list(accumulate((m * w for m, w, _terms in unknowns), initial=0))
+    placed: list[list[tuple]] = [[] for _ in outputs]
+    for (m, w, terms), ds, start in zip(unknowns, dens, starts):
+        seen = set()
         for (o, x, y), d in zip(terms, ds):
-            f, (h, ow) = den // d, outputs[o]
-            xs = None if x is None else [[f * row[P] for row in x.num] for P in range(m)]
-            ys = None if y is None else y.num if x is not None else [[f * v for v in row]
-                                                                     for row in y.num]
-            placed.append((starts[o], h * ow, ow, xs, ys, o not in seen))
+            f = den // d
+            xs = None if x is None else [[f * v for v in row] for row in x.num]
+            ys = None if y is None else y.transpose().num if x is not None else \
+                [[f * v for v in col] for col in y.transpose().num]
+            placed[o].append((start, m, w, xs, ys, o not in seen))
             seen.add(o)
-        for P, Q in product(range(m), range(w)):
-            col = [0] * starts[-1]
-            for start, size, ow, xs, ys, fresh in placed:
-                if xs is None:  # E_PQ Y: row Q of Y in row P
-                    span, vec = slice(start + P * ow, start + (P + 1) * ow), ys[Q]
-                elif ys is None:  # X E_PQ: column P of X in column Q
-                    span, vec = slice(start + Q, start + size, ow), xs[P]
-                else:
-                    span, vec = slice(start, start + size), [a * b for a in xs[P] for b in ys[Q]]
-                col[span] = vec if fresh else map(add, col[span], vec)
-            columns.append(col)
-    rows = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(starts[-1])]
-    return Matrix.from_ints(rows, den, len(columns))
+
+    def rows() -> Iterator[list[int]]:
+        for (h, ow), terms in zip(outputs, placed):
+            for i, j in product(range(h), range(ow)):
+                row = [0] * starts[-1]
+                for start, m, w, xs, ys, fresh in terms:
+                    if xs is None:  # E_PQ Y: column j of Y at P = i
+                        span, vec = slice(start + i * w, start + (i + 1) * w), ys[j]
+                    elif ys is None:  # X E_PQ: row i of X at Q = j
+                        span, vec = slice(start + j, start + m * w, w), xs[i]
+                    else:
+                        span = slice(start, start + m * w)
+                        vec = [a * b for a in xs[i] for b in ys[j]]
+                    row[span] = vec if fresh else map(add, row[span], vec)
+                yield row
+
+    return den, starts[-1], rows()
 
 
 def _unknown_blocks(x: Sequence, shapes: Sequence[tuple]) -> list[list[list]]:
@@ -464,7 +473,7 @@ def _unknown_blocks(x: Sequence, shapes: Sequence[tuple]) -> list[list[list]]:
             for s, (m, w, *_) in zip(starts, shapes)]
 
 
-def _isotropy_system(cfg: AdhmConfig) -> Matrix:
+def _isotropy_system(cfg: AdhmConfig) -> tuple[int, int, Iterator[list[int]]]:
     """Linearised fixed-point equations at the identity, in ``h0`` and the kernels of ``aii``.
 
     On normalised data the action on ``a`` is ``a -> G a H``, with ``G``
@@ -486,19 +495,20 @@ def _isotropy_system(cfg: AdhmConfig) -> Matrix:
     L_i`` and ``X_A = aA00[A] + sum p_i^A a0i L_i``.  The substitution maps
     the unknowns ``(h0, Z_i)`` isomorphically onto the solutions of the
     ``K_i`` blocks, so the nullity is still the isotropy dimension, over
-    ``k0^2 + sum dim ker(aii) dim K_i`` columns.  Raises
-    :class:`FramingViolationError` when ``a`` is singular.
+    ``k0^2 + sum dim ker(aii) dim K_i`` columns.  Its rows (:func:`_linearise`)
+    list the framing blocks first, ``c h0`` and ``W_d``, then ``W_0``, ``W_1``
+    and ``M_i h0 aii``.  Raises :class:`FramingViolationError` when ``a`` is singular.
     """
     kd, ld, r = cfg.dims.dim_k, cfg.dims.dim_l, cfg.r
     k0, ko = kd[0], list(accumulate(kd, initial=0))
     w = cfg._aq_cols
 
-    def moved(b: int, x: Matrix) -> list:  # x h W^b, h on K_b
-        return [(j, x, w.submatrix(ko[b], ko[b + 1], c0, c1))
-                for j, (c0, c1) in enumerate(((0, k0), (k0, 2 * k0), (2 * k0, 2 * k0 + r)))]
+    def moved(b: int, x: Matrix) -> list:  # x h W^b, h on K_b, into outputs 2, 3 and 1
+        return [(o, x, w.submatrix(ko[b], ko[b + 1], c0, c1))
+                for o, (c0, c1) in ((2, (0, k0)), (3, (k0, 2 * k0)), (1, (2 * k0, 2 * k0 + r)))]
 
     x, xa = cfg.a00, list(cfg.aA00)
-    outputs = [(ld[0], k0), (ld[0], k0), (ld[0], r), (r, k0)]
+    outputs = [(r, k0), (ld[0], r), (ld[0], k0), (ld[0], k0)]
     h0, kernels = [], []
     for i, (a0i, aii, p) in enumerate(zip(cfg.a0i, cfg.aii, cfg.points.points), 1):
         inner, kernel, left = _inner_inverse(aii)
@@ -510,7 +520,7 @@ def _isotropy_system(cfg: AdhmConfig) -> Matrix:
             outputs.append((left.nrows, kd[i]))
         if kernel.ncols:
             kernels.append((kernel.ncols, kd[i], moved(i, a0i * kernel)))
-    h0 += moved(0, x) + [(0, xa[0], None), (1, xa[1], None), (3, cfg.c, None)]
+    h0 += moved(0, x) + [(2, xa[0], None), (3, xa[1], None), (0, cfg.c, None)]
     return _linearise(outputs, [(k0, k0, h0)] + kernels)
 
 
@@ -518,8 +528,9 @@ def stabilizer_dim(cfg: AdhmConfig) -> int:
     """Dimension of the isotropy algebra at ``cfg``; expected 0 on valid data.
 
     The nullity of :func:`_isotropy_system`, computed once per configuration
-    instance and then read back.  Raises :class:`FramingViolationError` when
-    ``a`` is singular, since the system is solved for ``g`` through
+    instance and then read back; a zero certified from its rows (as every
+    sample's is) needs no elimination.  Raises :class:`FramingViolationError`
+    when ``a`` is singular, since the system is solved for ``g`` through
     ``a^{-1}``.
     """
     if not cfg.is_normalized():
@@ -528,14 +539,14 @@ def stabilizer_dim(cfg: AdhmConfig) -> int:
 
 
 def _stabilizer_uncertified(cfg: AdhmConfig) -> bool:
-    """False iff :func:`_isotropy_system` has full column rank modulo a prime.
+    """False iff the rows of :func:`_isotropy_system` reach full column rank modulo a prime.
 
-    That certifies a zero stabilizer (:meth:`.Matrix.certified_rank`), which
-    is then kept on ``cfg``.  True proves nothing: the stabilizer is
+    That certifies a zero stabilizer (:func:`.linalg._reaches_rank_mod_p`),
+    which is then kept on ``cfg``.  True proves nothing: the stabilizer is
     positive, or the prime is unlucky.  No exact elimination runs.
     """
-    system = _isotropy_system(cfg)
-    if system.certified_rank() != system.ncols:
+    _den, ncols, rows = _isotropy_system(cfg)
+    if not _reaches_rank_mod_p(rows, ncols, ncols):
         return True
     cfg.__dict__["_stabilizer_nullity"] = 0
     return False
@@ -579,7 +590,8 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
     unknowns.append((l0, k0, [(0, None, v[1][0]), (0, -u[1][0], None)]))  # aA00[0]: s_0 = -1
     unknowns += _framing_unknowns(cfg, u[0][0], v[0][0])
     unknowns.append((l0, cfg.r, [(0, None, cfg.c)]))  # d
-    return _linearise([(l0, k0)], unknowns)
+    den, ncols, rows = _linearise([(l0, k0)], unknowns)
+    return Matrix.from_ints(list(rows), den, ncols)
 
 
 def tangent_dims(cfg: AdhmConfig) -> TangentReport:
@@ -588,12 +600,11 @@ def tangent_dims(cfg: AdhmConfig) -> TangentReport:
     The Jacobian is that of the full residual system with respect to the free
     entries; with ``b^A`` derived, only the quadratic block contributes.  Its
     kernel is the number of free entries less its rank, which a sample
-    carries from the sampler's solve.  Data from elsewhere certify it on the
-    Jacobian's ``(aA00[1], c)`` columns, the sampler's system, and build
-    :func:`_jacobian` only when that certificate fails
-    (``AdhmConfig._jacobian_rank``).  The orbit dimension is the group dimension
-    minus the isotropy dimension, and the empirical moduli dimension is
-    their difference.
+    carries from its solve and other data certify from the rows of its
+    ``(aA00[1], c)`` columns (``AdhmConfig._jacobian_rank``).  The orbit
+    dimension is the group dimension minus the isotropy dimension
+    (:func:`stabilizer_dim`), and the empirical moduli dimension is their
+    difference.
     """
     if not cfg.is_normalized():
         raise ValueError("tangent data is computed on gauge-normalised configurations")
@@ -681,11 +692,14 @@ def _sylvester_system(cfg: AdhmConfig) -> tuple[list[list[int]], int]:
     """
     l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
     ainv = cfg._a_inverse
-    system = _linearise([(l0, k0)], _framing_unknowns(
+    den, _ncols, rows = _linearise([(l0, k0)], _framing_unknowns(
         cfg, cfg._qa_rows[0].submatrix(0, l0, 0, l0),
-        ainv.submatrix(0, k0, 0, ainv.ncols) * cfg._strips[1][0]))
-    den, (lhs, compact) = clear_denoms(system, _compact_block(cfg))
-    return [row + [-x] for row, x in zip(lhs, (x for line in compact for x in line))], den
+        ainv.submatrix(0, k0, 0, ainv.ncols) * cfg._strips[0][1]))
+    compact = _compact_block(cfg)
+    both = lcm(den, compact.den)
+    s, t = both // den, both // compact.den
+    rhs = (-t * x for line in compact.num for x in line)
+    return [[s * v for v in row] + [x] for row, x in zip(rows, rhs)], both
 
 
 def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
@@ -699,8 +713,8 @@ def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
     lack it, and ``d = 0`` at ``dim L_0 = dim K_0 = r = 1`` another.  The
     system's columns are the Jacobian's ``(aA00[1], c)`` columns, which
     depend on neither ``aA00[1]`` nor ``c``, so the Jacobian of the sample
-    has rank ``dim L_0 dim K_0`` too; the sample keeps that rank, and the
-    draw's ``L_0`` rows of ``q^0 a^{-1}``.
+    has rank ``dim L_0 dim K_0`` too; the sample keeps that rank, the draw's
+    strips of ``q^0`` and its ``L_0`` rows of ``q^0 a^{-1}``.
     """
     system, _den = _sylvester_system(cfg)
     l0, k0, r = cfg.dims.dim_l[0], cfg.dims.dim_k[0], cfg.r
@@ -719,6 +733,7 @@ def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
               for rows in _unknown_blocks(x, [(l0, k0), (r, k0)]))
     sample = cfg.replace(aA00=(cfg.aA00[0], aA1), c=c)
     sample.__dict__["_jacobian_rank"] = len(system)
+    sample.__dict__["_strips"] = (cfg._strips[0], _q_strips(sample, 1))
     sample.__dict__["_q0a_rows"] = cfg._q0a_rows
     return sample
 

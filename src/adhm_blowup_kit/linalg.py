@@ -8,15 +8,15 @@ transposes and blocks run on ``num`` and restore lowest terms with one gcd
 over the entries.  Entries go in as ints or ``fractions.Fraction``s, and
 ``rows`` and indexing give ``Fraction``s back.
 
-``rank`` first eliminates modulo one prime and returns that rank only when
-it is full, which certifies it (``certified_rank`` is that half alone).
-Exact elimination first divides each row by
-its content, the gcd of its entries (sympy's ``clear_denoms_rowwise``), so
-that no row carries a factor that only another row's denominator put there.
-Then one integer kernel runs, a fraction-free Gauss-Jordan reduction, for
-``rank`` and ``nullity`` when the certificate fails and for ``det``,
-``inverse``, ``solve`` and ``nullspace``.  Every operation is exact; nothing
-here ever touches floating point.  Zero-sized
+Ranks are certified by :func:`_reaches_rank_mod_p`, which reads integer rows
+lazily modulo one prime and stops at its target rank: exact, as a minor
+nonzero modulo the prime is a nonzero integer.  ``rank`` returns a full rank
+so proved (``certified_rank``), ``nullspace`` returns ``[]`` at a proved full
+column rank, and :mod:`.adhm` feeds it rows.  Exact elimination divides each
+row by its content (sympy's ``clear_denoms_rowwise``), so that no row carries
+a factor that only another row's denominator put there, and then runs one
+integer kernel, a fraction-free Gauss-Jordan reduction.  Nothing here ever
+touches floating point.  Zero-sized
 matrices are first-class citizens because several block dimensions in this
 project are legitimately zero (``det`` of a 0x0 matrix is 1, the kernel of a
 0xn matrix is all of Q^n, and so on).
@@ -75,21 +75,23 @@ def _each_slot(pattern: int, width: int) -> int:
     return int.from_bytes(pattern.to_bytes(12, "little") * width, "little")
 
 
-def _independent_mod_p(vectors: Sequence[Sequence[int]]) -> bool:
-    """True iff the integer vectors are linearly independent modulo ``_P``.
+def _reaches_rank_mod_p(rows: Iterable[Sequence[int]], width: int, target: int) -> bool:
+    """True iff the integer rows of ``width`` entries reach rank ``target`` modulo ``_P``.
 
-    Each vector is packed into one int, so that one big-int multiply-add
-    eliminates a whole pivot.  Adding ``(_P - f)`` times a pivot subtracts
-    ``f`` times it modulo ``_P``, and no slot ever borrows from the next.  A
-    new pivot is first folded to slots of at most ``2**31``, all at once:
-    ``x = 2**31 h + l`` is ``h + l`` modulo ``2**31 - 1``.  Only the entry
-    under each pivot, and the lowest nonzero slot of a new one, are read.
+    No row is read after the one that brings the target.  Each row is packed
+    into one int, so that one big-int multiply-add eliminates a whole pivot.
+    Adding ``(_P - f)`` times a pivot subtracts ``f`` times it modulo ``_P``,
+    and no slot ever borrows from the next.  A new pivot is first folded to
+    slots of at most ``2**31``, all at once: ``x = 2**31 h + l`` is ``h + l``
+    modulo ``2**31 - 1``.  Only the entry under each pivot, and the lowest
+    nonzero slot of a new one, are read.
     """
-    width = len(vectors[0])
+    if target <= 0:
+        return True
     low, high = _each_slot((1 << 31) - 1, width), _each_slot((1 << (_SLOT - 31)) - 1, width)
-    pivots: list[tuple[int, int, int]] = []  # (bit offset of the pivot slot, vector, 1/pivot)
-    for vec in vectors:
-        v = _pack(vec)
+    pivots: list[tuple[int, int, int]] = []  # (bit offset of the pivot slot, row, 1/pivot)
+    for row in rows:
+        v = _pack(row)
         for shift, w, inv in pivots:
             f = (v >> shift & _SLOT_MASK) * inv % _P
             if f:
@@ -101,11 +103,11 @@ def _independent_mod_p(vectors: Sequence[Sequence[int]]) -> bool:
             s = v >> shift & _SLOT_MASK
             if s != _P:
                 pivots.append((shift, v, pow(s, -1, _P)))
+                if len(pivots) == target:
+                    return True
                 break
             v -= s << shift  # the residue 0 folded to _P
-        else:
-            return False
-    return True
+    return False
 
 
 def _gauss_jordan(rows: list[list[int]], width: int | None = None) -> tuple[list[int], int, int]:
@@ -367,8 +369,10 @@ class Matrix:
         unlucky.
         """
         rows = [row for row in self.num if any(row)]
-        vectors = rows if len(rows) <= self.ncols else list(zip(*rows))
-        return len(vectors) if not vectors or _independent_mod_p(vectors) else None
+        tall = len(rows) > self.ncols
+        vectors = list(zip(*rows)) if tall else rows
+        width = len(rows) if tall else self.ncols
+        return len(vectors) if _reaches_rank_mod_p(vectors, width, len(vectors)) else None
 
     def rank(self) -> int:
         """Rank: :meth:`certified_rank` when it is full, else exact elimination.
@@ -383,7 +387,9 @@ class Matrix:
         return len(_gauss_jordan([_primitive(row) for row in self.num if any(row)])[0])
 
     def nullspace(self) -> list[Matrix]:
-        """Basis of the right kernel, as column matrices, read off the reduced rows."""
+        """Basis of the right kernel, as column matrices: ``[]`` at a certified full column rank."""
+        if self.certified_rank() == self.ncols:
+            return []
         rows = [_primitive(row) for row in self.num if any(row)]
         pivots, _sign, pivot = _gauss_jordan(rows)
         return [Matrix.from_ints([[x] for x in v], pivot, 1)

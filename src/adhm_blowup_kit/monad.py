@@ -284,7 +284,8 @@ def _alpha_pencil(cfg: AdhmConfig) -> Pencil:
     row_twist = [i for i in range(n + 1) for _ in range(dims.dim_l[i])]
     # a, c and q^A over one denominator: the centres over dp, the rest over a_den
     dp, (p,) = clear_denoms(_point_matrix(cfg))
-    a_den, (a, *strips, c) = clear_denoms(assemble_a(cfg), *cfg._strips[0], cfg.c)
+    (rows0, _cols0), (rows1, _cols1) = cfg._strips
+    a_den, (a, *strips, c) = clear_denoms(assemble_a(cfg), rows0, rows1, cfg.c)
     q0, q1 = ([[dp * x for x in row] for row in strips[A]]
               + [[p[i - 1][A] * x for x in row] for i, row in zip(row_twist[l0:], a[l0:])]
               for A in (0, 1))
@@ -377,7 +378,7 @@ def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
     most ``dim`` of them.  The rank is read off one exact integer echelon of
     the kept rows, which grows with them: a row raises the rank iff
     something is left of it once reduced against the echelon.  Returns each
-    op in a basis of the kernel.
+    op in a basis of the kernel, 0 x 0 at once when ``dim`` rows are kept.
     """
     n = c.ncols
     # rows only matter up to scale here, so they are kept as integer rows
@@ -398,6 +399,8 @@ def _restrict(c: Matrix, ops: list[Matrix]) -> list[Matrix]:
                 kept.append(row)
                 new.append(row)
         frontier = [row for t in ops for row in (Matrix.from_ints(new, 1, n) * t).num] if new else []
+    if len(kept) == n:
+        return [Matrix.zeros(0, 0) for _ in ops]
     basis = Matrix.from_ints(kept, 1, n).nullspace()
     v = block_matrix([basis], [n], [1] * len(basis))
     return [v.solve(t * v) for t in ops]

@@ -44,6 +44,7 @@ from adhm_blowup_kit.monad import (
 )
 from adhm_blowup_kit.sections import BlowupPoints
 from util import (
+    assembled,
     composite_is_zero,
     rand_config,
     rand_group_element,
@@ -401,25 +402,47 @@ def test_isotropy_columns_are_h0_and_the_kernels_of_aii():
         cfg = sample_config(r, a, k, seed=0)
         kd = cfg.dims.dim_k
         want = kd[0] ** 2 + sum((m.ncols - m.rank()) * m.ncols for m in cfg.aii)
-        assert adhm._isotropy_system(cfg).ncols == want, (r, a, k)
+        assert adhm._isotropy_system(cfg)[1] == want, (r, a, k)
         total += want
     assert total == 552
+
+
+def _solved_draws(r, a, k, rng):
+    """The draws that ``_solve_draw`` solves, as ``sample_config`` meets them."""
+    for _ in range(adhm._SAMPLE_ATTEMPTS):
+        try:
+            cfg = adhm._solve_draw(adhm._draw(r, a, k, rng), rng)
+        except FramingViolationError:
+            continue
+        if cfg is not None:
+            yield cfg
 
 
 @pytest.mark.parametrize("a", [(3,), (-3,)], ids=["a=3", "a=-3"])
 def test_stabilizer_of_the_first_solved_draw_beyond_the_rank(a):
     # with |a_1| > r the first solved draw from Random(0) has a stabilizer of
-    # |a_1| (|a_1| - r) = 3, which the sampler's certificate cannot rule out
-    rng = Random(0)
-    while True:
-        try:
-            cfg = adhm._solve_draw(adhm._draw(2, a, 1, rng), rng)
-        except FramingViolationError:
-            continue
-        if cfg is not None:
-            break
+    # |a_1| (|a_1| - r) = 3, which the sampler's certificate cannot rule out;
+    # its exact value is the nullity of the assembled system
+    cfg = next(_solved_draws(2, a, 1, Random(0)))
     assert adhm._stabilizer_uncertified(cfg)
-    assert stabilizer_dim(cfg) == 3
+    assert stabilizer_dim(cfg) == 3 == assembled(adhm._isotropy_system(cfg)).nullity()
+
+
+def test_stabilizer_certificate_is_the_assembled_full_rank():
+    # the isotropy rows certify a zero stabilizer exactly when the assembled
+    # system has full column rank by exact elimination: on the grid samples,
+    # on the first solved draws with |a_1| > r and on every solved draw of
+    # (1, (2), 0), all of which have a positive stabilizer
+    cases = [sample_config(r, a, k, seed=seed) for r, a, k in GRID for seed in (0, 1, 2)]
+    cases += [next(_solved_draws(2, a, 1, Random(0))) for a in ((3,), (-3,))]
+    cases += _solved_draws(1, (2,), 0, Random(0))
+    positive = 0
+    for cfg in cases:
+        system = assembled(adhm._isotropy_system(cfg))
+        exact = len(linalg._gauss_jordan([linalg._primitive(row) for row in system.num])[0])
+        assert adhm._stabilizer_uncertified(cfg) == (exact < system.ncols)
+        positive += exact < system.ncols
+    assert len(cases) == 3 * len(GRID) + 2 + 52 and positive == 2 + 52
 
 
 def test_sample_every_grid_set_validates():
@@ -651,7 +674,8 @@ GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
 ], ids=["tangent", "report"])
 def test_stabilizer_system_built_once_per_config(monkeypatch, argv):
     # the sampler's acceptance check and tangent_dims, or validate_config and
-    # tangent_dims, ask for the stabilizer of the same configuration object
+    # tangent_dims, ask for the stabilizer of the same configuration object:
+    # its rows are certified once, and no exact system is assembled after
     built = _count_builds(monkeypatch, "_isotropy_system")
     with redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0
@@ -690,9 +714,11 @@ def test_replaced_config_recomputes_stabilizer(monkeypatch):
     assert stabilizer_dim(cfg) == 0
     built = _count_builds(monkeypatch, "_isotropy_system")
     assert stabilizer_dim(cfg) == 0 and built == []
+    # without c and d the rows fall short of a certificate, and the system
+    # is built again and assembled for its exact nullity
     framing_free = cfg.replace(c=Matrix.zeros(*cfg.c.shape), d=Matrix.zeros(*cfg.d.shape))
     assert stabilizer_dim(framing_free) == 1
-    assert built == [framing_free]
+    assert built == [framing_free, framing_free]
     # the memo is no field: equal data compare equal with or without it
     assert cfg.replace() == cfg
     assert act(GroupElement.identity(cfg.dims), cfg) == cfg
@@ -732,32 +758,34 @@ def test_replaced_sample_recomputes_jacobian_rank(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, built", [
-    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 2),
-    (["tangent", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 1),
-    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 1),
+    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], [2, 1]),
+    (["tangent", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], [2]),
+    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], [2]),
 ], ids=["sample", "file", "report"])
 def test_q_strips_built_once_per_config(monkeypatch, argv, built):
     # the sampler's system on the draw, then the isotropy system, the
-    # residual and the Jacobian on the sample, all from the kept strips
+    # residual and the Jacobian on the sample, all from the kept strips: two
+    # builds, of q^0 and q^1, per configuration, but the sample keeps its
+    # draw's q^0 strips and builds its q^1 strips alone
     strips = _count_builds(monkeypatch, "_q_strips")
     with redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0
     assert '"dim_ker_jacobian": 13' in out.getvalue()
-    assert len(strips) == len({id(cfg) for cfg in strips}) == built
+    assert [strips.count(cfg) for cfg in dict.fromkeys(strips)] == built
 
 
 def test_replaced_config_rebuilds_q_strips(monkeypatch):
     cfg = sample_config(2, [1], 1, seed=5)
-    assert cfg._strips == adhm._q_strips(cfg)
+    assert cfg._strips == (adhm._q_strips(cfg, 0), adhm._q_strips(cfg, 1))
     built = _count_builds(monkeypatch, "_q_strips")
     assert constraint_residual(cfg).is_zero() and built == []
     moved = cfg.replace(aA00=(cfg.aA00[0], cfg.aA00[1].scale(2)))
-    assert moved._strips[0][1] != cfg._strips[0][1] and built == [moved]
+    assert moved._strips[1][0] != cfg._strips[1][0] and built == [moved, moved]
     # so are the products with a^{-1}, which the sampler's checks formed
     products = {"_qa_rows", "_aq_cols"}
     assert products <= cfg.__dict__.keys() and not products & moved.__dict__.keys()
     ainv = moved._a_inverse
-    assert moved._qa_rows == tuple(m * ainv for m in moved._strips[0])
+    assert moved._qa_rows == tuple(rows * ainv for rows, _cols in moved._strips)
     assert moved._qa_rows[1] != cfg._qa_rows[1]
     k0 = cfg.dims.dim_k[0]
     assert moved._aq_cols.submatrix(0, ainv.nrows, k0, 2 * k0) == ainv * moved._strips[1][1]

@@ -12,6 +12,7 @@ full system of ``action_derivative`` columns.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 
 import pytest
@@ -30,6 +31,7 @@ from adhm_blowup_kit.adhm import (
 from adhm_blowup_kit.linalg import Matrix
 from util import (
     action_derivative,
+    assembled,
     compact_derivative,
     echelon,
     rand_config,
@@ -217,7 +219,7 @@ def test_assembled_systems_match_references(source, params):
         # the last r k0 + l0 r columns are the c and d directions
         framing = cfg.r * (cfg.c.ncols + cfg.d.nrows)
         assert not jac.submatrix(0, jac.nrows, jac.ncols - framing, jac.ncols).is_zero()
-    stab = _isotropy_system(cfg)
+    stab = assembled(_isotropy_system(cfg))
     assert stab.nullity() == _reference_stabilizer(cfg).nullity()
     assert stab.rank() == len(echelon(stab)[1])
     assert jac.rank() == len(echelon(jac)[1])
@@ -273,7 +275,7 @@ def test_isotropy_nullity_matches_full_system(case, r, rest, k, zero, seed):
         cfg = cfg.replace(c=Matrix.zeros(*cfg.c.shape))
     if "d" in zero:
         cfg = cfg.replace(d=Matrix.zeros(*cfg.d.shape))
-    assert _isotropy_system(cfg).nullity() == _reference_stabilizer(cfg).nullity()
+    assert assembled(_isotropy_system(cfg)).nullity() == _reference_stabilizer(cfg).nullity()
 
 
 def _linearise_reference(outputs, unknowns):
@@ -319,9 +321,20 @@ def _linear_map(data):
 def test_linearise_matches_block_products(data):
     # identity factors, several output blocks, and blocks of size 0
     outputs, unknowns, _rng = _linear_map(data)
-    got = _linearise(outputs, unknowns)
+    got = assembled(_linearise(outputs, unknowns))
     assert got.shape == (sum(h * ow for h, ow in outputs), sum(m * w for m, w, _ in unknowns))
     assert got == _linearise_reference(outputs, unknowns)
+    # the blocks listed in any order give the same rows over the same
+    # denominator, block by block in that order
+    den, ncols, rows = _linearise(outputs, unknowns)
+    rows = list(rows)
+    order = data.draw(st.permutations(range(len(outputs))))
+    place = {o: at for at, o in enumerate(order)}
+    moved = [(m, w, [(place[o], x, y) for o, x, y in terms]) for m, w, terms in unknowns]
+    starts = list(accumulate((h * ow for h, ow in outputs), initial=0))
+    want = [row for o in order for row in rows[starts[o]:starts[o + 1]]]
+    got_den, got_ncols, got_rows = _linearise([outputs[o] for o in order], moved)
+    assert (got_den, got_ncols, list(got_rows)) == (den, ncols, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,4 +351,4 @@ def test_unknown_blocks_follow_linearise_columns(data):
             x_ = Matrix.identity(m) if x_ is None else x_
             y = Matrix.identity(w) if y is None else y
             want[o] = want[o] + x_ * block * y
-    assert _linearise(outputs, unknowns) * Matrix.column(x) == Matrix.column(_flat(want))
+    assert assembled(_linearise(outputs, unknowns)) * Matrix.column(x) == Matrix.column(_flat(want))

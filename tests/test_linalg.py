@@ -2,6 +2,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,49 @@ def test_rank_certificate_falls_back_on_an_unlucky_prime(monkeypatch):
     assert len(fallbacks) == 3
 
 
+@st.composite
+def planted_integer_rows(draw):
+    """Integer rows ``A B`` of an ``m x s`` and an ``s x n`` matrix, tall, wide or square.
+
+    ``s`` below ``min(m, n)`` plants a rank deficiency.  Entries of ``A``
+    and ``B`` reach 2, 40 or 300 bits; zero rows are mixed in, and the rows
+    are shuffled.
+    """
+    m, n = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        m = n  # square
+    s = draw(st.integers(0, min(m, n)))
+    bits = draw(st.sampled_from((2, 40, 300)))
+    entry = st.integers(-2 ** bits, 2 ** bits)
+    a, b = (draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
+            for h, w in ((m, s), (s, n)))
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if s else [0] * n
+            for row in a]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    return draw(st.permutations(rows)), n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(planted=planted_integer_rows(), extra=st.integers(1, 3))
+def test_modular_kernel_reaches_exactly_the_rank(planted, extra):
+    # the exact pivot count of _gauss_jordan and of the Fraction echelon; the
+    # kernel reaches every target up to it, none above it, and reads no row
+    # past the one that brings it to its target
+    rows, n = planted
+    rank = len(linalg._gauss_jordan([list(row) for row in rows])[0])
+    assert rank == len(echelon(Matrix.from_ints([list(row) for row in rows], 1, n))[1])
+    for target in {0, rank - 1, rank, rank + extra, n + 1}:
+        read = []
+        reached = linalg._reaches_rank_mod_p((read.append(row) or row for row in rows), n, target)
+        assert reached == (target <= rank), (target, rank)
+        if reached and target > 0:
+            prefix = len(linalg._gauss_jordan([list(row) for row in rows[:len(read) - 1]])[0])
+            assert prefix == target - 1 and len(read) <= len(rows)
+        elif not reached:
+            assert len(read) == len(rows)
+
+
 def _ref_nullspace(m):
     """Kernel basis read off the ``Fraction`` reduced row echelon form."""
     rows, pivots = echelon(m)
@@ -182,6 +226,27 @@ def _ref_nullspace(m):
             v[pc] = -rows[r][fc]
         basis.append(v)
     return basis
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(planted=planted_integer_rows())
+def test_full_column_rank_nullspace_is_certified(planted):
+    # a certified full column rank gives no kernel vector and no exact
+    # elimination; a deficient one gives the echelon's kernel
+    rows, n = planted
+    m = Matrix.from_ints([list(row) for row in rows], 1, n)
+    eliminated = []
+    real = linalg._gauss_jordan
+
+    def counted(rows, width=None):
+        eliminated.append(rows)
+        return real(rows, width)
+
+    with patch.object(linalg, "_gauss_jordan", counted):
+        basis = m.nullspace()
+    full = len(echelon(m)[1]) == n
+    assert (eliminated == []) == full
+    assert [v.rows for v in basis] == [[[x] for x in v] for v in _ref_nullspace(m)]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

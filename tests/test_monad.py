@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from adhm_blowup_kit import config_io
+from adhm_blowup_kit import config_io, linalg
 from adhm_blowup_kit import monad as monad_mod
 from adhm_blowup_kit.adhm import (
     AdhmConfig,
@@ -448,6 +449,30 @@ def test_kept_block_verdict_matches_the_pencil_rank(source, index):
         for side, pencil, full in sides:
             assert monad_mod._drops_at(side, m.ctx, pt) == (pencil.rank_at(pt, m.ctx) < full), \
                 (side.name, str(pt))
+
+
+def test_empty_line_kernels_are_certified_without_elimination():
+    # every V_i of this sample is 0 on both sides: the full column rank of
+    # each _k0_system is certified modulo a prime, so no _line_pencil runs an
+    # exact elimination; and _restrict returns empty restrictions as soon as
+    # its kept rows span the whole space
+    cfg = sample_config(2, [1, 1, 1], 2, seed=0)
+    m = build_monad(cfg)
+    eliminated = []
+    real = linalg._gauss_jordan
+
+    def counted(rows, width=None):
+        eliminated.append(rows)
+        return real(rows, width)
+
+    with patch.object(linalg, "_gauss_jordan", counted):
+        for side in (m.alpha_side, m.beta_side):
+            assert [monad_mod._line_pencil(side, m.ctx, i) for i in range(1, cfg.n + 1)] == \
+                [None] * cfg.n
+            c = side.chart[2]
+            spanning = Matrix.identity(c.ncols)
+            assert monad_mod._restrict(spanning, [spanning]) == [Matrix.zeros(0, 0)]
+    assert eliminated == []
 
 
 def test_beta_restriction_to_divisor_has_constant_corank():

@@ -291,10 +291,16 @@ def composite_is_zero(comp) -> bool:
     return all(mat.is_zero() for mat in comp.values())
 
 
+def assembled(linear) -> Matrix:
+    """The matrix of ``(den, ncols, rows)``, as ``adhm._linearise`` returns them."""
+    den, ncols, rows = linear
+    return Matrix.from_ints(list(rows), den, ncols)
+
+
 # -- the derivative references ---------------------------------------------------
 #
 # The first-order changes that ``adhm._jacobian`` and ``adhm._isotropy_system``
-# assemble column by column, computed here by block products instead.
+# generate row by row, computed here by block products instead.
 
 
 def action_derivative(cfg: AdhmConfig, g0: Matrix, gam: Sequence[Matrix],

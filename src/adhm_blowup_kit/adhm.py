@@ -121,13 +121,15 @@ class AdhmConfig:
         """Nullity of the isotropy system, kept on the instance once computed.
 
         Not a field: equality, ``replace`` and ``act`` ignore it, and every new
-        instance starts without it.  It is 0 where :func:`_stabilizer_uncertified`
-        certifies that; only otherwise is the isotropy system assembled.
+        instance starts without it.  It is 0 where :func:`_uncertified_isotropy`
+        certifies that; only otherwise is the isotropy system assembled, from
+        the rows that its certificate read.
         """
-        if not _stabilizer_uncertified(self):
+        system = _uncertified_isotropy(self)
+        if system is None:
             return 0
-        den, ncols, rows = _isotropy_system(self)
-        return Matrix.from_ints(list(rows), den, ncols).nullity()
+        den, ncols, rows = system
+        return Matrix.from_ints(rows, den, ncols).nullity()
 
     @cached_property
     def _jacobian_rank(self) -> int:
@@ -206,7 +208,11 @@ class AdhmConfig:
         return self.points.coordinate(i, a)
 
     def is_normalized(self) -> bool:
-        return all(m == Matrix.identity(m.nrows) for m in self.ai0)
+        """True iff every ``ai0`` is an identity, read off its integer rows."""
+        return all(m.den == 1 and m.nrows == m.ncols
+                   and all(row[i] == 1 and row.count(0) == m.ncols - 1
+                           for i, row in enumerate(m.num))
+                   for m in self.ai0)
 
 
 def assemble_a(cfg: AdhmConfig) -> Matrix:
@@ -538,18 +544,33 @@ def stabilizer_dim(cfg: AdhmConfig) -> int:
     return cfg._stabilizer_nullity
 
 
-def _stabilizer_uncertified(cfg: AdhmConfig) -> bool:
-    """False iff the rows of :func:`_isotropy_system` reach full column rank modulo a prime.
+def _uncertified_isotropy(cfg: AdhmConfig) -> tuple[int, int, list[list[int]]] | None:
+    """None iff the rows of :func:`_isotropy_system` reach full column rank modulo a prime.
 
     That certifies a zero stabilizer (:func:`.linalg._reaches_rank_mod_p`),
-    which is then kept on ``cfg``.  True proves nothing: the stabilizer is
-    positive, or the prime is unlucky.  No exact elimination runs.
+    which is then kept on ``cfg``.  Otherwise the certificate has read every
+    row, and the system comes back as ``(den, ncols, rows)`` with the rows
+    in a list.  That proves nothing: the stabilizer is positive, or the
+    prime is unlucky.  No exact elimination runs.
     """
-    _den, ncols, rows = _isotropy_system(cfg)
-    if not _reaches_rank_mod_p(rows, ncols, ncols):
-        return True
+    den, ncols, rows = _isotropy_system(cfg)
+    read: list[list[int]] = []
+    if not _reaches_rank_mod_p(_recorded(rows, read), ncols, ncols):
+        return den, ncols, read
     cfg.__dict__["_stabilizer_nullity"] = 0
-    return False
+    return None
+
+
+def _recorded(rows: Iterator[list[int]], read: list[list[int]]) -> Iterator[list[int]]:
+    """``rows``, each appended to ``read`` as it is yielded."""
+    for row in rows:
+        read.append(row)
+        yield row
+
+
+def _stabilizer_uncertified(cfg: AdhmConfig) -> bool:
+    """False iff :func:`_uncertified_isotropy` certifies a zero stabilizer, kept on ``cfg``."""
+    return _uncertified_isotropy(cfg) is not None
 
 
 # -- tangent computation ----------------------------------------------------------

@@ -306,11 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
 #: The parser ``main`` reuses: parsing leaves it unchanged, so one serves
 #: every call in a process.
 _PARSER = build_parser()
+#: Each subcommand's parser, by name.  ``main`` hands it the arguments after
+#: the name, so that only ``--help``, a missing command and an unknown one go
+#: through ``_PARSER``.
+_COMMANDS = next(action.choices for action in _PARSER._actions
+                 if isinstance(action, argparse._SubParsersAction))
 
 
 def main(argv=None) -> int:
+    """Run one command on ``argv`` (``sys.argv[1:]`` when None) and return its exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _PARSER.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _COMMANDS[argv[0]].parse_args(argv[1:])
+        else:
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse printed the usage error, or the help
         return EXIT_ERROR if exc.code else EXIT_OK
     try:

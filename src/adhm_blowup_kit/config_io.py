@@ -3,14 +3,24 @@
 Rationals travel as strings ``"num/den"`` in lowest terms with a positive
 denominator, so files round-trip exactly.  Parsing is strict: unknown fields
 are rejected, and every matrix shape is checked against the dimensions forced
-by the parameters.
+by the parameters.  A string must match ``-?[0-9]+(/[0-9]+)?`` (an int is
+taken too); one not in lowest terms is read and kept in lowest terms.
+
+Matrices go through integer rows, with no ``Fraction`` per entry:
+:func:`matrix_from_json` reads each entry as an integer pair and builds one
+:meth:`.linalg.Matrix.from_ints` over the lcm of the denominators, and
+:func:`matrix_to_json` writes each entry of ``num / den`` with one gcd.
+:func:`dump_canonical` writes exactly ``json.dumps(doc, sort_keys=True,
+indent=2) + "\n"``, on its own small emitter, since ``json.dumps`` leaves its
+C encoder for the pure-Python one whenever it indents.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 from typing import Any, Mapping
 
 from .adhm import AdhmConfig, GroupElement
@@ -32,24 +42,31 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_pair(s: Any) -> tuple[int, int]:
+    """``(num, den)`` of an int or a string ``"num/den"`` or ``"num"``, ``den > 0``, unreduced."""
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
+        if _is_int(s):
+            return s, 1
+        raise ConfigFormatError(f"expected a rational \"num/den\", got {s!r}")
+    num, den = match.groups()
+    try:
+        pair = int(num), int(den or 1)
+    except ValueError as exc:  # past Python's digit limit
+        raise ConfigFormatError(f"bad rational {s[:20]!r}...: {exc}") from None
+    if not pair[1]:
+        raise ConfigFormatError(f"bad rational {s!r}: zero denominator")
+    return pair
+
+
 def frac_from_str(s: Any) -> Fraction:
     """A rational from an integer or a string ``"num/den"`` or ``"num"``."""
-    if _is_int(s):
-        return Fraction(s)
-    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
-    if match:
-        num, den = match.groups()
-        try:
-            return Fraction(int(num), int(den or 1))
-        except ZeroDivisionError:
-            raise ConfigFormatError(f"bad rational {s!r}: zero denominator") from None
-        except ValueError as exc:  # past Python's digit limit
-            raise ConfigFormatError(f"bad rational {s[:20]!r}...: {exc}") from None
-    raise ConfigFormatError(f"expected a rational \"num/den\", got {s!r}")
+    return Fraction(*_int_pair(s))
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[frac_to_str(x) for x in row] for row in m.rows]
+    den = m.den
+    return [[f"{x // (g := gcd(x, den))}/{den // g}" for x in row] for row in m.num]
 
 
 def matrix_from_json(data: Any, nrows: int, ncols: int, name: str) -> Matrix:
@@ -59,8 +76,9 @@ def matrix_from_json(data: Any, nrows: int, ncols: int, name: str) -> Matrix:
     for row in data:
         if not isinstance(row, list) or len(row) != ncols:
             raise ConfigFormatError(f"{name}: expected rows of length {ncols}")
-        rows.append([frac_from_str(x) for x in row])
-    return Matrix(rows, ncols=ncols)
+        rows.append([_int_pair(x) for x in row])
+    den = lcm(1, *(d for row in rows for _n, d in row))
+    return Matrix.from_ints([[n * (den // d) for n, d in row] for row in rows], den, ncols)
 
 
 def _check_keys(obj: Mapping, allowed: set[str], required: set[str], where: str):
@@ -216,5 +234,38 @@ def report_to_json(rep: ValidationReport) -> dict:
 
 
 def dump_canonical(doc: Any) -> str:
-    """Stable JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    ``doc`` is a tree of dicts with string keys, lists (or tuples), strings,
+    ints, bools and None; anything else raises ``TypeError``.
+    """
+    return _canonical(doc, "\n") + "\n"
+
+
+def _canonical(x: Any, newline: str) -> str:
+    """``x`` as :func:`dump_canonical` writes it, ``newline`` the break and indent before it."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = newline + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _canonical(v, inner)
+            for k, v in sorted(x.items())]) + newline + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        # a row of a matrix is a list of strings: one join, no call per entry
+        return "[" + inner + ("," + inner).join([
+            encode_basestring_ascii(v) if type(v) is str else _canonical(v, inner)
+            for v in x]) + newline + "]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

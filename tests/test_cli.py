@@ -483,3 +483,37 @@ def test_bad_input_gives_a_message_not_a_traceback(tmp_path, case):
     code, prefix = BAD_INPUTS[case]
     assert run.returncode == code and run.stdout == ""
     assert run.stderr.startswith(prefix) and "Traceback" not in run.stderr
+
+
+COMMANDS = ("validate", "dims", "chi", "sample", "scan", "tangent", "orbit", "report")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_help_is_the_full_parsers(capsys, command):
+    # main hands the arguments after the command to that command's parser;
+    # its help is the one the full parser prints for the same command
+    code, out, err = run_cli(capsys, command, "--help")
+    assert code == 0 and err == ""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    ([], "usage: adhm-blowup-kit [-h]"),
+    (["nope"], "usage: adhm-blowup-kit [-h]"),
+    (["dims", "-k", "1"], "usage: adhm-blowup-kit dims "),
+    (["validate", "x", "--seed", "3"], "usage: adhm-blowup-kit validate "),
+], ids=["no command", "unknown command", "missing required flag", "unknown flag"])
+def test_dispatch_usage_errors(capsys, argv, prefix):
+    # an unknown flag prints the usage line of its subcommand's parser
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(prefix) and "error:" in err
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["adhm-blowup-kit", "dims", "-r", "1", "-k", "0"])
+    assert main() == 0
+    assert "rank W" in capsys.readouterr().out

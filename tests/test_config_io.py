@@ -28,6 +28,7 @@ from adhm_blowup_kit.adhm import GroupElement, sample_config
 from adhm_blowup_kit.cli import main
 from adhm_blowup_kit.errors import ConfigFormatError
 from adhm_blowup_kit.lattice import monad_dims
+from adhm_blowup_kit.linalg import Matrix
 from test_adhm import GRID
 from util import rand_group_element
 
@@ -187,3 +188,82 @@ def test_malformed_witness_gives_a_message(mutation):
         witness.write_text(json.dumps(_apply(WITNESS_DOC, mutation)), encoding="utf-8")
         _check_rejected(["orbit", "--witness", str(witness), str(GOLDEN_CONFIG),
                          str(GOLDEN_CONFIG)], mutation)
+
+
+# -- the integer-row parser and the canonical emitter against the json and Fraction routes --
+
+def _old_frac_from_str(s):
+    """The parser's earlier route: one ``Fraction`` per entry."""
+    import re
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s) if isinstance(s, str) else None
+    if match:
+        num, den = match.groups()
+        try:
+            return Fraction(int(num), int(den or 1))
+        except ZeroDivisionError:
+            raise ConfigFormatError(f"bad rational {s!r}: zero denominator") from None
+        except ValueError as exc:
+            raise ConfigFormatError(f"bad rational {s[:20]!r}...: {exc}") from None
+    raise ConfigFormatError(f"expected a rational \"num/den\", got {s!r}")
+
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**80, 2**80) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_dump_canonical_is_json_dumps(doc):
+    assert config_io.dump_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], {"": {}, "a": [[], {}]}, 'q"b\\s\x00\x1f\n\té \U0001f600', 2**64 + 1, -2**70,
+    [True, False, None], {"b": 1, "a": [1, "x"], "c": {"z": None, "y": [[]]}},
+])
+def test_dump_canonical_edge_cases(doc):
+    assert config_io.dump_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+ENTRIES = st.one_of(
+    st.integers(-2**300, 2**300),
+    st.integers(-2**300, 2**300).map(str),
+    st.tuples(st.integers(-2**300, 2**300), st.integers(1, 2**300)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(st.integers(-50, 50), st.integers(1, 60)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matrix_json_matches_the_fraction_route(m, n, data):
+    doc = [[data.draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+    got = config_io.matrix_from_json(doc, m, n, "x")
+    want = Matrix([[_old_frac_from_str(x) for x in row] for row in doc], ncols=n)
+    assert got == want and got.shape == (m, n)
+    assert config_io.matrix_to_json(got) == [
+        [f"{x.numerator}/{x.denominator}" for x in row] for row in want.rows]
+
+
+@pytest.mark.parametrize("bad", [
+    "1/0", "+1", " 1", "1/-2", "1_0", "٣", "1/٣", 1.5, True, False, None, "1" * 5000,
+    "1/" + "2" * 5000, "-12/000", "1.0", "", "1//2",
+])
+def test_bad_rationals_fail_as_before(bad):
+    with pytest.raises(ConfigFormatError) as want:
+        _old_frac_from_str(bad)
+    for parse in (config_io.frac_from_str,
+                  lambda x: config_io.matrix_from_json([[0, x]], 1, 2, "m")):
+        with pytest.raises(ConfigFormatError) as got:
+            parse(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_every_grid_sample_round_trips():
+    for i in range(len(GRID)):
+        cfg = _grid_sample(i)
+        assert config_io.config_from_json(config_io.config_to_json(cfg)) == (cfg, None)

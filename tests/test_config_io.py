@@ -4,7 +4,9 @@ Every emitted configuration and group element parses back to itself.  A
 fuzzer breaks a golden configuration or witness in one place (a dropped or
 renamed key, a value of the wrong type, a bool for an int, a ragged list or
 a bad rational) and checks that each command that reads the file exits 1 or
-2 with a message instead of raising.
+2 with a message instead of raising.  The integer-row parser and emitter
+and the canonical emitter are checked against the routes they replaced:
+``Fraction`` per entry and ``json.dumps(..., sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import copy
 import functools
 import io
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -194,7 +197,6 @@ def test_malformed_witness_gives_a_message(mutation):
 
 def _old_frac_from_str(s):
     """The parser's earlier route: one ``Fraction`` per entry."""
-    import re
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s) if isinstance(s, str) else None

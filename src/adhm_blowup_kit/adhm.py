@@ -54,9 +54,6 @@ from .sections import BlowupPoints
 
 MatrixPair = tuple[Matrix, Matrix]
 
-#: The blocks the arrowhead matrix ``a`` is assembled from.
-_ARROW_BLOCKS = frozenset({"a00", "a0i", "ai0", "aii"})
-
 
 @dataclass(frozen=True)
 class AdhmConfig:
@@ -111,10 +108,7 @@ class AdhmConfig:
         return self.dims.n
 
     def replace(self, **changes) -> AdhmConfig:
-        new = dataclasses.replace(self, **changes)
-        if "_a_inverse" in self.__dict__ and not changes.keys() & _ARROW_BLOCKS:
-            new.__dict__["_a_inverse"] = self._a_inverse  # the same a
-        return new
+        return dataclasses.replace(self, **changes)
 
     @cached_property
     def _stabilizer_nullity(self) -> int:
@@ -153,9 +147,8 @@ class AdhmConfig:
     def _a_inverse(self) -> Matrix:
         """``a^{-1}``, kept on the instance once computed, like the nullity above.
 
-        Unlike the nullity, ``replace`` hands it on when no block of ``a``
-        changes.  Raises :class:`FramingViolationError` when ``a`` is
-        singular; nothing is kept then.
+        Raises :class:`FramingViolationError` when ``a`` is singular; nothing
+        is kept then.
         """
         try:
             return assemble_a(self).inverse()
@@ -167,7 +160,7 @@ class AdhmConfig:
         """The strips of ``q^0`` and ``q^1`` (:func:`_q_strips`), kept like the nullity above.
 
         They and the products below depend on ``aA00``, which the sampler's
-        solve replaces, so ``replace`` hands none of them on.
+        solve replaces, so :func:`_solve_draw` hands on only those of ``q^0``.
         """
         return _q_strips(self, 0), _q_strips(self, 1)
 
@@ -734,8 +727,9 @@ def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
     lack it, and ``d = 0`` at ``dim L_0 = dim K_0 = r = 1`` another.  The
     system's columns are the Jacobian's ``(aA00[1], c)`` columns, which
     depend on neither ``aA00[1]`` nor ``c``, so the Jacobian of the sample
-    has rank ``dim L_0 dim K_0`` too; the sample keeps that rank, the draw's
-    strips of ``q^0`` and its ``L_0`` rows of ``q^0 a^{-1}``.
+    has rank ``dim L_0 dim K_0`` too.  The sample keeps that rank and the
+    draw's ``a^{-1}`` (the solve changes no block of ``a``), its strips of
+    ``q^0`` and its ``L_0`` rows of ``q^0 a^{-1}``.
     """
     system, _den = _sylvester_system(cfg)
     l0, k0, r = cfg.dims.dim_l[0], cfg.dims.dim_k[0], cfg.r
@@ -753,9 +747,9 @@ def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
     aA1, c = (Matrix.from_ints(rows, pivot, k0)
               for rows in _unknown_blocks(x, [(l0, k0), (r, k0)]))
     sample = cfg.replace(aA00=(cfg.aA00[0], aA1), c=c)
-    sample.__dict__["_jacobian_rank"] = len(system)
-    sample.__dict__["_strips"] = (cfg._strips[0], _q_strips(sample, 1))
-    sample.__dict__["_q0a_rows"] = cfg._q0a_rows
+    sample.__dict__.update(_a_inverse=cfg._a_inverse, _jacobian_rank=len(system),
+                           _strips=(cfg._strips[0], _q_strips(sample, 1)),
+                           _q0a_rows=cfg._q0a_rows)
     return sample
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -238,6 +239,12 @@ def _cmd_report(args) -> int:
     return EXIT_OK if rep.valid else EXIT_INVALID
 
 
+#: What argparse takes for a value, not a flag, after an option: a negative
+#: number, as its own default matcher has it, or an integer list that starts
+#: with one, such as ``-1,0``.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adhm-blowup-kit",
@@ -300,6 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_report)
 
+    # so that "-a -1,0" reads like "-a=-1,0" where -a or -q takes a list
+    for name in ("dims", "chi", "sample", "tangent"):
+        sub.choices[name]._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

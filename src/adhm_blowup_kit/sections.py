@@ -2,11 +2,10 @@
 
 A section is stored through its image under the trivialisation away from the
 exceptional divisors: a homogeneous polynomial of degree ``p`` in the plane
-coordinates, an element of the ring ``QQ[z0, z1, z2]``.  That ring is built on
-first use, so importing the package does not import sympy.  The
-trivialisation is injective (the complement of the exceptional set is
-dense), so equality of sections is plain polynomial equality and no
-elimination machinery is needed.
+coordinates ``z0, z1, z2``, held as a dict from exponent triples to nonzero
+``Fraction`` coefficients.  The trivialisation is injective (the complement
+of the exceptional set is dense), so equality of sections is plain
+polynomial equality and no elimination machinery is needed.
 
 Conventions, fixed once for the whole package:
 
@@ -31,17 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
 from math import comb
-from typing import TYPE_CHECKING, Iterable, TypeVar
+from typing import Iterable, TypeVar
 
 from .errors import AmbiguousPointError, DimensionMismatchError, MalformedSectionError
 from .lattice import DivisorClass, _frac
 
-if TYPE_CHECKING:
-    from sympy.polys.rings import PolyElement, PolyRing
-
 Rational = Fraction | int
+#: A polynomial in ``z0, z1, z2``: exponent triples to nonzero coefficients.
+Poly = dict[tuple[int, int, int], Fraction]
 
 T = TypeVar("T")
 
@@ -58,30 +55,10 @@ def raise_pair(pair: tuple[T, T]) -> tuple[T, T]:
     return (x1, -x0)
 
 
-@cache
-def _ring() -> PolyRing:
-    """``QQ[z0, z1, z2]``, the ring every section polynomial lives in."""
-    from sympy import QQ
-    from sympy.polys.rings import ring
-
-    return ring("z0,z1,z2", QQ)[0]
-
-
-def _to_ring(x: Rational):
-    """An int or ``Fraction`` as an element of ``QQ``."""
-    x = _frac(x)
-    return _ring().domain(x.numerator, x.denominator)
-
-
-def _fraction(c) -> Fraction:
-    """An element of ``QQ`` as a ``Fraction``."""
-    return Fraction(int(c.numerator), int(c.denominator))
-
-
-def _value(poly: PolyElement, x):
-    """``poly`` at the ``QQ`` coordinates ``x = (x0, x1, x2)``."""
+def _value(poly: Poly, x: tuple[Fraction, Fraction, Fraction]) -> Fraction:
+    """``poly`` at the coordinates ``x = (x0, x1, x2)``."""
     x0, x1, x2 = x
-    total = _ring().domain.zero
+    total = Fraction(0)
     for (e0, e1, e2), c in poly.items():
         total += c * x0 ** e0 * x1 ** e1 * x2 ** e2
     return total
@@ -98,11 +75,6 @@ class BlowupPoints:
         if len(set(pts)) != len(pts):
             raise ValueError("blow-up points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
-
-    @cached_property
-    def _ring_points(self) -> tuple:
-        """The centres in ``QQ``, for the sections' Taylor shifts."""
-        return tuple((_to_ring(a), _to_ring(b)) for a, b in self.points)
 
     @property
     def n(self) -> int:
@@ -122,40 +94,42 @@ class BlowupPoints:
             raise AmbiguousPointError(
                 f"{x} is a blown-up point; evaluate on its exceptional divisor")
 
-    def chart_point(self, x: tuple[Rational, Rational, Rational]) -> tuple:
-        """``x`` in ``QQ``, after checking it is a plane point off the centres."""
+    def chart_point(self, x: tuple[Rational, Rational, Rational]) -> tuple[Fraction, ...]:
+        """``x`` as ``Fraction``s, after checking it is a plane point off the centres."""
         x = tuple(map(_frac, x))
         self.check_point(x)
-        return tuple(map(_to_ring, x))
+        return x
 
-    def line_point(self, i: int, w: tuple[Rational, Rational]) -> tuple:
-        """``(w0, w1, 1)`` in ``QQ``, after checking ``(w0 : w1)`` is a point of E_i."""
+    def line_point(self, i: int, w: tuple[Rational, Rational]) -> tuple[Fraction, ...]:
+        """``(w0, w1, 1)`` as ``Fraction``s, after checking ``(w0 : w1)`` is a point of E_i."""
         w = tuple(map(_frac, w))
         self.check_point(w, i)
-        return (*map(_to_ring, w), _ring().domain.one)
+        return (*w, Fraction(1))
 
 
 @dataclass(frozen=True)
 class SectionPoly:
     """A section of ``O(bidegree)``, stored as its trivialised polynomial.
 
-    ``poly`` is an element of ``QQ[z0, z1, z2]``, or anything that ring converts
-    (a dict from exponent triples to rationals, a number).  Every
-    construction checks that it is homogeneous of degree ``p`` and vanishes
-    to order at least ``-q_i`` at each centre with ``q_i < 0``.
+    ``poly`` is built from a dict from exponent triples to rationals, whose
+    zero coefficients it drops, or from a number, the constant polynomial.
+    Every construction checks that it is homogeneous of degree ``p`` and
+    vanishes to order at least ``-q_i`` at each centre with ``q_i < 0``.
     """
 
     bidegree: DivisorClass
-    poly: PolyElement
+    poly: Poly
     ctx: BlowupPoints
 
-    def __init__(self, bidegree: DivisorClass, poly, ctx: BlowupPoints):
+    def __init__(self, bidegree: DivisorClass, poly: dict | Rational, ctx: BlowupPoints):
         if bidegree.n != ctx.n:
             raise DimensionMismatchError("bidegree length disagrees with point count")
         if not bidegree.is_integral():
             raise ValueError("section bidegree must be integral")
         object.__setattr__(self, "bidegree", bidegree)
-        object.__setattr__(self, "poly", _ring()(poly))
+        if not isinstance(poly, dict):
+            poly = {(0, 0, 0): poly}
+        object.__setattr__(self, "poly", {mono: _frac(c) for mono, c in poly.items() if c})
         object.__setattr__(self, "ctx", ctx)
         # Taylor shifts by centre index, computed on first use
         object.__setattr__(self, "_shifts", {})
@@ -165,7 +139,7 @@ class SectionPoly:
 
     def _check_invariants(self) -> None:
         p = int(self.bidegree.p)
-        for mono in self.poly.itermonoms():
+        for mono in self.poly:
             if sum(mono) != p:
                 raise MalformedSectionError(
                     f"monomial {mono} is not homogeneous of degree {p}"
@@ -182,9 +156,9 @@ class SectionPoly:
         shifted = self._shifted(i)
         if not shifted:
             return int(self.bidegree.p) + 1  # zero section: order beyond degree
-        return min(u + v for u, v, _ in shifted.itermonoms())
+        return min(u + v for u, v, _ in shifted)
 
-    def _shifted(self, i: int):
+    def _shifted(self, i: int) -> Poly:
         """``poly(z0 + p_i^0 z2, z1 + p_i^1 z2, z2)``: the Taylor expansion at ``p_i``.
 
         A term ``z0^u z1^v z2^t`` carries the coefficient of ``X^u Y^v`` in
@@ -192,15 +166,14 @@ class SectionPoly:
         """
         if i in self._shifts:
             return self._shifts[i]
-        p0, p1 = self.ctx._ring_points[i - 1]
-        ring = _ring()
-        out = ring.zero
+        p0, p1 = self.ctx.points[i - 1]
+        out = {}
         for (e0, e1, e2), c in self.poly.items():
             for u in range(e0 + 1):
                 c0 = c * comb(e0, u) * p0 ** (e0 - u)
                 for v in range(e1 + 1):
                     mono = (u, v, e0 + e1 + e2 - u - v)
-                    val = out.get(mono, ring.domain.zero) + c0 * comb(e1, v) * p1 ** (e1 - v)
+                    val = out.get(mono, 0) + c0 * comb(e1, v) * p1 ** (e1 - v)
                     if val:
                         out[mono] = val
                     else:
@@ -208,7 +181,7 @@ class SectionPoly:
         self._shifts[i] = out
         return out
 
-    def restriction(self, i: int):
+    def restriction(self, i: int) -> Poly:
         """The value on ``E_i`` in the ``lambda``-frame, as a form in ``z0, z1``.
 
         This is the coefficient of ``lambda^(-q_i)`` in
@@ -216,7 +189,7 @@ class SectionPoly:
         in ``z0, z1`` (read as ``w0, w1``), and 0 whenever ``q_i > 0``.
         """
         order = -int(self.bidegree.q[i - 1])
-        out = _ring().zero
+        out = {}
         if order >= 0:
             keep = int(self.bidegree.p) - order
             for (u, v, t), c in self._shifted(i).items():
@@ -239,21 +212,33 @@ class SectionPoly:
             raise DimensionMismatchError(
                 f"adding sections of bidegrees {self.bidegree} and {other.bidegree}"
             )
-        return SectionPoly(self.bidegree, self.poly + other.poly, self.ctx)
+        poly = dict(self.poly)
+        for mono, c in other.poly.items():
+            poly[mono] = poly.get(mono, 0) + c
+        return SectionPoly(self.bidegree, poly, self.ctx)
 
     def __sub__(self, other: SectionPoly) -> SectionPoly:
         return self + -other
 
     def __neg__(self) -> SectionPoly:
-        return SectionPoly(self.bidegree, -self.poly, self.ctx)
+        return SectionPoly(self.bidegree, {mono: -c for mono, c in self.poly.items()},
+                           self.ctx)
 
     def __mul__(self, other: SectionPoly) -> SectionPoly:
         self._same_blowup(other)
-        return SectionPoly(self.bidegree + other.bidegree, self.poly * other.poly,
-                           self.ctx)
+        poly = {}
+        for (a0, a1, a2), c in self.poly.items():
+            for (b0, b1, b2), d in other.poly.items():
+                mono = (a0 + b0, a1 + b1, a2 + b2)
+                poly[mono] = poly.get(mono, 0) + c * d
+        return SectionPoly(self.bidegree + other.bidegree, poly, self.ctx)
 
     def scale(self, s: Rational) -> SectionPoly:
-        return SectionPoly(self.bidegree, self.poly.mul_ground(_to_ring(s)), self.ctx)
+        return SectionPoly(self.bidegree, {mono: s * c for mono, c in self.poly.items()},
+                           self.ctx)
+
+    def __hash__(self) -> int:
+        return hash((self.bidegree, frozenset(self.poly.items()), self.ctx))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -263,7 +248,7 @@ class SectionPoly:
         The caller chooses the homogeneous representative; only joint ranks of
         matrices evaluated in a common frame are invariant.
         """
-        return _fraction(_value(self.poly, self.ctx.chart_point(x)))
+        return _value(self.poly, self.ctx.chart_point(x))
 
     def eval_exceptional(self, i: int, w: tuple[Rational, Rational]) -> Fraction:
         """Value at ``(w0 : w1)`` on ``E_i`` in the local ``lambda``-frame.
@@ -272,17 +257,20 @@ class SectionPoly:
         ``poly(p_i + lambda w, 1)``; in particular 0 whenever ``q_i > 0``.
         """
         w = self.ctx.line_point(i, w)
-        return _fraction(_value(self.restriction(i), w))
+        return _value(self.restriction(i), w)
 
 
 # -- constructors ---------------------------------------------------------------
+
+#: The exponent triples of ``z0``, ``z1`` and ``z2``.
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def z_section(ctx: BlowupPoints, a: int) -> SectionPoly:
     """Coordinate section ``z^a`` of ``O(1, 0)``, a in {0, 1, 2}."""
     if a not in (0, 1, 2):
         raise ValueError(f"coordinate index {a} out of range 0..2")
-    return SectionPoly(DivisorClass(1, [0] * ctx.n), _ring().gens[a], ctx)
+    return SectionPoly(DivisorClass(1, [0] * ctx.n), {_UNIT[a]: 1}, ctx)
 
 
 def w_section(ctx: BlowupPoints, i: int, a: int) -> SectionPoly:
@@ -293,9 +281,7 @@ def w_section(ctx: BlowupPoints, i: int, a: int) -> SectionPoly:
         raise ValueError(f"exceptional index {i} out of range 1..{ctx.n}")
     q = [0] * ctx.n
     q[i - 1] = -1
-    z = _ring().gens
-    return SectionPoly(DivisorClass(1, q), z[a] - z[2].mul_ground(ctx._ring_points[i - 1][a]),
-                       ctx)
+    return SectionPoly(DivisorClass(1, q), {_UNIT[a]: 1, _UNIT[2]: -ctx.points[i - 1][a]}, ctx)
 
 
 def lambda_section(ctx: BlowupPoints, i: int) -> SectionPoly:
@@ -304,14 +290,14 @@ def lambda_section(ctx: BlowupPoints, i: int) -> SectionPoly:
         raise ValueError(f"exceptional index {i} out of range 1..{ctx.n}")
     q = [0] * ctx.n
     q[i - 1] = 1
-    return SectionPoly(DivisorClass(0, q), _ring().one, ctx)
+    return SectionPoly(DivisorClass(0, q), 1, ctx)
 
 
 def const_section(ctx: BlowupPoints, value: Rational) -> SectionPoly:
     """Constant section of the trivial bundle."""
-    return SectionPoly(DivisorClass(0, [0] * ctx.n), _to_ring(value), ctx)
+    return SectionPoly(DivisorClass(0, [0] * ctx.n), value, ctx)
 
 
 def zero_section(ctx: BlowupPoints, bidegree: DivisorClass) -> SectionPoly:
     """The zero section, shape-typed by an explicit bidegree."""
-    return SectionPoly(bidegree, _ring().zero, ctx)
+    return SectionPoly(bidegree, {}, ctx)

@@ -866,7 +866,7 @@ def test_bA_derived_once_per_config(monkeypatch, argv, derived):
 
 
 def test_sample_inverts_each_attempt_once(monkeypatch):
-    # replace(aA00=..., c=...) hands each draw's a^{-1} on, so the stabilizer
+    # _solve_draw hands each draw's a^{-1} on to its sample, so the stabilizer
     # check and the final residual guard read it instead of inverting a again
     inverted, attempts = [], []
     real_inverse, real_points = Matrix.inverse, adhm._rand_points

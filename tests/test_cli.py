@@ -128,6 +128,31 @@ def test_chi_with_a_and_q_of_different_lengths_is_a_format_error(capsys):
     assert err == "error: -a and -q must have the same length\n"
 
 
+@pytest.mark.parametrize("command", ("dims", "sample", "tangent", "chi"))
+def test_negative_integer_lists_are_values(capsys, command):
+    # "-a -1,0" reads like "-a=-1,0", as "-a -1" reads like "-a=-1"
+    flag, rest = ("-q", ["-p", "1"]) if command == "chi" else ("-a", ["-r", "1", "-k", "0"])
+    runs = {}
+    for given in ([flag, "-1,0"], [f"{flag}=-1,0"], [flag, "-1"], [f"{flag}=-1"]):
+        code, out, err = run_cli(capsys, command, *rest, *given)
+        assert code == 0 and err == "", given
+        runs[" ".join(given)] = out
+    assert runs[f"{flag} -1,0"] == runs[f"{flag}=-1,0"]
+    assert runs[f"{flag} -1"] == runs[f"{flag}=-1"]
+    # a list that is not all integers is still taken for a flag: a usage error
+    code, out, err = run_cli(capsys, command, *rest, flag, "-1,x")
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "error:" in err
+
+
+def test_negative_integer_lists_are_read_whole(capsys):
+    code, out, _ = run_cli(capsys, "dims", "-r", "1", "-a", "-1,0", "-k", "0")
+    assert code == 0 and "K = (0, 1, 0)" in out
+    code, out, _ = run_cli(capsys, "chi", "-p", "1", "-q", "-1,-2", "-r", "1",
+                           "-a", "-1,1", "-k", "2")
+    assert code == 0 and out.strip() == "-3"
+
+
 def test_sample_deterministic_bytes(capsys):
     code1, out1, _ = run_cli(capsys, "sample", "-r", "1", "-a", "", "-k", "2",
                              "--seed", "7")

@@ -3,6 +3,10 @@ from random import Random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.rings import ring
 
 from adhm_blowup_kit.errors import (
     AmbiguousPointError,
@@ -21,6 +25,7 @@ from adhm_blowup_kit.sections import (
     z_section,
     zero_section,
 )
+from util import _fraction
 
 CTX = BlowupPoints([(Fraction(1, 2), Fraction(3)), (Fraction(-1), Fraction(0))])
 
@@ -217,3 +222,80 @@ def test_exceptional_values_match_expr_oracle():
                 break
         direct = expr.subs({z[a]: sp.Rational(x[a]) for a in range(3)})
         assert sp.Rational(section.eval_generic(x)) == direct
+
+
+# -- the dict arithmetic against sympy's polynomial ring ------------------------------
+
+_QQ_Z = ring("z0,z1,z2", QQ)[0]
+_small = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+@st.composite
+def _blowups(draw):
+    """A blow-up at one to three distinct random centres, and three lists of twist slots.
+
+    A slot is ``("z",)``, ``("w", i)`` or ``("lam", i)``: any ``z^a``, any
+    ``w_i^A`` or ``lambda_i`` fills it, so products over one list of slots
+    share their bidegree and can be summed.
+    """
+    pts = draw(st.lists(st.tuples(_small, _small), min_size=1, max_size=3, unique=True))
+    slot = st.one_of(st.just(("z",)),
+                     st.tuples(st.sampled_from(["w", "lam"]), st.integers(1, len(pts))))
+    return BlowupPoints(pts), *(draw(st.lists(slot, max_size=3)) for _ in range(3))
+
+
+def _draw_section(draw, ctx, slots):
+    """A sum of scaled products over ``slots``, and the same built in ``QQ[z0, z1, z2]``."""
+    z = _QQ_Z.gens
+    total, poly = None, _QQ_Z.zero
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(_small)
+        term, expected = const_section(ctx, c), _QQ_Z(QQ(c.numerator, c.denominator))
+        for kind, *i in slots:
+            if kind == "z":
+                a = draw(st.integers(0, 2))
+                term, expected = term * z_section(ctx, a), expected * z[a]
+            elif kind == "w":
+                a = draw(st.integers(0, 1))
+                p = QQ(ctx.coordinate(i[0], a).numerator, ctx.coordinate(i[0], a).denominator)
+                term, expected = term * w_section(ctx, i[0], a), expected * (z[a] - p * z[2])
+            else:
+                term = term * lambda_section(ctx, i[0])
+        total = term if total is None else total + term
+        poly += expected
+    return total, poly
+
+
+def _read(poly) -> dict:
+    return {mono: _fraction(c) for mono, c in poly.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dict_arithmetic_matches_sympy_ring(data):
+    ctx, slots, other, _ = data.draw(_blowups())
+    (s1, p1), (s2, p2) = (_draw_section(data.draw, ctx, slots) for _ in range(2))
+    s3, p3 = _draw_section(data.draw, ctx, other)
+    c = data.draw(_small)
+    for section, poly in ((s1, p1), (s1 + s2, p1 + p2), (s1 - s2, p1 - p2), (-s1, -p1),
+                          (s1 * s3, p1 * p3), (s1.scale(c), p1 * QQ(c.numerator, c.denominator))):
+        assert section.poly == _read(poly)
+        assert all(type(x) is Fraction and x for x in section.poly.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dict_arithmetic_ring_laws_and_hash(data):
+    ctx, slots, other, third = data.draw(_blowups())
+    (s1, _), (s2, _) = (_draw_section(data.draw, ctx, slots) for _ in range(2))
+    s3, _ = _draw_section(data.draw, ctx, other)
+    s4, _ = _draw_section(data.draw, ctx, third)
+    zero, one = zero_section(ctx, s1.bidegree), const_section(ctx, 1)
+    laws = [(s1 + s2, s2 + s1), (s1 * s3, s3 * s1), ((s1 * s3) * s4, s1 * (s3 * s4)),
+            ((s1 + s2) * s3, s1 * s3 + s2 * s3), (s1 + zero, s1), (s1 * one, s1),
+            ((s1 - s2) + s2, s1), (s1.scale(2), s1 + s1)]
+    for lhs, rhs in laws:
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+    diff = s1 - s1
+    assert diff.is_zero() and diff.poly == {} and diff == zero
+    assert len({s1, s1 + zero, s2 + s1 - s2}) == 1

@@ -37,13 +37,17 @@ from adhm_blowup_kit.monad import SurfacePoint, _offsets
 from adhm_blowup_kit.sections import (
     BlowupPoints,
     SectionPoly,
-    _fraction,
     lambda_section,
     lower_pair,
     w_section,
     z_section,
     zero_section,
 )
+
+
+def _fraction(c) -> Fraction:
+    """An element of sympy's ``QQ``, or a ``Fraction``, as a ``Fraction``."""
+    return Fraction(int(c.numerator), int(c.denominator))
 
 
 def run_fresh(*argv: str) -> subprocess.CompletedProcess:

@@ -250,14 +250,14 @@ def _draw_section(draw, ctx, slots):
     total, poly = None, _QQ_Z.zero
     for _ in range(draw(st.integers(1, 3))):
         c = draw(_small)
-        term, expected = const_section(ctx, c), _QQ_Z(QQ(c.numerator, c.denominator))
+        term, expected = const_section(ctx, c), _QQ_Z(QQ.convert(c))
         for kind, *i in slots:
             if kind == "z":
                 a = draw(st.integers(0, 2))
                 term, expected = term * z_section(ctx, a), expected * z[a]
             elif kind == "w":
                 a = draw(st.integers(0, 1))
-                p = QQ(ctx.coordinate(i[0], a).numerator, ctx.coordinate(i[0], a).denominator)
+                p = QQ.convert(ctx.coordinate(i[0], a))
                 term, expected = term * w_section(ctx, i[0], a), expected * (z[a] - p * z[2])
             else:
                 term = term * lambda_section(ctx, i[0])
@@ -278,7 +278,7 @@ def test_dict_arithmetic_matches_sympy_ring(data):
     s3, p3 = _draw_section(data.draw, ctx, other)
     c = data.draw(_small)
     for section, poly in ((s1, p1), (s1 + s2, p1 + p2), (s1 - s2, p1 - p2), (-s1, -p1),
-                          (s1 * s3, p1 * p3), (s1.scale(c), p1 * QQ(c.numerator, c.denominator))):
+                          (s1 * s3, p1 * p3), (s1.scale(c), p1 * QQ.convert(c))):
         assert section.poly == _read(poly)
         assert all(type(x) is Fraction and x for x in section.poly.values())
 

@@ -16,7 +16,10 @@ data: it is derived from the linear part of the monad condition,
 ``b^A a + a_{0.} p^A = a^A``, whenever ``a`` is invertible.  With ``b^A`` so
 derived the whole monad condition collapses to a single block, the compact
 residual ``(q^A a^{-1} q_A)^{00} + dc``.  ``AdhmConfig`` forms ``a^{-1}``, the
-strips of ``q^A`` and their products with ``a^{-1}`` once each.
+strips of ``q^A`` and their products with ``a^{-1}`` once each.  A draw of
+the sampler forms two of them, the ``L_0`` rows of ``q^0 a^{-1}`` and ``W_0
+= a^{-1} q^0_{., K0}``, which depend on neither ``aA00[1]`` nor ``c``; its
+sample keeps them, and its residual and its certificate read them.
 
 Gauge normalisation sets ``ai0 = Id``; the residual symmetry group and its
 action on normalised configurations, the tangent computation, and the
@@ -26,17 +29,19 @@ generator, :func:`_linearise`, so the sampler's columns are the Jacobian's
 ``(aA00[1], c)`` columns by construction.  The zero stabilizer and the
 Jacobian's rank (full on those columns) are certified from the rows modulo
 a prime, which stops at full rank; a matrix is built only where that fails.
+The isotropy rows come block by block, framing blocks first, and each
+block's inputs are built only when the certificate first reads from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import accumulate, product
 from math import lcm
-from operator import add
+from operator import add, sub
 from random import Random
 from typing import Iterator, Sequence
 
@@ -137,8 +142,7 @@ class AdhmConfig:
         the whole Jacobian built and ranked.
         """
         l0, k0 = self.dims.dim_l[0], self.dims.dim_k[0]
-        _den, ncols, rows = _linearise([(l0, k0)], _framing_unknowns(
-            self, self._qa_rows[0].submatrix(0, l0, 0, l0), self._aq_cols.submatrix(0, k0, 0, k0)))
+        _den, ncols, rows = _linearise([(l0, k0)], _framing_unknowns(self))
         if _reaches_rank_mod_p(rows, ncols, l0 * k0):
             return l0 * k0
         return _jacobian(self).rank()
@@ -174,23 +178,32 @@ class AdhmConfig:
         """The ``L_0`` rows of ``q^0 a^{-1}``, kept like the strips.
 
         ``q^0`` depends on neither ``aA00[1]`` nor ``c``, so :func:`_solve_draw`
-        hands its draw's on to the sample, with the strips of ``q^0``.
+        hands its draw's on to the sample, with the strips of ``q^0`` and ``W_0``.
         """
         return self._strips[0][0] * self._a_inverse
 
     @cached_property
+    def _w0(self) -> Matrix:
+        """``W_0 = a^{-1} q^0_{., K0}``, the first ``k0`` columns of ``_aq_cols``, kept like the strips.
+
+        A draw forms it alone (:func:`_solve_draw`) and hands it on to its
+        sample, as it depends on neither ``aA00[1]`` nor ``c``.  Other data
+        read it off ``_aq_cols``, which their scans read too.
+        """
+        return self._aq_cols.submatrix(0, self.dims.total_k, 0, self.dims.dim_k[0])
+
+    @cached_property
     def _aq_cols(self) -> Matrix:
-        """``a^{-1} [q^0_{., K0} | q^1_{., K0} | -d on L_0]``, kept like the strips.
+        """``[W_0 | W_1 | W_d] = a^{-1} [q^0_{., K0} | q^1_{., K0} | -d on L_0]``, kept like the strips.
 
         The ``K_0`` columns of ``a^{-1} q^A``, then ``-(a^{-1})_{., L0} d``.
         Their first ``k0`` rows are the corners ``P_A`` that the chart scan
         reads (see :func:`.monad.build_monad`).
         """
-        l0, k0, r = self.dims.dim_l[0], self.dims.dim_k[0], self.r
-        rest = self.dims.total_l - l0
-        neg_d = block_matrix([[-self.d], [Matrix.zeros(rest, r)]], [l0, rest], [r])
+        k0, r = self.dims.dim_k[0], self.r
         (_rows0, cols0), (_rows1, cols1) = self._strips
-        return self._a_inverse * block_matrix([[cols0, cols1, neg_d]], [l0 + rest], [k0, k0, r])
+        return self._a_inverse * block_matrix([[cols0, cols1, _neg_d(self)]],
+                                              [self.dims.total_l], [k0, k0, r])
 
     @cached_property
     def _bA(self) -> MatrixPair:
@@ -247,14 +260,37 @@ def _q_strips(cfg: AdhmConfig, a: int) -> MatrixPair:
     return rows, cols
 
 
+def _neg_d(cfg: AdhmConfig) -> Matrix:
+    """``[-d; 0]``: ``-d`` on the ``L_0`` rows, zero on the others."""
+    rest = cfg.dims.total_l - cfg.dims.dim_l[0]
+    return Matrix.from_ints((-cfg.d).num + [[0] * cfg.r for _ in range(rest)], cfg.d.den, cfg.r)
+
+
+def _aq_block(cfg: AdhmConfig, j: int) -> Matrix:
+    """``W_0``, ``W_1`` or ``W_d`` (``j`` = 0, 1, 2), the column blocks of ``_aq_cols``.
+
+    Slices of ``_aq_cols`` where it is kept, and ``W_0`` where that is;
+    otherwise one product with ``a^{-1}``, not kept.
+    """
+    if j == 0:
+        return cfg._w0
+    if "_aq_cols" in cfg.__dict__:
+        start = j * cfg.dims.dim_k[0]
+        stop = start + (cfg.dims.dim_k[0] if j == 1 else cfg.r)
+        return cfg._aq_cols.submatrix(0, cfg.dims.total_k, start, stop)
+    return cfg._a_inverse * (cfg._strips[1][1] if j == 1 else _neg_d(cfg))
+
+
 def _compact_block(cfg: AdhmConfig) -> Matrix:
     """``(q^A a^{-1} q_A)^{00}``, the compact residual without ``dc``.
 
-    Only the ``(L_0, K_0)`` block is kept, so only the kept ``L_0`` rows of
-    ``q^A a^{-1}`` and the first ``k0`` columns of ``q_A`` enter the products.
+    Only the ``(L_0, K_0)`` block is kept: ``q^1_{L0, .} W_0 - (q^0
+    a^{-1})_{L0, .} q^1_{., K0}``.  Neither ``W_0`` nor the ``L_0`` rows of
+    ``q^0 a^{-1}`` depend on ``aA00[1]`` or ``c``, so the sampler's draw and
+    its sample share them, and no row of ``q^1 a^{-1}`` is formed.
     """
-    qa, ((_rows0, cols0), (_rows1, cols1)) = cfg._qa_rows, cfg._strips
-    return qa[1] * cols0 - qa[0] * cols1
+    rows1, cols1 = cfg._strips[1]
+    return rows1 * cfg._w0 - cfg._q0a_rows * cols1
 
 
 def constraint_residual(cfg: AdhmConfig) -> Matrix:
@@ -437,10 +473,11 @@ def _linearise(outputs: Sequence[tuple[int, int]],
     for (m, w, terms), ds, start in zip(unknowns, dens, starts):
         seen = set()
         for (o, x, y), d in zip(terms, ds):
-            f = den // d
-            xs = None if x is None else [[f * v for v in row] for row in x.num]
-            ys = None if y is None else y.transpose().num if x is not None else \
-                [[f * v for v in col] for col in y.transpose().num]
+            f = den // d  # the scale goes on X, or on Y when X is the identity
+            xs = None if x is None else x.num if f == 1 else [[f * v for v in row] for row in x.num]
+            ys = None if y is None else list(zip(*y.num)) if y.num else [()] * y.ncols
+            if x is None and f != 1:
+                ys = [[f * v for v in col] for col in ys]
             placed[o].append((start, m, w, xs, ys, o not in seen))
             seen.add(o)
 
@@ -481,8 +518,8 @@ def _isotropy_system(cfg: AdhmConfig) -> tuple[int, int, Iterator[list[int]]]:
     and ``a`` invertible, the a00 and a0i equations say exactly ``[g0 | gam]
     = -a_{0.} h a^{-1}``; substituting that in the others leaves the blocks
     ``a_{0.} h W_A + aA00[A] h0`` (A = 0, 1), ``a_{0.} h W_d``, ``c h0`` and
-    ``aii hi - h0 aii``, with ``W = [W_0 | W_1 | W_d]`` the kept
-    ``_aq_cols`` and ``W^b`` its ``K_b`` rows.
+    ``aii hi - h0 aii``, with ``W = [W_0 | W_1 | W_d]`` the blocks of
+    ``_aq_cols`` and ``W^b`` their ``K_b`` rows.
 
     The ``L_i`` rows of ``a W = [q^0_{., K0} | q^1_{., K0} | -d on L_0]``
     read ``W^0 + aii W^i = [p_i^0 I | p_i^1 I | 0]``.  With ``aii L_i aii =
@@ -494,33 +531,49 @@ def _isotropy_system(cfg: AdhmConfig) -> tuple[int, int, Iterator[list[int]]]:
     L_i`` and ``X_A = aA00[A] + sum p_i^A a0i L_i``.  The substitution maps
     the unknowns ``(h0, Z_i)`` isomorphically onto the solutions of the
     ``K_i`` blocks, so the nullity is still the isotropy dimension, over
-    ``k0^2 + sum dim ker(aii) dim K_i`` columns.  Its rows (:func:`_linearise`)
-    list the framing blocks first, ``c h0`` and ``W_d``, then ``W_0``, ``W_1``
-    and ``M_i h0 aii``.  Raises :class:`FramingViolationError` when ``a`` is singular.
+    ``k0^2 + sum dim ker(aii) dim K_i`` columns.
+
+    Returns ``(1, ncols, rows)``: ``rows`` yields the rows block by block
+    (:func:`_linearise`), each block's integer rows over its own denominator,
+    which changes neither the rank nor the nullity.  A block's inputs are
+    built when its first row is read, so a certificate that stops early
+    builds none of the later ones.  The order is ``c h0`` (it needs ``c``
+    alone), the ``M_i h0 aii``, the ``W_d`` block (``X``, the ``a0i N_i``
+    and ``W_d``), then those of ``W_0`` and ``W_1``, each with its ``X_A``.
+    Each ``W`` is sliced from ``_aq_cols`` where that is kept, as after a
+    scan (:func:`_aq_block`).
+    Raises :class:`FramingViolationError` when ``a`` is singular.
     """
-    kd, ld, r = cfg.dims.dim_k, cfg.dims.dim_l, cfg.r
+    cfg._a_inverse  # a singular a raises here, although the c h0 rows need no a^{-1}
+    kd, l0, r = cfg.dims.dim_k, cfg.dims.dim_l[0], cfg.r
     k0, ko = kd[0], list(accumulate(kd, initial=0))
-    w = cfg._aq_cols
+    triples = [_inner_inverse(aii) for aii in cfg.aii]
+    kernels = [(i, kernel.ncols) for i, (_inner, kernel, _left) in enumerate(triples, 1)
+               if kernel.ncols]
 
-    def moved(b: int, x: Matrix) -> list:  # x h W^b, h on K_b, into outputs 2, 3 and 1
-        return [(o, x, w.submatrix(ko[b], ko[b + 1], c0, c1))
-                for o, (c0, c1) in ((2, (0, k0)), (3, (k0, 2 * k0)), (1, (2 * k0, 2 * k0 + r)))]
+    def block(height: int, width: int, h0: list, z: dict) -> Iterator[list[int]]:
+        # one output block; z holds the terms of the Z_i that reach it
+        unknowns = [(k0, k0, h0)] + [(m, kd[i], z.get(i, [])) for i, m in kernels]
+        return _linearise([(height, width)], unknowns)[2]
 
-    x, xa = cfg.a00, list(cfg.aA00)
-    outputs = [(r, k0), (ld[0], r), (ld[0], k0), (ld[0], k0)]
-    h0, kernels = [], []
-    for i, (a0i, aii, p) in enumerate(zip(cfg.a0i, cfg.aii, cfg.points.points), 1):
-        inner, kernel, left = _inner_inverse(aii)
-        moves = a0i * inner
-        x = x - moves
-        xa = [m + moves.scale(pa) for m, pa in zip(xa, p)]
-        if left.nrows and kd[i]:
-            h0.append((len(outputs), left, aii))
-            outputs.append((left.nrows, kd[i]))
-        if kernel.ncols:
-            kernels.append((kernel.ncols, kd[i], moved(i, a0i * kernel)))
-    h0 += moved(0, x) + [(2, xa[0], None), (3, xa[1], None), (0, cfg.c, None)]
-    return _linearise(outputs, [(k0, k0, h0)] + kernels)
+    def rows() -> Iterator[list[int]]:
+        yield from block(r, k0, [(0, cfg.c, None)], {})
+        for (_inner, _kernel, left), aii, w in zip(triples, cfg.aii, kd[1:]):
+            if left.nrows and w:
+                yield from block(left.nrows, w, [(0, left, aii)], {})
+        moves = [a0i * inner for a0i, (inner, _kernel, _left) in zip(cfg.a0i, triples)]
+        x = reduce(sub, moves, cfg.a00)
+        a0n = {i: cfg.a0i[i - 1] * triples[i - 1][1] for i, _m in kernels}
+        for j in (2, 0, 1):  # W_d, W_0, W_1
+            w = _aq_block(cfg, j)
+            h0 = [(0, x, w.submatrix(0, k0, 0, w.ncols))]
+            if j < 2:  # X_A h0, X_A = aA00[A] + sum p_i^A a0i L_i
+                h0.append((0, sum((m.scale(p[j]) for m, p in zip(moves, cfg.points.points)),
+                                  cfg.aA00[j]), None))
+            yield from block(l0, w.ncols, h0, {i: [(0, a0n[i], w.submatrix(
+                ko[i], ko[i + 1], 0, w.ncols))] for i in a0n})
+
+    return 1, k0 * k0 + sum(m * kd[i] for i, m in kernels), rows()
 
 
 def stabilizer_dim(cfg: AdhmConfig) -> int:
@@ -602,7 +655,7 @@ def _jacobian(cfg: AdhmConfig) -> Matrix:
                  for i, (kd, (p0, p1)) in enumerate(zip(cfg.dims.dim_k[1:], cfg.points.points), 1)]
     unknowns += [(cfg.dims.dim_l[i], cfg.dims.dim_k[i], moves(i, i)) for i in range(1, n + 1)]
     unknowns.append((l0, k0, [(0, None, v[1][0]), (0, -u[1][0], None)]))  # aA00[0]: s_0 = -1
-    unknowns += _framing_unknowns(cfg, u[0][0], v[0][0])
+    unknowns += _framing_unknowns(cfg)
     unknowns.append((l0, cfg.r, [(0, None, cfg.c)]))  # d
     den, ncols, rows = _linearise([(l0, k0)], unknowns)
     return Matrix.from_ints(list(rows), den, ncols)
@@ -680,17 +733,20 @@ def _draw(r: int, a_vec: tuple[int, ...], k: int, rng: Random) -> AdhmConfig:
     )
 
 
-def _framing_unknowns(cfg: AdhmConfig, q: Matrix, p: Matrix) -> list:
+def _framing_unknowns(cfg: AdhmConfig) -> list:
     """The ``aA00[1]`` and ``c`` unknowns of the compact block, for :func:`_linearise`.
 
     ``X = aA00[1]`` is the corner ``-X`` of ``q^1``, so ``X`` moves the block
-    by ``q X - X p``, with ``q`` and ``p`` the ``(L_0, L_0)`` corner of ``q^0
-    a^{-1}`` and the ``(K_0, K_0)`` corner of ``a^{-1} q^0``; ``c`` moves it
-    by ``d c``.  The sampler's system, the certificate of the Jacobian's
-    rank (``AdhmConfig._jacobian_rank``) and the Jacobian share them.
+    by ``q X - X p``, with ``q`` and ``p`` the ``(L_0, L_0)`` corner of the
+    kept ``L_0`` rows of ``q^0 a^{-1}`` and the ``(K_0, K_0)`` corner of
+    ``W_0 = a^{-1} q^0_{., K0}``; ``c`` moves it by ``d c``.  Neither corner
+    depends on ``aA00[1]`` or ``c``.  The sampler's system, the certificate
+    of the Jacobian's rank (``AdhmConfig._jacobian_rank``) and the Jacobian
+    share them.
     """
-    return [(q.nrows, p.nrows, [(0, q, None), (0, None, -p)]),
-            (cfg.r, p.nrows, [(0, cfg.d, None)])]
+    l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
+    q, p = cfg._q0a_rows.submatrix(0, l0, 0, l0), cfg._w0.submatrix(0, k0, 0, k0)
+    return [(l0, k0, [(0, q, None), (0, None, -p)]), (cfg.r, k0, [(0, cfg.d, None)])]
 
 
 def _sylvester_system(cfg: AdhmConfig) -> tuple[list[list[int]], int]:
@@ -700,15 +756,11 @@ def _sylvester_system(cfg: AdhmConfig) -> tuple[list[list[int]], int]:
     them (:func:`_framing_unknowns`), so the residual vanishes iff ``q X - X
     p + d c = -compact(cfg)``.  Returns the integer rows of ``[system |
     rhs]`` over one denominator; the system is the Jacobian's ``(aA00[1],
-    c)`` columns by construction, but ``p`` needs only the first ``k0`` rows
-    of ``a^{-1}``.  Raises :class:`FramingViolationError` when ``a`` is
-    singular.
+    c)`` columns by construction, and it and the right-hand side
+    (:func:`_compact_block`) read the same kept rows of ``q^0 a^{-1}`` and
+    ``W_0``.  Raises :class:`FramingViolationError` when ``a`` is singular.
     """
-    l0, k0 = cfg.dims.dim_l[0], cfg.dims.dim_k[0]
-    ainv = cfg._a_inverse
-    den, _ncols, rows = _linearise([(l0, k0)], _framing_unknowns(
-        cfg, cfg._qa_rows[0].submatrix(0, l0, 0, l0),
-        ainv.submatrix(0, k0, 0, ainv.ncols) * cfg._strips[0][1]))
+    den, _ncols, rows = _linearise([(cfg.dims.dim_l[0], cfg.dims.dim_k[0])], _framing_unknowns(cfg))
     compact = _compact_block(cfg)
     both = lcm(den, compact.den)
     s, t = both // den, both // compact.den
@@ -727,10 +779,13 @@ def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
     lack it, and ``d = 0`` at ``dim L_0 = dim K_0 = r = 1`` another.  The
     system's columns are the Jacobian's ``(aA00[1], c)`` columns, which
     depend on neither ``aA00[1]`` nor ``c``, so the Jacobian of the sample
-    has rank ``dim L_0 dim K_0`` too.  The sample keeps that rank and the
-    draw's ``a^{-1}`` (the solve changes no block of ``a``), its strips of
-    ``q^0`` and its ``L_0`` rows of ``q^0 a^{-1}``.
+    has rank ``dim L_0 dim K_0`` too.  The draw forms ``W_0 = a^{-1}
+    q^0_{., K0}`` alone, once, and neither ``_aq_cols`` nor a row of ``q^1
+    a^{-1}``.  The sample keeps the rank and the draw's ``a^{-1}`` (the
+    solve changes no block of ``a``), its strips of ``q^0``, its ``L_0`` rows
+    of ``q^0 a^{-1}`` and its ``W_0``.
     """
+    cfg.__dict__["_w0"] = cfg._a_inverse * cfg._strips[0][1]
     system, _den = _sylvester_system(cfg)
     l0, k0, r = cfg.dims.dim_l[0], cfg.dims.dim_k[0], cfg.r
     nu = (l0 + r) * k0
@@ -749,7 +804,7 @@ def _solve_draw(cfg: AdhmConfig, rng: Random) -> AdhmConfig | None:
     sample = cfg.replace(aA00=(cfg.aA00[0], aA1), c=c)
     sample.__dict__.update(_a_inverse=cfg._a_inverse, _jacobian_rank=len(system),
                            _strips=(cfg._strips[0], _q_strips(sample, 1)),
-                           _q0a_rows=cfg._q0a_rows)
+                           _q0a_rows=cfg._q0a_rows, _w0=cfg._w0)
     return sample
 
 
@@ -769,6 +824,9 @@ def sample_config(r: int, a_vec: Sequence[int], k: int, seed: int) -> AdhmConfig
     Surfaces*, Prop. 2.8).  A draw is accepted on the modular certificate
     of a zero stabilizer (:func:`_stabilizer_uncertified`), so every sample
     carries a certified stabilizer of 0 and no draw is eliminated exactly.
+    No singular scan runs on a draw, so a sample can fail
+    :func:`.monad.validate_config`: at (1, (1, 1), 1), seeds 2 and 5, alpha
+    drops rank along a whole exceptional line.
     After ``_SAMPLE_ATTEMPTS`` rejected draws it raises
     :class:`SamplingFailureError`, which counts them by reason: singular
     ``a``, a system not of full rank, positive stabilizer (one the

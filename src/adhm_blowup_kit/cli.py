@@ -185,10 +185,16 @@ def _tangent_doc(cfg) -> dict:
 
 def _tangent_config(args):
     if args.path is not None:
+        # the file fixes (r, a, k), and nothing is drawn from a seed
+        given = [flag for flag, value in (("-r", args.r), ("-a", args.a), ("-k", args.k),
+                                          ("--seed", args.seed)) if value is not None]
+        if given:
+            raise ConfigFormatError(f"tangent takes a config file or -r, -a, -k and --seed, "
+                                    f"not both: {' '.join(given)} given with {args.path}")
         return _require_monad(adhm.gauge_fix(_load_config(args.path)))
     if args.r is None or args.k is None:
         raise ConfigFormatError("tangent needs a config file or -r and -k")
-    return adhm.sample_config(args.r, _parse_int_csv(args.a), args.k,
+    return adhm.sample_config(args.r, _parse_int_csv(args.a or ""), args.k,
                               seed=args.seed or 0)
 
 
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tangent", help="empirical moduli dimension")
     p.add_argument("path", nargs="?", default=None)
     p.add_argument("-r", type=int, default=None)
-    p.add_argument("-a", type=str, default="")
+    p.add_argument("-a", type=str, default=None)
     p.add_argument("-k", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import itertools
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adhm_blowup_kit import adhm, cli, config_io, linalg, monad
 from adhm_blowup_kit.adhm import (
@@ -317,12 +320,14 @@ def test_stabilizer_positive_on_degenerate():
 
 
 def test_stabilizer_needs_invertible_a():
-    # the isotropy system is solved for g through a^{-1}
-    cfg = sample_config(2, [1], 1, seed=5)
-    singular = cfg.replace(a00=Matrix.zeros(*cfg.a00.shape),
-                           a0i=tuple(Matrix.zeros(*m.shape) for m in cfg.a0i))
-    with pytest.raises(FramingViolationError):
-        stabilizer_dim(singular)
+    # the isotropy system is solved for g through a^{-1}; at r = 3 the c h0
+    # rows alone would certify a zero stabilizer, before any row reads it
+    for r in (2, 3):
+        cfg = sample_config(r, [1], 1, seed=5)
+        singular = cfg.replace(a00=Matrix.zeros(*cfg.a00.shape),
+                               a0i=tuple(Matrix.zeros(*m.shape) for m in cfg.a0i))
+        with pytest.raises(FramingViolationError):
+            stabilizer_dim(singular)
 
 
 def test_sample_deterministic():
@@ -462,6 +467,61 @@ def test_sample_every_grid_set_validates():
         k0 = c.ncols
         p0, p1 = (w.submatrix(0, k0, 0, k0) for w in (w0, w1))
         assert _commutator(*_restrict(c, [p0, p1])).is_zero(), (r, a, k)
+
+
+@functools.cache
+def _grid_sample(r, a, k, seed):
+    return sample_config(r, a, k, seed=seed)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 4), draw=st.integers(0, 2 ** 16))
+def test_group_law_and_inverse_on_every_grid_shape(seed, draw):
+    rng = Random(draw)
+    for r, a, k in GRID:
+        cfg = _grid_sample(r, a, k, seed)
+        e1, e2 = rand_group_element(rng, cfg.dims), rand_group_element(rng, cfg.dims)
+        moved = act(e1, cfg)
+        assert act(e2, moved) == act(e2.compose(e1), cfg), (r, a, k)
+        assert act(e1.inverse(), moved) == cfg, (r, a, k)
+        assert verify_equivalence(cfg, moved, e1), (r, a, k)
+
+
+def _denormalised(cfg, rng):
+    """``cfg`` with each ``ai0 = Id`` turned into a random invertible ``g_i`` and ``aii`` into ``g_i aii``."""
+    gs = [rand_invertible(rng, m.nrows) for m in cfg.ai0]
+    return cfg.replace(ai0=tuple(gs), aii=tuple(g * m for g, m in zip(gs, cfg.aii)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(GRID), seed=st.integers(0, 5), draw=st.integers(0, 2 ** 16))
+@example(shape=(1, (1, 1), 1), seed=2, draw=0)
+@example(shape=(1, (1, 1), 1), seed=5, draw=1)
+@example(shape=(3, (1, 1), 2), seed=0, draw=2)
+def test_verdicts_and_dimensions_are_invariant_under_the_group(shape, seed, draw):
+    # a group element and a change of basis of each L_i (the ai0 blocks,
+    # undone by gauge_fix) give isomorphic monads: the same failures, scan,
+    # stabilizer and tangent dimensions.  The moved data carry none of the
+    # sampler's products, so their stabilizer is certified from rows built
+    # block by block on data the sampler never saw; (1, (1, 1), 1) at seeds
+    # 2 and 5 fails validate, so failures are compared too.  Without c and
+    # d the stabilizer is mostly positive, so the rows are eliminated exactly
+    cfg, rng = _grid_sample(*shape, seed), Random(draw)
+    want = validate_config(cfg)
+    dims = tangent_dims(cfg)
+    denormalised = _denormalised(cfg, rng)
+    for other in (act(rand_group_element(rng, cfg.dims), cfg), denormalised):
+        rep = validate_config(other)
+        assert (rep.failures, rep.scan) == (want.failures, want.scan)
+        normalized = gauge_fix(other)
+        assert normalized.__dict__.keys() & {"_stabilizer_nullity", "_w0", "_aq_cols"} == set()
+        assert stabilizer_dim(normalized) == want.stabilizer_dim == dims.stabilizer_dim
+        assert tangent_dims(normalized) == dims
+    assert gauge_fix(denormalised) == cfg
+    bare = cfg.replace(c=Matrix.zeros(*cfg.c.shape), d=Matrix.zeros(*cfg.d.shape))
+    nullity = stabilizer_dim(bare)
+    assert stabilizer_dim(act(rand_group_element(rng, cfg.dims), bare)) == nullity
+    assert stabilizer_dim(gauge_fix(_denormalised(bare, rng))) == nullity
 
 
 def test_qA_and_bA_match_the_block_reference():
@@ -781,30 +841,36 @@ def test_replaced_config_rebuilds_q_strips(monkeypatch):
     assert constraint_residual(cfg).is_zero() and built == []
     moved = cfg.replace(aA00=(cfg.aA00[0], cfg.aA00[1].scale(2)))
     assert moved._strips[1][0] != cfg._strips[1][0] and built == [moved, moved]
-    # so are the products with a^{-1}, which the sampler's checks formed
-    products = {"_qa_rows", "_aq_cols"}
-    assert products <= cfg.__dict__.keys() and not products & moved.__dict__.keys()
-    ainv = moved._a_inverse
+    # so are the products with a^{-1}: the sample keeps its draw's q^0 a^{-1}
+    # rows and W_0, and its checks formed no q^1 a^{-1} row and no _aq_cols
+    kept, formed = {"_q0a_rows", "_w0"}, {"_qa_rows", "_aq_cols"}
+    assert kept <= cfg.__dict__.keys() and not formed & cfg.__dict__.keys()
+    assert not (kept | formed) & moved.__dict__.keys()
+    ainv, k0 = moved._a_inverse, cfg.dims.dim_k[0]
+    assert cfg._q0a_rows == cfg._strips[0][0] * ainv and cfg._w0 == ainv * cfg._strips[0][1]
     assert moved._qa_rows == tuple(rows * ainv for rows, _cols in moved._strips)
     assert moved._qa_rows[1] != cfg._qa_rows[1]
-    k0 = cfg.dims.dim_k[0]
     assert moved._aq_cols.submatrix(0, ainv.nrows, k0, 2 * k0) == ainv * moved._strips[1][1]
+    # data that are no sample read W_0 off their _aq_cols
+    assert "_w0" not in moved.__dict__ and moved._w0 == cfg._w0
 
 
-@pytest.mark.parametrize("argv, bound", [
-    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 4),
-    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 3),
-], ids=["tangent", "report"])
-def test_products_with_a_inverse_formed_once(monkeypatch, argv, bound):
-    # tangent: the sampler's system on the draw forms the L_0 rows of
-    # q^A a^{-1}; on the sample the isotropy system forms the K_0 columns of
-    # a^{-1} q^A and the residual the q^1 rows again, as the sample keeps the
-    # draw's q^0 rows.  report: the rows and the
-    # columns; b^A, the scan's chart corners and the Jacobian read the kept
-    # products
-    kept, products = [], []
+@pytest.mark.parametrize("argv, jacobian, bound, after_solve", [
+    (["tangent", "-r", "2", "-a", "1", "-k", "1", "--seed", "5", "--json"], 13, 3, 1),
+    (["tangent", "-r", "3", "-a=1", "-k", "1", "--seed", "5", "--json"], 16, 2, 0),
+    (["report", str(GOLDEN_CONFIGS / "r2_a1_k1.json"), "--json"], 13, 3, None),
+], ids=["tangent", "tangent-c-h0", "report"])
+def test_products_with_a_inverse_formed_once(monkeypatch, argv, jacobian, bound, after_solve):
+    # tangent: the draw forms the L_0 rows of q^0 a^{-1} and W_0 = a^{-1}
+    # q^0_{., K0}, which its sample keeps; the sample's residual reads them
+    # and its q^1 strips, and its isotropy rows form W_d when they reach the
+    # d block.  At (3, (1), 1) the c h0 rows certify the stabilizer, so no
+    # product follows the solve.  report: the K_0 columns of a^{-1} q^A
+    # (W_0 is their first k0), then the rows; b^A, the scans, the isotropy
+    # system and the Jacobian read the kept products
+    kept, products, solved = [], [], []
     inversion = AdhmConfig.__dict__["_a_inverse"]
-    real_inverse, real_mul = inversion.func, Matrix.__mul__
+    real_inverse, real_mul, real_solve = inversion.func, Matrix.__mul__, adhm._solve_draw
 
     def inverse(cfg):
         kept.append(real_inverse(cfg))
@@ -815,12 +881,20 @@ def test_products_with_a_inverse_formed_once(monkeypatch, argv, bound):
             products.append((self.shape, other.shape))
         return real_mul(self, other)
 
+    def solve(cfg, rng):
+        sample = real_solve(cfg, rng)
+        solved.append(len(products))
+        return sample
+
     monkeypatch.setattr(inversion, "func", inverse)
     monkeypatch.setattr(Matrix, "__mul__", mul)
+    monkeypatch.setattr(adhm, "_solve_draw", solve)
     with redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0
-    assert '"dim_ker_jacobian": 13' in out.getvalue()
+    assert f'"dim_ker_jacobian": {jacobian}' in out.getvalue()
     assert len(products) <= bound
+    if after_solve is not None:
+        assert len(kept) == len(solved) == 1 and len(products) - solved[0] == after_solve
 
 
 def test_report_inverts_a_once(monkeypatch):

@@ -332,6 +332,22 @@ def test_tangent_without_k_is_a_format_error(capsys):
     assert err.startswith("error:") and "-r and -k" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "3"], ["-r", "5", "-k", "9"], ["-a="], ["-a", "1"], ["--seed", "0", "--json"],
+], ids=["--seed", "-r -k", "-a=", "-a", "--seed 0"])
+def test_tangent_sampler_flags_beside_a_file_are_usage_errors(capsys, flags):
+    # the file fixes (r, a, k) and draws nothing, so a flag of the sampler
+    # beside it is an error, not silently ignored; an empty -a counts too
+    path = _data_path("hilbert_k2.json")
+    code, out, err = run_cli(capsys, "tangent", path, *flags)
+    assert code == 1 and out == ""
+    given = [f for f in flags if f.startswith("-") and f != "--json"]
+    assert err == (f"error: tangent takes a config file or -r, -a, -k and --seed, not both: "
+                   f"{' '.join(f.rstrip('=') for f in given)} given with {path}\n")
+    # without the flags the same call runs
+    assert run_cli(capsys, "tangent", path, "--json")[0] == 0
+
+
 @pytest.mark.parametrize("command", ("tangent", "sample", "dims",
                                      "validate", "scan", "report", "orbit", "tangent PATH"))
 def test_infeasible_parameters_exit_2(capsys, tmp_path, command):
